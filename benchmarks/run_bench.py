@@ -21,15 +21,13 @@ trajectory:
   release over release.
 * **precision** — fp32 (complex64/float32) vs fp64 frozen-session speed
   and accuracy.
-* **sharded_predict** — serial vs :class:`ThreadedExecutor` vs
-  :class:`ShardedExecutor` predict throughput on a (64, 128)
-  block-grid model, batch- and row-sharded; ``--workers`` is clamped
-  to the visible CPU count (a pool on a single-core host can only
-  lose; requested, host, and schedulable-core counts are recorded).
+* **sharded_predict** — serial vs :class:`ThreadedExecutor` chunked
+  predict throughput on a (64, 128) block-grid model; ``--threads`` is
+  clamped to the visible CPU count (requested, host, and
+  schedulable-core counts are recorded).
 * **serving** — the asyncio micro-batching server end to end:
-  throughput and mean latency at 1/8/32 concurrent clients, pipe vs
-  shared-memory fork transport vs in-process threads, plus a parity
-  check against the serial session.
+  throughput and mean latency at 1/8/32 concurrent clients over a
+  threaded session, plus a parity check against the serial session.
 * **engine** — the declarative :class:`~repro.engine.Engine` facade
   serving the same model through the same server: single-route
   throughput (facade overhead vs the ``serving`` section) and a
@@ -70,7 +68,6 @@ from repro.fft.backend import use_backend
 from repro.nn import BlockCirculantLinear, CrossEntropyLoss, Sequential
 from repro.runtime import (
     InferenceSession,
-    ShardedExecutor,
     ThreadedExecutor,
     effective_cpu_count,
 )
@@ -345,117 +342,68 @@ def bench_precision(repeats: int, quick: bool = False) -> dict:
 
 
 def bench_sharded_predict(
-    repeats: int, workers: int = 4, quick: bool = False
+    repeats: int, threads: int = 4, quick: bool = False
 ) -> dict:
-    """Serial vs threaded vs fork-pool predict, (64, 128) block grid.
+    """Serial vs threaded chunked predict, (64, 128) block grid.
 
-    Multi-process speedup needs physical cores, so the requested
-    ``--workers`` is clamped to ``os.cpu_count()`` (a pool on a
-    single-core host can only add IPC overhead — the 0.37x this section
-    once recorded); the requested count, ``os.cpu_count()``, and the
-    schedulable-core count all land in the report.  The threaded rows
-    measure the same strategies with in-process thread fan-out (no
-    pickling, no transport) — the fork-vs-thread comparison the
-    executor selection guide in ``docs/performance.md`` is tuned by.
+    A speedup needs physical cores, so the requested ``--threads`` is
+    clamped to ``os.cpu_count()``; the requested count,
+    ``os.cpu_count()``, and the schedulable-core count all land in the
+    report.  Both sessions stream the same chunks, so the threaded
+    result must be bitwise-identical to the serial one.
     """
     rng = np.random.default_rng(9)
-    requested = workers
+    requested = threads
     cpus = os.cpu_count() or 1
-    workers = max(1, min(requested, cpus))
+    threads = max(1, min(requested, cpus))
     if quick:
         p, q, b, batch = 16, 32, 32, 24
-        workers = min(workers, 2)
+        threads = min(threads, 2)
     else:
         p, q, b, batch = 64, 128, 64, 96
     layer = BlockCirculantLinear(q * b, p * b, b, rng=rng)
     layer.eval()
     model = Sequential(layer)
     x = rng.normal(size=(batch, q * b))
-    chunk = max(1, batch // workers)
+    chunk = max(1, batch // threads)
 
     serial = InferenceSession.freeze(model)
-    sharded = InferenceSession.freeze(
-        model, executor=ShardedExecutor(workers=workers, mode="batch")
-    )
-    rows = InferenceSession.freeze(
-        model, executor=ShardedExecutor(workers=workers, mode="rows")
-    )
     threaded = InferenceSession.freeze(
-        model, executor=ThreadedExecutor(threads=workers, mode="batch")
-    )
-    threaded_rows = InferenceSession.freeze(
-        model, executor=ThreadedExecutor(threads=workers, mode="rows")
+        model, executor=ThreadedExecutor(threads=threads)
     )
     try:
-        identical = bool(
-            np.array_equal(
-                serial.predict(x, batch_size=chunk),
-                sharded.predict(x, batch_size=chunk),
-            )
-        )
-        rows_identical = bool(
-            np.array_equal(serial.forward(x[:1]), rows.forward(x[:1]))
-        )
         threaded_identical = bool(
             np.array_equal(
                 serial.predict(x, batch_size=chunk),
                 threaded.predict(x, batch_size=chunk),
             )
-            and np.array_equal(
-                serial.forward(x[:1]), threaded_rows.forward(x[:1])
-            )
         )
-        sharded.predict(x, batch_size=chunk)  # warm the pool before timing
-        rows.forward(x[:1])
-        threaded.predict(x, batch_size=chunk)
-        threaded_rows.forward(x[:1])
         serial_s = best_of(lambda: serial.predict(x, batch_size=chunk), repeats)
-        sharded_s = best_of(lambda: sharded.predict(x, batch_size=chunk), repeats)
         threaded_s = best_of(
             lambda: threaded.predict(x, batch_size=chunk), repeats
         )
-        rows_serial_s = best_of(lambda: serial.forward(x[:1]), repeats, inner=3)
-        rows_pool_s = best_of(lambda: rows.forward(x[:1]), repeats, inner=3)
-        rows_threaded_s = best_of(
-            lambda: threaded_rows.forward(x[:1]), repeats, inner=3
-        )
     finally:
-        sharded.close()
-        rows.close()
         threaded.close()
-        threaded_rows.close()
     return {
-        "config": {"p": p, "q": q, "b": b, "batch": batch, "workers": workers},
+        "config": {"p": p, "q": q, "b": b, "batch": batch, "workers": threads},
         "workers_requested": requested,
         "cpus": os.cpu_count(),
         "effective_cpus": _effective_cpus(),
         "serial_predict_ms": serial_s * 1e3,
-        "sharded_predict_ms": sharded_s * 1e3,
         "threaded_predict_ms": threaded_s * 1e3,
-        "predict_speedup": serial_s / sharded_s,
         "threaded_predict_speedup": serial_s / threaded_s,
-        "rows_serial_forward_ms": rows_serial_s * 1e3,
-        "rows_pool_forward_ms": rows_pool_s * 1e3,
-        "rows_threaded_forward_ms": rows_threaded_s * 1e3,
-        "rows_forward_speedup": rows_serial_s / rows_pool_s,
-        "rows_threaded_speedup": rows_serial_s / rows_threaded_s,
-        "bitwise_identical": identical,
-        "rows_bitwise_identical": rows_identical,
         "threaded_bitwise_identical": threaded_identical,
     }
 
 
 def bench_serving(repeats: int, quick: bool = False) -> dict:
-    """Micro-batching server throughput/latency: pipe vs shm vs threads.
+    """Micro-batching server throughput/latency over a threaded session.
 
-    Each configuration starts an in-process asyncio server over a
-    parallel session (2 workers, so the fan-out actually carries
-    chunks) and fires N concurrent async clients; recorded per client
-    count: fused-batch rows/s, mean request latency, and the worst
-    deviation from the serial session (the parity the serving tests
-    assert bitwise).  ``pipe``/``shm`` shard over a fork pool through
-    the named transport; ``threaded`` runs the same shard closures on
-    an in-process thread pool (no pickling, no transport).  On few-core
+    Starts an in-process asyncio server over a threaded session (2
+    threads, so the fan-out actually carries chunks) and fires N
+    concurrent async clients; recorded per client count: fused-batch
+    rows/s, mean request latency, and the worst deviation from the
+    serial session (the parity the serving tests assert).  On few-core
     hosts the absolute numbers measure dispatch overhead, not speedup —
     ``cpus``/``effective_cpus`` qualify them.
     """
@@ -531,32 +479,27 @@ def bench_serving(repeats: int, quick: bool = False) -> dict:
         "cpus": os.cpu_count(),
         "effective_cpus": _effective_cpus(),
     }
-    for configuration in ("pipe", "shm", "threaded"):
-        if configuration == "threaded":
-            executor = ThreadedExecutor(threads=workers, mode="batch")
-        else:
-            executor = ShardedExecutor(
-                workers=workers, mode="batch", transport=configuration
-            )
-        session = InferenceSession.freeze(model, executor=executor)
-        # Adopt the explicitly-built sharded session through the
-        # facade (the supported way to serve a pre-built session —
-        # the session-to-server shim is deprecated).
-        engine = Engine.from_session(session)
-        rows_by_clients = {}
-        try:
-            for n_clients in client_counts:
-                best = None
-                for _ in range(max(1, repeats // 2)):
-                    outcome = asyncio.run(run_config(engine, n_clients))
-                    if best is None or (
-                        outcome["rows_per_s"] > best["rows_per_s"]
-                    ):
-                        best = outcome
-                rows_by_clients[str(n_clients)] = best
-        finally:
-            session.close()
-        results[configuration] = rows_by_clients
+    session = InferenceSession.freeze(
+        model, executor=ThreadedExecutor(threads=workers)
+    )
+    # Adopt the explicitly-built session through the facade (the
+    # supported way to serve a pre-built session — the
+    # session-to-server shim is deprecated).
+    engine = Engine.from_session(session)
+    rows_by_clients = {}
+    try:
+        for n_clients in client_counts:
+            best = None
+            for _ in range(max(1, repeats // 2)):
+                outcome = asyncio.run(run_config(engine, n_clients))
+                if best is None or (
+                    outcome["rows_per_s"] > best["rows_per_s"]
+                ):
+                    best = outcome
+            rows_by_clients[str(n_clients)] = best
+    finally:
+        session.close()
+    results["threaded"] = rows_by_clients
     return results
 
 
@@ -1021,80 +964,31 @@ def bench_arena(repeats: int, quick: bool = False) -> dict:
 
 
 def bench_resilience(repeats: int, quick: bool = False) -> dict:
-    """Fault-tolerance cost: throughput under worker faults, shed rate.
+    """Admission-control cost: the shed rate under over-admission.
 
-    Two measurements (see ``docs/robustness.md``):
-
-    * ``worker_faults`` — the same sharded predict loop run clean and
-      with ~10% of calls hit by an injected ``worker.kill``.  The first
-      fault costs a pool respawn + retry; a second degrades the
-      executor to serial.  Either way every result stays bitwise-equal
-      to the serial session — the recorded ratio is the throughput
-      price of surviving.
-    * ``over_admission`` — an admission-bounded server
-      (``max_queue_rows`` = one fused batch) offered 2x its capacity by
-      fail-fast (``retries=0``) clients; records the shed rate and that
-      every non-shed response kept bitwise parity.
+    ``over_admission`` — an admission-bounded server
+    (``max_queue_rows`` = one fused batch) offered 2x its capacity by
+    fail-fast (``retries=0``) clients; records the shed rate and that
+    every non-shed response kept bitwise parity (see
+    ``docs/robustness.md``).
     """
-    import warnings
-
     from repro.engine import Engine
     from repro.exceptions import Overloaded
     from repro.serving import AsyncServeClient, InferenceServer
-    from repro.testing import faults
 
     rng = np.random.default_rng(11)
     if quick:
         p, q, b = 8, 12, 32
-        calls, rows = 6, 32
+        rows = 32
     else:
         p, q, b = 16, 24, 64
-        calls, rows = 12, 64
-    chunk = rows // 4  # 4 pooled chunks per call
+        rows = 64
     layer = BlockCirculantLinear(q * b, p * b, b, rng=rng)
     layer.eval()
     model = Sequential(layer)
     serial = InferenceSession.freeze(model)
     x = rng.normal(size=(rows, q * b))
     ref = serial.predict_proba(x)
-
-    def run_calls(kill_times: int | None) -> dict:
-        faults.reset()
-        if kill_times:
-            faults.arm("worker.kill", times=kill_times)
-        executor = ShardedExecutor(workers=2, mode="batch",
-                                   task_timeout=30.0)
-        session = InferenceSession.freeze(model, executor=executor)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                session.warm_up()
-                start = time.perf_counter()
-                bitwise = all(
-                    np.array_equal(
-                        session.predict_proba(x, batch_size=chunk), ref
-                    )
-                    for _ in range(calls)
-                )
-                wall = time.perf_counter() - start
-            return {
-                "rows_per_s": calls * rows / wall,
-                "bitwise_identical": bitwise,
-                "fault_stats": dict(executor.fault_stats),
-            }
-        finally:
-            session.close()
-            faults.reset()
-
-    fault_budget = max(1, calls // 10)
-    clean = faulted = None
-    for _ in range(max(1, repeats // 2)):
-        c = run_calls(None)
-        f = run_calls(fault_budget)
-        if clean is None or c["rows_per_s"] > clean["rows_per_s"]:
-            clean = c
-        if faulted is None or f["rows_per_s"] > faulted["rows_per_s"]:
-            faulted = f
 
     async def over_admit() -> dict:
         per_req = max(1, rows // 2)
@@ -1134,21 +1028,9 @@ def bench_resilience(repeats: int, quick: bool = False) -> dict:
         }
 
     return {
-        "config": {
-            "p": p, "q": q, "b": b, "rows": rows, "calls": calls,
-            "batch_size": chunk, "kill_budget": fault_budget,
-            "pool_workers": 2,
-        },
+        "config": {"p": p, "q": q, "b": b, "rows": rows},
         "cpus": os.cpu_count(),
         "effective_cpus": _effective_cpus(),
-        "worker_faults": {
-            "clean": clean,
-            "faulted": faulted,
-            "throughput_ratio": (
-                faulted["rows_per_s"] / clean["rows_per_s"]
-                if clean["rows_per_s"] else 0.0
-            ),
-        },
         "over_admission": asyncio.run(over_admit()),
     }
 
@@ -1384,8 +1266,8 @@ def main(argv: list[str] | None = None) -> int:
         help="small sizes / few repeats for CI smoke runs",
     )
     parser.add_argument(
-        "--workers", type=int, default=4,
-        help="pool size for the sharded-predict benchmark",
+        "--threads", type=int, default=4,
+        help="thread count for the sharded-predict benchmark",
     )
     args = parser.parse_args(argv)
     repeats = 2 if args.quick else args.repeats
@@ -1406,7 +1288,7 @@ def main(argv: list[str] | None = None) -> int:
         "pure_backend": bench_pure_backend(repeats, quick=args.quick),
         "precision": bench_precision(repeats, quick=args.quick),
         "sharded_predict": bench_sharded_predict(
-            repeats, workers=args.workers, quick=args.quick
+            repeats, threads=args.threads, quick=args.quick
         ),
         "serving": bench_serving(repeats, quick=args.quick),
         "engine": bench_engine(repeats, quick=args.quick),
@@ -1445,26 +1327,19 @@ def main(argv: list[str] | None = None) -> int:
           f"spectrum bytes halved "
           f"{prec['spectrum_bytes_fp64']} -> {prec['spectrum_bytes_fp32']}")
     shard = report["sharded_predict"]
-    print(f"sharded predict ({shard['config']['workers']} workers "
+    print(f"sharded predict ({shard['config']['workers']} threads "
           f"of {shard['workers_requested']} requested, "
           f"{shard['effective_cpus']}/{shard['cpus']} cpu(s)): "
-          f"fork {shard['predict_speedup']:.2f}x batch / "
-          f"{shard['rows_forward_speedup']:.2f}x rows, "
-          f"threaded {shard['threaded_predict_speedup']:.2f}x batch / "
-          f"{shard['rows_threaded_speedup']:.2f}x rows, "
-          f"bitwise identical: {shard['bitwise_identical']} "
-          f"(threaded: {shard['threaded_bitwise_identical']})")
-    serving = report["serving"]
-    for transport in ("pipe", "shm", "threaded"):
-        rows = serving[transport]
-        summary = ", ".join(
-            f"{n} client(s): {row['rows_per_s']:.0f} rows/s "
-            f"@ {row['mean_latency_ms']:.1f} ms"
-            for n, row in rows.items()
-        )
-        worst = max(row["max_abs_err_vs_serial"] for row in rows.values())
-        print(f"serving ({transport}): {summary}; "
-              f"max err vs serial {worst:.2g}")
+          f"threaded {shard['threaded_predict_speedup']:.2f}x, "
+          f"bitwise identical: {shard['threaded_bitwise_identical']}")
+    rows = report["serving"]["threaded"]
+    summary = ", ".join(
+        f"{n} client(s): {row['rows_per_s']:.0f} rows/s "
+        f"@ {row['mean_latency_ms']:.1f} ms"
+        for n, row in rows.items()
+    )
+    worst = max(row["max_abs_err_vs_serial"] for row in rows.values())
+    print(f"serving (threaded): {summary}; max err vs serial {worst:.2g}")
     eng = report["engine"]
     for mode in ("single_route", "mixed_precision"):
         rows = eng[mode]
@@ -1504,13 +1379,8 @@ def main(argv: list[str] | None = None) -> int:
           f"(delta {pipe_line['accuracy_delta']:+.3f}), "
           f"served {pipe_line['served']['rows_per_s']:.0f} rows/s, "
           f"parity {'OK' if pipe_line['served']['parity_ok'] else 'FAIL'}")
-    res = report["resilience"]
-    wf = res["worker_faults"]
-    oa = res["over_admission"]
-    print(f"resilience: {wf['clean']['rows_per_s']:.0f} rows/s clean -> "
-          f"{wf['faulted']['rows_per_s']:.0f} rows/s under worker.kill "
-          f"({wf['throughput_ratio']:.2f}x, "
-          f"bitwise {'OK' if wf['faulted']['bitwise_identical'] else 'FAIL'}); "
+    oa = report["resilience"]["over_admission"]
+    print(f"resilience: "
           f"2x over-admission: {oa['shed']}/{oa['offered']} shed "
           f"({oa['shed_rate']:.0%}), served parity "
           f"{'OK' if oa['served_bitwise_identical'] else 'FAIL'}")

@@ -1,20 +1,19 @@
-"""Chaos smoke: kill the server's pool workers and verify parity anyway.
+"""Chaos smoke: shed, delay and drop served requests; verify parity anyway.
 
 Exercises the fault-tolerance stack (``docs/robustness.md``) against a
 real ``repro serve`` subprocess, the way the CI chaos-smoke job runs it:
 
 1. build Arch. 1, freeze it into a deployment artifact, and launch the
-   CLI server with an **unlimited worker-kill fault** armed via
-   ``REPRO_FAULTS=worker.kill*0`` — every pooled task dies until the
-   executor gives up on the pool,
-2. phase 1 — a client (with retries) sends batches while workers are
-   being killed; the executor respawns once, then degrades to serial,
-   and every response must still be **bitwise-identical** to a local
-   serial :class:`~repro.runtime.InferenceSession`,
-3. phase 2 — ``info`` must report the degraded executor in its
-   ``health`` block (skipped on single-CPU hosts, where the CLI clamps
-   to serial and no pool ever exists),
-4. phase 3 — a mid-flight ``drain`` flushes an in-flight request
+   CLI server with serving-layer faults armed via ``REPRO_FAULTS``:
+   injected admission sheds, delayed responses, and connections hung up
+   in place of a response,
+2. phase 1 — a client (with retries) sends batches through the faults;
+   sheds are backed off and retried, dropped connections are replayed
+   on a fresh socket, and every response must still be
+   **bitwise-identical** to a local serial
+   :class:`~repro.runtime.InferenceSession`; ``info`` must then show
+   that the armed sheds really fired,
+3. phase 2 — a mid-flight ``drain`` flushes an in-flight request
    bitwise-intact, refuses new work with ``server_unavailable``, and
    the server process exits ``0``.
 
@@ -22,7 +21,7 @@ A non-zero exit means a fault leaked to a client, parity broke, or the
 drain dropped work.
 
 Run:  PYTHONPATH=src python examples/chaos_client.py
-      [--rows 8] [--requests 6] [--workers 2] [--transport shm]
+      [--rows 8] [--requests 6]
 """
 
 import argparse
@@ -46,9 +45,18 @@ from repro.serving import AsyncServeClient, ServeClient  # noqa: E402
 from repro.serving.protocol import parse_banner  # noqa: E402
 from repro.zoo import build_arch1  # noqa: E402
 
+#: Injected per-request hazards, two of each: a shed the client must back
+#: off from, a response held back, and a connection closed in place of
+#: the response (the client replays the idempotent predict).
+SHEDS = 2
+FAULT_SPEC = (
+    f"admission.shed*{SHEDS}:retry_after_ms=5;"
+    "server.delay_response*2:seconds=0.02;"
+    "server.drop_connection*2"
+)
 
 
-def launch_server(artifact: Path, args, fault_spec: str):
+def launch_server(artifact: Path, fault_spec: str):
     """Start ``repro serve`` with faults armed; parse the banner."""
     import selectors
 
@@ -59,8 +67,6 @@ def launch_server(artifact: Path, args, fault_spec: str):
         [
             sys.executable, "-m", "repro", "serve", str(artifact),
             "--port", "0",
-            "--workers", str(args.workers),
-            "--transport", args.transport,
             "--max-batch", "32",
         ],
         stdout=subprocess.PIPE,
@@ -87,12 +93,11 @@ def launch_server(artifact: Path, args, fault_spec: str):
 
 
 async def chaos_phases(host, port, expected_session, args) -> None:
-    pooled_possible = args.workers > 1 and (os.cpu_count() or 1) > 1
     rng = np.random.default_rng(42)
 
-    # Phase 1: serve through the kill storm, bitwise-correct throughout.
+    # Phase 1: serve through the faults, bitwise-correct throughout.
     client = await AsyncServeClient.connect(
-        host, port, retries=4, backoff_ms=10.0
+        host, port, retries=8, backoff_ms=10.0
     )
     try:
         for i in range(args.requests):
@@ -102,29 +107,21 @@ async def chaos_phases(host, port, expected_session, args) -> None:
             if not np.array_equal(proba, expected):
                 raise AssertionError(
                     f"request {i}: response deviates from serial under "
-                    f"worker faults (max "
+                    f"serving faults (max "
                     f"{np.abs(proba - expected).max():.3g})"
                 )
+        info = await client.info()
+        if info["health"]["shed"] != SHEDS:
+            raise AssertionError(
+                f"expected {SHEDS} injected sheds to have fired; "
+                f"health={info['health']!r}"
+            )
         print(
             f"phase 1: {args.requests} requests bitwise-identical to serial "
-            f"under worker.kill*0 — OK"
+            f"through {FAULT_SPEC} — OK"
         )
 
-        # Phase 2: the executor must have degraded (pool hosts only —
-        # the CLI clamps to serial on one CPU and no pool ever forks).
-        info = await client.info()
-        health = info["health"]
-        if pooled_possible:
-            if not health["degraded"]:
-                raise AssertionError(
-                    f"expected a degraded executor after unlimited worker "
-                    f"kills; health={health!r}"
-                )
-            print("phase 2: health reports degraded executor — OK")
-        else:
-            print("phase 2: single-CPU host, serial from the start — skipped")
-
-        # Phase 3: drain mid-flight.  The pending request must complete
+        # Phase 2: drain mid-flight.  The pending request must complete
         # bitwise-intact; new work must be refused with a typed error.
         rows = rng.normal(size=(args.rows, 256))
         pending = asyncio.ensure_future(client.predict_proba(rows))
@@ -145,7 +142,7 @@ async def chaos_phases(host, port, expected_session, args) -> None:
                 )
         finally:
             await drainer.close()
-        print("phase 3: drain flushed in-flight work bitwise-intact — OK")
+        print("phase 2: drain flushed in-flight work bitwise-intact — OK")
     finally:
         await client.close()
 
@@ -154,8 +151,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=8)
     parser.add_argument("--requests", type=int, default=6)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--transport", choices=("pipe", "shm"), default="shm")
     args = parser.parse_args()
 
     model = build_arch1(rng=np.random.default_rng(0)).eval()
@@ -165,7 +160,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         artifact = Path(tmp) / "arch1.npz"
         deployed.save(artifact)
-        proc, host, port = launch_server(artifact, args, "worker.kill*0")
+        proc, host, port = launch_server(artifact, FAULT_SPEC)
         try:
             asyncio.run(chaos_phases(host, port, expected_session, args))
             # The drain must let the process exit cleanly on its own.
@@ -175,7 +170,7 @@ def main() -> int:
                 raise AssertionError("server did not exit after drain")
             if code != 0:
                 raise AssertionError(f"server exited {code} after drain")
-            print("phase 3b: server exited 0 after drain — OK")
+            print("phase 2b: server exited 0 after drain — OK")
         finally:
             if proc.poll() is None:
                 proc.terminate()

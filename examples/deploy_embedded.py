@@ -82,9 +82,9 @@ def main():
     # spectrum memory and memory traffic of the default fp64 session,
     # with ~1e-6 agreement.  Use fp32 on RAM/bandwidth-constrained
     # targets (the paper's embedded setting); keep fp64 when chaining
-    # further numerical analysis off the logits.  For many-core hosts,
-    # EngineConfig(executor="sharded") additionally spreads predict
-    # batches and large block-circulant layers over a process pool.
+    # further numerical analysis off the logits.  For multi-core hosts,
+    # EngineConfig(executor="threaded") additionally spreads large
+    # predict batches, chunk by chunk, over a thread pool.
     artifact = DeployedModel.load(model_path)
     engine = Engine(model=artifact, precisions=("fp32", "fp64"))
     print("frozen plan: " + " -> ".join(engine.session().describe()))

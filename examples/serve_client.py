@@ -19,8 +19,7 @@ The CI serving-smoke job runs exactly this script; a non-zero exit
 means the server broke parity.
 
 Run:  PYTHONPATH=src python examples/serve_client.py
-      [--clients 8] [--requests 8] [--rows 4] [--workers 1]
-      [--transport pipe|shm] [--max-batch 32]
+      [--clients 8] [--requests 8] [--rows 4] [--max-batch 32]
 """
 
 import argparse
@@ -60,8 +59,6 @@ def launch_server(artifact: Path, args) -> tuple[subprocess.Popen, str, int]:
         [
             sys.executable, "-m", "repro", "serve", str(artifact),
             "--port", "0",
-            "--workers", str(args.workers),
-            "--transport", args.transport,
             "--max-batch", str(args.max_batch),
         ],
         stdout=subprocess.PIPE,
@@ -133,8 +130,6 @@ def main() -> int:
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--requests", type=int, default=8)
     parser.add_argument("--rows", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--transport", choices=("pipe", "shm"), default="pipe")
     parser.add_argument("--max-batch", type=int, default=32)
     args = parser.parse_args()
 

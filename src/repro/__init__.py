@@ -18,9 +18,9 @@ Subpackages:
 * :mod:`repro.quantize` — fixed-point weight quantization extension,
 * :mod:`repro.runtime` — the frozen inference runtime
   (:class:`~repro.runtime.InferenceSession`: flat op plan, precomputed
-  spectra, fused bias+activation, batched streaming predict, pluggable
-  :class:`~repro.runtime.PlanExecutor` strategies including the
-  multi-process :class:`~repro.runtime.ShardedExecutor`),
+  spectra, fused bias+activation, batched streaming predict, run by a
+  :class:`~repro.runtime.SerialExecutor` or, chunk-parallel, a
+  :class:`~repro.runtime.ThreadedExecutor`),
 * :mod:`repro.precision` — :class:`~repro.precision.PrecisionPolicy`,
   the fp64/fp32 dtype policy threaded through fft, structured, runtime
   and embedded,

@@ -174,28 +174,20 @@ def build_parser() -> argparse.ArgumentParser:
         "(half the spectrum memory, ~1e-6 accuracy)",
     )
     predict.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker processes; >1 shards predict batches and large "
-        "block-circulant layers across a process pool",
-    )
-    predict.add_argument(
         "--executor",
-        choices=("auto", "serial", "threaded", "sharded"),
+        choices=("auto", "serial", "threaded"),
         default=None,
-        help="execution strategy: serial (in-process), threaded "
-        "(in-process thread pool — no pickling or fork), sharded "
-        "(fork pool), or auto (threaded on multi-core hosts).  "
-        "Default: sharded when --workers > 1, else the REPRO_EXECUTOR "
-        "env var, else serial",
+        help="execution strategy: serial (the calling thread), threaded "
+        "(--batch-size chunks fanned across an in-process thread "
+        "pool), or auto (threaded on multi-core hosts).  Default: the "
+        "REPRO_EXECUTOR env var, else serial",
     )
     predict.add_argument(
         "--threads",
         type=_positive_int,
         default=None,
         help="thread count for --executor threaded/auto "
-        "(default: --workers, else the effective core count)",
+        "(default: the effective core count)",
     )
     predict.add_argument(
         "--profile",
@@ -270,35 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
         "precision)",
     )
     serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker processes; >1 shards fused batches and large "
-        "block-circulant layers across a fork pool",
-    )
-    serve.add_argument(
         "--executor",
-        choices=("auto", "serial", "threaded", "sharded"),
+        choices=("auto", "serial", "threaded"),
         default=None,
-        help="execution strategy: serial, threaded (in-process thread "
-        "pool), sharded (fork pool), or auto (threaded on multi-core "
-        "hosts).  One shared worker pool serves every (model, "
-        "precision) route.  Default: sharded when --workers > 1, else "
-        "the REPRO_EXECUTOR env var, else serial",
+        help="execution strategy: serial, threaded (fused batches "
+        "split into chunks across an in-process thread pool), or auto "
+        "(threaded on multi-core hosts).  One shared thread pool "
+        "serves every (model, precision) route.  Default: the "
+        "REPRO_EXECUTOR env var, else serial",
     )
     serve.add_argument(
         "--threads",
         type=_positive_int,
         default=None,
         help="thread count for --executor threaded/auto "
-        "(default: --workers, else the effective core count)",
-    )
-    serve.add_argument(
-        "--transport",
-        choices=("pipe", "shm"),
-        default="pipe",
-        help="how activations reach pool workers: pickled through the "
-        "pool pipe, or through shared-memory ring buffers",
+        "(default: the effective core count)",
     )
     serve.add_argument(
         "--max-batch",
@@ -628,36 +606,6 @@ def _cmd_deploy(args) -> int:
     return 0
 
 
-def _effective_workers(requested: int) -> int:
-    """CLI wrapper for :func:`repro.runtime.executors.effective_workers`.
-
-    Same single-CPU clamp, but the warning lands on stderr as a plain
-    ``warning:`` line (the CLI's voice) instead of going through the
-    :mod:`warnings` machinery.
-    """
-    import warnings as _warnings
-
-    from .runtime.executors import effective_workers
-
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        effective = effective_workers(requested)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    return effective
-
-
-def _resolve_cli_executor(args, workers: int) -> str | None:
-    """``--executor`` wins; bare ``--workers N>1`` keeps meaning the
-    fork pool; ``None`` flows to EngineConfig (REPRO_EXECUTOR, then
-    serial)."""
-    if args.executor is not None:
-        return args.executor
-    if workers > 1:
-        return "sharded"
-    return None
-
-
 def _print_op_stats(stats: dict) -> None:
     """The ``--profile`` table: per-op-kind cumulative time, on stderr."""
     if not stats:
@@ -696,13 +644,11 @@ def _cmd_predict(args) -> int:
     # Declarative path: describe *what* to run as an EngineConfig, let
     # the Engine pool/freeze the session (precomputed spectra at the
     # chosen precision, fused ops) and stream the inputs through it in
-    # chunks — on a worker pool when requested.
-    workers = _effective_workers(args.workers)
+    # chunks — across a thread pool when requested.
     config = EngineConfig(
         model=args.model,
         precisions=(args.precision,),
-        executor=_resolve_cli_executor(args, workers),
-        workers=workers,
+        executor=args.executor,
         threads=args.threads,
         profile=args.profile,
         conv_tile=args.conv_tile,
@@ -762,9 +708,7 @@ def _parse_model_registry(args) -> tuple[dict, str | None]:
 def _cmd_serve(args) -> int:
     # The first stdout line is the machine-readable `serving on
     # host:port` banner (scripts and the CI smoke job parse it); the
-    # config line follows via on_ready.  Workers are clamped here so the
-    # warning lands on the CLI's stderr.
-    workers = _effective_workers(args.workers)
+    # config line follows via on_ready.
     try:
         models, default_model = _parse_model_registry(args)
         # The pool is exactly what the operator asked for: --precisions
@@ -785,10 +729,8 @@ def _cmd_serve(args) -> int:
             default_model=default_model,
             precisions=precisions,
             precision=default_precision,
-            executor=_resolve_cli_executor(args, workers),
-            workers=workers,
+            executor=args.executor,
             threads=args.threads,
-            transport=args.transport,
             conv_tile=args.conv_tile,
             arena=not args.no_arena,
             fuse=not args.no_fuse,
@@ -811,15 +753,13 @@ def _cmd_serve(args) -> int:
             f"models={registry} precisions={','.join(precisions)} "
             f"default={default_model}:{default_precision} "
             f"executor={info['kind']} workers={info['workers']} "
-            f"shared_pool={pool_desc} transport={args.transport} "
+            f"shared_pool={pool_desc} "
             f"max_batch={args.max_batch} max_wait_ms={args.max_wait_ms}",
             flush=True,
         )
 
     if os.environ.get("REPRO_FAULTS"):
-        # Deliberate fault injection for chaos tests: arm the named
-        # fault points before the engine forks any worker pool, so the
-        # workers inherit the shared budgets.
+        # Deliberate fault injection for chaos tests.
         from .testing import faults
 
         try:

@@ -25,8 +25,8 @@ implements that flow:
   :class:`~repro.engine.Engine` facade now —
   ``Engine(model=deployed, ...)`` pools frozen sessions per precision
   and serves several named artifacts from one TCP port;
-  :meth:`DeployedModel.to_session` and :meth:`DeployedModel.serve`
-  remain as thin deprecation shims over it.
+  :meth:`DeployedModel.to_session` remains as a thin deprecation shim
+  over it.
 
 Dropout layers vanish at deployment; batch-norm folds into a per-feature
 affine transform.
@@ -496,7 +496,6 @@ class DeployedModel:
         precision=None,
         executor=None,
         conv_tile: int | None = None,
-        row_shards: int | None = None,
     ) -> InferenceSession:
         """Deprecated: compile the records into a frozen session.
 
@@ -531,7 +530,6 @@ class DeployedModel:
                 precision=precision,
                 executor=executor,
                 conv_tile=conv_tile,
-                row_shards=row_shards,
             )
         name = PrecisionPolicy.resolve(precision).name
         engine = Engine(
@@ -539,62 +537,10 @@ class DeployedModel:
             precisions=(name,),
             executor=executor or "serial",
             conv_tile=conv_tile,
-            row_shards=row_shards,
         )
         # The engine object is discarded: ownership of the single pooled
         # session transfers to the caller, exactly as before.
         return engine.session()
-
-    def serve(
-        self,
-        host: str = "127.0.0.1",
-        port: int | None = None,
-        precision=None,
-        workers: int = 1,
-        transport: str = "pipe",
-        max_batch: int = 32,
-        max_wait_ms: float = 2.0,
-        conv_tile: int | None = None,
-        on_ready=None,
-    ) -> None:
-        """Deprecated: serve this artifact over TCP (blocking).
-
-        Use the :class:`~repro.engine.Engine` facade instead — it pools
-        several precisions and hosts several named models behind one
-        server::
-
-            Engine(model=deployed, precisions=("fp64", "fp32")).serve()
-
-        This shim builds exactly that single-model engine (``workers``
-        clamped on single-CPU hosts, as before) and blocks in
-        :meth:`~repro.engine.Engine.serve`; the banner/``on_ready``
-        contract is unchanged.
-        """
-        warnings.warn(
-            "DeployedModel.serve() is deprecated; use "
-            "repro.engine.Engine(model=deployed, ...).serve() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..engine import Engine
-        from ..precision import PrecisionPolicy
-        from ..runtime.executors import effective_workers
-
-        workers = effective_workers(workers)
-        engine = Engine(
-            model=self,
-            precisions=(PrecisionPolicy.resolve(precision).name,),
-            executor="sharded" if workers > 1 else "serial",
-            workers=workers,
-            transport=transport,
-            conv_tile=conv_tile,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-        )
-        try:
-            engine.serve(host=host, port=port, on_ready=on_ready)
-        finally:
-            engine.close()
 
     def time_inference(
         self, inputs: np.ndarray, repeats: int = 3

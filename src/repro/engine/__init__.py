@@ -3,8 +3,8 @@
 One public API for everything the frozen runtime can do:
 
 * :class:`EngineConfig` — *what to run*: a validated, declarative
-  description (model registry, pooled precisions, executor/transport/
-  shard policy, batching limits, priority classes),
+  description (model registry, pooled precisions, executor policy,
+  batching limits, priority classes),
 * :class:`Engine` — *how it runs*: a per-precision
   :class:`~repro.engine.pool.SessionPool` of lazily-frozen
   :class:`~repro.runtime.session.InferenceSession`\\ s behind a
@@ -15,8 +15,8 @@ One public API for everything the frozen runtime can do:
   per-request model/precision routing, priorities and deadlines.
 
 The pre-engine entry points (``DeployedModel.to_session`` /
-``DeployedModel.serve`` / ``InferenceServer(session)``) remain as thin
-deprecation shims over this facade; ``docs/engine.md`` has the
+``InferenceServer(session)``) remain as thin deprecation shims over
+this facade; ``docs/engine.md`` has the
 migration table.
 """
 

@@ -1,10 +1,10 @@
 """Declarative, validated configuration for the :class:`Engine` facade.
 
 An :class:`EngineConfig` says *what to run* — which models, at which
-precisions, under which executor/transport/batching policy — while the
+precisions, under which executor and batching policy — while the
 :class:`~repro.engine.core.Engine` decides *how* (pooled sessions,
 lazy freezing, per-request routing).  Every field is validated at
-construction, so a typo'd precision or an unknown transport fails at
+construction, so a typo'd precision or an unknown executor fails at
 config time instead of on the first request.
 
 Model sources are deliberately permissive: a registry value may be
@@ -40,9 +40,7 @@ __all__ = ["EngineConfig", "DEFAULT_MODEL_NAME"]
 #: Registry key used when a single anonymous model source is configured.
 DEFAULT_MODEL_NAME = "default"
 
-_EXECUTORS = ("auto", "serial", "threaded", "sharded")
-_TRANSPORTS = ("pipe", "shm")
-_SHARD_MODES = ("auto", "batch", "rows")
+_EXECUTORS = ("auto", "serial", "threaded")
 
 
 def _resolve_precision_name(spec) -> str:
@@ -97,39 +95,30 @@ class EngineConfig:
         Default precision for requests that name none; must be a member
         of ``precisions`` (defaults to the first).
     executor:
-        ``"serial"`` (in-process, op by op), ``"threaded"``
-        (in-process thread pool — the GIL-releasing numpy kernels
-        overlap on real cores with zero serialization), ``"sharded"``
-        (fork pool + transport), or ``"auto"`` (threaded on multi-core
-        hosts, serial on single-core, and serial below a small row
-        threshold — fork only when explicitly requested).  ``None``
-        (the default) reads the ``REPRO_EXECUTOR`` environment
-        variable, falling back to ``"serial"``.  Whatever the kind,
-        **one shared worker pool serves every (model, precision)
-        route**: plans register with the pool by id, so an engine with
-        M models × P precisions still holds ``workers`` processes (or
-        ``threads`` threads), not ``M * P`` pools.  See
+        ``"serial"`` (the calling thread, op by op), ``"threaded"``
+        (whole ``predict`` chunks fanned across an in-process thread
+        pool — the GIL-releasing numpy kernels overlap on real cores
+        with zero serialization), or ``"auto"`` (threaded on
+        multi-core hosts, serial on single-core, and serial below a
+        small row threshold).  ``None`` (the default) reads the
+        ``REPRO_EXECUTOR`` environment variable, falling back to
+        ``"serial"``.  **One shared thread pool serves every (model,
+        precision) route**, so an engine with M models × P precisions
+        still holds ``threads`` threads, not ``M * P`` pools.  See
         ``docs/performance.md`` for the selection guide.
-    workers, transport, shard_mode:
-        Pool policy: ``workers`` sizes the shared fork pool (``None``
-        means ``os.cpu_count()``) and is the threaded fallback size
-        when ``threads`` is unset; ``transport`` and ``shard_mode``
-        apply to the fork/threaded paths respectively and are ignored
-        for ``executor="serial"``.
     threads:
         Thread count for ``executor="threaded"``/``"auto"``; ``None``
-        falls back to ``workers``, then to the effective core count
-        (``sched_getaffinity``, container-aware).
+        means the effective core count (``sched_getaffinity``,
+        container-aware).
     profile:
         Arm per-op-kind timing on every route's executor; cumulative
         per-kind nanoseconds surface via the serving ``info`` op
         (``routes[...]["op_stats"]``) and ``repro predict --profile``.
-    conv_tile, row_shards:
-        Plan-compilation knobs passed through to
+    conv_tile:
+        Plan-compilation knob passed through to
         :meth:`~repro.runtime.session.InferenceSession.freeze`.
     arena:
-        Give every route's executor threads / fork workers a per-plan
-        workspace arena of reusable batch-bucketed buffers, making the
+        Give every route's executor threads a per-plan workspace arena of reusable batch-bucketed buffers, making the
         steady-state hot path allocation-free (default on;
         bitwise-neutral).  Disable to fall back to fresh-buffer
         execution, e.g. for memory-constrained many-route deployments.
@@ -177,11 +166,6 @@ class EngineConfig:
         serving front-end (token bucket; ``None`` = unlimited).
     rate_burst:
         Token-bucket burst capacity (``None`` = ``max(1, rate)``).
-    fault_timeout_s:
-        Sharded-executor per-task deadline in seconds; a pool task with
-        no result by then counts as a worker fault and triggers
-        recovery (respawn once, then degrade to serial).  ``None``
-        disables the timeout backstop.
     """
 
     model: object | None = None
@@ -190,13 +174,9 @@ class EngineConfig:
     precisions: tuple[str, ...] = ("fp64",)
     precision: str | None = None
     executor: str | None = None
-    workers: int | None = None
     threads: int | None = None
     profile: bool = False
-    transport: str = "pipe"
-    shard_mode: str = "auto"
     conv_tile: int | None = None
-    row_shards: int | None = None
     arena: bool = True
     batch_buckets: tuple[int, ...] | None = None
     fuse: bool = True
@@ -211,7 +191,6 @@ class EngineConfig:
     max_stream_state_bytes: int | None = None
     rate_limit_rps: float | None = None
     rate_burst: int | None = None
-    fault_timeout_s: float | None = 60.0
 
     def __post_init__(self):
         # --- model registry -------------------------------------------
@@ -283,27 +262,14 @@ class EngineConfig:
                 f"executor must be one of {_EXECUTORS}, got {executor!r}"
             )
         object.__setattr__(self, "executor", executor)
-        if self.transport not in _TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {_TRANSPORTS}, got {self.transport!r}"
-            )
-        if self.shard_mode not in _SHARD_MODES:
-            raise ConfigurationError(
-                f"shard_mode must be one of {_SHARD_MODES}, "
-                f"got {self.shard_mode!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
         if self.threads is not None and self.threads < 1:
             raise ConfigurationError(
                 f"threads must be >= 1, got {self.threads}"
             )
-        for knob in ("conv_tile", "row_shards"):
-            value = getattr(self, knob)
-            if value is not None and value < 1:
-                raise ConfigurationError(f"{knob} must be >= 1, got {value}")
+        if self.conv_tile is not None and self.conv_tile < 1:
+            raise ConfigurationError(
+                f"conv_tile must be >= 1, got {self.conv_tile}"
+            )
         if self.batch_buckets is not None:
             buckets = tuple(self.batch_buckets)
             if not buckets:
@@ -350,7 +316,7 @@ class EngineConfig:
         object.__setattr__(self, "priority_classes", classes)
         self.resolve_priority(self.default_priority)
 
-        # --- admission + fault policy ---------------------------------
+        # --- admission policy -----------------------------------------
         if self.max_queue_rows < 1:
             raise ConfigurationError(
                 f"max_queue_rows must be >= 1, got {self.max_queue_rows}"
@@ -398,11 +364,6 @@ class EngineConfig:
                 raise ConfigurationError(
                     f"rate_burst must be >= 1, got {self.rate_burst}"
                 )
-        if self.fault_timeout_s is not None and self.fault_timeout_s <= 0:
-            raise ConfigurationError(
-                f"fault_timeout_s must be positive or None, "
-                f"got {self.fault_timeout_s}"
-            )
 
     # ------------------------------------------------------------------
     # Resolution helpers (the single place request fields are validated)
@@ -425,8 +386,7 @@ class EngineConfig:
         ``"auto"`` picks ``"threaded"`` when the process can schedule
         on more than one core (``sched_getaffinity``-aware, so a 1-CPU
         container resolves serial even on a big host) and ``"serial"``
-        otherwise; it never picks the fork pool — IPC sharding is an
-        explicit opt-in.  Every other kind resolves to itself.
+        otherwise.  Every other kind resolves to itself.
         """
         if self.executor != "auto":
             return self.executor
@@ -434,11 +394,9 @@ class EngineConfig:
 
     def resolve_threads(self) -> int:
         """Thread-pool size for the threaded executor: ``threads``,
-        else ``workers``, else the effective core count."""
+        else the effective core count."""
         if self.threads is not None:
             return self.threads
-        if self.workers is not None:
-            return self.workers
         return effective_cpu_count()
 
     def resolve_precision(self, spec) -> str:
@@ -499,13 +457,9 @@ class EngineConfig:
             "precision": self.precision,
             "executor": self.executor,
             "resolved_executor": self.resolve_executor(),
-            "workers": self.workers,
             "threads": self.threads,
             "profile": self.profile,
-            "transport": self.transport,
-            "shard_mode": self.shard_mode,
             "conv_tile": self.conv_tile,
-            "row_shards": self.row_shards,
             "arena": self.arena,
             "batch_buckets": (
                 list(self.batch_buckets)
@@ -524,5 +478,4 @@ class EngineConfig:
             "max_stream_state_bytes": self.max_stream_state_bytes,
             "rate_limit_rps": self.rate_limit_rps,
             "rate_burst": self.rate_burst,
-            "fault_timeout_s": self.fault_timeout_s,
         }

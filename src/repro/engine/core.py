@@ -1,12 +1,12 @@
 """The :class:`Engine` facade — the one public door to the runtime.
 
-Motivation: the reproduction grew four overlapping entry points to the
+Motivation: the reproduction grew overlapping entry points to the
 same frozen block-circulant runtime (``InferenceSession.freeze``,
-``DeployedModel.to_session``, ``DeployedModel.serve``, and the
-``InferenceServer`` constructor), each single-model, single-session,
-and configured by its own kwargs.  The engine separates *what to run*
-(a declarative :class:`~repro.engine.config.EngineConfig`: model
-registry, pooled precisions, executor/transport/batching policy) from
+``DeployedModel.to_session``, and the ``InferenceServer``
+constructor), each single-model, single-session, and configured by its
+own kwargs.  The engine separates *what to run* (a declarative
+:class:`~repro.engine.config.EngineConfig`: model registry, pooled
+precisions, executor and batching policy) from
 *how it runs* (a lazily-frozen per-precision
 :class:`~repro.engine.pool.SessionPool`), and gives every consumer —
 direct calls, the serving front-end, the CLI — the same typed
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +37,7 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..runtime.executors import (
     AUTO_MIN_ROWS,
-    ForkWorkerPool,
     SerialExecutor,
-    ShardedExecutor,
     ThreadWorkerPool,
     ThreadedExecutor,
 )
@@ -60,7 +57,7 @@ class Engine:
         Engine(EngineConfig(model="arch1.npz"))
         Engine(model="arch1.npz", precisions=("fp64", "fp32"))
         Engine(models={"mnist": "arch1.npz", "cifar": "arch3.npz"},
-               default_model="mnist", executor="sharded", workers=4)
+               default_model="mnist", executor="threaded", threads=4)
 
     Sessions freeze lazily on first use, one per (model, precision)
     pair, and are reused for every later call (see
@@ -79,25 +76,16 @@ class Engine:
         self._stream_plans: dict[tuple[str, str], object] = {}
         self._stream_lock = threading.Lock()
         self._closed = False
-        # One shared worker pool for the whole route grid: every pooled
-        # session's executor registers its plan here by id, so M models
-        # × P precisions share `workers` processes (or `threads`
-        # threads) instead of holding a pool each.  Construction is
-        # cheap — nothing forks or spawns until the first parallel call
-        # (or warm_up()).
-        kind = self.config.resolve_executor()
-        if kind == "sharded":
-            self._workpool = ForkWorkerPool(
-                workers=self.config.workers,
-                transport=self.config.transport,
-                task_timeout=self.config.fault_timeout_s,
-            )
-        elif kind == "threaded":
-            self._workpool = ThreadWorkerPool(
-                threads=self.config.resolve_threads()
-            )
-        else:
-            self._workpool = None
+        # One shared thread pool for the whole route grid: every pooled
+        # session's executor submits its chunks here, so M models × P
+        # precisions share `threads` threads instead of holding a pool
+        # each.  Construction is cheap — no thread starts until the
+        # first parallel call.
+        self._workpool = (
+            ThreadWorkerPool(threads=self.config.resolve_threads())
+            if self.config.resolve_executor() == "threaded"
+            else None
+        )
         # Pre-adopt sources that are already-frozen sessions (the shim
         # path): the pool serves them, their owner closes them.
         for name, source in self.config.models.items():
@@ -146,20 +134,6 @@ class Engine:
         merged = dict(self.config.models)
         if name in merged:
             raise ConfigurationError(f"model {name!r} is already registered")
-        if self.config.resolve_executor() == "sharded" and len(self._pool):
-            # Existing routes already forked their pools — this process
-            # may have serving threads by now, and the new route's pool
-            # would fork lazily from a threaded process (inherited-lock
-            # hazard).  Register the full grid before serving instead.
-            warnings.warn(
-                f"registering {name!r} on a sharded engine that already "
-                "froze sessions: its worker pool will fork lazily, "
-                "possibly after threads exist — register every model "
-                "before serving (or call warm_up() from a thread-free "
-                "process) to avoid the fork-with-threads hazard",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         merged[name] = source
         from dataclasses import replace
 
@@ -181,23 +155,13 @@ class Engine:
     # ------------------------------------------------------------------
     def _make_executor(self):
         """A fresh per-route executor attached to the shared pool."""
-        kind = self.config.resolve_executor()
-        if kind == "sharded":
-            return ShardedExecutor(
-                mode=self.config.shard_mode,
-                pool=self._workpool,
-                profile=self.config.profile,
-            )
-        if kind == "threaded":
+        if self._workpool is not None:
             return ThreadedExecutor(
-                mode=self.config.shard_mode,
                 pool=self._workpool,
                 min_rows=AUTO_MIN_ROWS if self.config.executor == "auto" else 0,
                 profile=self.config.profile,
             )
-        if self.config.profile:
-            return SerialExecutor(profile=True)
-        return None
+        return SerialExecutor(profile=self.config.profile)
 
     def _source(self, name: str):
         """The registry source for ``name``; artifact paths load once."""
@@ -224,7 +188,6 @@ class Engine:
             precision=precision,
             executor=self._make_executor(),
             conv_tile=self.config.conv_tile,
-            row_shards=self.config.row_shards,
             arena=self.config.arena,
             batch_buckets=self.config.batch_buckets,
             fuse=self.config.fuse,
@@ -303,9 +266,7 @@ class Engine:
         """Freeze + warm sessions ahead of traffic.
 
         With no arguments warms the full grid (every registered model ×
-        every pooled precision) — the serving front-end does this before
-        starting its inference thread so sharded executors fork from a
-        thread-free process.
+        every pooled precision).
         """
         models = (
             [self.config.resolve_model(model)]
@@ -493,30 +454,11 @@ class Engine:
         }
 
     def health(self) -> dict:
-        """Fault posture of the shared pool and pooled executors (JSON-able).
-
-        ``degraded`` is True when the shared worker pool (or any pooled
-        session's executor) has exhausted its respawn and fallen back
-        to serial execution; ``executors`` carries each sharded route's
-        fault counters and ``pool`` the shared pool's summary (kind,
-        size, started, attached plans).  The serving ``info`` op embeds
-        this.
-        """
-        degraded = False
-        executors: dict = {}
-        for (model, precision), session in sorted(
-            self._pool.snapshot().items()
-        ):
-            stats = getattr(session.executor, "fault_stats", None)
-            if stats is not None:
-                executors[f"{model}/{precision}"] = dict(stats)
-            if getattr(session.executor, "degraded", False):
-                degraded = True
-        pool = None
-        if self._workpool is not None:
-            pool = self._workpool.describe()
-            degraded = degraded or self._workpool.degraded
-        return {"degraded": degraded, "executors": executors, "pool": pool}
+        """The shared thread pool's summary (JSON-able): ``pool`` is its
+        kind, size and started flag, or ``None`` on a serial engine.
+        The serving ``info`` op embeds this."""
+        pool = self._workpool
+        return {"pool": pool.describe() if pool is not None else None}
 
     def executor_info(self) -> dict:
         """What's actually executing: kind, parallelism, shared pool.
@@ -530,13 +472,13 @@ class Engine:
         return {
             "requested": self.config.executor,
             "kind": self.config.resolve_executor(),
-            "workers": pool.workers if pool is not None else 1,
+            "workers": pool.threads if pool is not None else 1,
             "shared_pool": pool.describe() if pool is not None else None,
             "profile": self.config.profile,
         }
 
     def describe_routes(self) -> dict:
-        """Per pooled route: plan ops, executor, scheduler (JSON-able).
+        """Per pooled route: plan ops, executor, arena (JSON-able).
 
         Snapshots the pool under its lock, so racing a concurrent
         ``close()`` yields a consistent (possibly empty) view instead
@@ -551,9 +493,6 @@ class Engine:
                 "executor": repr(session.executor),
                 "arena": session.executor.arena_info(),
             }
-            scheduler = getattr(session.executor, "scheduler", None)
-            if scheduler is not None:
-                route["scheduler"] = scheduler.describe()
             if getattr(session.executor, "profile", False):
                 route["op_stats"] = session.executor.op_stats()
             routes[f"{model}/{precision}"] = route

@@ -40,8 +40,7 @@ class SessionPool:
     :class:`~repro.engine.core.Engine` supplies one that resolves the
     model source and executor policy.  Sessions are warmed
     (:meth:`~repro.runtime.session.InferenceSession.warm_up`) as they
-    enter the pool, so a sharded executor forks its worker pool exactly
-    once, on first use.
+    enter the pool.
     """
 
     def __init__(self, freeze: Callable[[str, str], InferenceSession]):
@@ -60,8 +59,7 @@ class SessionPool:
 
         Double-checked locking: the expensive ``freeze().warm_up()``
         runs *outside* the dict lock, so introspection (``snapshot``)
-        and other routes' lookups never block behind a plan compile or
-        a worker-pool fork.
+        and other routes' lookups never block behind a plan compile.
         """
         key = (model, precision)
         with self._lock:
@@ -80,8 +78,8 @@ class SessionPool:
             session = self._freeze(model, precision).warm_up()
             with self._lock:
                 if self._closed:
-                    # The pool closed mid-freeze: don't leak the pool
-                    # workers of a session nobody will ever serve.
+                    # The pool closed mid-freeze: release the session
+                    # nobody will ever serve.
                     session.close()
                     raise ConfigurationError("session pool is closed")
                 self._sessions[key] = session

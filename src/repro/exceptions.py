@@ -74,15 +74,5 @@ class StreamBroken(ServingError):
         self.pushed = pushed
 
 
-class WorkerFault(ReproError, RuntimeError):
-    """A pool worker died or stopped responding mid-task.
-
-    Raised internally by :class:`~repro.runtime.executors.ShardedExecutor`
-    when its sentinel detects a dead worker or a task outlives
-    ``task_timeout``; the executor recovers (respawn once, then degrade
-    to serial) and retries, so callers normally never see this.
-    """
-
-
 class PipelineError(ReproError, RuntimeError):
     """A build-pipeline stage failed or was run out of order."""

@@ -26,7 +26,7 @@ See ``docs/router.md`` for topology, placement, failover semantics,
 and the drain runbook.
 """
 
-from .backend import DEGRADED, DOWN, DRAINING, HEALTHY, ROUTABLE, BackendHandle
+from .backend import DOWN, DRAINING, HEALTHY, BackendHandle
 from .config import RouterConfig, parse_address
 from .placement import PlacementPolicy
 from .server import RouterServer
@@ -42,8 +42,6 @@ __all__ = [
     "build_serve_command",
     "parse_address",
     "HEALTHY",
-    "DEGRADED",
     "DRAINING",
     "DOWN",
-    "ROUTABLE",
 ]

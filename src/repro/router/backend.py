@@ -11,9 +11,8 @@ States
 ------
 
 ========== ==========================================================
-healthy    last probe answered, not draining, executor not degraded
-degraded   answering, but the backend reports a degraded executor
-           (fork pool fell back to serial) — routable, deprioritized
+healthy    last probe answered and not draining — the one routable
+           state
 draining   answering, but refusing new work (``health.draining``) —
            never routed to
 down       probe or forward failed (connect refused, timeout, died
@@ -33,15 +32,11 @@ import asyncio
 from ..exceptions import ServerUnavailable
 from .config import parse_address
 
-__all__ = ["BackendHandle", "HEALTHY", "DEGRADED", "DRAINING", "DOWN"]
+__all__ = ["BackendHandle", "HEALTHY", "DRAINING", "DOWN"]
 
 HEALTHY = "healthy"
-DEGRADED = "degraded"
 DRAINING = "draining"
 DOWN = "down"
-
-#: States the placement policy may route new work to.
-ROUTABLE = (HEALTHY, DEGRADED)
 
 
 class BackendHandle:
@@ -246,12 +241,7 @@ class BackendHandle:
         self.shed = int(health.get("shed", 0))
         streams = health.get("streams")
         self.streams = dict(streams) if isinstance(streams, dict) else {}
-        if health.get("draining"):
-            self.state = DRAINING
-        elif health.get("degraded"):
-            self.state = DEGRADED
-        else:
-            self.state = HEALTHY
+        self.state = DRAINING if health.get("draining") else HEALTHY
         return self.state
 
     # ------------------------------------------------------------------
@@ -259,7 +249,7 @@ class BackendHandle:
     # ------------------------------------------------------------------
     @property
     def routable(self) -> bool:
-        return self.state in ROUTABLE
+        return self.state == HEALTHY
 
     def advertises(self, model: str | None, precision: str | None) -> bool:
         """Does this backend serve the requested route?

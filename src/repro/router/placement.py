@@ -5,10 +5,8 @@ rows?*  It composes three signals, all read off
 :class:`~repro.router.backend.BackendHandle` state that the probe loop
 and the forward path keep fresh:
 
-1. **Routability** — only backends in a routable state (``healthy`` or
-   ``degraded``) that advertise the requested ``(model, precision)``
-   are candidates; degraded backends are used only when no healthy
-   backend serves the route (they answer correctly, just slower).
+1. **Routability** — only ``healthy`` backends that advertise the
+   requested ``(model, precision)`` are candidates.
 2. **Least-loaded-of-two** — with several candidates, two are sampled
    at random and the one with the lower :meth:`load` wins.  The classic
    power-of-two-choices result: near-optimal balancing from two reads,
@@ -29,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .backend import DEGRADED, HEALTHY, BackendHandle
+from .backend import BackendHandle
 
 __all__ = ["PlacementPolicy"]
 
@@ -48,25 +46,19 @@ class PlacementPolicy:
         precision: str | None = None,
         exclude: frozenset | set | None = None,
     ) -> list[BackendHandle]:
-        """Routable backends advertising the route, healthy ones first.
+        """Routable backends advertising the route.
 
-        Degraded backends appear only when no healthy backend serves
-        the route; ``exclude`` removes addresses already tried in this
-        request's failover loop.
+        ``exclude`` removes addresses already tried in this request's
+        failover loop.
         """
         exclude = exclude or frozenset()
-        healthy = []
-        degraded = []
-        for backend in backends:
-            if backend.address in exclude:
-                continue
-            if not backend.advertises(model, precision):
-                continue
-            if backend.state == HEALTHY:
-                healthy.append(backend)
-            elif backend.state == DEGRADED:
-                degraded.append(backend)
-        return healthy if healthy else degraded
+        return [
+            backend
+            for backend in backends
+            if backend.routable
+            and backend.address not in exclude
+            and backend.advertises(model, precision)
+        ]
 
     def choose(
         self,

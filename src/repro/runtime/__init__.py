@@ -3,30 +3,24 @@
 A trained :class:`~repro.nn.module.Sequential` pays three taxes at
 inference time that training needs but deployment does not: autograd
 graph construction, per-call weight FFTs, and one Python dispatch per
-layer object.  The runtime strips all three, split across three modules:
+layer object.  The runtime strips all three, split across four modules:
 
 * :mod:`repro.runtime.plan` — the compiler: freeze a model (or a
   deployment artifact) into a flat plan of numpy closures with
   precomputed weight spectra, fused bias+activation (and the
-  :func:`fuse_plan` pass folding affine / flatten / activation chains),
-  optional overlap-add conv tiling and block-row sharding — all at the
-  dtypes of a :class:`~repro.precision.PrecisionPolicy` (``"fp32"``
-  halves spectrum memory; ``"fp64"`` is the reference numerics),
+  :func:`fuse_plan` pass folding affine / flatten / activation chains)
+  and optional overlap-add conv tiling — all at the dtypes of a
+  :class:`~repro.precision.PrecisionPolicy` (``"fp32"`` halves spectrum
+  memory; ``"fp64"`` is the reference numerics),
 * :mod:`repro.runtime.workspace` — :class:`Workspace`, the per-plan
   arena of reusable batch-bucketed buffers that makes the steady-state
   hot path allocation-free,
-* :mod:`repro.runtime.executors` — the execution strategies:
-  :class:`SerialExecutor` (in-process), :class:`ThreadedExecutor`
-  (in-process thread pool; the numpy kernels release the GIL) and
-  :class:`ShardedExecutor` (fork pool) — batch- and block-row-sharded,
-  bitwise-identical results either way — with the strategy decisions
-  factored into :class:`ShardScheduler` and the parallelism held by
-  shared, plan-id-keyed :class:`ThreadWorkerPool` /
-  :class:`ForkWorkerPool` instances one engine's routes all attach to,
-* :mod:`repro.runtime.transport` — how activations reach pool workers:
-  :class:`PipeTransport` (pickled through the pool pipe) or
-  :class:`SharedMemoryTransport` (a double-buffered ring of
-  ``multiprocessing.shared_memory`` slot pairs, no per-chunk pickling),
+* :mod:`repro.runtime.executors` — the two ways to run a plan:
+  :class:`SerialExecutor` (the calling thread) and
+  :class:`ThreadedExecutor` (whole ``predict`` chunks fanned across one
+  shared in-process :class:`ThreadWorkerPool`; the numpy kernels
+  release the GIL) — the same compiled plan and bitwise-identical
+  results at the same ``batch_size`` either way,
 * :mod:`repro.runtime.session` — :class:`InferenceSession`, the
   user-facing façade binding one plan to one executor with streaming
   ``predict``.
@@ -34,11 +28,8 @@ layer object.  The runtime strips all three, split across three modules:
 
 from ..precision import PrecisionPolicy
 from .executors import (
-    ForkWorkerPool,
     PlanExecutor,
     SerialExecutor,
-    ShardScheduler,
-    ShardedExecutor,
     ThreadWorkerPool,
     ThreadedExecutor,
     effective_cpu_count,
@@ -50,35 +41,22 @@ from .session import InferenceSession
 # activation table without a cycle.
 from ..streaming import StreamPlan, StreamState, compile_stream_plan
 from .workspace import DEFAULT_BATCH_BUCKETS, Workspace
-from .transport import (
-    PipeTransport,
-    SharedMemoryTransport,
-    Transport,
-    make_transport,
-)
 
 __all__ = [
     "DEFAULT_BATCH_BUCKETS",
-    "ForkWorkerPool",
     "InferenceSession",
-    "PipeTransport",
     "PlanOp",
     "PlanExecutor",
     "PrecisionPolicy",
     "SerialExecutor",
-    "SharedMemoryTransport",
-    "ShardScheduler",
-    "ShardedExecutor",
     "StreamPlan",
     "StreamState",
     "ThreadWorkerPool",
     "ThreadedExecutor",
-    "Transport",
     "Workspace",
     "compile_model_plan",
     "compile_records_plan",
     "compile_stream_plan",
     "effective_cpu_count",
     "fuse_plan",
-    "make_transport",
 ]

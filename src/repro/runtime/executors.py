@@ -2,97 +2,60 @@
 
 :mod:`repro.runtime.plan` compiles a model into a flat list of
 :class:`~repro.runtime.plan.PlanOp` closures; this module decides how
-those closures actually execute.  The cooperating pieces:
+those closures actually execute.  There are two ways:
 
 * :class:`SerialExecutor` — one op after another in the calling
-  process.  Zero overhead, always available.
-* :class:`ShardScheduler` — the *what runs where*: given a plan and a
-  mode it picks the strategy per call (batch sharding vs row sharding
-  vs serial) and enumerates the shard jobs of row-sharded ops — both
-  block-circulant linear and block-circulant conv ops expose the same
-  ``prepare``/``shard_fns``/``combine`` surface, so the scheduler
-  treats them uniformly.
-* :class:`ThreadedExecutor` — thread-level parallelism inside one
-  address space: a persistent thread pool runs the *same* shard
-  closures the serial path runs, concurrently.  The hot kernels
-  (freq-major batched complex GEMMs, packed rFFTs) are numpy calls
-  that release the GIL, so thread sharding scales on real cores with
-  zero pickling, no shm ring, and no fork — at small and medium
-  batches it beats fork+IPC outright.
-* :class:`ShardedExecutor` — the fork mechanism: a ``multiprocessing``
-  fork pool plus a :class:`~repro.runtime.transport.Transport` moving
-  the activations.
+  thread.  Zero overhead, always available.
+* :class:`ThreadedExecutor` — the same serial loop, with the pre-chunked
+  batches of a ``predict`` fanned whole across an in-process thread
+  pool.  Each thread runs the full plan on exactly the chunks the serial
+  streaming path would process, and outputs are concatenated in chunk
+  order, so the result is bitwise-identical to serial execution at the
+  same ``batch_size``.  The hot kernels (freq-major batched complex
+  GEMMs, packed rFFTs) are numpy calls that release the GIL, so chunks
+  genuinely overlap on real cores with no serialization of any kind.
 
-Both parallel executors implement two strategies, each bitwise-identical
-to serial execution by construction:
+A threaded session compiles exactly the plan a serial session compiles;
+the only thing the executor choice changes is which thread runs a chunk.
+``docs/performance.md`` records when that wins (large batches) and when
+it does not (per-image calls, and small FC batches).
 
-- **batch sharding**: ``predict`` chunks are farmed whole to pool
-  workers, each running the full plan on its chunk.  The chunks are
-  exactly the ones the serial streaming path would process, so
-  concatenated results match bit for bit.
-- **block-row sharding**: ops compiled with ``row_shards`` expose
-  shard closures, each owning a contiguous slice of the precomputed
-  frequency-major spectra.  The pool maps the shard closures; the
-  parent combines.  The serial path runs the *same* closures in
-  sequence, so again results are bitwise identical.
-
-**Shared worker pools.**  Executors no longer own their parallelism
-one-to-one: a :class:`ThreadWorkerPool` or :class:`ForkWorkerPool` holds
-a registry of attached plans keyed by *plan id*, and every pool task
-carries its plan id — so one pool serves every ``(model, precision)``
-route of an engine instead of a pool per pooled session.  Fork workers
-inherit the registry copy-on-write at fork time (closures are not
-picklable); a plan registered *after* the fork marks the pool stale and
-the next pooled call for it re-forks, so late registrations stay
-correct.  Construct an executor with ``pool=`` to attach it to a shared
-pool; without it the executor owns a private pool (the pre-existing
-behaviour).
+**One shared pool.**  A :class:`ThreadWorkerPool` is a lock-guarded,
+lazily-started :class:`~concurrent.futures.ThreadPoolExecutor`.  Pass
+one as ``pool=`` to every route's :class:`ThreadedExecutor` and an
+engine with M models × P precisions holds ``threads`` threads, not
+``M * P`` pools; without it the executor owns a private pool.
 
 **Profiling.**  Every executor accepts ``profile=True`` and then records
 per-op-kind cumulative nanoseconds (``bc_linear``, ``bc_conv``,
 ``linear``, …) for each executed op; :meth:`PlanExecutor.op_stats`
 returns the counters and the serving ``info`` op surfaces them per
-route — so the serial/threaded/fork choice is tunable from measurement.
+route — so the serial/threaded choice is tunable from measurement.
 
 Executors are bound to exactly one plan (``bind``); the
 :class:`~repro.runtime.session.InferenceSession` façade does this at
 construction and releases the executor with the session.  ``close`` is
-idempotent; owned fork pools additionally register with :mod:`atexit`,
-so an interrupted run never leaks pool workers or shared-memory
-segments.
+idempotent.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
-import multiprocessing
 import os
-import signal
 import threading
 import time
-import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
 
-from ..exceptions import WorkerFault
-from ..testing import faults
 from .plan import PlanOp
-from .transport import Transport, make_transport
 from .workspace import Workspace
 
 __all__ = [
     "PlanExecutor",
     "SerialExecutor",
-    "ShardScheduler",
-    "ShardedExecutor",
     "ThreadedExecutor",
-    "ForkWorkerPool",
     "ThreadWorkerPool",
-    "effective_workers",
     "effective_cpu_count",
 ]
 
@@ -107,8 +70,8 @@ def effective_cpu_count() -> int:
 
     ``os.cpu_count()`` reports the host; a container pinned to one core
     of a 64-core machine still sees 64.  ``sched_getaffinity`` reports
-    the schedulable set, which is what thread/fork parallelism can
-    really use — benchmarks record both so the numbers stay honest.
+    the schedulable set, which is what thread parallelism can really
+    use — benchmarks record both so the numbers stay honest.
     """
     getaffinity = getattr(os, "sched_getaffinity", None)
     if getaffinity is not None:
@@ -119,112 +82,6 @@ def effective_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def effective_workers(requested: int) -> int:
-    """Clamp a worker request to what the host can parallelize.
-
-    On a single-CPU host a fork pool can only add IPC overhead (the
-    0.37x regression BENCH_fdx.json once recorded), so callers that are
-    about to build a :class:`ShardedExecutor` from user input should
-    pass the request through here: it warns and returns 1 when the host
-    exposes a single schedulable CPU.  Explicit
-    ``ShardedExecutor(workers=...)`` construction stays unclamped on
-    purpose — benchmarks measure the pool overhead deliberately.
-    """
-    if requested > 1 and effective_cpu_count() <= 1:
-        warnings.warn(
-            f"this host exposes a single CPU; workers={requested} would "
-            "only add process-pool overhead — running serial instead",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
-    return requested
-
-
-# Plan registry handed to fork-pool workers via fork inheritance.
-# Closures are not picklable, so pools fork only after the plans they
-# serve are registered; forked children snapshot the whole registry
-# copy-on-write and look plans up by the id each task carries.
-_WORKER_PLANS: dict[int, list[PlanOp]] = {}
-_WORKER_TRANSPORT: Transport | None = None
-#: Per-plan arena bucket sets, fork-inherited alongside the plan
-#: registry.  Forked children build their own :class:`Workspace` per
-#: plan lazily (post-fork, so arena pages are private, never shared
-#: copy-on-write with the parent or sibling workers); the parent's
-#: ``_WORKER_ARENAS`` stays empty — parent-side execution uses the
-#: executors' thread-local workspaces.
-_WORKER_ARENA_BUCKETS: dict[int, tuple[int, ...] | None] = {}
-_WORKER_ARENAS: dict[int, Workspace] = {}
-#: Process-wide plan-id source (CPython ``count.__next__`` is atomic).
-_plan_ids = itertools.count(1)
-#: Serializes the set-globals-then-fork window across pools, so two
-#: engines forking concurrently cannot swap each other's transport.
-_FORK_LOCK = threading.Lock()
-
-
-def _maybe_fault() -> None:
-    """Injected-fault hook at pool-task start (no-op unless armed).
-
-    ``worker.kill`` SIGKILLs this worker (an abrupt death the parent's
-    sentinel must detect), ``worker.hang`` sleeps long enough that the
-    parent's ``task_timeout`` fires first (a dropped result frame), and
-    ``worker.delay`` sleeps briefly (a late frame that must still be
-    consumed normally).  Budgets are shared across the fork, so
-    ``times=1`` fires in exactly one worker.
-    """
-    if not faults.enabled:
-        return
-    if faults.take("worker.kill") is not None:
-        os.kill(os.getpid(), signal.SIGKILL)
-    hang = faults.take("worker.hang", seconds=3600.0)
-    if hang is not None:
-        time.sleep(float(hang["seconds"]))
-    delay = faults.take("worker.delay", seconds=0.05)
-    if delay is not None:
-        time.sleep(float(delay["seconds"]))
-
-
-def _worker_workspace(plan_id: int) -> Workspace | None:
-    """This worker's private arena for one plan (lazily built)."""
-    buckets = _WORKER_ARENA_BUCKETS.get(plan_id)
-    if buckets is None:
-        return None
-    ws = _WORKER_ARENAS.get(plan_id)
-    if ws is None:
-        ws = _WORKER_ARENAS[plan_id] = Workspace(buckets)
-    return ws
-
-
-def _worker_run_plan(plan_id: int, task) -> object:
-    """Run one inherited plan end to end on one batch chunk."""
-    _maybe_fault()
-    x = _WORKER_TRANSPORT.worker_recv(task)
-    ws = _worker_workspace(plan_id)
-    op = None
-    for op in _WORKER_PLANS[plan_id]:
-        x = op.run(x, ws)
-    if ws is not None and op is not None and op.ws_fn is not None:
-        # The result must outlive this task: the next task on this
-        # worker reuses every arena slot.
-        x = x.copy()
-    return _WORKER_TRANSPORT.worker_send(task, x)
-
-
-def _worker_run_shard(
-    plan_id: int, op_index: int, shard_index: int, task
-) -> object:
-    """Run one row-shard closure of one op of an inherited plan.
-
-    The task's payload is the op's prepared input (the parent computes
-    ``op.prepare(x)`` once and stages the same spectrum for every
-    shard).
-    """
-    _maybe_fault()
-    payload = _WORKER_TRANSPORT.worker_recv(task)
-    out = _WORKER_PLANS[plan_id][op_index].shard_fns[shard_index](payload)
-    return _WORKER_TRANSPORT.worker_send(task, out)
-
-
 class PlanExecutor:
     """Strategy interface for executing a frozen plan.
 
@@ -233,12 +90,12 @@ class PlanExecutor:
     its plan to an executor must never silently start executing another
     session's ops; ``run`` executes one batch; ``map_batches`` executes
     a list of pre-chunked batches and returns per-chunk outputs in
-    order.  ``close`` releases any resources (process pools).
+    order.  ``close`` releases any resources (an owned thread pool).
 
     ``profile=True`` arms per-op timing: every executed op adds its
     wall nanoseconds to a per-op-kind counter (the kind is the op name
-    up to its ``(`` — fused and sharded variants of a layer aggregate
-    under one key).  Counters accumulate *per thread* — the hot path
+    up to its ``(`` — fused variants of a layer aggregate under one
+    key).  Counters accumulate *per thread* — the hot path
     touches no shared state and no lock — and :meth:`op_stats` merges
     the per-thread stores on read, so threaded executors profile safely
     and contention-free.
@@ -305,10 +162,10 @@ class PlanExecutor:
             self._tls.ws = ws
         return ws
 
-    def _run_ops(self, x: np.ndarray, ops=None) -> np.ndarray:
-        """The serial inner loop, shared by every executor's fallback
-        path, with per-op timing when profiling is armed."""
-        ops = self._ops if ops is None else ops
+    def _run_ops(self, x: np.ndarray) -> np.ndarray:
+        """The serial inner loop every executor runs a batch through,
+        with per-op timing when profiling is armed."""
+        ops = self._ops
         ws = self._workspace()
         op = None
         if not self.profile:
@@ -399,75 +256,14 @@ class SerialExecutor(PlanExecutor):
         return "SerialExecutor()"
 
 
-class ShardScheduler:
-    """Decides *what* runs on the pool for a bound plan.
-
-    The scheduler owns the strategy choices shared by every parallel
-    executor: which ops of the plan are row-sharded (block-circulant
-    linear and conv ops compiled with ``row_shards`` both qualify —
-    they expose the same shard surface), whether a single-batch call
-    should use row sharding, and whether a chunked ``predict`` should
-    fan chunks out to workers.  It is pure policy: no pool, no
-    transport, trivially testable.
-    """
-
-    _MODES = ("auto", "batch", "rows")
-
-    def __init__(self, ops: Sequence[PlanOp], mode: str = "auto"):
-        if mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {mode!r}")
-        self.ops = list(ops)
-        self.mode = mode
-        #: op index -> shard count, for every row-sharded op in the plan
-        self.row_ops = {
-            i: len(op.shard_fns)
-            for i, op in enumerate(self.ops)
-            if op.shard_fns is not None and len(op.shard_fns) > 1
-        }
-
-    def run_strategy(self, can_fork: bool = True) -> str:
-        """``"rows"`` or ``"serial"`` for a single-batch ``run`` call."""
-        if not can_fork or self.mode == "batch" or not self.row_ops:
-            return "serial"
-        return "rows"
-
-    def use_batch_pool(self, n_chunks: int, can_fork: bool = True) -> bool:
-        """Should ``map_batches`` fan its chunks out to the pool?"""
-        return can_fork and self.mode != "rows" and n_chunks > 1
-
-    def shard_jobs(self, op_index: int) -> list[tuple[int, int]]:
-        """The pool jobs for one op: ``(op_index, shard_index)`` pairs."""
-        return [(op_index, j) for j in range(self.row_ops.get(op_index, 0))]
-
-    def describe(self) -> dict:
-        """Summary for introspection (server ``info``, tests)."""
-        return {
-            "mode": self.mode,
-            "ops": len(self.ops),
-            "row_sharded_ops": {
-                self.ops[i].name: n for i, n in self.row_ops.items()
-            },
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardScheduler(mode={self.mode!r}, ops={len(self.ops)}, "
-            f"row_sharded={len(self.row_ops)})"
-        )
-
 
 class ThreadWorkerPool:
-    """A persistent thread pool shared by any number of attached plans.
+    """A lazily-started thread pool shared by any number of executors.
 
-    The in-process counterpart of :class:`ForkWorkerPool`: plans
-    register for a plan id (uniformity with the fork pool — and the
-    ``plans`` count is what ``Engine.health()`` reports), and every
-    attached :class:`ThreadedExecutor` submits its shard closures here.
-    Threads share the parent's address space, so there is no staleness:
-    a plan registered at any time is immediately runnable.
-
-    ``ensure_started`` is lock-guarded — two routes starting
-    concurrently cannot race the pool into existence twice.
+    Every attached :class:`ThreadedExecutor` submits its chunks here, so
+    one engine's routes share ``threads`` threads.  ``ensure_started``
+    is lock-guarded — two routes starting concurrently cannot race the
+    pool into existence twice.
     """
 
     kind = "thread"
@@ -478,43 +274,15 @@ class ThreadWorkerPool:
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
         self.threads = threads
-        self._plans: dict[int, list[PlanOp]] = {}
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
-        #: Threads cannot die under the caller the way fork workers
-        #: can; the attribute exists for a uniform pool surface.
-        self.degraded = False
-
-    #: Uniform sizing attribute with :class:`ForkWorkerPool`.
-    @property
-    def workers(self) -> int:
-        return self.threads
 
     @property
     def started(self) -> bool:
         return self._pool is not None
 
-    def register(
-        self,
-        ops: Sequence[PlanOp],
-        arena_buckets: tuple[int, ...] | None = None,
-    ) -> int:
-        # ``arena_buckets`` is accepted for pool-surface uniformity with
-        # the fork pool but unused: thread workers run the *executor's*
-        # inner loop, so arenas stay thread-local on the executor.
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("worker pool is closed")
-            plan_id = next(_plan_ids)
-            self._plans[plan_id] = list(ops)
-            return plan_id
-
-    def evict(self, plan_id: int) -> None:
-        with self._lock:
-            self._plans.pop(plan_id, None)
-
-    def ensure_started(self, plan_id: int | None = None) -> "ThreadWorkerPool":
+    def ensure_started(self) -> "ThreadWorkerPool":
         """Start the thread pool now (idempotent, lock-guarded)."""
         with self._lock:
             if self._closed:
@@ -537,8 +305,6 @@ class ThreadWorkerPool:
             "kind": self.kind,
             "workers": self.threads,
             "started": self.started,
-            "plans": len(self._plans),
-            "degraded": False,
         }
 
     def close(self) -> None:
@@ -547,412 +313,24 @@ class ThreadWorkerPool:
                 return
             self._closed = True
             pool, self._pool = self._pool, None
-            self._plans.clear()
         if pool is not None:
             pool.shutdown(wait=True)
 
     def __repr__(self) -> str:
         return (
             f"ThreadWorkerPool(threads={self.threads}, "
-            f"plans={len(self._plans)}, started={self.started})"
-        )
-
-
-class ForkWorkerPool:
-    """One fork pool + transport serving every registered plan.
-
-    Replaces the pool-per-executor design: plans register for an id
-    (entering the fork-inherited ``_WORKER_PLANS`` registry), every
-    pool task carries its plan id, and forked children look the plan up
-    in their copy-on-write snapshot — so M models × P precisions share
-    ``workers`` processes instead of forking ``M * P`` pools.
-
-    **Fork staleness.**  Children only hold the plans registered before
-    the fork.  ``ensure_started(plan_id)`` re-forks the pool when the
-    plan registered after the last fork (terminate + fork is cheap next
-    to a plan compile, and re-forking from the parent re-inherits every
-    current plan).  Register the full route grid before serving threads
-    exist — ``Engine.warm_up()`` does — and the pool forks exactly once.
-
-    **Fault tolerance** (the machinery that used to live per-executor):
-    results are awaited with a short poll; between polls the pool
-    compares live worker pids against the fork-time snapshot.  A
-    changed pid set or recorded exitcode means a worker died mid-task
-    and its result will never arrive.  Recovery: terminate the wreck,
-    :meth:`~repro.runtime.transport.Transport.reset` the transport
-    (reaping every shm segment the dead pool held), fork a fresh pool
-    **once**, and retry the call — plan ops are pure functions of their
-    input, so the retry is bitwise identical to an undisturbed run.  A
-    second fault sets :attr:`degraded` and every attached executor
-    permanently falls back to serial execution; requests keep
-    succeeding, just slower.  Counters live in :attr:`fault_stats`.
-
-    On platforms without the ``fork`` start method the pool degrades to
-    serial execution with a warning (closures cannot be pickled to
-    spawned workers).
-    """
-
-    kind = "fork"
-
-    #: Result-poll interval while watching for worker deaths.
-    _POLL_S = 0.05
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        transport: str | Transport | None = None,
-        task_timeout: float | None = 60.0,
-    ):
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(
-                f"task_timeout must be positive or None, got {task_timeout}"
-            )
-        self.workers = workers
-        self.transport = make_transport(transport)
-        self.task_timeout = task_timeout
-        #: True once fault recovery has exhausted its one respawn and
-        #: attached executors fell back to serial execution permanently.
-        self.degraded = False
-        #: Fault-recovery counters, surfaced by the server ``info`` op.
-        self.fault_stats = {
-            "faults": 0,
-            "respawns": 0,
-            "retried_calls": 0,
-            "degraded": False,
-        }
-        self._respawned = False
-        self._worker_pids: set = set()
-        self._pool = None
-        self._plans: dict[int, list[PlanOp]] = {}
-        self._forked_plans: frozenset[int] = frozenset()
-        self._lock = threading.RLock()
-        self._atexit = None
-        self._closed = False
-        self.can_fork = "fork" in multiprocessing.get_all_start_methods()
-        if not self.can_fork:
-            warnings.warn(
-                "the fork worker pool requires the 'fork' start method; "
-                "falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    @property
-    def started(self) -> bool:
-        return self._pool is not None
-
-    # ------------------------------------------------------------------
-    # Plan registry
-    # ------------------------------------------------------------------
-    def register(
-        self,
-        ops: Sequence[PlanOp],
-        arena_buckets: tuple[int, ...] | None = None,
-    ) -> int:
-        """Enter a plan into the fork-inheritance registry; returns its id.
-
-        Registering after the pool forked is allowed — the pool is
-        marked stale for that plan and re-forks on its first pooled
-        call — but registering the full grid first forks exactly once.
-        ``arena_buckets`` arms fork-local workspace arenas: children
-        inherit the bucket set and build private arenas lazily.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("worker pool is closed")
-            plan_id = next(_plan_ids)
-            ops = list(ops)
-            self._plans[plan_id] = ops
-            _WORKER_PLANS[plan_id] = ops
-            if arena_buckets is not None:
-                _WORKER_ARENA_BUCKETS[plan_id] = tuple(arena_buckets)
-            return plan_id
-
-    def evict(self, plan_id: int) -> None:
-        """Drop a plan from the registry (its session closed).
-
-        The parent-side references go away so the plan's spectra can be
-        garbage collected; live children keep their fork-time snapshot
-        harmlessly — nothing will submit that plan id again.
-        """
-        with self._lock:
-            self._plans.pop(plan_id, None)
-            _WORKER_PLANS.pop(plan_id, None)
-            _WORKER_ARENA_BUCKETS.pop(plan_id, None)
-            _WORKER_ARENAS.pop(plan_id, None)
-
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-    def _terminate_locked(self) -> None:
-        if self._pool is not None:
-            try:
-                self._pool.terminate()
-                self._pool.join()
-            except Exception:
-                pass
-            self._pool = None
-        self._worker_pids = set()
-
-    def _fork_locked(self) -> None:
-        global _WORKER_TRANSPORT
-        with _FORK_LOCK:
-            self.transport.bind(self.workers)
-            _WORKER_TRANSPORT = self.transport
-            context = multiprocessing.get_context("fork")
-            self._pool = context.Pool(self.workers)
-        self._worker_pids = {p.pid for p in self._pool._pool}
-        self._forked_plans = frozenset(self._plans)
-        # Interrupted benchmarks and crashed servers must not leak
-        # fork-pool workers or shm segments; close() unregisters.
-        if self._atexit is None:
-            self._atexit = self.close
-            atexit.register(self._atexit)
-
-    def ensure_started(self, plan_id: int | None = None) -> "ForkWorkerPool":
-        """Fork the worker pool now (idempotent, lock-guarded).
-
-        Call this before starting threads (an asyncio serving
-        front-end, a benchmark harness) so the pool forks from a
-        thread-free process — forking after threads exist risks
-        inheriting held locks into the children.  With ``plan_id`` the
-        forked children are additionally guaranteed to hold that plan:
-        a plan registered after the last fork re-forks the pool.  The
-        lock makes concurrent calls from two routes safe — exactly one
-        pool is ever created.
-        """
-        if not self.can_fork:
-            return self
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("worker pool is closed")
-            if not self._plans:
-                return self  # nothing to serve yet
-            if self._pool is None:
-                self._fork_locked()
-            elif plan_id is not None and plan_id not in self._forked_plans:
-                # Registered after the fork: the children lack it.
-                self._terminate_locked()
-                self._fork_locked()
-            return self
-
-    # ------------------------------------------------------------------
-    # Fault detection and recovery
-    # ------------------------------------------------------------------
-    def _pool_failed(self) -> bool:
-        """Has any worker of the current pool died?
-
-        ``multiprocessing.Pool`` quietly replaces dead workers, but the
-        task a dead worker held is lost forever — so a changed pid set
-        (or a recorded exitcode) is the signal that some in-flight
-        result will never arrive.
-        """
-        pool = self._pool
-        if pool is None:
-            return True
-        try:
-            procs = list(pool._pool)
-        except Exception:
-            return True
-        if any(p.exitcode is not None for p in procs):
-            return True
-        return {p.pid for p in procs} != self._worker_pids
-
-    def _await_result(self, async_result):
-        """Poll one async result, watching the pool for worker deaths.
-
-        Raises :class:`WorkerFault` when the pid sentinel trips or the
-        task outlives ``task_timeout``; otherwise behaves exactly like
-        ``async_result.get()``.
-        """
-        deadline = (
-            None
-            if self.task_timeout is None
-            else time.monotonic() + self.task_timeout
-        )
-        while True:
-            try:
-                return async_result.get(timeout=self._POLL_S)
-            except multiprocessing.TimeoutError:
-                if self._pool_failed():
-                    raise WorkerFault(
-                        "a pool worker died before returning its result"
-                    ) from None
-                if deadline is not None and time.monotonic() > deadline:
-                    raise WorkerFault(
-                        f"pool task produced no result within "
-                        f"task_timeout={self.task_timeout}s"
-                    ) from None
-
-    def recover(self, fault: WorkerFault) -> bool:
-        """Tear down the dead pool; True when a retry on a fresh pool is on.
-
-        The first fault respawns the pool (the caller retries its call
-        in full — ops are pure, so the retry is bitwise-identical to a
-        clean run).  Any later fault flips :attr:`degraded`: no more
-        pools, every attached executor runs serial from here on.
-        Either way the transport is reset so the dead pool's shm
-        segments are reaped, never leaked.
-        """
-        with self._lock:
-            self.fault_stats["faults"] += 1
-            self._terminate_locked()
-            try:
-                self.transport.reset()
-            except Exception:
-                pass
-            if not self._respawned:
-                self._respawned = True
-                self.fault_stats["respawns"] += 1
-                self.fault_stats["retried_calls"] += 1
-                warnings.warn(
-                    f"pool worker fault ({fault}); respawning the worker "
-                    "pool and retrying the call",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return True
-            self.degraded = True
-            self.fault_stats["degraded"] = True
-            warnings.warn(
-                f"pool worker fault after respawn ({fault}); degrading to "
-                "serial execution — results stay correct, throughput drops",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return False
-
-    # ------------------------------------------------------------------
-    # Execution (parent side; one driving thread at a time)
-    # ------------------------------------------------------------------
-    def map_jobs(self, plan_id: int, fn, prefixes: list[tuple], in_ref_for) -> list:
-        """Windowed ``apply_async`` over the pool through the transport.
-
-        Every submitted task carries ``plan_id`` ahead of
-        ``prefixes[i]`` (the job's own leading arguments), so the
-        worker knows which registered plan to run; ``in_ref_for(i)``
-        supplies the job's staged input ref *at submission time*, so no
-        more than ``transport.capacity`` slots are ever held at once.
-        Results come back in job order.
-
-        A worker exception must not poison the pool: every job is still
-        submitted and every task still passes through
-        ``transport.finish`` (releasing its slots and balancing shared
-        input refcounts) before the first error is re-raised — so a
-        malformed request costs one failed call, not the slot ring.
-
-        A :class:`WorkerFault` (dead worker, task timeout) aborts the
-        call immediately instead: the pool is a wreck and the caller's
-        recovery path resets the transport wholesale, so draining the
-        remaining tasks would only hang on more never-arriving results.
-        """
-        pool = self.ensure_started(plan_id)._pool
-        t = self.transport
-        total = len(prefixes)
-        cap = t.capacity or total
-        results: list = [None] * total
-        inflight: deque = deque()
-        first_error: Exception | None = None
-
-        def drain_one():
-            nonlocal first_error
-            j, task, async_result = inflight.popleft()
-            try:
-                raw = self._await_result(async_result)
-            except WorkerFault:
-                raise
-            except Exception as exc:
-                t.finish(None, task)  # release slots even on failure
-                if first_error is None:
-                    first_error = exc
-                return
-            results[j] = t.finish(raw, task)
-
-        for i in range(total):
-            while len(inflight) >= cap:
-                drain_one()
-            task = t.task(in_ref_for(i))
-            inflight.append(
-                (i, task, pool.apply_async(fn, (plan_id, *prefixes[i], task)))
-            )
-        while inflight:
-            drain_one()
-        if first_error is not None:
-            raise first_error
-        return results
-
-    # ------------------------------------------------------------------
-    # Lifecycle / introspection
-    # ------------------------------------------------------------------
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "workers": self.workers,
-            "transport": self.transport.name,
-            "started": self.started,
-            "plans": len(self._plans),
-            "degraded": self.degraded,
-            "fault_stats": dict(self.fault_stats),
-        }
-
-    def close(self) -> None:
-        """Terminate the pool and release transport segments; idempotent."""
-        global _WORKER_TRANSPORT
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._terminate_locked()
-            for plan_id in list(self._plans):
-                _WORKER_PLANS.pop(plan_id, None)
-                _WORKER_ARENA_BUCKETS.pop(plan_id, None)
-                _WORKER_ARENAS.pop(plan_id, None)
-            self._plans.clear()
-            self._forked_plans = frozenset()
-        self.transport.close()
-        if _WORKER_TRANSPORT is self.transport:
-            _WORKER_TRANSPORT = None
-        if self._atexit is not None:
-            try:
-                atexit.unregister(self._atexit)
-            except Exception:
-                pass
-            self._atexit = None
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:
-        return (
-            f"ForkWorkerPool(workers={self.workers}, "
-            f"transport={self.transport.name!r}, plans={len(self._plans)}, "
             f"started={self.started})"
         )
 
 
 class ThreadedExecutor(PlanExecutor):
-    """Execute the plan with thread-parallel sharding in one process.
+    """Fan whole ``predict`` chunks across threads in one process.
 
     Parameters
     ----------
     threads:
         Thread count; defaults to :func:`effective_cpu_count` (or the
-        shared pool's size when ``pool`` is given).  Also the default
-        block-row shard count
-        :meth:`~repro.runtime.session.InferenceSession.freeze` compiles
-        large block-circulant ops with.
-    mode:
-        ``"auto"`` (default) uses batch sharding when ``predict`` has
-        more than one chunk and row sharding otherwise; ``"batch"`` /
-        ``"rows"`` force one strategy — the same
-        :class:`ShardScheduler` policy the fork executor uses.
+        shared pool's size when ``pool`` is given).
     pool:
         A shared :class:`ThreadWorkerPool`; omit for a private pool.
     min_rows:
@@ -962,29 +340,21 @@ class ThreadedExecutor(PlanExecutor):
     profile:
         Arm per-op-kind timing (see :meth:`PlanExecutor.op_stats`).
 
-    Both strategies run the *exact* closures the serial path runs, on
-    the same chunk/shard boundaries, and combine in deterministic
+    ``run`` is the serial loop; ``map_batches`` runs that same loop on
+    each chunk from a pool thread and returns the outputs in chunk
     order — so results are bitwise-identical to
-    :class:`SerialExecutor` by construction.  The hot kernels are
-    numpy calls that release the GIL, so shards genuinely overlap on
-    real cores, with zero serialization — no pickling, no shm ring, no
-    fork, and no fork-after-threads hazard (``ensure_started`` is safe
-    at any point).
+    :class:`SerialExecutor` at the same chunk boundaries by
+    construction.
     """
-
-    _MODES = ShardScheduler._MODES
 
     def __init__(
         self,
         threads: int | None = None,
-        mode: str = "auto",
         pool: ThreadWorkerPool | None = None,
         min_rows: int = 0,
         profile: bool = False,
     ):
         super().__init__(profile=profile)
-        if mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {mode!r}")
         if min_rows < 0:
             raise ValueError(f"min_rows must be >= 0, got {min_rows}")
         if pool is None:
@@ -998,74 +368,24 @@ class ThreadedExecutor(PlanExecutor):
                 )
             self._owns_pool = False
         self.pool = pool
-        self.mode = mode
         self.min_rows = min_rows
-        self.scheduler: ShardScheduler | None = None
-        self.plan_id: int | None = None
 
     @property
     def threads(self) -> int:
         return self.pool.threads
 
-    #: Uniform sizing attribute with :class:`ShardedExecutor` — the
-    #: session's default ``row_shards`` and the server's auto-chunking
-    #: read it.
+    #: What the server's auto-chunking and ``executor_info`` read.
     @property
     def workers(self) -> int:
         return self.pool.threads
 
-    def bind(
-        self,
-        ops: Sequence[PlanOp],
-        arena_buckets: tuple[int, ...] | None = None,
-    ) -> "ThreadedExecutor":
-        super().bind(ops, arena_buckets=arena_buckets)
-        self.scheduler = ShardScheduler(self._ops, mode=self.mode)
-        self.plan_id = self.pool.register(
-            self._ops, arena_buckets=self._arena_buckets
-        )
-        return self
-
     def ensure_started(self) -> "ThreadedExecutor":
         """Start the thread pool now (idempotent, lock-guarded)."""
-        if self._ops is not None:
-            self.pool.ensure_started(self.plan_id)
+        self.pool.ensure_started()
         return self
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _run_rows(self, x: np.ndarray) -> np.ndarray:
-        ws = self._workspace()
-        used_ws = False
-        for index, op in enumerate(self._ops):
-            jobs = self.scheduler.shard_jobs(index)
-            start = time.perf_counter_ns() if self.profile else 0
-            if jobs:
-                payload = x if op.prepare is None else op.prepare(x)
-                futures = [
-                    self.pool.submit(op.shard_fns[shard], payload)
-                    for _, shard in jobs
-                ]
-                x = op.combine([future.result() for future in futures])
-                used_ws = False
-            else:
-                x = op.run(x, ws)
-                used_ws = ws is not None and op.ws_fn is not None
-            if self.profile:
-                self._record_op(op.name, time.perf_counter_ns() - start)
-        if used_ws:
-            x = x.copy()
-        return x
-
     def run(self, x: np.ndarray) -> np.ndarray:
-        """One batch through the plan, row-sharded ops fanned to threads."""
-        if (
-            x.shape[0] < self.min_rows
-            or self.scheduler.run_strategy(True) != "rows"
-        ):
-            return self._run_ops(x)
-        return self._run_rows(x)
+        return self._run_ops(x)
 
     def map_batches(self, chunks: list[np.ndarray]) -> list[np.ndarray]:
         """Pre-chunked batches across the threads, outputs in chunk order.
@@ -1073,256 +393,19 @@ class ThreadedExecutor(PlanExecutor):
         Each thread runs the whole plan on whole chunks — the exact
         chunks the serial streaming path would process — so the
         concatenated result is bitwise identical to serial execution.
+        A single chunk, or fewer than ``min_rows`` rows in total, stays
+        on the calling thread.
         """
         total_rows = sum(chunk.shape[0] for chunk in chunks)
-        if total_rows < self.min_rows or not self.scheduler.use_batch_pool(
-            len(chunks), True
-        ):
-            return [self.run(chunk) for chunk in chunks]
+        if len(chunks) < 2 or total_rows < self.min_rows:
+            return [self._run_ops(chunk) for chunk in chunks]
         futures = [self.pool.submit(self._run_ops, chunk) for chunk in chunks]
         return [future.result() for future in futures]
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Detach from the pool (closing it when privately owned)."""
-        if self.plan_id is not None:
-            self.pool.evict(self.plan_id)
-            self.plan_id = None
         if self._owns_pool:
             self.pool.close()
 
     def __repr__(self) -> str:
-        return f"ThreadedExecutor(threads={self.threads}, mode={self.mode!r})"
-
-
-class ShardedExecutor(PlanExecutor):
-    """Execute the plan on a ``multiprocessing`` fork pool.
-
-    Parameters
-    ----------
-    workers:
-        Pool size; defaults to ``os.cpu_count()``.  Also the default
-        block-row shard count :meth:`InferenceSession.freeze` compiles
-        large block-circulant ops with.  Fixed by the shared pool when
-        ``pool`` is given.
-    mode:
-        ``"auto"`` (default) uses batch sharding when ``predict`` has
-        more than one chunk and row sharding otherwise; ``"batch"`` /
-        ``"rows"`` force one strategy.
-    transport:
-        How activations reach the workers: ``"pipe"`` (default; arrays
-        pickled through the pool pipe), ``"shm"`` (shared-memory slot
-        ring; falls back to pipe with a warning where unavailable), or
-        a :class:`~repro.runtime.transport.Transport` instance.
-    task_timeout:
-        Hard per-task deadline in seconds (default 60); see
-        :class:`ForkWorkerPool`.  ``None`` disables the backstop (the
-        pid sentinel still catches outright deaths).
-    pool:
-        A shared :class:`ForkWorkerPool` serving several routes; omit
-        for a private pool (the classic one-executor-one-pool shape).
-        With a shared pool, ``workers``/``transport``/``task_timeout``
-        are the pool's and must not be passed here.
-    profile:
-        Arm per-op-kind timing (see :meth:`PlanExecutor.op_stats`).
-
-    The executor is a per-plan facade over the pool: ``bind`` registers
-    the plan for an id, every submitted task carries it, and ``close``
-    evicts the plan (closing the pool only when privately owned).
-    Fault tolerance — pid sentinel, task timeout, respawn-once,
-    degrade-to-serial — lives on the pool and is shared by every
-    attached route; :attr:`fault_stats` and :attr:`degraded` read
-    through to it.
-    """
-
-    _MODES = ShardScheduler._MODES
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        mode: str = "auto",
-        transport: str | Transport | None = None,
-        task_timeout: float | None = 60.0,
-        pool: ForkWorkerPool | None = None,
-        profile: bool = False,
-    ):
-        super().__init__(profile=profile)
-        if mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {mode!r}")
-        if pool is None:
-            pool = ForkWorkerPool(
-                workers=workers, transport=transport, task_timeout=task_timeout
-            )
-            self._owns_pool = True
-        else:
-            if workers is not None or transport is not None:
-                raise ValueError(
-                    "workers/transport are fixed by the shared pool; "
-                    "omit them when passing pool"
-                )
-            self._owns_pool = False
-        self.pool = pool
-        self.mode = mode
-        self.scheduler: ShardScheduler | None = None
-        self.plan_id: int | None = None
-
-    # Read-through surface: sizing, transport, and fault posture live
-    # on the (possibly shared) pool.
-    @property
-    def workers(self) -> int:
-        return self.pool.workers
-
-    @property
-    def transport(self) -> Transport:
-        return self.pool.transport
-
-    @property
-    def task_timeout(self):
-        return self.pool.task_timeout
-
-    @property
-    def degraded(self) -> bool:
-        return self.pool.degraded
-
-    @property
-    def fault_stats(self) -> dict:
-        return self.pool.fault_stats
-
-    @property
-    def _can_fork(self) -> bool:
-        return self.pool.can_fork
-
-    @property
-    def _pool(self):
-        """The live ``multiprocessing`` pool (None until first use)."""
-        return self.pool._pool
-
-    def bind(
-        self,
-        ops: Sequence[PlanOp],
-        arena_buckets: tuple[int, ...] | None = None,
-    ) -> "ShardedExecutor":
-        super().bind(ops, arena_buckets=arena_buckets)
-        self.scheduler = ShardScheduler(self._ops, mode=self.mode)
-        self.plan_id = self.pool.register(
-            self._ops, arena_buckets=self._arena_buckets
-        )
-        return self
-
-    def ensure_started(self) -> "ShardedExecutor":
-        """Fork the worker pool now (idempotent, lock-guarded).
-
-        Call this before starting threads (an asyncio serving
-        front-end, a benchmark harness) so the pool forks from a
-        thread-free process — forking after threads exist risks
-        inheriting held locks into the children.
-        """
-        if self._can_fork and self._ops is not None:
-            self.pool.ensure_started(self.plan_id)
-        return self
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _run_serial(self, x: np.ndarray) -> np.ndarray:
-        return self._run_ops(x)
-
-    def _with_recovery(self, pooled, serial):
-        """Run ``pooled()``, surviving worker faults.
-
-        First fault: recover (respawn) and retry ``pooled()`` once —
-        ops are pure, so the retry matches an undisturbed run bitwise.
-        A fault during the retry degrades the pool and the call
-        finishes via ``serial()``.  Requests in flight during a fault
-        are therefore always answered, never dropped.
-        """
-        try:
-            return pooled()
-        except WorkerFault as fault:
-            if self.pool.recover(fault):
-                try:
-                    return pooled()
-                except WorkerFault as second:
-                    self.pool.recover(second)
-            return serial()
-
-    def _run_rows(self, x: np.ndarray) -> np.ndarray:
-        self.pool.ensure_started(self.plan_id)  # bind transport pre-put()
-        ws = self._workspace()
-        used_ws = False
-        for index, op in enumerate(self._ops):
-            jobs = self.scheduler.shard_jobs(index)
-            start = time.perf_counter_ns() if self.profile else 0
-            if jobs:
-                payload = x if op.prepare is None else op.prepare(x)
-                shared = self.transport.put(payload, uses=len(jobs))
-                parts = self.pool.map_jobs(
-                    self.plan_id, _worker_run_shard, jobs, lambda i: shared
-                )
-                x = op.combine(parts)
-                used_ws = False
-            else:
-                x = op.run(x, ws)
-                used_ws = ws is not None and op.ws_fn is not None
-            if self.profile:
-                self._record_op(op.name, time.perf_counter_ns() - start)
-        if used_ws:
-            x = x.copy()
-        return x
-
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """One batch through the plan, row-sharded ops on the pool."""
-        if (
-            self.degraded
-            or self.scheduler.run_strategy(self._can_fork) != "rows"
-        ):
-            return self._run_serial(x)
-        return self._with_recovery(
-            lambda: self._run_rows(x), lambda: self._run_serial(x)
-        )
-
-    def map_batches(self, chunks: list[np.ndarray]) -> list[np.ndarray]:
-        """Pre-chunked batches across the pool, outputs in chunk order.
-
-        Each worker runs the whole plan on whole chunks — the exact
-        chunks the serial streaming path would process — so the
-        concatenated result is bitwise identical to serial execution.
-        """
-        if self.degraded or not self.scheduler.use_batch_pool(
-            len(chunks), self._can_fork
-        ):
-            return [self.run(chunk) for chunk in chunks]
-        return self._with_recovery(
-            lambda: self.pool.map_jobs(
-                self.plan_id,
-                _worker_run_plan,
-                [() for _ in chunks],
-                lambda i: self.transport.put(chunks[i]),
-            ),
-            lambda: [self._run_serial(chunk) for chunk in chunks],
-        )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Evict the plan; close the pool too when privately owned."""
-        if self.plan_id is not None:
-            self.pool.evict(self.plan_id)
-            self.plan_id = None
-        if self._owns_pool:
-            self.pool.close()
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedExecutor(workers={self.workers}, mode={self.mode!r}, "
-            f"transport={self.transport.name!r})"
-        )
+        return f"ThreadedExecutor(threads={self.threads})"

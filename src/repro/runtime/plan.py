@@ -7,7 +7,7 @@ of :class:`PlanOp` closures.  Executing the plan is the job of
 :mod:`repro.runtime.executors`; the user-facing façade is
 :class:`repro.runtime.session.InferenceSession`.
 
-Three compile-time choices shape the emitted ops:
+Two compile-time choices shape the emitted ops:
 
 * **Precision** — every weight, bias, spectrum and work buffer is
   materialized at the dtypes of a
@@ -19,19 +19,6 @@ Three compile-time choices shape the emitted ops:
   gathers only its own (overlapping) input slab, so peak memory is
   bounded by the tile size instead of the full im2col matrix (the
   ROADMAP's overlap-add streaming item).
-* **Block-row sharding** (``row_shards``) — large block-circulant
-  spectra (both
-  :class:`~repro.nn.layers.block_circulant_linear.BlockCirculantLinear`
-  and
-  :class:`~repro.nn.layers.block_circulant_conv2d.BlockCirculantConv2d`,
-  which share the same block-row grid) are partitioned into contiguous
-  block-row slices; each shard is
-  an independently callable closure owning its slice of the
-  frequency-major spectra.  A
-  :class:`~repro.runtime.executors.ShardedExecutor` farms the shards to a
-  process pool; the serial path runs the *same* shard closures in
-  sequence and combines identically, so sharded and serial execution are
-  bitwise-identical by construction.
 
 Fusion: every elementwise activation is folded into the producing compute
 op (``fusable`` ops), so the plan executes one closure per weight layer
@@ -41,21 +28,20 @@ generalizes this at the plan level: it folds *every* ``foldable`` op
 preceding producer, so e.g. ``conv -> batchnorm -> relu`` and
 ``bc_conv+relu -> flatten`` each become a single closure.
 
-**Workspace arenas.**  Every non-sharded compute op also carries a
-``ws_fn`` — the same computation staged through a
+**Workspace arenas.**  Every compute op also carries a ``ws_fn`` — the
+same computation staged through a
 :class:`~repro.runtime.workspace.Workspace` of per-batch-bucket reusable
 buffers (``np.matmul(..., out=...)``, in-place bias/activation, zero-once
 pad buffers) so steady-state inference stops paying the allocator.
 ``ws_fn`` is bitwise-identical to ``fn`` by construction: it runs the
 same floating-point operations in the same order, only into caller-owned
-memory.  Executors choose the path; ops with no arena form (sharded,
-conv-tiled) simply leave ``ws_fn`` unset and keep their fresh path.
+memory.  Executors choose the path; ops with no arena form
+(conv-tiled) simply leave ``ws_fn`` unset and keep their fresh path.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,7 +83,6 @@ __all__ = [
     "fuse_plan",
     "pool_windows",
     "softmax",
-    "MIN_SHARD_BYTES",
 ]
 
 #: Per-op-instance arena slot prefixes: two ops in one plan (or two
@@ -147,27 +132,6 @@ def _fast_irfft(
         return np.fft.irfft(y_spec, n=n, axis=-1).astype(np.float32)
     return np.fft.irfft(y_spec, n=n, axis=-1, out=out)
 
-#: Below this frequency-major spectra size, auto row-sharding is skipped:
-#: the pool round-trip costs more than the GEMM saves.  (Explicit
-#: ``row_shards`` in the compile call still respects this floor; tests
-#: monkeypatch it to 0 to shard tiny layers.)
-MIN_SHARD_BYTES = 1 << 16
-
-
-def _shard_bounds(
-    p: int, row_shards: int | None, spectra_nbytes: int
-) -> np.ndarray | None:
-    """Block-row partition bounds, or ``None`` when sharding is off.
-
-    Shared by the block-circulant linear and conv op builders: both
-    partition the same ``p`` block-row grid of the frequency-major
-    spectra, subject to the same :data:`MIN_SHARD_BYTES` floor.
-    """
-    shards = 0 if row_shards is None else min(row_shards, p)
-    if shards > 1 and spectra_nbytes >= MIN_SHARD_BYTES:
-        return np.linspace(0, p, shards + 1, dtype=int)
-    return None
-
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax with the usual max-shift stabilization."""
@@ -209,25 +173,12 @@ class PlanOp:
     (an in-place variant, bitwise-equal to ``fn``) on it.  ``flatten``
     is the one op with ``fresh_out=False``: its output is a view of its
     *input*, which the op does not own.
-
-    Shardable ops additionally carry ``prepare`` (input -> the shared
-    payload, e.g. the input's rfft spectrum, computed *once* per call),
-    ``shard_fns`` (a tuple of closures, each computing an independent
-    slice of the op's output from that payload) and ``combine``
-    (stitching the slices back together, including bias and any fused
-    activation).  For such ops ``fn`` is *defined as*
-    ``combine([s(prepare(x)) for s in shard_fns])``, so running the
-    shards on a process pool and combining in the parent produces
-    bitwise-identical results to serial execution.
     """
 
     __slots__ = (
         "name",
         "fn",
         "fusable",
-        "prepare",
-        "shard_fns",
-        "combine",
         "ws_fn",
         "foldable",
         "inplace_fn",
@@ -239,9 +190,6 @@ class PlanOp:
         name: str,
         fn: Callable[[np.ndarray], np.ndarray],
         fusable: bool = False,
-        prepare: Callable[[np.ndarray], np.ndarray] | None = None,
-        shard_fns: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None,
-        combine: Callable[[list[np.ndarray]], np.ndarray] | None = None,
         ws_fn: Callable[[np.ndarray, object], np.ndarray] | None = None,
         foldable: bool = False,
         inplace_fn: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -250,9 +198,6 @@ class PlanOp:
         self.name = name
         self.fn = fn
         self.fusable = fusable
-        self.prepare = prepare
-        self.shard_fns = shard_fns
-        self.combine = combine
         self.ws_fn = ws_fn
         self.foldable = foldable
         self.inplace_fn = inplace_fn
@@ -274,9 +219,7 @@ class PlanOp:
         back to back, so reference numerics are untouched.  The arena
         path runs the successor's ``inplace_fn`` directly on this op's
         output when this op owns that buffer (``fresh_out``), which is
-        bitwise-equal by the in-place ufunc contract.  Shard surfaces
-        survive: the successor composes onto ``combine``, so pool
-        workers still run the original shard closures.
+        bitwise-equal by the in-place ufunc contract.
         """
         inner, post = self.fn, op.fn
 
@@ -300,11 +243,6 @@ class PlanOp:
         if self.inplace_fn is not None and op.inplace_fn is not None:
             self_ip, op_ip = self.inplace_fn, op.inplace_fn
             folded.inplace_fn = lambda x: op_ip(self_ip(x))
-        if self.shard_fns is not None:
-            inner_combine = self.combine
-            folded.prepare = self.prepare
-            folded.shard_fns = self.shard_fns
-            folded.combine = lambda parts: post(inner_combine(parts))
         return folded
 
     def fuse(self, name: str, activation: Callable[[np.ndarray], np.ndarray]) -> "PlanOp":
@@ -363,7 +301,6 @@ def _bc_linear_op(
     block_size: int,
     spectra_fm: np.ndarray | None = None,
     policy: PrecisionPolicy = FP64,
-    row_shards: int | None = None,
 ) -> PlanOp:
     cdtype = policy.complex_dtype
     rdtype = policy.real_dtype
@@ -393,51 +330,6 @@ def _bc_linear_op(
         return out
 
     name = f"bc_linear({in_features}->{out_features},b={b})"
-    bounds = _shard_bounds(p, row_shards, spectra_fm.nbytes)
-    if bounds is not None:
-        # Partition the block-row grid: shard i owns a contiguous copy of
-        # its rows of the frequency-major spectra (the slice a pool
-        # worker's forked pages actually touch).  The input spectrum is
-        # computed once by `prepare`; every shard consumes the same
-        # frequency-major payload, so no FFT work is duplicated whether
-        # the shards run in-process or on a pool.
-
-        def prepare(x: np.ndarray) -> np.ndarray:
-            # Frequency-major (nb, q, batch): the exact GEMM operand.
-            return np.ascontiguousarray(
-                rfft(blocks_of(x)).transpose(2, 1, 0)
-            )
-
-        def make_shard(r0: int, r1: int):
-            w_rows = np.ascontiguousarray(spectra_fm[:, r0:r1, :])
-
-            def shard(x_spec_fm: np.ndarray) -> np.ndarray:
-                y_spec = np.matmul(w_rows, x_spec_fm).transpose(2, 1, 0)
-                return irfft(y_spec, n=b)  # (batch, r1-r0, b)
-
-            return shard
-
-        shard_fns = tuple(
-            make_shard(int(r0), int(r1))
-            for r0, r1 in zip(bounds[:-1], bounds[1:])
-            if r1 > r0
-        )
-
-        def combine(parts: list[np.ndarray]) -> np.ndarray:
-            return finish(np.concatenate(parts, axis=1))
-
-        def sharded_fn(x: np.ndarray) -> np.ndarray:
-            x_spec_fm = prepare(x)
-            return combine([shard(x_spec_fm) for shard in shard_fns])
-
-        return PlanOp(
-            f"{name}[rows/{len(shard_fns)}]",
-            sharded_fn,
-            fusable=True,
-            prepare=prepare,
-            shard_fns=shard_fns,
-            combine=combine,
-        )
 
     def fn(x: np.ndarray) -> np.ndarray:
         out = block_circulant_forward_batch(
@@ -670,7 +562,6 @@ def _bc_conv_op(
     spectra_fm: np.ndarray | None = None,
     policy: PrecisionPolicy = FP64,
     conv_tile: int | None = None,
-    row_shards: int | None = None,
 ) -> PlanOp:
     cdtype = policy.complex_dtype
     rdtype = policy.real_dtype
@@ -695,86 +586,6 @@ def _bc_conv_op(
 
     name = f"bc_conv({in_channels}->{out_channels},k={k},b={b})"
     p = spectra.shape[0]
-    bounds = _shard_bounds(p, row_shards, spectra_fm.nbytes)
-    if bounds is not None and conv_tile is not None:
-        warnings.warn(
-            f"row_shards supersedes conv_tile for {name}: the sharded op "
-            "gathers its full im2col matrix in one shot (poolable "
-            "payload), so peak conv memory is no longer bounded by the "
-            "tile; compile with row_shards=None to keep the memory bound",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if bounds is not None:
-        # Block-row-sharded conv: same partition of the block-row grid
-        # as the linear case — each shard owns a contiguous copy of its
-        # rows of the frequency-major spectra and turns the shared input
-        # spectrum into its slice of the output channels.  The im2col
-        # gather and the input rfft run once in `prepare`; `combine`
-        # reassembles the channel slices, adds bias and any fused
-        # activation.  Sharding targets many-core single-image latency,
-        # so it supersedes `conv_tile` memory tiling for this op (the
-        # one-shot im2col is the price of a poolable payload).
-        #
-        # `prepare` stashes the call's output geometry for `combine`;
-        # both always run in the same process for one call at a time
-        # (serially inline, or both on the executor's parent side), so
-        # the cell is never shared across concurrent calls.
-        geometry: dict[str, int] = {}
-
-        def prepare(x: np.ndarray) -> np.ndarray:
-            batch, _, height, width = x.shape
-            out_h = (height + 2 * padding - k) // stride + 1
-            out_w = (width + 2 * padding - k) // stride + 1
-            geometry["batch"], geometry["out_h"], geometry["out_w"] = (
-                batch, out_h, out_w,
-            )
-            blocks = pad_blocks(
-                im2col(x, k, stride, padding), batch, out_h * out_w
-            )
-            # Frequency-major (nb, q, batch*positions): the GEMM operand.
-            return np.ascontiguousarray(rfft(blocks).transpose(2, 1, 0))
-
-        def make_shard(r0: int, r1: int):
-            w_rows = np.ascontiguousarray(spectra_fm[:, r0:r1, :])
-
-            def shard(x_spec_fm: np.ndarray) -> np.ndarray:
-                y_spec = np.matmul(w_rows, x_spec_fm).transpose(2, 1, 0)
-                return irfft(y_spec, n=b)  # (batch*positions, r1-r0, b)
-
-            return shard
-
-        shard_fns = tuple(
-            make_shard(int(r0), int(r1))
-            for r0, r1 in zip(bounds[:-1], bounds[1:])
-            if r1 > r0
-        )
-
-        def combine(parts: list[np.ndarray]) -> np.ndarray:
-            batch = geometry["batch"]
-            out_h, out_w = geometry["out_h"], geometry["out_w"]
-            out_blocks = np.concatenate(parts, axis=1)
-            out = out_blocks.reshape(out_blocks.shape[0], -1)[:, :out_channels]
-            out = out.reshape(batch, out_h * out_w, out_channels)
-            out = out.transpose(0, 2, 1).reshape(
-                batch, out_channels, out_h, out_w
-            )
-            if bias is not None:
-                out = out + bias[None, :, None, None]
-            return out
-
-        def sharded_fn(x: np.ndarray) -> np.ndarray:
-            x_spec_fm = prepare(x)
-            return combine([shard(x_spec_fm) for shard in shard_fns])
-
-        return PlanOp(
-            f"{name}[rows/{len(shard_fns)}]",
-            sharded_fn,
-            fusable=True,
-            prepare=prepare,
-            shard_fns=shard_fns,
-            combine=combine,
-        )
 
     def contract(cols: np.ndarray, batch: int, positions: int) -> np.ndarray:
         """im2col columns -> ``(batch, positions, out_channels)``."""
@@ -1048,7 +859,6 @@ def compile_model_plan(
     model: Sequential,
     policy: PrecisionPolicy = FP64,
     conv_tile: int | None = None,
-    row_shards: int | None = None,
 ) -> list[PlanOp]:
     """Snapshot a trained ``model`` into a flat op plan.
 
@@ -1072,7 +882,6 @@ def compile_model_plan(
                     layer.block_size,
                     spectra_fm=spectra_fm,
                     policy=policy,
-                    row_shards=row_shards,
                 ),
             )
         elif isinstance(layer, Linear):
@@ -1117,7 +926,6 @@ def compile_model_plan(
                     spectra_fm=spectra_fm,
                     policy=policy,
                     conv_tile=conv_tile,
-                    row_shards=row_shards,
                 ),
             )
         elif isinstance(layer, Conv2d):
@@ -1173,7 +981,6 @@ def compile_records_plan(
     records: Sequence[dict],
     policy: PrecisionPolicy = FP64,
     conv_tile: int | None = None,
-    row_shards: int | None = None,
 ) -> list[PlanOp]:
     """Compile deployment-artifact layer records into a flat op plan.
 
@@ -1194,7 +1001,6 @@ def compile_records_plan(
                     record["out_features"],
                     record["block_size"],
                     policy=policy,
-                    row_shards=row_shards,
                 ),
             )
         elif kind == "linear":
@@ -1228,7 +1034,6 @@ def compile_records_plan(
                     record["channel_blocks"],
                     policy=policy,
                     conv_tile=conv_tile,
-                    row_shards=row_shards,
                 ),
             )
         elif kind == "conv":

@@ -30,25 +30,23 @@ accuracy — plenty for the paper's embedded targets); the default
 ``"fp64"`` preserves the reference numerics.  Inputs are cast once at
 the session boundary; nothing on the hot path silently upcasts.
 
-**Execution.**  The session compiles to a
+**Execution.**  The session hands its plan to a
 :class:`~repro.runtime.executors.PlanExecutor` instead of executing
-itself: :class:`~repro.runtime.executors.SerialExecutor` (default)
-preserves single-process behaviour;
-:class:`~repro.runtime.executors.ThreadedExecutor` runs the same shard
-closures on an in-process thread pool (the GIL-releasing numpy kernels
-overlap on real cores with zero serialization);
-:class:`~repro.runtime.executors.ShardedExecutor` partitions large
-block-circulant spectra across a fork pool and shards ``predict``
-batches.  Both parallel executors are bitwise-identical to serial
-execution by construction.
+itself: :class:`~repro.runtime.executors.SerialExecutor` (default) runs
+every chunk on the calling thread;
+:class:`~repro.runtime.executors.ThreadedExecutor` fans the chunks of a
+``predict`` whole across an in-process thread pool (the GIL-releasing
+numpy kernels overlap on real cores with zero serialization).  The
+compiled plan is the same either way, and threaded output is
+bitwise-identical to serial output at the same ``batch_size`` by
+construction.
 
 **Allocation-free hot path.**  By default the session runs the
 :func:`~repro.runtime.plan.fuse_plan` compile pass (folding affine /
 flatten / activation chains into their producing compute op) and hands
 the executor a per-plan workspace arena
-(:class:`~repro.runtime.workspace.Workspace`): every thread or fork
-worker reuses a fixed set of buffers keyed by op and bucketed batch
-size, so steady-state calls allocate only the returned output array.
+(:class:`~repro.runtime.workspace.Workspace`): every executing thread
+reuses a fixed set of buffers keyed by op and bucketed batch size, so steady-state calls allocate only the returned output array.
 Both passes are bitwise-identical to the fresh-buffer reference path;
 ``fuse=False`` / ``arena=False`` restore it.
 
@@ -69,12 +67,7 @@ import numpy as np
 from ..exceptions import DeploymentError
 from ..nn.module import Sequential
 from ..precision import PrecisionPolicy
-from .executors import (
-    PlanExecutor,
-    SerialExecutor,
-    ShardedExecutor,
-    ThreadedExecutor,
-)
+from .executors import PlanExecutor, SerialExecutor, ThreadedExecutor
 from .plan import (
     PlanOp,
     compile_model_plan,
@@ -122,11 +115,9 @@ def _resolve_executor(spec) -> PlanExecutor:
         return SerialExecutor()
     if spec == "threaded":
         return ThreadedExecutor()
-    if spec == "sharded":
-        return ShardedExecutor()
     raise ValueError(
         f"unknown executor {spec!r}; expected 'serial', 'threaded', "
-        "'sharded', or a PlanExecutor instance"
+        "or a PlanExecutor instance"
     )
 
 
@@ -142,10 +133,9 @@ class InferenceSession:
     ``precision`` is a :class:`~repro.precision.PrecisionPolicy` or its
     name; ``executor`` is a
     :class:`~repro.runtime.executors.PlanExecutor`, ``"serial"``,
-    ``"threaded"``, ``"sharded"``, or ``None`` (serial).  The session
-    binds the executor
-    to its plan; call :meth:`close` (or use the session as a context
-    manager) to release a sharded executor's worker pool.
+    ``"threaded"``, or ``None`` (serial).  The session binds the
+    executor to its plan; call :meth:`close` (or use the session as a
+    context manager) to release a threaded executor's private pool.
     """
 
     def __init__(
@@ -186,7 +176,6 @@ class InferenceSession:
         precision: str | PrecisionPolicy | None = None,
         executor: PlanExecutor | str | None = None,
         conv_tile: int | None = None,
-        row_shards: int | None = None,
         arena: bool = True,
         batch_buckets: Sequence[int] | None = None,
         fuse: bool = True,
@@ -194,19 +183,12 @@ class InferenceSession:
         """Snapshot ``model`` into a session (see module docstring).
 
         ``conv_tile`` emits overlap-add streaming conv ops of that many
-        output rows per tile; ``row_shards`` partitions large
-        block-circulant spectra — linear *and* conv layers, which share
-        the same block-row grid — into that many block-row shards
-        (defaults to the executor's worker/thread count for a
-        :class:`~repro.runtime.executors.ShardedExecutor` or
-        :class:`~repro.runtime.executors.ThreadedExecutor`).  When both
-        apply to the same conv layer, sharding supersedes tiling (with a
-        warning): a poolable shard payload needs the one-shot im2col.
+        output rows per tile.
 
-        ``arena`` (default on) gives each executor thread / fork worker
-        a per-plan workspace of reusable buffers so repeated calls
-        allocate nothing on the hot path; ``batch_buckets`` overrides
-        the batch-size rounding grid (see
+        ``arena`` (default on) gives each executor thread a per-plan
+        workspace of reusable buffers so repeated calls allocate
+        nothing on the hot path; ``batch_buckets`` overrides the
+        batch-size rounding grid (see
         :class:`~repro.runtime.workspace.Workspace`).  ``fuse`` (default
         on) runs the :func:`~repro.runtime.plan.fuse_plan` compile pass,
         folding affine / flatten / activation ops into their producing
@@ -214,14 +196,7 @@ class InferenceSession:
         against the unfused fresh-buffer reference path.
         """
         policy = PrecisionPolicy.resolve(precision)
-        executor = _resolve_executor(executor)
-        if row_shards is None and isinstance(
-            executor, (ShardedExecutor, ThreadedExecutor)
-        ):
-            row_shards = executor.workers
-        ops = compile_model_plan(
-            model, policy=policy, conv_tile=conv_tile, row_shards=row_shards
-        )
+        ops = compile_model_plan(model, policy=policy, conv_tile=conv_tile)
         return cls(
             ops,
             precision=policy,
@@ -238,7 +213,6 @@ class InferenceSession:
         precision: str | PrecisionPolicy | None = None,
         executor: PlanExecutor | str | None = None,
         conv_tile: int | None = None,
-        row_shards: int | None = None,
         arena: bool = True,
         batch_buckets: Sequence[int] | None = None,
         fuse: bool = True,
@@ -253,16 +227,8 @@ class InferenceSession:
         behave exactly as in :meth:`freeze`.
         """
         policy = PrecisionPolicy.resolve(precision)
-        executor = _resolve_executor(executor)
-        if row_shards is None and isinstance(
-            executor, (ShardedExecutor, ThreadedExecutor)
-        ):
-            row_shards = executor.workers
         ops = compile_records_plan(
-            deployed.records,
-            policy=policy,
-            conv_tile=conv_tile,
-            row_shards=row_shards,
+            deployed.records, policy=policy, conv_tile=conv_tile
         )
         return cls(
             ops,
@@ -303,8 +269,8 @@ class InferenceSession:
         :class:`ValueError` — "no batching" is spelled ``None``, not
         ``0``.
 
-        With a :class:`ShardedExecutor`, chunks run concurrently on the
-        worker pool; results are identical to serial streaming.
+        With a :class:`ThreadedExecutor`, chunks run concurrently on the
+        thread pool; results are identical to serial streaming.
         """
         x = np.asarray(inputs, dtype=self.policy.real_dtype)
         if x.ndim == 1:
@@ -322,19 +288,15 @@ class InferenceSession:
         return self.predict_proba(inputs, batch_size=batch_size).argmax(axis=-1)
 
     def warm_up(self) -> "InferenceSession":
-        """Pre-start executor resources (a sharded executor's fork pool).
-
-        Serving front-ends call this before spawning their worker
-        threads so the pool forks from a thread-free process; a no-op
-        for executors without startup cost.
-        """
+        """Pre-start executor resources (a threaded executor's pool);
+        a no-op for executors without startup cost."""
         ensure = getattr(self.executor, "ensure_started", None)
         if ensure is not None:
             ensure()
         return self
 
     def close(self) -> None:
-        """Release executor resources (a sharded executor's pool)."""
+        """Release executor resources (a threaded executor's own pool)."""
         self.executor.close()
 
     def __enter__(self) -> "InferenceSession":

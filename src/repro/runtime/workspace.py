@@ -40,9 +40,8 @@ DEFAULT_BATCH_BUCKETS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 class Workspace:
     """A named-slot buffer arena keyed by (slot, shape, dtype).
 
-    One :class:`Workspace` belongs to exactly one thread (or fork
-    worker) of exactly one plan — executors create them per thread, the
-    fork pool creates them per (worker, plan) — so ``get`` needs no
+    One :class:`Workspace` belongs to exactly one thread of exactly one
+    plan — executors create them per thread — so ``get`` needs no
     locking.
     """
 

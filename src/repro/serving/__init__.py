@@ -13,8 +13,7 @@ this package gives it a front door:
 * :mod:`repro.serving.server` — :class:`InferenceServer`, the asyncio
   TCP server over a :class:`~repro.engine.Engine`: one batcher per
   (model, precision) route, all fused batches on a dedicated
-  inference thread (sharded executors fork their pools before any
-  thread starts), responses streamed zero-copy,
+  inference thread, responses streamed zero-copy,
 * :mod:`repro.serving.resilience` — admission control policy:
   :class:`TokenBucket` (global request-rate limit) and
   :class:`QueueLimits` (per-route and per-priority-class row bounds);
@@ -34,7 +33,7 @@ Entry points: ``repro serve`` on the command line,
 :meth:`repro.engine.Engine.serve` from code, or construct
 :class:`InferenceServer` around an engine directly for an in-process
 server (as the tests and benchmarks do).  Fault-tolerance behavior
-(error codes, drain, degraded mode) is documented in
+(error codes, drain, shedding) is documented in
 ``docs/robustness.md``.
 """
 

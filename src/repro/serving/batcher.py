@@ -28,8 +28,7 @@ inference runs either inline (``executor=None``; simple and
 deterministic for tests) or on a caller-supplied
 :class:`concurrent.futures.Executor` — the server passes a
 single-thread pool, which keeps the event loop responsive *and*
-serializes access to the (single-threaded) inference session and its
-shared-memory transport.
+serializes access to the inference session.
 
 Admission control: with ``limits``
 (:class:`~repro.serving.resilience.QueueLimits`), ``submit`` counts the

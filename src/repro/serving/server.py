@@ -12,18 +12,12 @@ through the route's :class:`~repro.serving.batcher.MicroBatcher`, so
 concurrent clients of the same (model, precision) pair amortize the
 engine's per-call cost while requests for different routes never fuse.
 
-Threading/forking model — the order matters:
-
-1. ``start()`` first warms the engine's full session grid when the
-   config asks for a sharded executor (the fork pools must be created
-   while the process has no threads); with a serial executor sessions
-   keep freezing lazily, on the inference thread, as routes are first
-   requested,
-2. then creates the single inference thread that all batches of all
-   routes run on (keeping the event loop responsive while numpy works,
-   and serializing access to the sessions and their shared-memory
-   transports),
-3. only then starts accepting connections.
+Threading model: ``start()`` creates the single inference thread that
+all batches of all routes run on (keeping the event loop responsive
+while numpy works, and serializing access to the sessions), then starts
+accepting connections.  Sessions freeze lazily, on that thread, as
+routes are first requested; a threaded engine's executors fan each
+fused batch's chunks from it onto the engine's shared thread pool.
 
 Responses stream zero-copy: the result array's buffer goes to the
 socket writer as a :func:`~repro.serving.protocol.pack_array_views`
@@ -52,7 +46,7 @@ from ..exceptions import (
     ServerUnavailable,
     ServingError,
 )
-from ..runtime.executors import ShardedExecutor, ThreadedExecutor
+from ..runtime.executors import ThreadedExecutor
 from ..testing import faults
 from .batcher import DeadlineExpired, MicroBatcher
 from .protocol import (
@@ -87,8 +81,8 @@ class InferenceServer:
         see :class:`~repro.serving.batcher.MicroBatcher`.
     chunk_size:
         Streaming chunk size passed to ``predict_proba``; the default
-        ``None`` picks ``ceil(rows / workers)`` for sharded executors
-        (engaging pool batch sharding) and one-shot otherwise.
+        ``None`` picks ``ceil(rows / workers)`` for a threaded executor
+        (so the chunks fan across its pool) and one-shot otherwise.
     max_payload:
         Per-frame payload bound (``None`` = the engine config's value).
     """
@@ -171,10 +165,7 @@ class InferenceServer:
         if self.chunk_size is not None:
             return self.chunk_size
         executor = session.executor
-        if (
-            isinstance(executor, (ShardedExecutor, ThreadedExecutor))
-            and executor.workers > 1
-        ):
+        if isinstance(executor, ThreadedExecutor) and executor.workers > 1:
             if rows >= 2 * executor.workers:
                 return -(-rows // executor.workers)  # ceil division
         return None
@@ -220,24 +211,12 @@ class InferenceServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "InferenceServer":
-        """Warm the engine, start the inference thread, bind the port."""
+        """Load the sources, start the inference thread, bind the port."""
         if self._server is not None:
             raise ServingError("server is already started")
-        from ..runtime.session import InferenceSession
-
         # Fail fast on unloadable model sources (bad artifact paths)
         # before any thread, port, or ready banner exists.
         self.engine.load_sources()
-        if self.engine.config.resolve_executor() == "sharded" or any(
-            isinstance(source, InferenceSession)
-            for source in self.engine.config.models.values()
-        ):
-            # Fork every route's pool BEFORE any thread exists — lazy
-            # freezing on the inference thread would fork with threads
-            # running (inherited-lock hazard).  Adopted sessions may
-            # carry a sharded executor the config doesn't know about,
-            # so they warm here too.
-            self.engine.warm_up()
         self._infer_thread = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-infer"
         )
@@ -496,7 +475,6 @@ class InferenceServer:
             self.begin_drain()
             return {"status": "ok", "op": "drain", "draining": True}, b""
         if op == "info":
-            engine_health = self.engine.health()
             info = {
                 "status": "ok",
                 "op": "info",
@@ -515,9 +493,7 @@ class InferenceServer:
                 "executor": self.engine.executor_info(),
                 "health": {
                     "draining": self._draining,
-                    "degraded": engine_health["degraded"],
-                    "executors": engine_health["executors"],
-                    "pool": engine_health["pool"],
+                    "pool": self.engine.health()["pool"],
                     "inflight_requests": self._inflight,
                     "queues": {
                         f"{model}/{precision}": batcher.queue_depth()

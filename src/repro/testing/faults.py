@@ -1,4 +1,4 @@
-"""Deliberate fault injection for the serving and runtime layers.
+"""Deliberate fault injection for the serving and router layers.
 
 Correctness claims about fault tolerance are hollow unless the faults
 actually happen, so the production code exposes *fault points* — named
@@ -11,28 +11,18 @@ Arming::
 
     from repro.testing import faults
 
-    faults.arm("worker.kill")                 # fire once, then disarm
-    faults.arm("worker.delay", times=3, seconds=0.05)
+    faults.arm("server.drop_connection")      # fire once, then disarm
+    faults.arm("server.delay_response", times=3, seconds=0.05)
     faults.arm("admission.shed", times=None)  # unlimited budget
     ...
     faults.reset()                            # always reset in teardown
 
-Fault points consume their budget atomically across *processes*: the
-budget lives in a :class:`multiprocessing.Value`, so a fork-pool worker
-that inherits an armed fault decrements the same counter the parent
-(and its sibling workers) see — ``times=1`` kills exactly one worker,
-no matter how many inherited the arming.  Arm **before** the pool
-forks; workers forked earlier never see the fault.
+Faults are armed per process; a budget is a plain counter consumed
+under one lock, so hook sites on different threads never over-fire it.
 
 Known fault points (the hook sites interpret the params):
 
 =========================  ==================================================
-``worker.kill``            a pool worker SIGKILLs itself at task start
-``worker.hang``            a pool worker sleeps ``seconds`` (default 3600)
-                           at task start — a dropped result frame; the
-                           parent's ``task_timeout`` must recover
-``worker.delay``           a pool worker sleeps ``seconds`` (default 0.05)
-                           before running — a delayed result frame
 ``server.corrupt_payload``  the server flips the leading bytes of an
                            inbound request payload before decoding it
 ``server.drop_connection``  the server closes the connection instead of
@@ -50,10 +40,11 @@ Known fault points (the hook sites interpret the params):
                            backends)
 =========================  ==================================================
 
-Subprocess servers arm from the environment: ``repro serve`` calls
-:func:`arm_from_env` when ``REPRO_FAULTS`` is set, e.g. ::
+Subprocess servers arm from the environment: ``repro serve`` and
+``repro route`` call :func:`arm_from_env` when ``REPRO_FAULTS`` is set,
+e.g. ::
 
-    REPRO_FAULTS="worker.kill*3;server.delay_response:seconds=0.02"
+    REPRO_FAULTS="admission.shed*3;server.delay_response:seconds=0.02"
 
 (``point[*times][:key=val[,key=val...]]`` entries separated by ``;``;
 ``*0`` or ``*inf`` arm an unlimited budget).
@@ -61,8 +52,8 @@ Subprocess servers arm from the environment: ``repro serve`` calls
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import threading
 
 __all__ = [
     "enabled",
@@ -84,38 +75,26 @@ enabled = False
 class Fault:
     """One armed fault point: a firing budget plus free-form params.
 
-    ``times=None`` means unlimited.  Budget and fired counters are
-    :class:`multiprocessing.Value` instances so forked pool workers
-    share them with the parent (see module docstring).
+    ``times=None`` means unlimited.  ``remaining`` and ``fired`` are
+    plain ints, only ever changed under the module's one lock.
     """
 
     def __init__(self, point: str, times: int | None, params: dict):
         self.point = point
         self.params = dict(params)
         self.times = times
-        # 'l' leaves room for large budgets; -1 encodes "unlimited".
-        self._budget = multiprocessing.Value("l", -1 if times is None else times)
-        self._fired = multiprocessing.Value("l", 0)
+        self.remaining = times
+        self.fired = 0
 
     def take(self) -> bool:
         """Consume one firing; False once the budget is spent."""
-        with self._budget.get_lock():
-            if self._budget.value == 0:
+        with _lock:
+            if self.remaining == 0:
                 return False
-            if self._budget.value > 0:
-                self._budget.value -= 1
-            self._fired.value += 1
+            if self.remaining is not None:
+                self.remaining -= 1
+            self.fired += 1
             return True
-
-    @property
-    def fired(self) -> int:
-        """How many times this fault fired (across all processes)."""
-        return int(self._fired.value)
-
-    @property
-    def remaining(self) -> int | None:
-        value = int(self._budget.value)
-        return None if value < 0 else value
 
     def __repr__(self) -> str:
         return (
@@ -125,6 +104,7 @@ class Fault:
 
 
 _armed: dict[str, Fault] = {}
+_lock = threading.Lock()
 
 
 def arm(point: str, times: int | None = 1, **params) -> Fault:
@@ -163,9 +143,9 @@ def take(point: str, **defaults) -> dict | None:
     The returned dict is ``{**defaults, **armed params}`` so hook sites
     spell their fallbacks inline::
 
-        hang = faults.take("worker.hang", seconds=3600.0)
-        if hang is not None:
-            time.sleep(float(hang["seconds"]))
+        delay = faults.take("server.delay_response", seconds=0.05)
+        if delay is not None:
+            await asyncio.sleep(float(delay["seconds"]))
     """
     if not enabled:
         return None

@@ -91,12 +91,8 @@ class TestExecutorPolicy:
     def test_invalid_choices_rejected(self, model):
         with pytest.raises(ConfigurationError, match="executor"):
             EngineConfig(model=model, executor="gpu")
-        with pytest.raises(ConfigurationError, match="transport"):
-            EngineConfig(model=model, transport="carrier-pigeon")
-        with pytest.raises(ConfigurationError, match="shard_mode"):
-            EngineConfig(model=model, shard_mode="diagonal")
-        with pytest.raises(ConfigurationError, match="workers"):
-            EngineConfig(model=model, workers=0)
+        with pytest.raises(ConfigurationError, match="threads"):
+            EngineConfig(model=model, threads=0)
         with pytest.raises(ConfigurationError, match="conv_tile"):
             EngineConfig(model=model, conv_tile=0)
 
@@ -141,11 +137,11 @@ class TestDescribe:
         import json
 
         config = EngineConfig(model=model, precisions=("fp64", "fp32"),
-                              executor="sharded", workers=3)
+                              executor="threaded", threads=3)
         desc = json.loads(json.dumps(config.describe()))
         assert desc["precisions"] == ["fp64", "fp32"]
-        assert desc["executor"] == "sharded"
-        assert desc["workers"] == 3
+        assert desc["executor"] == "threaded"
+        assert desc["threads"] == 3
         assert desc["models"][DEFAULT_MODEL_NAME] == "Sequential"
 
 

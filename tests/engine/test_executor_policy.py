@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.engine.config as config_mod
+from repro.cli import build_parser
 from repro.engine import Engine, EngineConfig
 from repro.exceptions import ConfigurationError
 from repro.nn import BlockCirculantLinear, Linear, ReLU, Sequential
@@ -51,26 +52,13 @@ class TestConfigPolicy:
         monkeypatch.setattr(config_mod, "effective_cpu_count", lambda: 1)
         assert EngineConfig(executor="auto").resolve_executor() == "serial"
 
-    def test_auto_never_picks_fork(self, monkeypatch):
-        # Fork sharding is an explicit opt-in; auto only ever picks
-        # serial or threaded.
-        for cores in (1, 2, 64):
-            monkeypatch.setattr(
-                config_mod, "effective_cpu_count", lambda n=cores: n
-            )
-            assert EngineConfig(executor="auto").resolve_executor() in (
-                "serial",
-                "threaded",
-            )
-
     def test_threads_validation(self):
         with pytest.raises(ConfigurationError, match="threads must be >= 1"):
             EngineConfig(threads=0)
 
     def test_resolve_threads_precedence(self, monkeypatch):
         monkeypatch.setattr(config_mod, "effective_cpu_count", lambda: 6)
-        assert EngineConfig(threads=3, workers=5).resolve_threads() == 3
-        assert EngineConfig(workers=5).resolve_threads() == 5
+        assert EngineConfig(threads=3).resolve_threads() == 3
         assert EngineConfig().resolve_threads() == 6
 
     def test_describe_reports_policy(self, monkeypatch):
@@ -82,6 +70,53 @@ class TestConfigPolicy:
         assert desc["resolved_executor"] == "threaded"
         assert desc["threads"] == 2
         assert desc["profile"] is True
+
+
+class TestRemovedOptionsRejected:
+    """The fork pool, its transports and block-row sharding are gone;
+    nothing that selected them is accepted any more."""
+
+    def test_sharded_executor_kind_rejected_naming_the_valid_kinds(
+        self, monkeypatch
+    ):
+        with pytest.raises(ConfigurationError) as excinfo:
+            EngineConfig(executor="sharded")
+        for kind in ("auto", "serial", "threaded"):
+            assert kind in str(excinfo.value)
+        monkeypatch.setenv("REPRO_EXECUTOR", "sharded")
+        with pytest.raises(ConfigurationError, match="executor must be"):
+            EngineConfig()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workers", 2),
+            ("transport", "shm"),
+            ("shard_mode", "rows"),
+            ("row_shards", 2),
+            ("fault_timeout_s", 5.0),
+        ],
+    )
+    def test_removed_config_fields_rejected(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            EngineConfig(**{field: value})
+        with pytest.raises(TypeError, match=field):
+            Engine(model=small_model(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "m.npz", "--workers", "2"],
+            ["serve", "m.npz", "--transport", "shm"],
+            ["serve", "m.npz", "--executor", "sharded"],
+            ["predict", "m.npz", "--data", "x.npy", "--workers", "2"],
+        ],
+    )
+    def test_removed_cli_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestEngineSharedPool:
@@ -97,7 +132,6 @@ class TestEngineSharedPool:
             assert isinstance(s64.executor, ThreadedExecutor)
             assert s64.executor.pool is s32.executor.pool
             assert s64.executor.pool is engine._workpool
-            assert engine._workpool.describe()["plans"] == 2
 
     def test_threaded_engine_matches_serial_engine(self, rng):
         model = small_model()
@@ -122,8 +156,6 @@ class TestEngineSharedPool:
             health = engine.health()
             assert health["pool"]["kind"] == "thread"
             assert health["pool"]["workers"] == 2
-            assert health["pool"]["plans"] == 1
-            assert health["degraded"] is False
 
     def test_serial_engine_has_no_pool(self):
         with Engine(model=small_model(), executor="serial") as engine:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.embedded import DeployedModel
 from repro.engine import Engine
-from repro.runtime import InferenceSession, ShardedExecutor
+from repro.runtime import InferenceSession, ThreadedExecutor
 from repro.serving import AsyncServeClient, InferenceServer
 from repro.zoo import build_arch1
 
@@ -54,7 +54,7 @@ class TestToSessionShim:
         x = rng.normal(size=(8, 256))
         with pytest.deprecated_call():
             shim_session = deployed.to_session(
-                executor=ShardedExecutor(workers=2, mode="batch")
+                executor=ThreadedExecutor(threads=2)
             )
         reference = InferenceSession.from_deployed(deployed)
         assert np.array_equal(
@@ -80,28 +80,10 @@ class TestServerSessionShim:
 
         with pytest.deprecated_call(match="InferenceServer"):
             shim_served = asyncio.run(roundtrip(session))
-        with Engine(model=deployed) as engine:
+        # The adopted session is serial, so the facade twin is too.
+        with Engine(model=deployed, executor="serial") as engine:
             facade_served = asyncio.run(roundtrip(engine))
         assert np.array_equal(shim_served, facade_served)
         # The shim never took ownership: the session still runs.
         assert session.forward(x).shape == (5, 10)
         session.close()
-
-
-class TestServeShim:
-    def test_deployed_serve_warns(self, deployed, monkeypatch):
-        # Intercept Engine.serve so the shim's blocking loop never runs;
-        # what matters here is the warning and the config translation.
-        captured = {}
-
-        def fake_serve(self, host="127.0.0.1", port=None, on_ready=None):
-            captured["models"] = dict(self.config.models)
-            captured["precision"] = self.config.precision
-            captured["max_batch"] = self.config.max_batch
-
-        monkeypatch.setattr(Engine, "serve", fake_serve)
-        with pytest.deprecated_call(match="serve"):
-            deployed.serve(port=0, precision="fp32", max_batch=7)
-        assert captured["precision"] == "fp32"
-        assert captured["max_batch"] == 7
-        assert list(captured["models"].values()) == [deployed]

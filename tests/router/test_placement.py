@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.router import (
-    DEGRADED,
     DOWN,
     DRAINING,
     HEALTHY,
@@ -66,7 +65,6 @@ class TestBackendHandle:
 
     def test_routable_states(self):
         assert handle(state=HEALTHY).routable
-        assert handle(state=DEGRADED).routable
         assert not handle(state=DRAINING).routable
         assert not handle(state=DOWN).routable
 
@@ -87,14 +85,6 @@ class TestPlacementPolicy:
         assert policy.candidates([a, b, c], "m1", None) == [a]
         assert policy.candidates([a, b, c], "m2", None) == [b]
         assert policy.candidates([a, b, c], "m3", None) == []
-
-    def test_degraded_only_when_no_healthy(self):
-        healthy = handle("a:1")
-        degraded = handle("b:1", state=DEGRADED)
-        policy = PlacementPolicy()
-        assert policy.candidates([degraded, healthy], None, None) == [healthy]
-        healthy.state = DOWN
-        assert policy.candidates([degraded, healthy], None, None) == [degraded]
 
     def test_exclude_removes_tried_backends(self):
         a, b = handle("a:1"), handle("b:1")

@@ -95,7 +95,6 @@ class StubBackend:
                         "precisions": self.precisions,
                         "health": {
                             "draining": False,
-                            "degraded": False,
                             "queued_rows": 0,
                             "batch_ms_ema": 0.0,
                             "shed": 0,

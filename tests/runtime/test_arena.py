@@ -5,7 +5,6 @@ import threading
 import numpy as np
 import pytest
 
-import repro.runtime.plan as plan_mod
 from repro.embedded.deploy import DeployedModel
 from repro.nn import (
     BatchNorm1d,
@@ -20,10 +19,8 @@ from repro.nn import (
 )
 from repro.runtime import (
     DEFAULT_BATCH_BUCKETS,
-    ForkWorkerPool,
     InferenceSession,
     SerialExecutor,
-    ShardedExecutor,
     ThreadWorkerPool,
     ThreadedExecutor,
     Workspace,
@@ -67,12 +64,6 @@ def bn_model():
         Linear(16, 4, rng=rng),
         Softmax(),
     ).eval()
-
-
-@pytest.fixture
-def shard_everything(monkeypatch):
-    """Let tiny test layers pass the auto-shard size floor."""
-    monkeypatch.setattr(plan_mod, "MIN_SHARD_BYTES", 0)
 
 
 class TestWorkspace:
@@ -175,26 +166,18 @@ class TestFusePlan:
         session.forward(x)
         assert np.array_equal(x, x_copy)  # user input never mutated
 
-    def test_fold_preserves_shard_surface(self, shard_everything):
-        session = InferenceSession.freeze(conv_model(), row_shards=2)
-        op = session.ops[0]
-        assert "[rows/2]" in op.name and "+relu" in op.name
-        assert op.shard_fns is not None and op.combine is not None
-
 
 def _make_executor(kind):
     if kind == "serial":
         return SerialExecutor()
-    if kind == "threaded":
-        return ThreadedExecutor(threads=2)
-    return ShardedExecutor(workers=2, mode="batch")
+    return ThreadedExecutor(threads=2)
 
 
 class TestArenaParity:
     """Arena + fused path is bitwise-identical to the fresh unfused path."""
 
     @pytest.mark.parametrize("precision", ["fp64", "fp32"])
-    @pytest.mark.parametrize("kind", ["serial", "threaded", "sharded"])
+    @pytest.mark.parametrize("kind", ["serial", "threaded"])
     def test_bitwise_matches_fresh_path(self, model, rng, precision, kind):
         ref = InferenceSession.freeze(
             model, precision=precision, arena=False, fuse=False
@@ -244,19 +227,6 @@ class TestArenaParity:
         r1_copy = r1.copy()
         session.forward(x2)
         assert np.array_equal(r1, r1_copy)
-
-    def test_row_sharded_arena_bitwise(self, model, rng, shard_everything):
-        ref = InferenceSession.freeze(
-            model, arena=False, fuse=False, row_shards=2
-        )
-        with InferenceSession.freeze(
-            model,
-            executor=ThreadedExecutor(threads=2, mode="rows"),
-            row_shards=2,
-        ) as session:
-            x = rng.normal(size=(5, 96))
-            for _ in range(2):
-                assert np.array_equal(session.forward(x), ref.forward(x))
 
     def test_from_deployed_arena_bitwise(self, model, rng):
         deployed = DeployedModel.from_model(model)
@@ -327,41 +297,14 @@ class TestSharedPoolIsolation:
         ref_a = InferenceSession.freeze(model_a, arena=False, fuse=False)
         ref_b = InferenceSession.freeze(model_b, arena=False, fuse=False)
         sa = InferenceSession.freeze(
-            model_a, executor=ThreadedExecutor(mode="batch", pool=pool)
+            model_a, executor=ThreadedExecutor(pool=pool)
         )
         sb = InferenceSession.freeze(
-            model_b, executor=ThreadedExecutor(mode="batch", pool=pool)
+            model_b, executor=ThreadedExecutor(pool=pool)
         )
         try:
             x = rng.normal(size=(16, 96))
             for _ in range(2):  # interleave: cross-aliasing would show
-                pa = sa.predict_proba(x, batch_size=4)
-                pb = sb.predict_proba(x, batch_size=4)
-                assert np.array_equal(
-                    pa, ref_a.predict_proba(x, batch_size=4)
-                )
-                assert np.array_equal(
-                    pb, ref_b.predict_proba(x, batch_size=4)
-                )
-        finally:
-            sa.close()
-            sb.close()
-            pool.close()
-
-    def test_two_routes_one_fork_pool(self, rng):
-        model_a, model_b = self._models()
-        pool = ForkWorkerPool(workers=2)
-        ref_a = InferenceSession.freeze(model_a, arena=False, fuse=False)
-        ref_b = InferenceSession.freeze(model_b, arena=False, fuse=False)
-        sa = InferenceSession.freeze(
-            model_a, executor=ShardedExecutor(mode="batch", pool=pool)
-        )
-        sb = InferenceSession.freeze(
-            model_b, executor=ShardedExecutor(mode="batch", pool=pool)
-        )
-        try:
-            x = rng.normal(size=(16, 96))
-            for _ in range(2):
                 pa = sa.predict_proba(x, batch_size=4)
                 pb = sb.predict_proba(x, batch_size=4)
                 assert np.array_equal(

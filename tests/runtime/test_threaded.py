@@ -1,11 +1,14 @@
-"""ThreadedExecutor: bitwise parity with serial, shared pools, profiling."""
+"""Executors: one compiled plan, serial/threaded bitwise parity at the
+same chunk boundaries, the shared thread pool, lifecycle, profiling."""
 
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import repro.runtime.plan as plan_mod
+from repro import zoo
 from repro.nn import (
     BlockCirculantLinear,
     Flatten,
@@ -16,7 +19,6 @@ from repro.nn import (
 )
 from repro.nn.layers import BlockCirculantConv2d
 from repro.runtime import (
-    ForkWorkerPool,
     InferenceSession,
     SerialExecutor,
     ThreadWorkerPool,
@@ -50,74 +52,98 @@ def conv_model():
     ).eval()
 
 
-@pytest.fixture
-def shard_everything(monkeypatch):
-    """Let tiny test layers pass the auto-shard size floor."""
-    monkeypatch.setattr(plan_mod, "MIN_SHARD_BYTES", 0)
+def wide_fc_model(width):
+    """One block-circulant FC layer whose spectra are far past the size
+    at which threaded sessions used to compile a different plan."""
+    rng = np.random.default_rng(5)
+    return Sequential(
+        BlockCirculantLinear(width, width, 128, rng=rng),
+        ReLU(),
+        Linear(width, 10, rng=rng),
+    ).eval()
+
+
+PLAN_MODELS = {
+    name: (lambda n=name: zoo.get(n).eval()) for name in zoo.names()
+}
+PLAN_MODELS["bc_fc_1024"] = lambda: wide_fc_model(1024)
+PLAN_MODELS["bc_fc_4096"] = lambda: wide_fc_model(4096)
+
+
+class TestOnePlan:
+    @pytest.mark.parametrize("precision", ["fp64", "fp32"])
+    @pytest.mark.parametrize("name", sorted(PLAN_MODELS))
+    def test_threaded_session_compiles_the_serial_plan(self, name, precision):
+        m = PLAN_MODELS[name]()
+        serial = InferenceSession.freeze(m, precision=precision).describe()
+        for threads in (1, 2, 4):
+            with InferenceSession.freeze(
+                m,
+                precision=precision,
+                executor=ThreadedExecutor(threads=threads),
+            ) as threaded:
+                assert threaded.describe() == serial
+
+
+PARITY_MODELS = {"fc": wide_fc_model(1024), "conv": conv_model()}
+PARITY_INPUTS = {"fc": (1024,), "conv": (3, 8, 8)}
+
+
+class TestThreadedParityProperty:
+    @given(
+        kind=st.sampled_from(["fc", "conv"]),
+        precision=st.sampled_from(["fp64", "fp32"]),
+        rows=st.integers(1, 70),
+        batch_size=st.one_of(st.none(), st.integers(1, 80)),
+        threads=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_threaded_equals_serial_at_the_same_batch_size(
+        self, kind, precision, rows, batch_size, threads, seed
+    ):
+        m = PARITY_MODELS[kind]
+        x = np.random.default_rng(seed).normal(
+            size=(rows,) + PARITY_INPUTS[kind]
+        )
+        serial = InferenceSession.freeze(m, precision=precision)
+        with InferenceSession.freeze(
+            m, precision=precision, executor=ThreadedExecutor(threads=threads)
+        ) as threaded:
+            assert np.array_equal(
+                threaded.predict_proba(x, batch_size=batch_size),
+                serial.predict_proba(x, batch_size=batch_size),
+            )
 
 
 class TestThreadedRows:
-    @pytest.mark.parametrize("precision", ["fp64", "fp32"])
-    def test_rows_bitwise_equals_serial(
-        self, model, rng, shard_everything, precision
-    ):
-        x = rng.normal(size=(5, 96))
-        serial = InferenceSession.freeze(
-            model, precision=precision, row_shards=3
-        )
-        with InferenceSession.freeze(
-            model,
-            precision=precision,
-            executor=ThreadedExecutor(threads=3, mode="rows"),
-            row_shards=3,
-        ) as threaded:
-            assert np.array_equal(threaded.forward(x), serial.forward(x))
-
-    @pytest.mark.parametrize("precision", ["fp64", "fp32"])
-    def test_conv_rows_bitwise_equals_serial(
-        self, rng, shard_everything, precision
-    ):
-        m = conv_model()
-        x = rng.normal(size=(4, 3, 8, 8))
-        serial = InferenceSession.freeze(m, precision=precision, row_shards=2)
-        with InferenceSession.freeze(
-            m,
-            precision=precision,
-            executor=ThreadedExecutor(threads=2, mode="rows"),
-            row_shards=2,
-        ) as threaded:
-            assert np.array_equal(threaded.forward(x), serial.forward(x))
-
     def test_conv_tile_bitwise_equals_serial(self, rng):
-        # Tiled conv ops have no shard surface; the threaded executor
-        # must fall through to in-thread execution, bitwise-identical.
+        # Tiled conv ops have no arena form; the threaded executor runs
+        # them like any other op, one batch or many chunks.
         m = conv_model()
-        x = rng.normal(size=(3, 3, 8, 8))
-        serial = InferenceSession.freeze(m, conv_tile=4)
+        x = rng.normal(size=(8, 3, 8, 8))
+        serial = InferenceSession.freeze(m, conv_tile=3)
         with InferenceSession.freeze(
-            m, conv_tile=4, executor=ThreadedExecutor(threads=2, mode="rows")
+            m, conv_tile=3, executor=ThreadedExecutor(threads=2)
         ) as threaded:
             assert np.array_equal(threaded.forward(x), serial.forward(x))
+            assert np.array_equal(
+                threaded.predict_proba(x, batch_size=2),
+                serial.predict_proba(x, batch_size=2),
+            )
 
-    def test_row_shards_default_to_thread_count(self, model, shard_everything):
+    def test_min_rows_gate_runs_serial_and_stays_correct(self, model, rng):
+        x = rng.normal(size=(6, 96))
+        serial = InferenceSession.freeze(model)
         with InferenceSession.freeze(
-            model, executor=ThreadedExecutor(threads=3, mode="rows")
-        ) as session:
-            assert "[rows/3]" in session.describe()[0]
-
-    def test_min_rows_gate_runs_serial_and_stays_correct(
-        self, model, rng, shard_everything
-    ):
-        x = rng.normal(size=(2, 96))
-        serial = InferenceSession.freeze(model, row_shards=3)
-        with InferenceSession.freeze(
-            model,
-            executor=ThreadedExecutor(threads=3, mode="rows", min_rows=64),
-            row_shards=3,
+            model, executor=ThreadedExecutor(threads=3, min_rows=64)
         ) as gated:
             # Below the gate nothing fans out, but results still match.
+            assert np.array_equal(
+                gated.predict_proba(x, batch_size=2),
+                serial.predict_proba(x, batch_size=2),
+            )
             assert not gated.executor.pool.started
-            assert np.array_equal(gated.forward(x), serial.forward(x))
 
 
 class TestThreadedBatches:
@@ -131,7 +157,7 @@ class TestThreadedBatches:
         with InferenceSession.freeze(
             model,
             precision=precision,
-            executor=ThreadedExecutor(threads=3, mode="batch"),
+            executor=ThreadedExecutor(threads=3),
         ) as threaded:
             assert np.array_equal(
                 threaded.predict_proba(x, batch_size=batch_size),
@@ -143,64 +169,90 @@ class TestThreadedBatches:
         x = rng.normal(size=(13, 3, 8, 8))
         serial = InferenceSession.freeze(m)
         with InferenceSession.freeze(
-            m, executor=ThreadedExecutor(threads=2, mode="batch")
+            m, executor=ThreadedExecutor(threads=2)
         ) as threaded:
             assert np.array_equal(
                 threaded.predict(x, batch_size=4),
                 serial.predict(x, batch_size=4),
             )
 
-    def test_auto_mode_matches_serial_both_paths(
-        self, model, rng, shard_everything
-    ):
-        x = rng.normal(size=(17, 96))
-        serial = InferenceSession.freeze(model, row_shards=2)
+    def test_predict_labels_match(self, model, rng):
+        x = rng.normal(size=(12, 96))
+        serial = InferenceSession.freeze(model)
         with InferenceSession.freeze(
-            model, executor=ThreadedExecutor(threads=2), row_shards=2
+            model, executor=ThreadedExecutor(threads=2)
         ) as threaded:
-            # One chunk -> rows path; several chunks -> batch path.
             assert np.array_equal(
-                threaded.predict_proba(x), serial.predict_proba(x)
+                threaded.predict(x, batch_size=3),
+                serial.predict(x, batch_size=3),
             )
-            assert np.array_equal(
-                threaded.predict_proba(x, batch_size=5),
-                serial.predict_proba(x, batch_size=5),
-            )
+
+    def test_single_chunk_stays_in_process(self, model, rng):
+        executor = ThreadedExecutor(threads=2)
+        with InferenceSession.freeze(model, executor=executor) as session:
+            session.predict(rng.normal(size=(4, 96)))  # one chunk
+            session.forward(rng.normal(size=(4, 96)))
+            assert not executor.pool.started  # no thread spawned for it
 
 
 class TestThreadedLifecycle:
+    def test_resolve_by_name(self, model):
+        assert isinstance(
+            InferenceSession.freeze(model, executor="serial").executor,
+            SerialExecutor,
+        )
+        with InferenceSession.freeze(model, executor="threaded") as session:
+            assert isinstance(session.executor, ThreadedExecutor)
+
+    def test_unknown_executor_rejected(self, model):
+        with pytest.raises(ValueError):
+            InferenceSession.freeze(model, executor="gpu")
+
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError, match="threads must be >= 1"):
             ThreadedExecutor(threads=0)
-        with pytest.raises(ValueError, match="mode must be one of"):
-            ThreadedExecutor(mode="columns")
         with pytest.raises(ValueError, match="min_rows"):
             ThreadedExecutor(min_rows=-1)
 
     def test_rebinding_rejected(self, model):
+        # A second session must never silently repoint the first
+        # session's executor at its own plan.
+        for executor in (ThreadedExecutor(threads=2), SerialExecutor()):
+            with InferenceSession.freeze(model, executor=executor):
+                with pytest.raises(RuntimeError, match="already bound"):
+                    InferenceSession.freeze(model, executor=executor)
+
+    def test_rebinding_running_executor_rejected(self, model, rng):
         executor = ThreadedExecutor(threads=2)
-        with InferenceSession.freeze(model, executor=executor):
+        with InferenceSession.freeze(model, executor=executor) as session:
+            session.predict(rng.normal(size=(4, 96)), batch_size=2)
+            assert executor.pool.started
             with pytest.raises(RuntimeError, match="already bound"):
                 InferenceSession.freeze(model, executor=executor)
 
     def test_close_is_idempotent(self, model, rng):
         session = InferenceSession.freeze(
-            model, executor=ThreadedExecutor(threads=2, mode="batch")
+            model, executor=ThreadedExecutor(threads=2)
         )
         session.predict(rng.normal(size=(8, 96)), batch_size=2)
         session.close()
         session.close()
 
-    def test_worker_exception_propagates(self, model, shard_everything):
+    def test_worker_exception_propagates(self, model, rng):
+        serial = InferenceSession.freeze(model)
         with InferenceSession.freeze(
-            model, executor=ThreadedExecutor(threads=2, mode="rows"),
-            row_shards=2,
+            model, executor=ThreadedExecutor(threads=2)
         ) as session:
-            with pytest.raises(Exception):
-                session.forward(np.zeros((4, 97)))  # wrong feature width
-            # The executor survives a failed call.
-            x = np.zeros((4, 96))
-            assert session.forward(x).shape == (4, 10)
+            bad = np.zeros((8, 97))  # wrong feature width
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    session.predict_proba(bad, batch_size=2)
+            # The executor survives failed calls.
+            good = rng.normal(size=(8, 96))
+            assert np.array_equal(
+                session.predict_proba(good, batch_size=2),
+                serial.predict_proba(good, batch_size=2),
+            )
 
     def test_threads_conflicting_with_shared_pool_rejected(self):
         pool = ThreadWorkerPool(threads=2)
@@ -212,23 +264,18 @@ class TestThreadedLifecycle:
 
 
 class TestSharedThreadPool:
-    def test_two_routes_share_one_pool(self, model, rng, shard_everything):
+    def test_two_routes_share_one_pool(self, model, rng):
         pool = ThreadWorkerPool(threads=2)
         serial64 = InferenceSession.freeze(model, precision="fp64")
         serial32 = InferenceSession.freeze(model, precision="fp32")
         s64 = InferenceSession.freeze(
-            model,
-            precision="fp64",
-            executor=ThreadedExecutor(pool=pool, mode="batch"),
+            model, precision="fp64", executor=ThreadedExecutor(pool=pool)
         )
         s32 = InferenceSession.freeze(
-            model,
-            precision="fp32",
-            executor=ThreadedExecutor(pool=pool, mode="batch"),
+            model, precision="fp32", executor=ThreadedExecutor(pool=pool)
         )
         try:
             assert s64.executor.pool is s32.executor.pool
-            assert pool.describe()["plans"] == 2
             x = rng.normal(size=(19, 96))
             # Interleave calls on both routes through the one pool.
             for _ in range(3):
@@ -240,8 +287,7 @@ class TestSharedThreadPool:
                     s32.predict_proba(x, batch_size=4),
                     serial32.predict_proba(x, batch_size=4),
                 )
-            s64.close()
-            assert pool.describe()["plans"] == 1  # eviction, pool lives on
+            s64.close()  # detaches one route; the pool lives on
             assert np.array_equal(
                 s32.predict_proba(x, batch_size=4),
                 serial32.predict_proba(x, batch_size=4),
@@ -254,21 +300,22 @@ class TestSharedThreadPool:
         pool = ThreadWorkerPool(threads=2)
         try:
             with InferenceSession.freeze(
-                model, executor=ThreadedExecutor(pool=pool, mode="batch")
+                model, executor=ThreadedExecutor(pool=pool)
             ) as session:
                 session.predict(rng.normal(size=(8, 96)), batch_size=2)
-            assert pool.started  # close() evicted the plan, not the pool
+            assert pool.started  # close() detached the route, not the pool
             pool.ensure_started()
         finally:
             pool.close()
 
-    def test_closed_pool_rejects_registration(self, model):
+    def test_closed_pool_rejects_work(self, model, rng):
         pool = ThreadWorkerPool(threads=2)
         pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            InferenceSession.freeze(
-                model, executor=ThreadedExecutor(pool=pool)
-            )
+        with InferenceSession.freeze(
+            model, executor=ThreadedExecutor(pool=pool)
+        ) as session:
+            with pytest.raises(RuntimeError, match="closed"):
+                session.predict(rng.normal(size=(8, 96)), batch_size=2)
 
     def test_concurrent_ensure_started_creates_one_pool(self):
         pool = ThreadWorkerPool(threads=2)
@@ -291,120 +338,6 @@ class TestSharedThreadPool:
             pool.close()
 
 
-class TestSharedForkPool:
-    def test_concurrent_ensure_started_creates_one_pool(
-        self, model, shard_everything
-    ):
-        # The PR-7 race fix: two routes starting at once must not
-        # double-create the multiprocessing pool.
-        from repro.runtime import ShardedExecutor
-
-        pool = ForkWorkerPool(workers=2)
-        session = InferenceSession.freeze(
-            model,
-            executor=ShardedExecutor(mode="rows", pool=pool),
-            row_shards=2,
-        )
-        try:
-            plan_id = session.executor.plan_id
-            seen = []
-            barrier = threading.Barrier(4)
-
-            def hammer():
-                barrier.wait()
-                pool.ensure_started(plan_id)
-                seen.append(pool._pool)
-
-            workers = [threading.Thread(target=hammer) for _ in range(4)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join()
-            assert len({id(p) for p in seen}) == 1
-        finally:
-            session.close()
-            pool.close()
-
-    def test_late_registration_reforks_and_stays_correct(
-        self, model, rng, shard_everything
-    ):
-        # Plan B registers after the pool forked for plan A: the pool
-        # must re-fork so the children inherit B, and both routes stay
-        # bitwise-correct.
-        from repro.runtime import ShardedExecutor
-
-        pool = ForkWorkerPool(workers=2)
-        serial = InferenceSession.freeze(model, row_shards=2)
-        a = InferenceSession.freeze(
-            model, executor=ShardedExecutor(mode="rows", pool=pool),
-            row_shards=2,
-        )
-        try:
-            x = rng.normal(size=(5, 96))
-            assert np.array_equal(a.forward(x), serial.forward(x))
-            first_fork = pool._pool
-            b = InferenceSession.freeze(
-                model, executor=ShardedExecutor(mode="rows", pool=pool),
-                row_shards=2,
-            )
-            try:
-                assert np.array_equal(b.forward(x), serial.forward(x))
-                assert pool._pool is not first_fork  # re-forked for B
-                # A's plan is still inherited by the new children.
-                assert np.array_equal(a.forward(x), serial.forward(x))
-            finally:
-                b.close()
-        finally:
-            a.close()
-            pool.close()
-
-    def test_two_routes_one_fork_pool_bitwise(
-        self, model, rng, shard_everything
-    ):
-        from repro.runtime import ShardedExecutor
-
-        pool = ForkWorkerPool(workers=2)
-        serial64 = InferenceSession.freeze(model, precision="fp64")
-        serial32 = InferenceSession.freeze(model, precision="fp32")
-        s64 = InferenceSession.freeze(
-            model,
-            precision="fp64",
-            executor=ShardedExecutor(mode="batch", pool=pool),
-        )
-        s32 = InferenceSession.freeze(
-            model,
-            precision="fp32",
-            executor=ShardedExecutor(mode="batch", pool=pool),
-        )
-        try:
-            assert pool.describe()["plans"] == 2
-            x = rng.normal(size=(16, 96))
-            for _ in range(2):
-                assert np.array_equal(
-                    s64.predict_proba(x, batch_size=4),
-                    serial64.predict_proba(x, batch_size=4),
-                )
-                assert np.array_equal(
-                    s32.predict_proba(x, batch_size=4),
-                    serial32.predict_proba(x, batch_size=4),
-                )
-            assert pool._pool is not None or not pool.can_fork
-        finally:
-            s64.close()
-            s32.close()
-            pool.close()
-
-    def test_shared_pool_rejects_conflicting_knobs(self):
-        from repro.runtime import ShardedExecutor
-
-        pool = ForkWorkerPool(workers=2)
-        try:
-            with pytest.raises(ValueError, match="fixed by the shared pool"):
-                ShardedExecutor(workers=3, pool=pool)
-        finally:
-            pool.close()
-
-
 class TestProfiling:
     def test_serial_profile_records_op_kinds(self, model, rng):
         with InferenceSession.freeze(
@@ -417,17 +350,14 @@ class TestProfiling:
         assert entry["calls"] >= 2  # two bc layers in the plan
         assert entry["total_ns"] > 0
 
-    def test_threaded_profile_records_op_kinds(
-        self, model, rng, shard_everything
-    ):
+    def test_threaded_profile_records_op_kinds(self, model, rng):
         with InferenceSession.freeze(
-            model,
-            executor=ThreadedExecutor(threads=2, mode="rows", profile=True),
-            row_shards=2,
+            model, executor=ThreadedExecutor(threads=2, profile=True)
         ) as session:
-            session.forward(rng.normal(size=(5, 96)))
+            session.predict_proba(rng.normal(size=(6, 96)), batch_size=2)
             stats = session.executor.op_stats()
-        assert stats["bc_linear"]["calls"] == 2
+        # Three chunks through two bc layers, merged across the threads.
+        assert stats["bc_linear"]["calls"] == 6
         assert stats["bc_linear"]["total_ns"] > 0
 
     def test_reset_clears_counters(self, model, rng):

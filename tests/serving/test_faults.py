@@ -1,27 +1,18 @@
 """Fault injection e2e: every injected fault yields a bitwise-correct
-result (after internal retry/degradation) or a typed error frame —
-never a hang, a silent drop, or a leaked shm segment."""
+result (after a client retry) or a typed error frame — never a hang or
+a silent drop."""
 
 import asyncio
-import glob
 import socket
 import struct
-import warnings
 
 import numpy as np
 import pytest
 
-import repro.runtime.plan as plan_mod
 from repro.engine import Engine
-from repro.exceptions import (
-    Overloaded,
-    ServerUnavailable,
-    ServingError,
-    WorkerFault,
-)
+from repro.exceptions import Overloaded, ServerUnavailable, ServingError
 from repro.nn import BlockCirculantLinear, Linear, ReLU, Sequential
 from repro.runtime import InferenceSession
-from repro.runtime.executors import ShardedExecutor
 from repro.serving import (
     AsyncServeClient,
     InferenceServer,
@@ -65,13 +56,15 @@ def serve(engine, scenario, **server_kwargs):
 class TestHarness:
     def test_disarmed_take_is_none_and_cheap(self):
         assert faults.enabled is False
-        assert faults.take("worker.kill") is None
+        assert faults.take("server.drop_connection") is None
 
     def test_budget_is_consumed_exactly(self):
-        fault = faults.arm("worker.delay", times=2, seconds=0.1)
-        assert faults.take("worker.delay") == {"seconds": 0.1}
-        assert faults.take("worker.delay", seconds=9.9) == {"seconds": 0.1}
-        assert faults.take("worker.delay") is None
+        fault = faults.arm("server.delay_response", times=2, seconds=0.1)
+        assert faults.take("server.delay_response") == {"seconds": 0.1}
+        assert faults.take("server.delay_response", seconds=9.9) == {
+            "seconds": 0.1
+        }
+        assert faults.take("server.delay_response") is None
         assert fault.fired == 2
         assert fault.remaining == 0
 
@@ -82,8 +75,10 @@ class TestHarness:
         assert faults.fired("admission.shed") == 10
 
     def test_defaults_merge_under_armed_params(self):
-        faults.arm("worker.hang", times=1)
-        assert faults.take("worker.hang", seconds=3600.0) == {"seconds": 3600.0}
+        faults.arm("server.delay_response", times=1)
+        assert faults.take("server.delay_response", seconds=3600.0) == {
+            "seconds": 3600.0
+        }
 
     def test_disarm_and_reset_restore_fast_path(self):
         faults.arm("a")
@@ -95,13 +90,15 @@ class TestHarness:
 
     def test_arm_from_env_spec(self):
         armed = faults.arm_from_env(
-            "worker.kill*3; server.delay_response:seconds=0.02 ;"
+            "server.drop_connection*3; server.delay_response:seconds=0.02 ;"
             "admission.shed*inf:retry_after_ms=75"
         )
         assert [f.point for f in armed] == [
-            "worker.kill", "server.delay_response", "admission.shed",
+            "server.drop_connection",
+            "server.delay_response",
+            "admission.shed",
         ]
-        assert faults.describe()["worker.kill"]["remaining"] == 3
+        assert faults.describe()["server.drop_connection"]["remaining"] == 3
         assert faults.describe()["admission.shed"]["remaining"] is None
         assert faults.take("server.delay_response") == {"seconds": 0.02}
         assert faults.take("admission.shed")["retry_after_ms"] == 75
@@ -239,136 +236,12 @@ class TestBatcherShedding:
 
 
 # ----------------------------------------------------------------------
-# Executor fault recovery (worker kill / hang, respawn, degrade, shm)
-# ----------------------------------------------------------------------
-def _sharded_session(model, **kwargs):
-    executor = ShardedExecutor(task_timeout=kwargs.pop("task_timeout", 5.0),
-                               **kwargs)
-    return InferenceSession.freeze(model, executor=executor), executor
-
-
-class TestWorkerFaultRecovery:
-    def test_killed_worker_respawns_and_result_is_bitwise(self, rng):
-        model = small_model()
-        x = rng.normal(size=(64, 96))
-        ref = InferenceSession.freeze(model).predict_proba(x)
-        faults.arm("worker.kill", times=1)
-        session, executor = _sharded_session(model, workers=2, mode="batch")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            session.warm_up()
-            out = session.predict_proba(x, batch_size=16)
-        try:
-            assert np.array_equal(out, ref)
-            assert faults.fired("worker.kill") >= 1
-            assert executor.fault_stats["faults"] >= 1
-            assert executor.fault_stats["respawns"] == 1
-            assert executor.fault_stats["retried_calls"] >= 1
-            assert not executor.degraded
-        finally:
-            session.close()
-
-    def test_hung_worker_hits_task_timeout_and_recovers(self, rng):
-        model = small_model()
-        x = rng.normal(size=(64, 96))
-        ref = InferenceSession.freeze(model).predict_proba(x)
-        faults.arm("worker.hang", times=1)  # sleeps far past task_timeout
-        session, executor = _sharded_session(
-            model, workers=2, mode="batch", task_timeout=1.0
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            session.warm_up()
-            out = session.predict_proba(x, batch_size=16)
-        try:
-            assert np.array_equal(out, ref)
-            assert executor.fault_stats["faults"] >= 1
-        finally:
-            session.close()
-
-    def test_persistent_faults_degrade_to_serial(self, rng):
-        model = small_model()
-        x = rng.normal(size=(64, 96))
-        ref = InferenceSession.freeze(model).predict_proba(x)
-        faults.arm("worker.kill", times=None)  # every pool attempt dies
-        session, executor = _sharded_session(model, workers=2, mode="batch")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            session.warm_up()
-            out = session.predict_proba(x, batch_size=16)
-        try:
-            assert np.array_equal(out, ref)
-            assert executor.degraded
-            assert executor.fault_stats["degraded"] is True
-            assert executor.fault_stats["respawns"] == 1
-            # Degraded mode stays serial — and stays correct — with the
-            # fault still armed (no pool exists for it to fire in).
-            again = session.predict_proba(x, batch_size=16)
-            assert np.array_equal(again, ref)
-        finally:
-            session.close()
-
-    def test_rows_mode_recovers_too(self, rng, monkeypatch):
-        monkeypatch.setattr(plan_mod, "MIN_SHARD_BYTES", 0)
-        model = small_model()
-        x = rng.normal(size=(32, 96))
-        ref = InferenceSession.freeze(model).predict_proba(x)
-        faults.arm("worker.kill", times=1)
-        executor = ShardedExecutor(workers=2, mode="rows", task_timeout=5.0)
-        session = InferenceSession.freeze(
-            model, executor=executor, row_shards=2
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            session.warm_up()
-            out = session.predict_proba(x)
-        try:
-            assert np.array_equal(out, ref)
-            assert executor.fault_stats["respawns"] == 1
-        finally:
-            session.close()
-
-    def test_no_shm_segments_leak_after_worker_death(self, rng):
-        model = small_model()
-        x = rng.normal(size=(64, 96))
-        ref = InferenceSession.freeze(model).predict_proba(x)
-        before = set(glob.glob("/dev/shm/psm_*"))
-        faults.arm("worker.kill", times=1)
-        session, executor = _sharded_session(
-            model, workers=2, mode="batch", transport="shm"
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            session.warm_up()
-            out = session.predict_proba(x, batch_size=16)
-        assert np.array_equal(out, ref)
-        session.close()
-        leaked = set(glob.glob("/dev/shm/psm_*")) - before
-        assert not leaked, f"leaked shm segments: {leaked}"
-
-    def test_worker_fault_is_internal(self, rng):
-        # WorkerFault never escapes to callers: recovery retries or
-        # degrades, both returning a correct result.
-        model = small_model()
-        x = rng.normal(size=(64, 96))
-        faults.arm("worker.kill", times=None)
-        session, executor = _sharded_session(model, workers=2, mode="batch")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            session.warm_up()
-            try:
-                session.predict_proba(x, batch_size=16)  # must not raise
-            except WorkerFault:
-                pytest.fail("WorkerFault escaped the executor")
-            finally:
-                session.close()
-
-
-# ----------------------------------------------------------------------
 # Server-level faults (shed, corrupt, drop, disconnect, drain)
 # ----------------------------------------------------------------------
 class TestServerFaults:
-    def test_injected_shed_returns_typed_overloaded(self, rng):
+    def test_injected_shed_returns_typed_overloaded(
+        self, rng, served_reference
+    ):
         engine = Engine(model=small_model())
         x = rng.normal(size=(4, 96))
 
@@ -386,12 +259,18 @@ class TestServerFaults:
             return out, info
 
         out, info = serve(engine, scenario)
-        ref = InferenceSession.freeze(small_model()).predict_proba(x)
+        ref = served_reference(
+            engine, InferenceSession.freeze(small_model()), x
+        )
         assert np.array_equal(out, ref)
         assert info["stats"]["shed"] == 1
         assert info["health"]["shed"] == 1
 
-    def test_client_retries_past_shed_transparently(self, rng):
+    def test_client_retries_past_shed_transparently(
+
+        self, rng, served_reference
+
+    ):
         engine = Engine(model=small_model())
         x = rng.normal(size=(4, 96))
 
@@ -403,10 +282,12 @@ class TestServerFaults:
                 return await client.predict_proba(x)
 
         out = serve(engine, scenario)
-        ref = InferenceSession.freeze(small_model()).predict_proba(x)
+        ref = served_reference(
+            engine, InferenceSession.freeze(small_model()), x
+        )
         assert np.array_equal(out, ref)
 
-    def test_rate_limit_sheds_with_retry_after(self, rng):
+    def test_rate_limit_sheds_with_retry_after(self, rng, served_reference):
         engine = Engine(
             model=small_model(), rate_limit_rps=0.5, rate_burst=1
         )
@@ -423,12 +304,14 @@ class TestServerFaults:
             return first, excinfo.value, info
 
         first, exc, info = serve(engine, scenario)
-        ref = InferenceSession.freeze(small_model()).predict_proba(x)
+        ref = served_reference(
+            engine, InferenceSession.freeze(small_model()), x
+        )
         assert np.array_equal(first, ref)
         assert exc.retry_after_ms is not None and exc.retry_after_ms > 0
         assert info["stats"]["rate_limited"] == 1
 
-    def test_queue_exhaustion_sheds_not_hangs(self, rng):
+    def test_queue_exhaustion_sheds_not_hangs(self, rng, served_reference):
         # A route bounded at 8 rows with a huge flush window: the first
         # request occupies the queue, the second is shed immediately.
         engine = Engine(model=small_model(), max_queue_rows=8)
@@ -450,10 +333,16 @@ class TestServerFaults:
             return out
 
         out = serve(engine, scenario, max_batch=64, max_wait_ms=10_000.0)
-        ref = InferenceSession.freeze(small_model()).predict_proba(x8)
+        ref = served_reference(
+            engine, InferenceSession.freeze(small_model()), x8
+        )
         assert np.array_equal(out, ref)
 
-    def test_corrupt_payload_yields_typed_error_not_crash(self, rng):
+    def test_corrupt_payload_yields_typed_error_not_crash(
+
+        self, rng, served_reference
+
+    ):
         engine = Engine(model=small_model())
         x = rng.normal(size=(4, 96))
 
@@ -468,10 +357,16 @@ class TestServerFaults:
                 return await client.predict_proba(x)
 
         out = serve(engine, scenario)
-        ref = InferenceSession.freeze(small_model()).predict_proba(x)
+        ref = served_reference(
+            engine, InferenceSession.freeze(small_model()), x
+        )
         assert np.array_equal(out, ref)
 
-    def test_dropped_connection_is_retried_on_fresh_socket(self, rng):
+    def test_dropped_connection_is_retried_on_fresh_socket(
+
+        self, rng, served_reference
+
+    ):
         engine = Engine(model=small_model())
         x = rng.normal(size=(4, 96))
 
@@ -483,7 +378,9 @@ class TestServerFaults:
                 return await client.predict_proba(x)
 
         out = serve(engine, scenario)
-        ref = InferenceSession.freeze(small_model()).predict_proba(x)
+        ref = served_reference(
+            engine, InferenceSession.freeze(small_model()), x
+        )
         assert np.array_equal(out, ref)
 
     def test_dropped_connection_without_retries_is_typed(self, rng):
@@ -500,7 +397,7 @@ class TestServerFaults:
 
         serve(engine, scenario)
 
-    def test_delayed_response_still_bitwise(self, rng):
+    def test_delayed_response_still_bitwise(self, rng, served_reference):
         engine = Engine(model=small_model())
         x = rng.normal(size=(4, 96))
 
@@ -512,10 +409,16 @@ class TestServerFaults:
                 return await client.predict_proba(x)
 
         out = serve(engine, scenario)
-        ref = InferenceSession.freeze(small_model()).predict_proba(x)
+        ref = served_reference(
+            engine, InferenceSession.freeze(small_model()), x
+        )
         assert np.array_equal(out, ref)
 
-    def test_mid_payload_disconnect_closes_only_that_connection(self, rng):
+    def test_mid_payload_disconnect_closes_only_that_connection(
+
+        self, rng, served_reference
+
+    ):
         # Regression: a client killed mid-payload must not take the
         # server (or any other connection) down with it.
         engine = Engine(model=small_model())
@@ -542,11 +445,17 @@ class TestServerFaults:
             return out, info
 
         out, info = serve(engine, scenario)
-        ref = InferenceSession.freeze(small_model()).predict_proba(x)
+        ref = served_reference(
+            engine, InferenceSession.freeze(small_model()), x
+        )
         assert np.array_equal(out, ref)
         assert info["stats"]["disconnects"] >= 1
 
-    def test_drain_flushes_inflight_bitwise_then_refuses(self, rng):
+    def test_drain_flushes_inflight_bitwise_then_refuses(
+
+        self, rng, served_reference
+
+    ):
         engine = Engine(model=small_model())
         x = rng.normal(size=(6, 96))
 
@@ -576,7 +485,9 @@ class TestServerFaults:
             return out
 
         out = serve(engine, scenario, max_batch=64, max_wait_ms=10_000.0)
-        ref = InferenceSession.freeze(small_model()).predict_proba(x)
+        ref = served_reference(
+            engine, InferenceSession.freeze(small_model()), x
+        )
         assert np.array_equal(out, ref)
 
     def test_info_reports_health_block(self, rng):
@@ -593,7 +504,6 @@ class TestServerFaults:
         info = serve(engine, scenario)
         health = info["health"]
         assert health["draining"] is False
-        assert health["degraded"] is False
         assert health["inflight_requests"] >= 0
         assert "max_queue_rows" in health
         route = next(iter(health["queues"].values()))
@@ -624,7 +534,7 @@ class TestClientResilience:
 
         asyncio.run(main())
 
-    def test_sync_client_retries_and_recovers(self, rng):
+    def test_sync_client_retries_and_recovers(self, rng, served_reference):
         engine = Engine(model=small_model())
         x = rng.normal(size=(4, 96))
         result = {}
@@ -642,7 +552,9 @@ class TestClientResilience:
             result["out"] = await loop.run_in_executor(None, blocking)
 
         serve(engine, scenario)
-        ref = InferenceSession.freeze(small_model()).predict_proba(x)
+        ref = served_reference(
+            engine, InferenceSession.freeze(small_model()), x
+        )
         assert np.array_equal(result["out"], ref)
 
     def test_deadline_expired_is_never_retried(self, rng):

@@ -85,7 +85,7 @@ class TestProtocol:
 
 
 class TestServerE2E:
-    def test_predict_proba_bitwise_equals_serial(self, rng):
+    def test_predict_proba_bitwise_equals_serial(self, rng, served_reference):
         model = small_model()
         engine = Engine(model=model)
         serial = InferenceSession.freeze(model)
@@ -98,7 +98,7 @@ class TestServerE2E:
                 return await client.predict_proba(x)
 
         served = serve(engine, scenario)
-        assert np.array_equal(served, serial.predict_proba(x))
+        assert np.array_equal(served, served_reference(engine, serial, x))
         engine.close()
 
     def test_predict_labels_and_single_row(self, rng):
@@ -121,7 +121,7 @@ class TestServerE2E:
         assert np.array_equal(one, serial.predict_proba(x[:1]))
         engine.close()
 
-    def test_zoo_model_over_sync_client(self, rng):
+    def test_zoo_model_over_sync_client(self, rng, served_reference):
         model = build_arch2(rng=np.random.default_rng(5)).eval()
         engine = Engine(model=model)
         serial = InferenceSession.freeze(model)
@@ -138,7 +138,7 @@ class TestServerE2E:
             return await loop.run_in_executor(None, sync_calls)
 
         proba, info = serve(engine, scenario)
-        assert np.array_equal(proba, serial.predict_proba(x))
+        assert np.array_equal(proba, served_reference(engine, serial, x))
         assert info["precision"] == "fp64"
         route = info["routes"]["default/fp64"]
         assert any("bc_linear" in op for op in route["ops"])
@@ -166,26 +166,6 @@ class TestServerE2E:
             assert np.allclose(served, serial.predict_proba(rows), atol=1e-9)
         engine.close()
 
-    def test_sharded_engine_served_matches_serial(self, rng):
-        model = small_model()
-        engine = Engine(
-            model=model, executor="sharded", workers=2, shard_mode="batch"
-        )
-        serial = InferenceSession.freeze(model)
-        x = rng.normal(size=(16, 96))
-
-        async def scenario(server):
-            async with await AsyncServeClient.connect(
-                port=server.port
-            ) as client:
-                return await client.predict_proba(x)
-
-        served = serve(engine, scenario)
-        # The server chunks fused batches so pool batch-sharding engages;
-        # the executor contract keeps that bitwise-identical to serial.
-        assert np.array_equal(served, serial.predict_proba(x))
-        engine.close()
-
     def test_fp32_engine_close_to_fp64_serial(self, rng):
         model = small_model()
         engine = Engine(model=model, precisions=("fp32",))
@@ -207,7 +187,9 @@ class TestServerE2E:
 class TestRouting:
     """Per-request model/precision routing through one server."""
 
-    def test_mixed_precision_requests_route_to_pooled_sessions(self, rng):
+    def test_mixed_precision_requests_route_to_pooled_sessions(
+        self, rng, served_reference
+    ):
         model = small_model()
         engine = Engine(model=model, precisions=("fp64", "fp32"))
         serial64 = InferenceSession.freeze(model)
@@ -226,11 +208,11 @@ class TestRouting:
 
         p64, p32, again64, info = serve(engine, scenario)
         # fp64 route: bitwise vs the serial executor; fp32: <= 1e-5.
-        assert np.array_equal(p64, serial64.predict_proba(x))
+        assert np.array_equal(p64, served_reference(engine, serial64, x))
         assert np.array_equal(again64, p64)
         assert p32.dtype == np.float32
         assert np.array_equal(
-            p32, serial32.predict_proba(x.astype(np.float32))
+            p32, served_reference(engine, serial32, x.astype(np.float32))
         )
         assert np.abs(p32 - p64).max() <= 1e-5
         # One pooled session and one batcher per route.
@@ -238,7 +220,7 @@ class TestRouting:
         assert sorted(info["batchers"]) == ["default/fp32", "default/fp64"]
         engine.close()
 
-    def test_multi_model_registry_routes_by_name(self, rng):
+    def test_multi_model_registry_routes_by_name(self, rng, served_reference):
         a, b = small_model(), build_arch2(rng=np.random.default_rng(5)).eval()
         engine = Engine(models={"small": a, "arch2": b},
                         default_model="small")
@@ -257,8 +239,8 @@ class TestRouting:
             return pa, pb, default
 
         pa, pb, default = serve(engine, scenario)
-        assert np.array_equal(pa, serial_a.predict_proba(xa))
-        assert np.array_equal(pb, serial_b.predict_proba(xb))
+        assert np.array_equal(pa, served_reference(engine, serial_a, xa))
+        assert np.array_equal(pb, served_reference(engine, serial_b, xb))
         assert np.array_equal(default, pa)
         engine.close()
 
@@ -414,7 +396,9 @@ class TestServerRobustness:
         assert eof == b""
         engine.close()
 
-    def test_bad_width_request_fails_alone_server_keeps_serving(self, rng):
+    def test_bad_width_request_fails_alone_server_keeps_serving(
+        self, rng, served_reference
+    ):
         model = small_model()
         engine = Engine(model=model)
         serial = InferenceSession.freeze(model)
@@ -430,10 +414,14 @@ class TestServerRobustness:
                 return await client.predict_proba(good)
 
         served = serve(engine, scenario)
-        assert np.array_equal(served, serial.predict_proba(good))
+        assert np.array_equal(
+            served, served_reference(engine, serial, good)
+        )
         engine.close()
 
-    def test_client_dtype_normalized_to_route_precision(self, rng):
+    def test_client_dtype_normalized_to_route_precision(
+        self, rng, served_reference
+    ):
         model = small_model()
         engine = Engine(model=model)  # fp64 default
         serial = InferenceSession.freeze(model)
@@ -448,7 +436,9 @@ class TestServerRobustness:
         served = serve(engine, scenario)
         # Same cast the session applies at its own boundary.
         assert served.dtype == np.float64
-        assert np.array_equal(served, serial.predict_proba(x32))
+        assert np.array_equal(
+            served, served_reference(engine, serial, x32)
+        )
         engine.close()
 
     def test_request_id_echoed(self, rng):
@@ -469,8 +459,8 @@ class TestServerRobustness:
         assert response["id"] == 41
         engine.close()
 
-    def test_stats_and_info_expose_scheduler(self, rng):
-        engine = small_engine(executor="sharded", workers=2)
+    def test_stats_and_info_expose_routes(self, rng):
+        engine = small_engine(executor="threaded", threads=2)
 
         async def scenario(server):
             async with await AsyncServeClient.connect(
@@ -482,7 +472,9 @@ class TestServerRobustness:
         info = serve(engine, scenario)
         assert info["stats"]["requests"] == 1
         assert info["batchers"]["default/fp64"]["batches"] == 1
-        assert info["routes"]["default/fp64"]["scheduler"]["mode"] == "auto"
+        route = info["routes"]["default/fp64"]
+        assert route["executor"] == "ThreadedExecutor(threads=2)"
+        assert route["ops"] and route["arena"]["enabled"] is True
         engine.close()
 
     def test_info_health_capacity_fields_move_under_load(self, rng):

@@ -55,20 +55,20 @@ class TestParser:
 
     def test_serve_args(self):
         args = build_parser().parse_args(
-            ["serve", "model.npz", "--port", "0", "--workers", "2",
-             "--transport", "shm", "--max-batch", "8"]
+            ["serve", "model.npz", "--port", "0", "--executor", "threaded",
+             "--threads", "2", "--max-batch", "8"]
         )
         assert args.command == "serve"
         assert args.port == 0
-        assert args.workers == 2
-        assert args.transport == "shm"
+        assert args.executor == "threaded"
+        assert args.threads == 2
         assert args.max_batch == 8
         assert args.max_wait_ms == 2.0
 
-    def test_serve_rejects_bad_transport(self):
+    def test_serve_rejects_bad_executor(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["serve", "model.npz", "--transport", "smoke-signals"]
+                ["serve", "model.npz", "--executor", "smoke-signals"]
             )
 
 
@@ -118,51 +118,6 @@ class TestDeployPredict:
         values = [float(v) for v in first_row]
         assert len(values) == 10
         assert sum(values) == pytest.approx(1.0, abs=1e-3)
-
-
-class TestWorkersFallback:
-    def test_single_cpu_host_warns_and_runs_serial(
-        self, data_files, trained_checkpoint, capsys, monkeypatch
-    ):
-        import os
-
-        root, _, test_path = data_files
-        artifact = root / "model_workers.npz"
-        main(["deploy", ARCH, "--weights", str(trained_checkpoint),
-              "--out", str(artifact)])
-        capsys.readouterr()
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert main([
-            "predict", str(artifact), "--data", str(test_path),
-            "--workers", "4",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "single CPU" in captured.err
-        assert "running serial" in captured.err
-        # Predictions still came out on the serial path.
-        assert len(captured.out.strip().splitlines()[0].split()) == 80
-
-    def test_multi_cpu_host_keeps_workers(self, monkeypatch):
-        # The clamp counts *schedulable* cores (sched_getaffinity), not
-        # the host total — a 1-core cgroup on a big machine must clamp.
-        import repro.cli as cli_mod
-        import repro.runtime.executors as executors_mod
-
-        monkeypatch.setattr(executors_mod, "effective_cpu_count", lambda: 8)
-        assert cli_mod._effective_workers(4) == 4
-        monkeypatch.setattr(executors_mod, "effective_cpu_count", lambda: 1)
-        assert cli_mod._effective_workers(4) == 1
-        assert cli_mod._effective_workers(1) == 1
-
-    def test_runtime_helper_warns(self, monkeypatch):
-        import repro.runtime.executors as executors_mod
-        from repro.runtime.executors import effective_workers
-
-        monkeypatch.setattr(executors_mod, "effective_cpu_count", lambda: 1)
-        with pytest.warns(RuntimeWarning, match="single CPU"):
-            assert effective_workers(4) == 1
-        monkeypatch.setattr(executors_mod, "effective_cpu_count", lambda: 8)
-        assert effective_workers(4) == 4
 
 
 class TestServeCommand:
