@@ -789,12 +789,8 @@ def _cmd_serve(args) -> int:
 def _cmd_route(args) -> int:
     # Same banner contract as `serve`: the first stdout line is the
     # machine-readable `serving on host:port` line, then a config line.
-    import asyncio
-    import signal as _signal
-
     from .router import RouterConfig, RouterServer
     from .serving import DEFAULT_PORT
-    from .serving.protocol import format_banner
 
     models: dict[str, str] = {}
     try:
@@ -840,16 +836,7 @@ def _cmd_route(args) -> int:
             print(f"error: bad REPRO_FAULTS: {exc}", file=sys.stderr)
             return 2
 
-    async def _serve() -> None:
-        router = RouterServer(config)
-        await router.start()
-        loop = asyncio.get_running_loop()
-        for sig in (_signal.SIGTERM, _signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, router.begin_drain)
-            except (NotImplementedError, RuntimeError):
-                break  # platform without signal support: Ctrl-C path
-        print(format_banner(router.host, router.port), flush=True)
+    def announce(router) -> None:
         fleet = ",".join(b.address for b in router.backends)
         print(
             f"backends={fleet} spawn={config.spawn} "
@@ -859,15 +846,9 @@ def _cmd_route(args) -> int:
             f"pool_size={config.pool_size}",
             flush=True,
         )
-        try:
-            await router.serve_forever()
-        finally:
-            await router.stop()
 
     try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
+        RouterServer(config).run(on_ready=announce)
     except (OSError, ReproError) as exc:
         # Unbindable port, a spawn that never came up: a clean CLI
         # error, not a traceback.

@@ -24,9 +24,7 @@ implements that flow:
 * fast/batched/served inference lives behind the
   :class:`~repro.engine.Engine` facade now —
   ``Engine(model=deployed, ...)`` pools frozen sessions per precision
-  and serves several named artifacts from one TCP port;
-  :meth:`DeployedModel.to_session` remains as a thin deprecation shim
-  over it.
+  and serves several named artifacts from one TCP port.
 
 Dropout layers vanish at deployment; batch-norm folds into a per-feature
 affine transform.
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +62,6 @@ from ..nn.layers import (
     shift_right,
 )
 from ..nn.module import Sequential
-from ..runtime import InferenceSession
 from ..runtime.session import iter_batches as _iter_batches
 from ..runtime.session import pool_windows as _pool_windows
 from ..runtime.session import softmax as _softmax
@@ -490,57 +486,6 @@ class DeployedModel:
         """Predicted integer labels (``batch_size`` as in
         :meth:`predict_proba`)."""
         return self.predict_proba(inputs, batch_size=batch_size).argmax(axis=-1)
-
-    def to_session(
-        self,
-        precision=None,
-        executor=None,
-        conv_tile: int | None = None,
-    ) -> InferenceSession:
-        """Deprecated: compile the records into a frozen session.
-
-        Use the :class:`~repro.engine.Engine` facade instead —
-        ``Engine(model=deployed, precision=...)`` pools one session per
-        precision and serves several models from one object::
-
-            engine = Engine(model=deployed, precisions=("fp64", "fp32"))
-            engine.predict(x, precision="fp32")
-
-        This shim routes through that facade (bitwise-equal by
-        construction — the facade calls the same
-        :meth:`InferenceSession.from_deployed` compile), except when
-        ``executor`` is a pre-built
-        :class:`~repro.runtime.executors.PlanExecutor` instance, which a
-        declarative config cannot own — that case compiles directly.
-        The caller owns the returned session; close it when done.
-        """
-        warnings.warn(
-            "DeployedModel.to_session() is deprecated; use "
-            "repro.engine.Engine(model=deployed, ...).session() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..engine import Engine
-        from ..precision import PrecisionPolicy
-        from ..runtime.executors import PlanExecutor
-
-        if isinstance(executor, PlanExecutor):
-            return InferenceSession.from_deployed(
-                self,
-                precision=precision,
-                executor=executor,
-                conv_tile=conv_tile,
-            )
-        name = PrecisionPolicy.resolve(precision).name
-        engine = Engine(
-            model=self,
-            precisions=(name,),
-            executor=executor or "serial",
-            conv_tile=conv_tile,
-        )
-        # The engine object is discarded: ownership of the single pooled
-        # session transfers to the caller, exactly as before.
-        return engine.session()
 
     def time_inference(
         self, inputs: np.ndarray, repeats: int = 3

@@ -14,10 +14,8 @@ One public API for everything the frozen runtime can do:
   :meth:`~Engine.serve` that exposes the whole registry over TCP with
   per-request model/precision routing, priorities and deadlines.
 
-The pre-engine entry points (``DeployedModel.to_session`` /
-``InferenceServer(session)``) remain as thin deprecation shims over
-this facade; ``docs/engine.md`` has the
-migration table.
+``docs/engine.md`` has the migration table from the pre-engine entry
+points.
 """
 
 from .config import DEFAULT_MODEL_NAME, EngineConfig

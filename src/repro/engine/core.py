@@ -1,8 +1,8 @@
 """The :class:`Engine` facade — the one public door to the runtime.
 
 Motivation: the reproduction grew overlapping entry points to the
-same frozen block-circulant runtime (``InferenceSession.freeze``,
-``DeployedModel.to_session``, and the ``InferenceServer``
+same frozen block-circulant runtime (``InferenceSession.freeze``, a
+session factory on the deployment artifact, and the ``InferenceServer``
 constructor), each single-model, single-session, and configured by its
 own kwargs.  The engine separates *what to run* (a declarative
 :class:`~repro.engine.config.EngineConfig`: model registry, pooled
@@ -22,8 +22,8 @@ Quickstart::
         fast = engine.predict(rows, precision="fp32")     # pooled session
         engine.serve(port=0)                              # TCP front door
 
-The legacy entry points still work but are deprecation shims over this
-facade; see ``docs/engine.md`` for the migration table.
+See ``docs/engine.md`` for the migration table from the legacy entry
+points.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class Engine:
             if self.config.resolve_executor() == "threaded"
             else None
         )
-        # Pre-adopt sources that are already-frozen sessions (the shim
-        # path): the pool serves them, their owner closes them.
+        # Pre-adopt sources that are already-frozen sessions: the pool
+        # serves them, their owner closes them.
         for name, source in self.config.models.items():
             if isinstance(source, InferenceSession):
                 self._adopt(name, source)
@@ -115,8 +115,7 @@ class Engine:
     ) -> "Engine":
         """Wrap one externally-owned bound session as a single-route engine.
 
-        The deprecation shim for ``InferenceServer(session)`` uses this;
-        the caller keeps ownership of the session (``engine.close()``
+        The caller keeps ownership of the session (``engine.close()``
         will not close it).
         """
         return cls(
@@ -382,43 +381,18 @@ class Engine:
         ``SIGTERM`` and ``SIGINT`` trigger a *drain*: the server stops
         admitting work, flushes every in-flight micro-batch and sends
         its responses, then exits cleanly (see
-        :meth:`~repro.serving.server.InferenceServer.begin_drain`) — so
-        an orchestrator's stop signal never discards accepted requests.
+        :meth:`~repro.serving.connection.FrameServer.run`) — so an
+        orchestrator's stop signal never discards accepted requests.
         """
-        import asyncio
-        import signal as _signal
-
         from ..serving import DEFAULT_PORT, InferenceServer
-        from ..serving.protocol import format_banner
 
-        server = InferenceServer(
+        InferenceServer(
             self,
             host=host,
             port=DEFAULT_PORT if port is None else port,
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
-        )
-
-        async def _serve() -> None:
-            await server.start()
-            loop = asyncio.get_running_loop()
-            for sig in (_signal.SIGTERM, _signal.SIGINT):
-                try:
-                    loop.add_signal_handler(sig, server.begin_drain)
-                except (NotImplementedError, RuntimeError):
-                    break  # platform without signal support: Ctrl-C path
-            print(format_banner(server.host, server.port), flush=True)
-            if on_ready is not None:
-                on_ready(server)
-            try:
-                await server.serve_forever()
-            finally:
-                await server.stop()
-
-        try:
-            asyncio.run(_serve())
-        except KeyboardInterrupt:
-            pass
+        ).run(on_ready)
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection

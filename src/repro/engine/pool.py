@@ -91,9 +91,8 @@ class SessionPool:
     ) -> InferenceSession:
         """Seed the pool with an externally-owned, already-bound session.
 
-        Used by the deprecation shims: the caller built (and keeps
-        ownership of) the session; the pool serves it but :meth:`close`
-        will not touch it.
+        The caller built (and keeps ownership of) the session; the pool
+        serves it but :meth:`close` will not touch it.
         """
         key = (model, precision)
         with self._lock:

@@ -57,6 +57,14 @@ class ServerUnavailable(ServingError):
     """
 
 
+class DeadlineExpired(ServingError):
+    """A request's deadline passed before its fused batch ran.
+
+    Never retried — a deadline that expired once is no less expired on
+    a replay.  Travels on the wire as ``code="deadline_expired"``.
+    """
+
+
 class StreamBroken(ServingError):
     """A stream died mid-conversation and cannot be transparently resumed.
 

@@ -30,6 +30,11 @@ from __future__ import annotations
 import asyncio
 
 from ..exceptions import ServerUnavailable
+from ..serving.protocol import (
+    DEFAULT_MAX_PAYLOAD,
+    open_connection,
+    roundtrip,
+)
 from .config import parse_address
 
 __all__ = ["BackendHandle", "HEALTHY", "DRAINING", "DOWN"]
@@ -69,8 +74,6 @@ class BackendHandle:
         max_payload: int | None = None,
         process=None,
     ):
-        from ..serving.protocol import DEFAULT_MAX_PAYLOAD
-
         self.address = address
         self.host, self.port = parse_address(address)
         self.pool_size = pool_size
@@ -105,17 +108,6 @@ class BackendHandle:
     # ------------------------------------------------------------------
     # Connections
     # ------------------------------------------------------------------
-    async def _open(self):
-        try:
-            return await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                self.connect_timeout_s,
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise ServerUnavailable(
-                f"cannot connect to backend {self.address}: {exc}"
-            ) from exc
-
     async def open_connection(self):
         """A fresh, caller-owned connection, outside the pool.
 
@@ -124,12 +116,14 @@ class BackendHandle:
         registry is per-connection), which the shared forward pool
         cannot promise.
         """
-        return await self._open()
+        return await open_connection(
+            self.host, self.port, self.connect_timeout_s
+        )
 
     async def _acquire(self):
         if self._idle:
             return self._idle.pop()
-        return await self._open()
+        return await self.open_connection()
 
     def _release(self, conn) -> None:
         reader, writer = conn
@@ -138,17 +132,11 @@ class BackendHandle:
         else:
             writer.close()
 
-    def _discard(self, conn) -> None:
-        try:
-            conn[1].close()
-        except Exception:
-            pass
-
     def close_connections(self) -> None:
         """Drop every idle pooled connection (state is untouched)."""
         idle, self._idle = self._idle, []
-        for conn in idle:
-            self._discard(conn)
+        for _, writer in idle:
+            writer.close()
 
     async def aclose_connections(self) -> None:
         """Close the pool and wait for each close handshake to flush.
@@ -181,25 +169,19 @@ class BackendHandle:
         them (it must forward deliberate errors verbatim and only
         retry the retryable ones).  Transport failures raise
         :class:`~repro.exceptions.ServerUnavailable` after marking the
-        backend down.
+        backend down; a reply that fails the framing checks raises
+        :class:`~repro.exceptions.ServingError`.  Either way
+        :func:`~repro.serving.protocol.roundtrip` has closed the
+        connection — only one that completed a round trip goes back to
+        the pool.
         """
-        from ..serving.protocol import read_frame, send_frame
-
         timeout = self.request_timeout_s if timeout_s is None else timeout_s
         conn = await self._acquire()
         try:
-            await send_frame(conn[1], header, payload)
-            response = await asyncio.wait_for(
-                read_frame(conn[0], self.max_payload), timeout
+            response = await roundtrip(
+                *conn, header, payload, self.max_payload, timeout
             )
-        except (
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            OSError,
-            ServerUnavailable,
-        ) as exc:
-            self._discard(conn)
+        except ServerUnavailable as exc:
             self.mark_down(f"request failed: {exc}")
             raise ServerUnavailable(
                 f"backend {self.address} failed mid-request: {exc}"

@@ -5,7 +5,12 @@
 :class:`~repro.serving.ServeClient` / :class:`~repro.serving.AsyncServeClient`
 work against it unchanged — and multiplexes predict traffic over a
 fleet of backend ``repro serve`` processes (static addresses, spawned
-children, or both).  Per request it:
+children, or both).  It is an op table on the same
+:class:`~repro.serving.connection.FrameServer` connection loop as
+:class:`~repro.serving.InferenceServer` — its own refusals are *raised*
+and answered through the one error-code table — and it talks to
+backends through the same :func:`~repro.serving.protocol.roundtrip` the
+async client uses.  Per request it:
 
 1. resolves the routing fields (``model`` / ``precision``) from the
    request header — the payload stays opaque bytes end to end, never
@@ -14,7 +19,8 @@ children, or both).  Per request it:
    backend (healthy candidates advertising the route,
    least-loaded-of-two, sticky tie-break),
 3. forwards the frame and relays the response verbatim,
-4. **fails over** on transport death: predicts are idempotent (pure
+4. **fails over** (one loop, ``_place``, for predicts and stream opens
+   alike) on transport death: predicts are idempotent (pure
    functions of their rows), so a request whose backend dies
    mid-flight replays bitwise-identically on a survivor.  Shed
    responses (``overloaded``) try the other candidates and — only when
@@ -55,8 +61,9 @@ from __future__ import annotations
 
 import asyncio
 
-from ..exceptions import ServerUnavailable, ServingError
-from ..serving.protocol import read_frame, send_frame
+from ..exceptions import Overloaded, ServerUnavailable, ServingError
+from ..serving.connection import FrameServer
+from ..serving.protocol import roundtrip, string_field
 from ..testing import faults
 from .backend import BackendHandle
 from .config import RouterConfig
@@ -66,7 +73,7 @@ from .spawn import SpawnedBackend, spawn_backends
 __all__ = ["RouterServer"]
 
 
-class RouterServer:
+class RouterServer(FrameServer):
     """Route the frame protocol over a fleet of engine backends.
 
     Parameters
@@ -92,16 +99,12 @@ class RouterServer:
             )
         self.config = config if config is not None else RouterConfig(**fields)
         self.policy = policy if policy is not None else PlacementPolicy()
-        self.host = self.config.host
-        self.port = self.config.port
+        super().__init__(
+            self.config.host, self.config.port, self.config.max_payload
+        )
         self.backends: list[BackendHandle] = []
         self.spawned: list[SpawnedBackend] = []
-        self._server: asyncio.AbstractServer | None = None
         self._probe_tasks: list[asyncio.Task] = []
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._draining = False
-        self._drain_task: asyncio.Task | None = None
-        self._inflight = 0
         self._pins_open = 0  # streams currently pinned, all connections
         self.stats = {
             "connections": 0,
@@ -137,7 +140,6 @@ class RouterServer:
         """Spawn the local fleet, probe everyone once, open the port."""
         if self._server is not None:
             raise ServingError("router is already started")
-        self._loop = asyncio.get_running_loop()
         if self.config.spawn:
             # Blocking on purpose: the listener is not open yet, and the
             # children must be up (banner printed) before the router can
@@ -156,13 +158,10 @@ class RouterServer:
             return_exceptions=True,
         )
         self._probe_tasks = [
-            self._loop.create_task(self._probe_loop(backend))
+            asyncio.get_running_loop().create_task(self._probe_loop(backend))
             for backend in self.backends
         ]
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         return self
 
     async def _probe_loop(self, backend: BackendHandle) -> None:
@@ -174,20 +173,6 @@ class RouterServer:
                 raise
             except Exception as exc:  # defensive: a probe bug must not
                 backend.mark_down(f"probe crashed: {exc}")  # kill the loop
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def begin_drain(self) -> None:
-        """Refuse new work, finish in-flight, drain children, close.
-
-        Safe from a signal handler; idempotent.
-        """
-        if self._draining or self._loop is None:
-            return
-        self._draining = True
-        self._drain_task = self._loop.create_task(self._drain())
 
     async def _drain(self) -> None:
         while self._inflight > 0:
@@ -214,21 +199,9 @@ class RouterServer:
         if self._server is not None:
             self._server.close()
 
-    async def serve_forever(self) -> None:
-        """Block serving connections until cancelled or drained."""
-        if self._server is None:
-            await self.start()
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
     async def stop(self) -> None:
         """Tear everything down: listener, probes, pools, children."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._unlisten()
         for task in self._probe_tasks:
             task.cancel()
         if self._probe_tasks:
@@ -246,87 +219,32 @@ class RouterServer:
         for child in self.spawned:
             child.terminate()
 
-    async def __aenter__(self) -> "RouterServer":
-        return await self.start()
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
-
     # ------------------------------------------------------------------
-    # Connection handling (mirrors InferenceServer's loop)
+    # Connection hooks (the loop itself is FrameServer's)
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        self.stats["connections"] += 1
+    def _open_context(self) -> dict:
         # Per-connection streaming context: ``pins`` maps router-issued
         # stream ids to their backend + backend-issued id; ``conns``
         # holds one dedicated relay connection per pinned backend
         # (stream state lives in the *backend's* per-connection
         # registry, so pushes must keep using the same backend
         # connection — the shared forward pools would scatter them).
-        ctx = {"pins": {}, "conns": {}, "seq": 0}
-        try:
-            while True:
-                try:
-                    header, payload = await read_frame(
-                        reader, max_payload=self.config.max_payload
-                    )
-                except asyncio.IncompleteReadError as exc:
-                    if exc.partial:
-                        self.stats["disconnects"] += 1
-                    break
-                except ConnectionError:
-                    self.stats["disconnects"] += 1
-                    break
-                except ServingError as exc:
-                    # Malformed/oversized frame: the stream offset is
-                    # unrecoverable; answer once and hang up.
-                    self.stats["errors"] += 1
-                    try:
-                        await send_frame(
-                            writer, {"status": "error", "message": str(exc)}
-                        )
-                    except Exception:
-                        pass
-                    break
-                self._inflight += 1
-                try:
-                    response, out_payload = await self._dispatch(
-                        header, payload, ctx
-                    )
-                    if "id" in header and "id" not in response:
-                        response["id"] = header["id"]
-                    try:
-                        await send_frame(writer, response, out_payload)
-                    except (ConnectionError, asyncio.IncompleteReadError):
-                        self.stats["disconnects"] += 1
-                        break
-                finally:
-                    self._inflight -= 1
-        finally:
-            # Closing the relay connections is all the cleanup streams
-            # need: each backend's own per-connection registry frees the
-            # state when it sees EOF.  The client vanishing mid-stream
-            # therefore leaks nothing anywhere.
-            self._pins_open -= len(ctx["pins"])
-            ctx["pins"].clear()
-            for conn in ctx["conns"].values():
-                try:
-                    conn[1].close()
-                except Exception:
-                    pass
-            ctx["conns"].clear()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except BaseException:
-                pass
+        return {"pins": {}, "conns": {}, "seq": 0}
+
+    def _close_context(self, ctx: dict) -> None:
+        # Closing the relay connections is all the cleanup streams
+        # need: each backend's own per-connection registry frees the
+        # state when it sees EOF.  The client vanishing mid-stream
+        # therefore leaks nothing anywhere.
+        self._pins_open -= len(ctx["pins"])
+        for conn in ctx["conns"].values():
+            conn[1].close()
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    async def _dispatch(self, header: dict, payload: bytes, ctx=None):
+    async def _dispatch(self, header: dict, payload: bytes, ctx: dict):
         op = header.get("op")
-        ctx = {"pins": {}, "conns": {}, "seq": 0} if ctx is None else ctx
         if op == "ping":
             return {"status": "ok", "op": "ping", "router": True}, b""
         if op == "drain":
@@ -336,148 +254,86 @@ class RouterServer:
             return self._info(), b""
         if op == "stream_open":
             if self._draining:
-                return (
-                    {
-                        "status": "error",
-                        "code": "server_unavailable",
-                        "message": "router is draining and accepts no "
-                        "new streams",
-                    },
-                    b"",
+                raise ServerUnavailable(
+                    "router is draining and accepts no new streams"
                 )
-            model = header.get("model")
-            precision = header.get("precision")
-            if (model is not None and not isinstance(model, str)) or (
-                precision is not None and not isinstance(precision, str)
-            ):
-                return (
-                    {
-                        "status": "error",
-                        "message": "model and precision header fields "
-                        "must be strings",
-                    },
-                    b"",
-                )
-            return await self._open_stream(ctx, header, model, precision)
-        if op == "stream_push":
-            if self._draining:
+            # Retrying other candidates is safe here and only here:
+            # until the open succeeds the stream has no state anywhere.
+            backend, response, out = await self._place(
+                header, lambda backend: self._relay(ctx, backend, header)
+            )
+            if backend is not None:
+                # The backend's stream id is rewritten to a router-issued
+                # one so ids stay unique per client connection regardless
+                # of which backend minted them.
+                ctx["seq"] += 1
+                rid = f"r{ctx['seq']}"
+                ctx["pins"][rid] = {
+                    "backend": backend,
+                    "sid": response.get("stream"),
+                }
+                self._pins_open += 1
+                self.stats["stream_opens"] += 1
+                response["stream"] = rid
+            return response, out
+        if op in ("stream_push", "stream_close"):
+            push = op == "stream_push"
+            if push and self._draining:
                 # The router is going away; pinned backend connections
                 # close with it.  Typed so the client breaks the stream
                 # instead of retrying in place.
-                return (
-                    {
-                        "status": "error",
-                        "code": "server_unavailable",
-                        "message": "router is draining; open streams "
-                        "are broken",
-                    },
-                    b"",
+                raise ServerUnavailable(
+                    "router is draining; open streams are broken"
                 )
-            pin = ctx["pins"].get(header.get("stream"))
+            rid = string_field(header, "stream")
+            pin = ctx["pins"].get(rid)
             if pin is None:
-                return (
-                    {
-                        "status": "error",
-                        "message": f"unknown stream "
-                        f"{header.get('stream')!r} on this connection",
-                    },
-                    b"",
+                raise ServingError(
+                    f"unknown stream {rid!r} on this connection"
                 )
-            self._maybe_kill_backend()
+            if push:
+                self._maybe_kill_backend()
+            else:
+                del ctx["pins"][rid]
+                self._pins_open -= 1
             forwarded = dict(header)
             forwarded["stream"] = pin["sid"]
-            try:
-                response, out = await self._relay(
-                    ctx, pin["backend"], forwarded, payload
-                )
-            except ServerUnavailable as exc:
-                # The pinned backend died with the push in flight.  The
-                # push may or may not have been applied, so replaying it
-                # elsewhere is forbidden — and the stream's state died
-                # with the backend connection anyway.  _relay already
-                # dropped every pin on that backend.
-                return (
-                    {
-                        "status": "error",
-                        "code": "server_unavailable",
-                        "message": str(exc),
-                    },
-                    b"",
-                )
-            if response.get("status") == "ok":
+            # A ServerUnavailable from here means the pinned backend
+            # died with the frame in flight.  A push may or may not have
+            # been applied, so replaying it elsewhere is forbidden — and
+            # the stream's state died with the backend connection anyway
+            # (_relay already dropped every pin on that backend); for a
+            # close, the backend's registry freed the state when the
+            # relay connection died, so the close is moot.
+            response, out = await self._relay(
+                ctx, pin["backend"], forwarded, payload
+            )
+            if push and response.get("status") == "ok":
                 self.stats["stream_pushes"] += 1
                 pin["backend"].stats["forwards"] += 1
             if "stream" in response:
-                response["stream"] = header.get("stream")
-            return response, out
-        if op == "stream_close":
-            pin = ctx["pins"].pop(header.get("stream"), None)
-            if pin is None:
-                return (
-                    {
-                        "status": "error",
-                        "message": f"unknown stream "
-                        f"{header.get('stream')!r} on this connection",
-                    },
-                    b"",
-                )
-            self._pins_open -= 1
-            forwarded = dict(header)
-            forwarded["stream"] = pin["sid"]
-            try:
-                response, out = await self._relay(
-                    ctx, pin["backend"], forwarded, payload
-                )
-            except ServerUnavailable as exc:
-                # Backend gone: its registry freed the state when the
-                # relay connection died, so the close is moot.
-                return (
-                    {
-                        "status": "error",
-                        "code": "server_unavailable",
-                        "message": str(exc),
-                    },
-                    b"",
-                )
-            if "stream" in response:
-                response["stream"] = header.get("stream")
+                response["stream"] = rid
             return response, out
         if op in ("predict", "predict_proba"):
             if self._draining:
-                return (
-                    {
-                        "status": "error",
-                        "code": "server_unavailable",
-                        "message": "router is draining and accepts no "
-                        "new requests",
-                    },
-                    b"",
+                raise ServerUnavailable(
+                    "router is draining and accepts no new requests"
                 )
             if not payload:
-                return (
-                    {
-                        "status": "error",
-                        "message": f"{op} requires an array payload",
-                    },
-                    b"",
-                )
+                raise ServingError(f"{op} requires an array payload")
             self.stats["requests"] += 1
             self._maybe_kill_backend()
-            model = header.get("model")
-            precision = header.get("precision")
-            if (model is not None and not isinstance(model, str)) or (
-                precision is not None and not isinstance(precision, str)
-            ):
-                return (
-                    {
-                        "status": "error",
-                        "message": "model and precision header fields "
-                        "must be strings",
-                    },
-                    b"",
-                )
-            return await self._forward(header, payload, model, precision)
-        return {"status": "error", "message": f"unknown op {op!r}"}, b""
+            # Predicts are idempotent (pure functions of their rows), so
+            # replaying on a survivor after a transport failure is safe
+            # and bitwise-equivalent; the client's stable ``request_id``
+            # rides along unchanged on every attempt.
+            backend, response, out = await self._place(
+                header, lambda backend: backend.request(header, payload)
+            )
+            if backend is not None:
+                self.stats["forwards"] += 1
+            return response, out
+        raise ServingError(f"unknown op {op!r}")
 
     def _maybe_kill_backend(self) -> None:
         """The ``router.backend_down`` fault point: drop one child."""
@@ -491,20 +347,18 @@ class RouterServer:
                 self.stats["backends_killed"] += 1
                 return
 
-    async def _forward(
-        self,
-        header: dict,
-        payload: bytes,
-        model: str | None,
-        precision: str | None,
-    ):
-        """The failover loop: place, forward, and replay on death.
+    async def _place(self, header: dict, attempt):
+        """The failover loop: place, try, classify, next candidate.
 
-        Predicts are idempotent (pure functions of their rows), so
-        replaying on a survivor after a transport failure is safe and
-        bitwise-equivalent; the client's stable ``request_id`` rides
-        along unchanged on every attempt.
+        ``attempt(backend)`` is one round trip (a pooled
+        ``backend.request`` for predicts, this connection's ``_relay``
+        for a stream open).  Returns ``(backend, response, payload)``
+        when a backend answered ok, ``(None, response, payload)`` for a
+        backend's deliberate error — relayed verbatim, never retried —
+        and raises when no candidate accepted the request.
         """
+        model = string_field(header, "model")
+        precision = string_field(header, "precision")
         tried: set[str] = set()
         sheds: list[float | None] = []
         budget = (
@@ -522,22 +376,21 @@ class RouterServer:
             tried.add(backend.address)
             if len(tried) > 1:
                 self.stats["replays"] += 1
-            backend.inflight_rows += _payload_rows_hint(header)
+            rows = _payload_rows_hint(header)
+            backend.inflight_rows += rows
             try:
-                response, out = await backend.request(header, payload)
+                response, out = await attempt(backend)
             except ServingError:
-                # request() marked the backend down; its sticky routes
+                # The attempt marked the backend down (or dropped a
+                # connection that answered garbage); its sticky routes
                 # must re-place instead of chasing a corpse.
                 self.policy.forget(backend.address)
                 continue
             finally:
-                backend.inflight_rows = max(
-                    0, backend.inflight_rows - _payload_rows_hint(header)
-                )
+                backend.inflight_rows = max(0, backend.inflight_rows - rows)
             if response.get("status") == "ok":
-                self.stats["forwards"] += 1
                 backend.stats["forwards"] += 1
-                return response, out
+                return backend, response, out
             code = response.get("code")
             if code == "overloaded":
                 sheds.append(response.get("retry_after_ms"))
@@ -550,46 +403,25 @@ class RouterServer:
             # frame): relay verbatim, never retry — repeating it on
             # another backend cannot succeed.
             self.stats["errors"] += 1
-            return response, out
-        return self._unplaceable(sheds, model, precision)
-
-    def _unplaceable(
-        self,
-        sheds: list,
-        model: str | None,
-        precision: str | None,
-    ):
-        """The error frame when no candidate accepted the request."""
+            return None, response, out
         if sheds:
             # Every candidate shed: overloaded fleet-wide.  The honest
             # retry hint is the *max* — capacity returns somewhere only
             # once the slowest-draining backend has drained.
             self.stats["shed_all"] += 1
             hints = [h for h in sheds if h is not None]
-            response = {
-                "status": "error",
-                "code": "overloaded",
-                "message": f"all {len(sheds)} candidate backend(s) shed "
-                "the request",
-            }
-            if hints:
-                response["retry_after_ms"] = float(max(hints))
-            return response, b""
+            raise Overloaded(
+                f"all {len(sheds)} candidate backend(s) shed the request",
+                retry_after_ms=max(hints) if hints else None,
+            )
         self.stats["no_backend"] += 1
-        routable = [b for b in self.backends if b.routable]
-        if routable:
-            message = (
+        if any(b.routable for b in self.backends):
+            raise ServingError(
                 f"no backend serves model={model!r} precision={precision!r}"
             )
-            return {"status": "error", "message": message}, b""
-        return (
-            {
-                "status": "error",
-                "code": "server_unavailable",
-                "message": "no healthy backend available "
-                f"({len(self.backends)} known, all down or draining)",
-            },
-            b"",
+        raise ServerUnavailable(
+            "no healthy backend available "
+            f"({len(self.backends)} known, all down or draining)"
         )
 
     # ------------------------------------------------------------------
@@ -613,27 +445,23 @@ class RouterServer:
             if conn is None:
                 conn = await backend.open_connection()
                 ctx["conns"][backend.address] = conn
-            await send_frame(conn[1], header, payload)
-            return await asyncio.wait_for(
-                read_frame(conn[0], self.config.max_payload),
+            return await roundtrip(
+                *conn,
+                header,
+                payload,
+                self.max_payload,
                 self.config.request_timeout_s,
             )
-        except (
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            OSError,
-        ) as exc:
-            backend.mark_down(f"stream relay failed: {exc}")
+        except ServingError as exc:
+            # Refused, died mid-frame or answered garbage: this relay
+            # is closed, and whatever was pinned over it is gone.
             self._drop_backend_pins(ctx, backend.address)
+            if not isinstance(exc, ServerUnavailable):
+                raise
+            backend.mark_down(f"stream relay failed: {exc}")
             raise ServerUnavailable(
                 f"backend {backend.address} died mid-stream: {exc}"
             ) from exc
-        except ServerUnavailable:
-            # open_connection refused: nothing was pinned over this
-            # relay yet that wasn't already dead.
-            self._drop_backend_pins(ctx, backend.address)
-            raise
 
     def _drop_backend_pins(self, ctx: dict, address: str) -> None:
         """Forget every stream this connection pinned to ``address``."""
@@ -653,63 +481,6 @@ class RouterServer:
         if dead:
             self._pins_open -= len(dead)
             self.stats["streams_broken"] += len(dead)
-
-    async def _open_stream(
-        self,
-        ctx: dict,
-        header: dict,
-        model: str | None,
-        precision: str | None,
-    ):
-        """Place and open a stream; pin it to the chosen backend.
-
-        Placement retries other candidates on transport failure or shed
-        — safe here and only here, because until the open succeeds the
-        stream has no state anywhere.  The backend's stream id is
-        rewritten to a router-issued one so ids stay unique per client
-        connection regardless of which backend minted them.
-        """
-        tried: set = set()
-        sheds: list = []
-        budget = (
-            len(self.backends)
-            if self.config.max_attempts is None
-            else self.config.max_attempts
-        )
-        while len(tried) < budget:
-            candidates = self.policy.candidates(
-                self.backends, model, precision, exclude=tried
-            )
-            if not candidates:
-                break
-            backend = self.policy.choose(candidates, model, precision)
-            tried.add(backend.address)
-            try:
-                response, out = await self._relay(ctx, backend, header)
-            except ServerUnavailable:
-                self.policy.forget(backend.address)
-                continue
-            if response.get("status") == "ok":
-                ctx["seq"] += 1
-                rid = f"r{ctx['seq']}"
-                ctx["pins"][rid] = {
-                    "backend": backend,
-                    "sid": response.get("stream"),
-                }
-                self._pins_open += 1
-                self.stats["stream_opens"] += 1
-                backend.stats["forwards"] += 1
-                response["stream"] = rid
-                return response, out
-            code = response.get("code")
-            if code == "overloaded":
-                sheds.append(response.get("retry_after_ms"))
-                continue
-            if code == "server_unavailable":
-                continue
-            self.stats["errors"] += 1
-            return response, out
-        return self._unplaceable(sheds, model, precision)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -4,8 +4,14 @@ The frozen runtime (:mod:`repro.runtime`) executes one call at a time;
 this package gives it a front door:
 
 * :mod:`repro.serving.protocol` — a length-prefixed JSON + ``.npy``
-  frame protocol, implemented over both asyncio streams and blocking
-  sockets,
+  frame protocol over asyncio streams and blocking sockets; the one
+  module that knows the error-frame format (exception ⇄ error code)
+  and the "send one frame, await one frame" round trip every client of
+  the protocol uses,
+* :mod:`repro.serving.connection` —
+  :class:`~repro.serving.connection.FrameServer`, the connection loop,
+  drain and signal-to-exit lifecycle shared by :class:`InferenceServer`
+  and :class:`~repro.router.RouterServer`,
 * :mod:`repro.serving.batcher` — :class:`MicroBatcher`, aggregating
   concurrent requests into fused batches (flushes at ``max_batch``
   rows or after ``max_wait_ms``), priority-ordered with deadline
@@ -21,10 +27,11 @@ this package gives it a front door:
   :class:`~repro.exceptions.Overloaded` error carrying a
   ``retry_after_ms`` hint,
 * :mod:`repro.serving.client` — :class:`ServeClient` (blocking) and
-  :class:`AsyncServeClient` (asyncio), both with optional per-request
+  :class:`AsyncServeClient` (asyncio), two I/O flavors of one core that
+  holds every retry, idempotency and stream rule; optional per-request
   ``model`` / ``precision`` / ``priority`` / ``deadline_ms`` fields,
   connect/read timeouts, and bounded retry with exponential backoff
-  honoring the server's ``retry_after_ms``; their ``stream()`` methods
+  honoring the server's ``retry_after_ms``; the ``stream()`` methods
   return :class:`Stream` / :class:`AsyncStream` handles for stateful
   incremental inference (``stream_open`` / ``stream_push`` /
   ``stream_close`` ops — see ``docs/streaming.md``).
@@ -37,8 +44,13 @@ server (as the tests and benchmarks do).  Fault-tolerance behavior
 ``docs/robustness.md``.
 """
 
-from ..exceptions import Overloaded, ServerUnavailable, StreamBroken
-from .batcher import DeadlineExpired, MicroBatcher
+from ..exceptions import (
+    DeadlineExpired,
+    Overloaded,
+    ServerUnavailable,
+    StreamBroken,
+)
+from .batcher import MicroBatcher
 from .client import AsyncServeClient, AsyncStream, ServeClient, Stream
 from .protocol import DEFAULT_PORT
 from .resilience import QueueLimits, TokenBucket

@@ -54,14 +54,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..exceptions import Overloaded, ServingError
+from ..exceptions import DeadlineExpired, Overloaded, ServingError
 from .resilience import QueueLimits
 
 __all__ = ["MicroBatcher", "DeadlineExpired"]
-
-
-class DeadlineExpired(ServingError):
-    """A request's deadline passed before its fused batch ran."""
 
 
 @dataclass

@@ -1,11 +1,18 @@
 """Clients for the serving front-end: blocking and asyncio flavors.
 
 Both speak the frame protocol of :mod:`repro.serving.protocol` and
-expose the same four calls — ``ping``, ``info``, ``predict``,
-``predict_proba``.  :class:`ServeClient` wraps a blocking socket (for
-scripts and the CLI); :class:`AsyncServeClient` wraps asyncio streams
-so many clients can share one event loop (see
-``examples/serve_client.py`` for a concurrent-client demo).
+expose the same calls — ``ping``, ``info``, ``drain``, ``predict``,
+``predict_proba``, ``stream``.  :class:`ServeClient` wraps a blocking
+socket (for scripts and the CLI); :class:`AsyncServeClient` wraps
+asyncio streams so many clients can share one event loop (see
+``examples/serve_client.py`` for a concurrent-client demo).  Every rule
+below is written once, in :class:`_ClientCore` / :class:`_StreamCore`,
+as *generators of steps*: where a call needs I/O it yields ``(verb,
+*args)`` — ``(self._roundtrip, header, payload)`` to exchange a frame,
+``(self._sleep, seconds)`` to wait — and gets the verb's result, or the
+exception it raised, back at the ``yield``.  A flavor is just the verbs
+plus a ``_run`` that drives a generator by calling each yielded verb,
+blocking or awaiting.
 
 One connection carries any number of sequential requests; neither
 client pipelines concurrently on a single connection — open one client
@@ -19,8 +26,9 @@ jittered exponential backoff:
   — retried on the same connection, waiting at least the server's
   ``retry_after_ms`` hint;
 * :class:`~repro.exceptions.ServerUnavailable`, connection resets, and
-  read/connect timeouts — the stream may be desynchronized, so the
-  client reconnects before replaying.
+  read/connect timeouts — a failed round trip leaves the connection
+  closed (a reply that failed its framing checks does too: the byte
+  stream is desynchronized), so the replay goes out on a fresh one.
 
 Every predict request carries a stable ``request_id`` header (kept
 across retries of the same call), so a future deduplicating server can
@@ -56,15 +64,14 @@ from ..exceptions import (
     ServingError,
     StreamBroken,
 )
-from .batcher import DeadlineExpired
 from .protocol import (
     DEFAULT_MAX_PAYLOAD,
     DEFAULT_PORT,
+    check_reply,
+    open_connection,
     pack_array,
-    read_frame,
-    read_frame_sync,
-    send_frame,
-    send_frame_sync,
+    roundtrip,
+    roundtrip_sync,
     unpack_array,
 )
 
@@ -89,21 +96,6 @@ DEFAULT_CONNECT_TIMEOUT = 5.0
 IDEMPOTENT_OPS = frozenset(
     {"ping", "info", "drain", "predict", "predict_proba", "stream_open"}
 )
-
-
-def _check(header: dict) -> dict:
-    if header.get("status") != "ok":
-        message = header.get("message", "request failed")
-        code = header.get("code")
-        if code == "deadline_expired":
-            # Typed expiry so retry logic never string-matches messages.
-            raise DeadlineExpired(message)
-        if code == "overloaded":
-            raise Overloaded(message, retry_after_ms=header.get("retry_after_ms"))
-        if code == "server_unavailable":
-            raise ServerUnavailable(message)
-        raise ServingError(message)
-    return header
 
 
 def _predict_header(op: str, model, precision, priority, deadline_ms) -> dict:
@@ -154,7 +146,164 @@ class _RetryPolicy:
         return delay_ms / 1e3
 
 
-class ServeClient:
+class _ClientCore:
+    """Every rule both clients follow, as step generators with no I/O
+    (see the module docstring); a flavor adds the verbs ``_connect``,
+    ``_connected``, ``_roundtrip``, ``_sleep`` and the driver ``_run``."""
+
+    def __init__(self, host, port, timeout, connect_timeout, max_payload,
+                 retries, backoff_ms, backoff_max_ms):
+        self._host = host
+        self._port = port
+        self._timeout = timeout
+        self._connect_timeout = connect_timeout
+        self._max_payload = max_payload
+        self._policy = _RetryPolicy(retries, backoff_ms, backoff_max_ms)
+        # Bumped on every (re)connect; a stream records the epoch it was
+        # opened under, so it can detect that its server-side state died
+        # with the old connection.
+        self._conn_epoch = 0
+
+    def _request(self, header: dict, payload=b""):
+        """One logical request, retried; returns ``(header, payload)``."""
+        # One id for every attempt of this logical request: a server
+        # that deduplicates can treat the replay as the same request.
+        if "request_id" not in header:  # a stream push stamps its own
+            header["request_id"] = uuid.uuid4().hex
+        attempt = 0
+        while True:
+            try:
+                if not self._connected():
+                    # A failed round trip closed it (or the caller did):
+                    # reconnect-before-replay is just how an attempt starts.
+                    yield (self._connect,)
+                reply, out = yield (self._roundtrip, header, payload)
+                return check_reply(reply), out
+            except Overloaded as exc:
+                # Connection is intact (the server answered); back off
+                # at least as long as it asked, then resend.
+                hint = exc.retry_after_ms
+                if attempt >= self._policy.retries:
+                    raise
+            except ServerUnavailable:
+                # The connection is gone, so a retry replays on a fresh
+                # one — which is only sound for ops documented
+                # idempotent.  Anything else (a stream_push above all)
+                # may already have been applied; replaying it would
+                # corrupt server state, so it fails here and the caller
+                # decides.
+                hint = None
+                if (
+                    header.get("op") not in IDEMPOTENT_OPS
+                    or attempt >= self._policy.retries
+                ):
+                    raise
+            yield (self._sleep, self._policy.delay_s(attempt, hint))
+            attempt += 1
+
+    def _predict(self, op, rows, model, precision, priority, deadline_ms):
+        _, payload = yield from self._request(
+            _predict_header(op, model, precision, priority, deadline_ms),
+            pack_array(np.asarray(rows)),
+        )
+        return unpack_array(payload)
+
+    def _stream(self, kind, model, precision, priority):
+        header, _ = yield from self._request(
+            _predict_header("stream_open", model, precision, priority, None)
+        )
+        return kind(self, header)
+
+
+class _StreamCore:
+    """The stream state machine, shared by :class:`Stream` and
+    :class:`AsyncStream`; calls are step generators like the client's."""
+
+    def __init__(self, client: _ClientCore, opened: dict):
+        self._client = client
+        self._epoch = client._conn_epoch
+        self.stream_id = opened["stream"]
+        self.model = opened.get("model")
+        self.precision = opened.get("precision")
+        self.in_channels = opened.get("in_channels")
+        self.classes = opened.get("classes")
+        self.receptive_field = opened.get("receptive_field")
+        self.state_bytes = opened.get("state_bytes")
+        self.samples = 0
+        self.pushes = 0
+        self.closed = False
+        self.broken = False
+
+    def _orphaned(self) -> bool:
+        """Is the connection this stream's server-side state lived on gone?"""
+        client = self._client
+        return client._conn_epoch != self._epoch or not client._connected()
+
+    def _guard(self) -> None:
+        if self.closed:
+            raise ServingError(f"stream {self.stream_id} is closed")
+        if self.broken:
+            raise StreamBroken(self._why, pushed=self.samples)
+        if self._orphaned():
+            # The client lost or replaced its connection underneath us
+            # (a retried predict on the same client object, say): the
+            # server-side state is gone even though no push of *ours*
+            # failed.
+            self._break("client reconnected; stream state was lost")
+
+    def _break(self, why: str) -> None:
+        self.broken = True
+        self._why = (
+            f"stream {self.stream_id} broken after {self.samples} "
+            f"samples: {why}"
+        )
+        raise StreamBroken(self._why, pushed=self.samples)
+
+    def _push(self, chunk: np.ndarray, deadline_ms: float | None):
+        self._guard()
+        header = {"op": "stream_push", "stream": self.stream_id,
+                  "request_id": uuid.uuid4().hex}
+        if deadline_ms is not None:
+            header["deadline_ms"] = deadline_ms
+        try:
+            # stream_push is off the idempotent whitelist, so _request
+            # retries it only when shed: state untouched, connection
+            # intact (the server answered) — same-connection resend is
+            # the one replay that is always safe.  DeadlineExpired
+            # (expired in the queue, never applied) and protocol errors
+            # (fatal for this call, not the stream) propagate, stream intact.
+            response, out = yield from self._client._request(
+                header, pack_array(np.asarray(chunk))
+            )
+        except ServerUnavailable as exc:
+            self._break(str(exc))
+        self.samples = int(response.get("samples", self.samples))
+        self.pushes += 1
+        return unpack_array(out)
+
+    def _close(self):
+        if self.closed:
+            return
+        self.closed = True
+        if self.broken or self._orphaned():
+            return  # state died with its connection; nothing to free
+        try:
+            # One attempt, reply ignored: server gone or handle unknown,
+            # the state is free anyway.
+            yield (self._client._roundtrip,
+                   {"op": "stream_close", "stream": self.stream_id}, b"")
+        except ServingError:
+            pass
+
+    def __repr__(self) -> str:
+        state = "broken" if self.broken else "closed" if self.closed else "open"
+        return (
+            f"{type(self).__name__}({self.stream_id}, {state}, "
+            f"samples={self.samples})"
+        )
+
+
+class ServeClient(_ClientCore):
     """Blocking client: one TCP connection, sequential requests.
 
     Parameters
@@ -179,6 +328,8 @@ class ServeClient:
         ``Overloaded`` response's ``retry_after_ms`` raises the floor.
     """
 
+    _sock: socket.socket | None = None  # until the first _connect
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -190,26 +341,12 @@ class ServeClient:
         backoff_ms: float = 25.0,
         backoff_max_ms: float = 2000.0,
     ):
-        self._host = host
-        self._port = port
-        self._timeout = timeout
-        self._connect_timeout = connect_timeout
-        self._max_payload = max_payload
-        self._policy = _RetryPolicy(retries, backoff_ms, backoff_max_ms)
-        self._sock: socket.socket | None = None
-        # Bumped on every (re)connect; a Stream records the epoch it was
-        # opened under, so it can detect that its server-side state died
-        # with the old connection.
-        self._conn_epoch = 0
+        super().__init__(host, port, timeout, connect_timeout, max_payload,
+                         retries, backoff_ms, backoff_max_ms)
         self._connect()
 
     def _connect(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except Exception:
-                pass
-            self._sock = None
+        self.close()
         try:
             sock = socket.create_connection(
                 (self._host, self._port), timeout=self._connect_timeout
@@ -218,69 +355,46 @@ class ServeClient:
             raise ServerUnavailable(
                 f"cannot connect to {self._host}:{self._port}: {exc}"
             ) from exc
+        # Requests are whole frames written at once; waiting to coalesce
+        # them with a next write that never comes only adds latency.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(self._timeout)
         self._sock = sock
         self._conn_epoch += 1
 
-    def _once(self, header: dict, payload) -> tuple[dict, bytes]:
-        if self._sock is None:
-            self._connect()
-        try:
-            send_frame_sync(self._sock, header, payload)
-            response, out = read_frame_sync(self._sock, self._max_payload)
-        except socket.timeout as exc:
-            raise ServerUnavailable(
-                f"no response within {self._timeout}s"
-            ) from exc
-        except OSError as exc:
-            raise ServerUnavailable(f"connection failed: {exc}") from exc
-        return _check(response), out
+    def _connected(self) -> bool:
+        # A failed round trip closes the socket under us: fileno() < 0.
+        return self._sock is not None and self._sock.fileno() >= 0
 
-    def _request(self, header: dict, payload=b"") -> tuple[dict, bytes]:
-        # One id for every attempt of this logical request: a server
-        # that deduplicates can treat the replay as the same request.
-        header.setdefault("request_id", uuid.uuid4().hex)
-        attempt = 0
-        while True:
-            try:
-                return self._once(header, payload)
-            except Overloaded as exc:
-                # Connection is intact (the server answered); back off
-                # at least as long as it asked, then resend.
-                if attempt >= self._policy.retries:
-                    raise
-                time.sleep(self._policy.delay_s(attempt, exc.retry_after_ms))
-            except ServerUnavailable:
-                # The stream may be desynchronized (or dead): retries
-                # must replay on a fresh connection — which is only
-                # sound for ops documented idempotent.  Anything else
-                # (a stream_push above all) may already have been
-                # applied; replaying it would corrupt server state, so
-                # it fails here and the caller decides.
-                if (
-                    header.get("op") not in IDEMPOTENT_OPS
-                    or attempt >= self._policy.retries
-                ):
-                    raise
-                time.sleep(self._policy.delay_s(attempt, None))
+    def _roundtrip(self, header: dict, payload) -> tuple[dict, bytes]:
+        return roundtrip_sync(self._sock, header, payload, self._max_payload)
+
+    _sleep = staticmethod(time.sleep)
+
+    def _run(self, steps):
+        """Drive one core generator to its result with blocking I/O."""
+        try:
+            verb, *args = next(steps)
+            while True:
                 try:
-                    self._connect()
-                except ServerUnavailable:
-                    pass  # still down; next attempt reconnects again
-            attempt += 1
+                    result = verb(*args)
+                except ServingError as exc:
+                    verb, *args = steps.throw(exc)
+                else:
+                    verb, *args = steps.send(result)
+        except StopIteration as done:
+            return done.value
 
     def ping(self) -> bool:
-        self._request({"op": "ping"})
+        self._run(self._request({"op": "ping"}))
         return True
 
     def info(self) -> dict:
-        header, _ = self._request({"op": "info"})
-        return header
+        return self._run(self._request({"op": "info"}))[0]
 
     def drain(self) -> dict:
         """Ask the server to drain and shut down gracefully."""
-        header, _ = self._request({"op": "drain"})
-        return header
+        return self._run(self._request({"op": "drain"}))[0]
 
     def predict_proba(
         self,
@@ -290,12 +404,9 @@ class ServeClient:
         priority=None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
-        _, payload = self._request(
-            _predict_header("predict_proba", model, precision, priority,
-                            deadline_ms),
-            pack_array(np.asarray(rows)),
-        )
-        return unpack_array(payload)
+        return self._run(self._predict(
+            "predict_proba", rows, model, precision, priority, deadline_ms
+        ))
 
     def predict(
         self,
@@ -305,12 +416,9 @@ class ServeClient:
         priority=None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
-        _, payload = self._request(
-            _predict_header("predict", model, precision, priority,
-                            deadline_ms),
-            pack_array(np.asarray(rows)),
-        )
-        return unpack_array(payload)
+        return self._run(self._predict(
+            "predict", rows, model, precision, priority, deadline_ms
+        ))
 
     def stream(
         self,
@@ -331,19 +439,11 @@ class ServeClient:
         subsequent :meth:`Stream.push` is pinned to this connection and
         never replayed.
         """
-        header, _ = self._request(
-            _predict_header("stream_open", model, precision, priority, None)
-        )
-        return Stream(self, header)
+        return self._run(self._stream(Stream, model, precision, priority))
 
     def close(self) -> None:
-        if self._sock is None:
-            return
-        try:
+        if self._sock is not None:
             self._sock.close()
-        except Exception:
-            pass
-        self._sock = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -352,7 +452,7 @@ class ServeClient:
         self.close()
 
 
-class Stream:
+class Stream(_StreamCore):
     """A server-side incremental inference stream, bound to one client.
 
     Created by :meth:`ServeClient.stream`.  :meth:`push` sends new
@@ -379,106 +479,15 @@ class Stream:
     the server's open/push responses.
     """
 
-    def __init__(self, client: ServeClient, opened: dict):
-        self._client = client
-        self._epoch = client._conn_epoch
-        self.stream_id = opened["stream"]
-        self.model = opened.get("model")
-        self.precision = opened.get("precision")
-        self.in_channels = opened.get("in_channels")
-        self.classes = opened.get("classes")
-        self.receptive_field = opened.get("receptive_field")
-        self.state_bytes = opened.get("state_bytes")
-        self.samples = 0
-        self.pushes = 0
-        self._closed = False
-        self._broken: StreamBroken | None = None
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def broken(self) -> bool:
-        return self._broken is not None
-
-    def _guard(self) -> None:
-        if self._closed:
-            raise ServingError(
-                f"stream {self.stream_id} is closed"
-            )
-        if self._broken is not None:
-            raise StreamBroken(str(self._broken), pushed=self.samples)
-        if self._client._conn_epoch != self._epoch:
-            # The client reconnected underneath us (a retried predict on
-            # the same client object, say): the server-side state is
-            # gone even though no push of *ours* failed.
-            self._break("client reconnected; stream state was lost")
-
-    def _break(self, why: str) -> None:
-        self._broken = StreamBroken(
-            f"stream {self.stream_id} broken after {self.samples} "
-            f"samples: {why}",
-            pushed=self.samples,
-        )
-        raise self._broken
-
     def push(
         self, chunk: np.ndarray, deadline_ms: float | None = None
     ) -> np.ndarray:
         """Push ``chunk`` (samples, channels); probabilities for them."""
-        self._guard()
-        header = {"op": "stream_push", "stream": self.stream_id,
-                  "request_id": uuid.uuid4().hex}
-        if deadline_ms is not None:
-            header["deadline_ms"] = deadline_ms
-        payload = pack_array(np.asarray(chunk))
-        attempt = 0
-        while True:
-            try:
-                response, out = self._client._once(header, payload)
-                break
-            except Overloaded as exc:
-                # Shed at admission: state untouched, connection intact
-                # (the server answered).  Same-connection resend is the
-                # one replay that is always safe.
-                if attempt >= self._client._policy.retries:
-                    raise
-                time.sleep(
-                    self._client._policy.delay_s(attempt, exc.retry_after_ms)
-                )
-                attempt += 1
-            except DeadlineExpired:
-                # Expired in the queue, never applied; stream intact.
-                raise
-            except ServerUnavailable as exc:
-                self._break(str(exc))
-            except ServingError:
-                # A protocol-level error leaves the applied-sample count
-                # ambiguous only if it killed the connection — it did
-                # not (the server answered) — but the stream's handle
-                # may be rejected (server restarted registry?).  Treat
-                # as fatal for this stream, not for the client.
-                raise
-        self.samples = int(response.get("samples", self.samples))
-        self.pushes += 1
-        return unpack_array(out)
+        return self._client._run(self._push(chunk, deadline_ms))
 
     def close(self) -> None:
         """Release the server-side state; idempotent, never raises."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._broken is not None:
-            return  # state died with the connection; nothing to free
-        if self._client._conn_epoch != self._epoch:
-            return  # reconnected: old connection's registry freed it
-        try:
-            self._client._once(
-                {"op": "stream_close", "stream": self.stream_id}, b""
-            )
-        except (ServingError, ServerUnavailable):
-            pass  # server gone or handle unknown: state is free anyway
+        self._client._run(self._close())
 
     def __enter__(self) -> "Stream":
         return self
@@ -486,43 +495,12 @@ class Stream:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __repr__(self) -> str:
-        state = (
-            "broken" if self.broken else "closed" if self._closed else "open"
-        )
-        return (
-            f"Stream({self.stream_id}, {state}, samples={self.samples})"
-        )
 
+class AsyncServeClient(_ClientCore):
+    """asyncio client: construct with :meth:`connect`; parameters and
+    retry semantics are :class:`ServeClient`'s."""
 
-class AsyncServeClient:
-    """asyncio client: construct with :meth:`connect`.
-
-    Retry semantics mirror :class:`ServeClient`.  A client built
-    directly from ``(reader, writer)`` has no address to reconnect to,
-    so transport failures are raised immediately (shed requests still
-    retry on the intact connection).
-    """
-
-    def __init__(
-        self,
-        reader,
-        writer,
-        max_payload: int = DEFAULT_MAX_PAYLOAD,
-        timeout: float = 60.0,
-        retries: int = 2,
-        backoff_ms: float = 25.0,
-        backoff_max_ms: float = 2000.0,
-    ):
-        self._reader = reader
-        self._writer = writer
-        self._max_payload = max_payload
-        self._timeout = timeout
-        self._policy = _RetryPolicy(retries, backoff_ms, backoff_max_ms)
-        self._host: str | None = None
-        self._port: int | None = None
-        self._connect_timeout = DEFAULT_CONNECT_TIMEOUT
-        self._conn_epoch = 1  # bumped on reconnect; see ServeClient
+    _writer: asyncio.StreamWriter | None = None  # until the first _connect
 
     @classmethod
     async def connect(
@@ -536,100 +514,55 @@ class AsyncServeClient:
         backoff_ms: float = 25.0,
         backoff_max_ms: float = 2000.0,
     ) -> "AsyncServeClient":
-        reader, writer = await cls._open(host, port, connect_timeout)
-        client = cls(
-            reader,
-            writer,
-            max_payload=max_payload,
-            timeout=timeout,
-            retries=retries,
-            backoff_ms=backoff_ms,
-            backoff_max_ms=backoff_max_ms,
-        )
-        client._host = host
-        client._port = port
-        client._connect_timeout = connect_timeout
+        client = cls(host, port, timeout, connect_timeout, max_payload,
+                     retries, backoff_ms, backoff_max_ms)
+        await client._connect()
         return client
 
-    @staticmethod
-    async def _open(host: str, port: int, connect_timeout: float):
-        try:
-            return await asyncio.wait_for(
-                asyncio.open_connection(host, port), connect_timeout
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise ServerUnavailable(
-                f"cannot connect to {host}:{port}: {exc}"
-            ) from exc
-
-    async def _reconnect(self) -> None:
-        try:
+    async def _connect(self) -> None:
+        if self._writer is not None:
             self._writer.close()
-        except Exception:
-            pass
-        self._reader, self._writer = await self._open(
+        self._reader, self._writer = await open_connection(
             self._host, self._port, self._connect_timeout
         )
         self._conn_epoch += 1
 
-    async def _once(self, header: dict, payload) -> tuple[dict, bytes]:
-        try:
-            await send_frame(self._writer, header, payload)
-            response, out = await asyncio.wait_for(
-                read_frame(self._reader, self._max_payload), self._timeout
-            )
-        except asyncio.TimeoutError as exc:
-            raise ServerUnavailable(
-                f"no response within {self._timeout}s"
-            ) from exc
-        except asyncio.IncompleteReadError as exc:
-            raise ServerUnavailable("connection closed mid-frame") from exc
-        except (ConnectionError, OSError) as exc:
-            raise ServerUnavailable(f"connection failed: {exc}") from exc
-        return _check(response), out
+    def _connected(self) -> bool:
+        # A failed round trip closes the writer under us.
+        return self._writer is not None and not self._writer.is_closing()
 
-    async def _request(self, header: dict, payload=b"") -> tuple[dict, bytes]:
-        header.setdefault("request_id", uuid.uuid4().hex)
-        attempt = 0
-        while True:
-            try:
-                return await self._once(header, payload)
-            except Overloaded as exc:
-                if attempt >= self._policy.retries:
-                    raise
-                await asyncio.sleep(
-                    self._policy.delay_s(attempt, exc.retry_after_ms)
-                )
-            except ServerUnavailable:
-                # Without an address there is no reconnecting — and the
-                # stream offset may be garbage — so fail immediately.
-                # Non-idempotent ops (stream pushes) never replay at
-                # all; see IDEMPOTENT_OPS.
-                if (
-                    header.get("op") not in IDEMPOTENT_OPS
-                    or self._host is None
-                    or attempt >= self._policy.retries
-                ):
-                    raise
-                await asyncio.sleep(self._policy.delay_s(attempt, None))
+    def _roundtrip(self, header: dict, payload):
+        return roundtrip(  # the awaitable itself: no extra coroutine frame
+            self._reader, self._writer, header, payload,
+            self._max_payload, self._timeout,
+        )
+
+    _sleep = staticmethod(asyncio.sleep)
+
+    async def _run(self, steps):
+        """Drive one core generator to its result, awaiting its I/O."""
+        try:
+            verb, *args = next(steps)
+            while True:
                 try:
-                    await self._reconnect()
-                except ServerUnavailable:
-                    pass  # still down; next attempt reconnects again
-            attempt += 1
+                    result = await verb(*args)
+                except ServingError as exc:
+                    verb, *args = steps.throw(exc)
+                else:
+                    verb, *args = steps.send(result)
+        except StopIteration as done:
+            return done.value
 
     async def ping(self) -> bool:
-        await self._request({"op": "ping"})
+        await self._run(self._request({"op": "ping"}))
         return True
 
     async def info(self) -> dict:
-        header, _ = await self._request({"op": "info"})
-        return header
+        return (await self._run(self._request({"op": "info"})))[0]
 
     async def drain(self) -> dict:
         """Ask the server to drain and shut down gracefully."""
-        header, _ = await self._request({"op": "drain"})
-        return header
+        return (await self._run(self._request({"op": "drain"})))[0]
 
     async def predict_proba(
         self,
@@ -639,12 +572,9 @@ class AsyncServeClient:
         priority=None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
-        _, payload = await self._request(
-            _predict_header("predict_proba", model, precision, priority,
-                            deadline_ms),
-            pack_array(np.asarray(rows)),
-        )
-        return unpack_array(payload)
+        return await self._run(self._predict(
+            "predict_proba", rows, model, precision, priority, deadline_ms
+        ))
 
     async def predict(
         self,
@@ -654,12 +584,9 @@ class AsyncServeClient:
         priority=None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
-        _, payload = await self._request(
-            _predict_header("predict", model, precision, priority,
-                            deadline_ms),
-            pack_array(np.asarray(rows)),
-        )
-        return unpack_array(payload)
+        return await self._run(self._predict(
+            "predict", rows, model, precision, priority, deadline_ms
+        ))
 
     async def stream(
         self,
@@ -674,10 +601,9 @@ class AsyncServeClient:
             async with await client.stream() as s:
                 proba = await s.push(chunk)
         """
-        header, _ = await self._request(
-            _predict_header("stream_open", model, precision, priority, None)
+        return await self._run(
+            self._stream(AsyncStream, model, precision, priority)
         )
-        return AsyncStream(self, header)
 
     async def close(self) -> None:
         self._writer.close()
@@ -693,104 +619,21 @@ class AsyncServeClient:
         await self.close()
 
 
-class AsyncStream:
+class AsyncStream(_StreamCore):
     """Asyncio twin of :class:`Stream`; same failure semantics."""
-
-    def __init__(self, client: AsyncServeClient, opened: dict):
-        self._client = client
-        self._epoch = client._conn_epoch
-        self.stream_id = opened["stream"]
-        self.model = opened.get("model")
-        self.precision = opened.get("precision")
-        self.in_channels = opened.get("in_channels")
-        self.classes = opened.get("classes")
-        self.receptive_field = opened.get("receptive_field")
-        self.state_bytes = opened.get("state_bytes")
-        self.samples = 0
-        self.pushes = 0
-        self._closed = False
-        self._broken: StreamBroken | None = None
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def broken(self) -> bool:
-        return self._broken is not None
-
-    def _guard(self) -> None:
-        if self._closed:
-            raise ServingError(f"stream {self.stream_id} is closed")
-        if self._broken is not None:
-            raise StreamBroken(str(self._broken), pushed=self.samples)
-        if self._client._conn_epoch != self._epoch:
-            self._break("client reconnected; stream state was lost")
-
-    def _break(self, why: str) -> None:
-        self._broken = StreamBroken(
-            f"stream {self.stream_id} broken after {self.samples} "
-            f"samples: {why}",
-            pushed=self.samples,
-        )
-        raise self._broken
 
     async def push(
         self, chunk: np.ndarray, deadline_ms: float | None = None
     ) -> np.ndarray:
         """Push ``chunk`` (samples, channels); probabilities for them."""
-        self._guard()
-        header = {"op": "stream_push", "stream": self.stream_id,
-                  "request_id": uuid.uuid4().hex}
-        if deadline_ms is not None:
-            header["deadline_ms"] = deadline_ms
-        payload = pack_array(np.asarray(chunk))
-        attempt = 0
-        while True:
-            try:
-                response, out = await self._client._once(header, payload)
-                break
-            except Overloaded as exc:
-                if attempt >= self._client._policy.retries:
-                    raise
-                await asyncio.sleep(
-                    self._client._policy.delay_s(attempt, exc.retry_after_ms)
-                )
-                attempt += 1
-            except DeadlineExpired:
-                raise  # never applied; stream intact
-            except ServerUnavailable as exc:
-                self._break(str(exc))
-        self.samples = int(response.get("samples", self.samples))
-        self.pushes += 1
-        return unpack_array(out)
+        return await self._client._run(self._push(chunk, deadline_ms))
 
     async def close(self) -> None:
         """Release the server-side state; idempotent, never raises."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._broken is not None:
-            return
-        if self._client._conn_epoch != self._epoch:
-            return
-        try:
-            await self._client._once(
-                {"op": "stream_close", "stream": self.stream_id}, b""
-            )
-        except (ServingError, ServerUnavailable):
-            pass
+        await self._client._run(self._close())
 
     async def __aenter__(self) -> "AsyncStream":
         return self
 
     async def __aexit__(self, *exc) -> None:
         await self.close()
-
-    def __repr__(self) -> str:
-        state = (
-            "broken" if self.broken else "closed" if self._closed else "open"
-        )
-        return (
-            f"AsyncStream({self.stream_id}, {state}, samples={self.samples})"
-        )

@@ -12,10 +12,23 @@ single array in ``.npy`` format (:func:`numpy.save` without pickle), or
 empty for array-free messages (``ping``, ``info``, errors).  The two
 fixed-width lengths are big-endian.
 
-The same framing is implemented twice: once over :mod:`asyncio` streams
-(the server and the async client) and once over blocking sockets (the
-sync client), so a shell script and an event loop speak the same bytes.
-Both sides bound header and payload sizes before allocating.
+Frames are built and parsed once (:func:`frame_chunks`, the length and
+header decoders); only the byte moving comes in two forms — over
+:mod:`asyncio` streams (both servers, the router's backend pool, the
+async client) and over a blocking socket (the sync client) — so a shell
+script and an event loop speak the same bytes.  Both sides bound header
+and payload sizes before allocating.
+
+**Error frames** are a data format this module alone knows:
+:func:`error_header` is what a server answers an exception with,
+:func:`check_reply` raises the same typed exception on the client.
+
+**Round trips.**  :func:`roundtrip` / :func:`roundtrip_sync` are "send
+one frame, await one frame" for every client of the protocol.  A
+transport failure becomes :class:`~repro.exceptions.ServerUnavailable`,
+and *any* failure closes the connection before it propagates: a reply
+cut short, failing its length or header check, or never arriving leaves
+the byte stream where no later read can trust it.
 
 **Zero-copy responses.**  The send side accepts a payload as either
 ``bytes`` or a *sequence of buffers*; :func:`pack_array_views` renders
@@ -27,6 +40,7 @@ are identical to :func:`pack_array`).
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import re
@@ -35,7 +49,13 @@ import struct
 
 import numpy as np
 
-from ..exceptions import ServerUnavailable, ServingError
+from ..exceptions import (
+    ConfigurationError,
+    DeadlineExpired,
+    Overloaded,
+    ServerUnavailable,
+    ServingError,
+)
 
 __all__ = [
     "DEFAULT_PORT",
@@ -50,8 +70,14 @@ __all__ = [
     "frame_chunks",
     "read_frame",
     "send_frame",
+    "open_connection",
+    "roundtrip",
     "read_frame_sync",
     "send_frame_sync",
+    "roundtrip_sync",
+    "error_header",
+    "check_reply",
+    "string_field",
 ]
 
 #: Default TCP port for ``repro serve`` (no registered meaning; chosen
@@ -177,6 +203,63 @@ def _decode_header(raw: bytes) -> dict:
     return header
 
 
+def string_field(header: dict, name: str) -> str | None:
+    """``header[name]`` if it is a string, ``None`` if absent; any other
+    JSON type is a clean protocol error on every server, never an
+    ``internal error`` from deep inside a lookup."""
+    value = header.get(name)
+    if value is not None and not isinstance(value, str):
+        raise ServingError(
+            f"{name} header field must be a string, got {value!r}"
+        )
+    return value
+
+
+# ----------------------------------------------------------------------
+# error frames: exception <-> header, the one place that knows the codes
+# ----------------------------------------------------------------------
+def error_header(exc: BaseException) -> dict:
+    """The error frame header a server answers ``exc`` with.
+
+    Typed failures carry a machine-readable ``code`` so retry logic
+    never string-matches messages; deliberate protocol and config
+    errors travel uncoded; anything else is an ``internal error``.
+    """
+    if isinstance(exc, Overloaded):
+        # Shed, not failed: the client must back off and retry, so the
+        # frame carries the server's retry hint when it offered one.
+        header = {"status": "error", "code": "overloaded",
+                  "message": str(exc)}
+        if exc.retry_after_ms is not None:
+            header["retry_after_ms"] = float(exc.retry_after_ms)
+        return header
+    if isinstance(exc, ServerUnavailable):
+        return {"status": "error", "code": "server_unavailable",
+                "message": str(exc)}
+    if isinstance(exc, DeadlineExpired):
+        return {"status": "error", "message": str(exc),
+                "code": "deadline_expired"}
+    if isinstance(exc, (ServingError, ConfigurationError)):
+        return {"status": "error", "message": str(exc)}
+    return {"status": "error", "message": f"internal error: {exc}"}
+
+
+def check_reply(header: dict) -> dict:
+    """``header`` if it is an ok reply; else raise the exception it
+    encodes — the inverse of :func:`error_header`."""
+    if header.get("status") == "ok":
+        return header
+    message = header.get("message", "request failed")
+    code = header.get("code")
+    if code == "overloaded":
+        raise Overloaded(message, retry_after_ms=header.get("retry_after_ms"))
+    if code == "server_unavailable":
+        raise ServerUnavailable(message)
+    if code == "deadline_expired":
+        raise DeadlineExpired(message)
+    raise ServingError(message)
+
+
 # ----------------------------------------------------------------------
 # asyncio streams
 # ----------------------------------------------------------------------
@@ -209,6 +292,51 @@ async def send_frame(writer, header: dict, payload=b"") -> None:
     await writer.drain()
 
 
+async def open_connection(host: str, port: int, timeout: float):
+    """``(reader, writer)`` to a frame-protocol peer; an unreachable one
+    raises :class:`~repro.exceptions.ServerUnavailable`."""
+    try:
+        return await asyncio.wait_for(
+            asyncio.open_connection(host, port), timeout
+        )
+    except (OSError, asyncio.TimeoutError) as exc:
+        raise ServerUnavailable(
+            f"cannot connect to {host}:{port}: {exc}"
+        ) from exc
+
+
+async def roundtrip(
+    reader,
+    writer,
+    header: dict,
+    payload=b"",
+    max_payload: int = DEFAULT_MAX_PAYLOAD,
+    timeout: float | None = None,
+) -> tuple[dict, bytes]:
+    """Send one frame, await one frame; the raw reply, unchecked.
+
+    Error *replies* are returned like any other (:func:`check_reply`
+    raises them; the router relays them verbatim).  A failure of the
+    round trip itself — timeout, EOF, reset, a reply failing the framing
+    checks, cancellation — closes ``writer`` before propagating.
+    """
+    try:
+        try:
+            await send_frame(writer, header, payload)
+            return await asyncio.wait_for(
+                read_frame(reader, max_payload), timeout
+            )
+        except asyncio.TimeoutError as exc:
+            raise ServerUnavailable(f"no response within {timeout}s") from exc
+        except asyncio.IncompleteReadError as exc:
+            raise ServerUnavailable("connection closed mid-frame") from exc
+        except OSError as exc:
+            raise ServerUnavailable(f"connection failed: {exc}") from exc
+    except BaseException:
+        writer.close()
+        raise
+
+
 # ----------------------------------------------------------------------
 # blocking sockets (sync client)
 # ----------------------------------------------------------------------
@@ -239,6 +367,45 @@ def read_frame_sync(
 
 
 def send_frame_sync(sock: socket.socket, header: dict, payload=b"") -> None:
-    """Write one frame to a blocking socket (buffer sequences: no join)."""
-    for chunk in frame_chunks(header, payload):
-        sock.sendall(chunk)
+    """Write one frame to a blocking socket with one vectored send.
+
+    One ``sendmsg`` (looping only on a partial send) makes a small frame
+    one segment, not a header segment the peer's delayed ACK can hold
+    the payload behind.  The payload's zero-copy view is never joined.
+    """
+    chunks = frame_chunks(header, payload)
+    if not hasattr(sock, "sendmsg"):
+        sock.sendall(b"".join(chunks[:2]))
+        for chunk in chunks[2:]:
+            sock.sendall(chunk)
+        return
+    views = [memoryview(chunk).cast("B") for chunk in chunks]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if views and sent:
+            views[0] = views[0][sent:]
+
+
+def roundtrip_sync(
+    sock: socket.socket,
+    header: dict,
+    payload=b"",
+    max_payload: int = DEFAULT_MAX_PAYLOAD,
+) -> tuple[dict, bytes]:
+    """Blocking form of :func:`roundtrip`; same contract, ``sock`` closed
+    on any failure.  The read timeout is the socket's own."""
+    try:
+        try:
+            send_frame_sync(sock, header, payload)
+            return read_frame_sync(sock, max_payload)
+        except socket.timeout as exc:
+            raise ServerUnavailable(
+                f"no response within {sock.gettimeout()}s"
+            ) from exc
+        except OSError as exc:
+            raise ServerUnavailable(f"connection failed: {exc}") from exc
+    except BaseException:
+        sock.close()
+        raise

@@ -23,24 +23,21 @@ Responses stream zero-copy: the result array's buffer goes to the
 socket writer as a :func:`~repro.serving.protocol.pack_array_views`
 chunk list, never re-serialized to intermediate bytes.
 
-Constructing the server with a bare
-:class:`~repro.runtime.session.InferenceSession` (the pre-engine
-signature) still works but is deprecated — it wraps the session via
-:meth:`~repro.engine.Engine.from_session`; the caller keeps session
-ownership exactly as before.
+The connection loop, drain and lifecycle are
+:class:`~repro.serving.connection.FrameServer`'s (shared with the
+router); this module is the op table on top of it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..exceptions import (
-    ConfigurationError,
+    DeadlineExpired,
     DeploymentError,
     Overloaded,
     ServerUnavailable,
@@ -48,12 +45,12 @@ from ..exceptions import (
 )
 from ..runtime.executors import ThreadedExecutor
 from ..testing import faults
-from .batcher import DeadlineExpired, MicroBatcher
+from .batcher import MicroBatcher
+from .connection import FrameServer
 from .protocol import (
     DEFAULT_PORT,
     pack_array_views,
-    read_frame,
-    send_frame,
+    string_field,
     unpack_array,
 )
 from .resilience import QueueLimits, TokenBucket
@@ -61,7 +58,7 @@ from .resilience import QueueLimits, TokenBucket
 __all__ = ["InferenceServer"]
 
 
-class InferenceServer:
+class InferenceServer(FrameServer):
     """Serve an engine's model registry over TCP with micro-batching.
 
     Parameters
@@ -70,9 +67,7 @@ class InferenceServer:
         A :class:`~repro.engine.Engine`; the server drives its pooled
         sessions from exactly one thread and routes each request by its
         header fields.  The caller keeps ownership (close the engine
-        after :meth:`stop`).  Passing a bare
-        :class:`~repro.runtime.session.InferenceSession` is deprecated
-        (it is wrapped via :meth:`~repro.engine.Engine.from_session`).
+        after :meth:`stop`).
     host, port:
         Listen address; ``port=0`` binds an ephemeral port, readable
         from :attr:`port` after :meth:`start`.
@@ -100,27 +95,23 @@ class InferenceServer:
         from ..engine import Engine
 
         if not isinstance(engine, Engine):
-            warnings.warn(
-                "InferenceServer(session) is deprecated; build an "
-                "Engine (repro.engine.Engine.from_session(session) or "
-                "Engine(model=...)) and pass that instead",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                f"InferenceServer serves an Engine, got "
+                f"{type(engine).__name__}; build one with "
+                "repro.engine.Engine(model=...)"
             )
-            engine = Engine.from_session(engine)
         self.engine = engine
         config = engine.config
-        self.host = host
-        self.port = port
+        super().__init__(
+            host,
+            port,
+            config.max_payload if max_payload is None else max_payload,
+        )
         self.max_batch = config.max_batch if max_batch is None else max_batch
         self.max_wait_ms = (
             config.max_wait_ms if max_wait_ms is None else max_wait_ms
         )
         self.chunk_size = chunk_size
-        self.max_payload = (
-            config.max_payload if max_payload is None else max_payload
-        )
-        self._server: asyncio.AbstractServer | None = None
         self._batchers: dict[tuple[str, str], MicroBatcher] = {}
         self._route_sessions: dict[tuple[str, str], object] = {}
         self._infer_thread: ThreadPoolExecutor | None = None
@@ -130,10 +121,6 @@ class InferenceServer:
             if config.rate_limit_rps is None
             else TokenBucket(config.rate_limit_rps, config.rate_burst)
         )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._draining = False
-        self._drain_task: asyncio.Task | None = None
-        self._inflight = 0  # requests read but not yet fully responded
         # Stream accounting, aggregated over every connection's registry
         # (the registries themselves are per-connection, so an abrupt
         # disconnect frees its streams by construction — these totals
@@ -220,32 +207,8 @@ class InferenceServer:
         self._infer_thread = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-infer"
         )
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         return self
-
-    @property
-    def draining(self) -> bool:
-        """True once a drain has begun (new work is being refused)."""
-        return self._draining
-
-    def begin_drain(self) -> None:
-        """Start a graceful drain; safe to call from a signal handler.
-
-        Flips the server into draining mode — new predict requests are
-        refused with a typed ``server_unavailable`` error — and
-        schedules :meth:`_drain`, which waits for every in-flight
-        request to be answered (responses flushed to their sockets,
-        bitwise intact), drains the batchers, and then closes the
-        listener so :meth:`serve_forever` returns.  Idempotent.
-        """
-        if self._draining or self._loop is None:
-            return
-        self._draining = True
-        self._drain_task = self._loop.create_task(self._drain())
 
     async def _drain(self) -> None:
         # Flush inside the wait loop: a request sitting in a batcher's
@@ -261,21 +224,9 @@ class InferenceServer:
         if self._server is not None:
             self._server.close()
 
-    async def serve_forever(self) -> None:
-        """Block serving connections until cancelled or :meth:`stop`."""
-        if self._server is None:
-            await self.start()
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
     async def stop(self) -> None:
         """Stop accepting, drain in-flight batches, join the thread."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._unlisten()
         batchers, self._batchers = self._batchers, {}
         self._route_sessions = {}
         for batcher in batchers.values():
@@ -284,134 +235,33 @@ class InferenceServer:
             self._infer_thread.shutdown(wait=True)
             self._infer_thread = None
 
-    async def __aenter__(self) -> "InferenceServer":
-        return await self.start()
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
-
     # ------------------------------------------------------------------
-    # Connection handling
+    # Connection hooks (the loop itself is FrameServer's)
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        self.stats["connections"] += 1
+    def _open_context(self) -> dict[str, dict]:
         # The connection's stream registry: handle -> entry.  Scoping it
         # to the connection makes the zero-leak guarantee structural —
-        # when this coroutine exits (clean close, abrupt disconnect, a
-        # cut cable), the registry dies with it and the cleanup below
-        # returns every stream's bytes to the server totals.
-        streams: dict[str, dict] = {}
-        try:
-            while True:
-                try:
-                    header, payload = await read_frame(
-                        reader, max_payload=self.max_payload
-                    )
-                except asyncio.IncompleteReadError as exc:
-                    if exc.partial:
-                        # Died mid-frame (a killed client, a cut cable):
-                        # this connection is unrecoverable, every other
-                        # connection is unaffected.
-                        self.stats["disconnects"] += 1
-                    break  # clean EOF between frames: peer hung up
-                except ConnectionError:
-                    self.stats["disconnects"] += 1
-                    break
-                except ServingError as exc:
-                    # Malformed or oversized frame: the stream offset is
-                    # unrecoverable, so answer once and hang up.
-                    self.stats["errors"] += 1
-                    try:
-                        await send_frame(
-                            writer,
-                            {"status": "error", "message": str(exc)},
-                        )
-                    except Exception:
-                        pass
-                    break
-                if faults.enabled and payload:
-                    corrupt = faults.take("server.corrupt_payload")
-                    if corrupt is not None:
-                        head = bytes(payload[:8])
-                        payload = (
-                            bytes(b ^ 0xFF for b in head) + payload[8:]
-                        )
-                self._inflight += 1
-                try:
-                    try:
-                        response, out_payload = await self._dispatch(
-                            header, payload, streams
-                        )
-                    except Overloaded as exc:
-                        # Shed, not failed: the client must back off and
-                        # retry, so the frame carries the typed code and
-                        # the server's retry hint.
-                        self.stats["shed"] += 1
-                        response = {
-                            "status": "error",
-                            "code": "overloaded",
-                            "message": str(exc),
-                        }
-                        if exc.retry_after_ms is not None:
-                            response["retry_after_ms"] = float(
-                                exc.retry_after_ms
-                            )
-                        out_payload = b""
-                    except ServerUnavailable as exc:
-                        self.stats["errors"] += 1
-                        response = {
-                            "status": "error",
-                            "code": "server_unavailable",
-                            "message": str(exc),
-                        }
-                        out_payload = b""
-                    except (ServingError, ConfigurationError) as exc:
-                        self.stats["errors"] += 1
-                        response = {"status": "error", "message": str(exc)}
-                        if isinstance(exc, DeadlineExpired):
-                            # Machine-readable: retry loops must be able
-                            # to tell expiry from real inference failure
-                            # without string-matching the message.
-                            response["code"] = "deadline_expired"
-                        out_payload = b""
-                    except Exception as exc:  # never kill the connection loop
-                        self.stats["errors"] += 1
-                        response, out_payload = (
-                            {"status": "error",
-                             "message": f"internal error: {exc}"},
-                            b"",
-                        )
-                    if "id" in header:
-                        response["id"] = header["id"]
-                    if faults.enabled:
-                        delay = faults.take(
-                            "server.delay_response", seconds=0.05
-                        )
-                        if delay is not None:
-                            await asyncio.sleep(float(delay["seconds"]))
-                        if faults.take("server.drop_connection") is not None:
-                            break  # hang up instead of responding
-                    try:
-                        await send_frame(writer, response, out_payload)
-                    except (ConnectionError, asyncio.IncompleteReadError):
-                        # Peer vanished while we wrote its response;
-                        # close this connection, touch nothing else.
-                        self.stats["disconnects"] += 1
-                        break
-                finally:
-                    self._inflight -= 1
-        finally:
-            for entry in streams.values():
-                self._free_stream(entry)
-            streams.clear()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except BaseException:
-                # Includes CancelledError: the loop may tear this task
-                # down while it drains the close — the socket is closed
-                # either way, and there is nothing after this line.
-                pass
+        # when the connection's coroutine exits, the registry dies with
+        # it and _close_context returns every stream's bytes to the
+        # server totals.
+        return {}
+
+    def _close_context(self, streams: dict) -> None:
+        for entry in streams.values():
+            self._free_stream(entry)
+
+    def _count_error(self, exc: Exception) -> None:
+        if isinstance(exc, DeadlineExpired):
+            self.stats["expired"] += 1
+        # Shed, not failed: the client must back off and retry.
+        self.stats["shed" if isinstance(exc, Overloaded) else "errors"] += 1
+
+    async def _fault_reply(self) -> bool:
+        delay = faults.take("server.delay_response", seconds=0.05)
+        if delay is not None:
+            await asyncio.sleep(float(delay["seconds"]))
+        # True: hang up instead of responding.
+        return faults.take("server.drop_connection") is not None
 
     def _resolve_route(self, header: dict) -> tuple[str, str, int]:
         """Header routing fields -> (model, precision, priority level).
@@ -424,8 +274,8 @@ class InferenceServer:
         """
         config = self.engine.config
         return (
-            config.resolve_model(header.get("model")),
-            config.resolve_precision(header.get("precision")),
+            config.resolve_model(string_field(header, "model")),
+            config.resolve_precision(string_field(header, "precision")),
             config.resolve_priority(header.get("priority")),
         )
 
@@ -449,7 +299,29 @@ class InferenceServer:
             self._push_mark = (now, self._stream_pushes)
         return self._push_rate
 
-    def _check_deadline(self, deadline_ms) -> None:
+    def _admit(self) -> None:
+        """Admission, cheapest checks first: an injected shed, then the
+        global rate bucket; the per-route queue bounds are enforced by
+        the batcher at submit."""
+        if faults.enabled:
+            shed = faults.take("admission.shed", retry_after_ms=50.0)
+            if shed is not None:
+                raise Overloaded(
+                    "request shed by injected fault",
+                    retry_after_ms=float(shed["retry_after_ms"]),
+                )
+        if self._bucket is not None:
+            wait_s = self._bucket.try_acquire()
+            if wait_s > 0.0:
+                self.stats["rate_limited"] += 1
+                raise Overloaded(
+                    f"rate limit exceeded "
+                    f"({self._bucket.rate:g} requests/s)",
+                    retry_after_ms=wait_s * 1e3,
+                )
+
+    def _deadline_ms(self, header: dict):
+        deadline_ms = header.get("deadline_ms")
         if deadline_ms is not None and (
             isinstance(deadline_ms, bool)
             or not isinstance(deadline_ms, (int, float))
@@ -461,12 +333,18 @@ class InferenceServer:
                 f"deadline_ms must be a non-negative number, "
                 f"got {deadline_ms!r}"
             )
+        return deadline_ms
 
     async def _dispatch(
-        self, header: dict, payload: bytes, streams: dict | None = None
+        self, header: dict, payload: bytes, streams: dict
     ) -> tuple[dict, object]:
         op = header.get("op")
-        streams = {} if streams is None else streams
+        if (
+            faults.enabled
+            and payload
+            and faults.take("server.corrupt_payload") is not None
+        ):
+            payload = bytes(b ^ 0xFF for b in payload[:8]) + payload[8:]
         if op == "ping":
             return {"status": "ok", "op": "ping"}, b""
         if op == "drain":
@@ -602,11 +480,11 @@ class InferenceServer:
                 raise ServerUnavailable(
                     "server is draining; open streams are broken"
                 )
-            entry = streams.get(header.get("stream"))
+            handle = string_field(header, "stream")
+            entry = streams.get(handle)
             if entry is None:
                 raise ServingError(
-                    f"unknown stream {header.get('stream')!r} on this "
-                    "connection"
+                    f"unknown stream {handle!r} on this connection"
                 )
             if not payload:
                 raise ServingError("stream_push requires an array payload")
@@ -615,27 +493,10 @@ class InferenceServer:
                 # well-behaved clients; defend anyway so a pipelining
                 # client cannot corrupt its own stream's ordering.
                 raise ServingError(
-                    f"stream {header.get('stream')!r} already has a push "
-                    "in flight"
+                    f"stream {handle!r} already has a push in flight"
                 )
-            if faults.enabled:
-                shed = faults.take("admission.shed", retry_after_ms=50.0)
-                if shed is not None:
-                    raise Overloaded(
-                        "request shed by injected fault",
-                        retry_after_ms=float(shed["retry_after_ms"]),
-                    )
-            if self._bucket is not None:
-                wait_s = self._bucket.try_acquire()
-                if wait_s > 0.0:
-                    self.stats["rate_limited"] += 1
-                    raise Overloaded(
-                        f"rate limit exceeded "
-                        f"({self._bucket.rate:g} requests/s)",
-                        retry_after_ms=wait_s * 1e3,
-                    )
-            deadline_ms = header.get("deadline_ms")
-            self._check_deadline(deadline_ms)
+            self._admit()
+            deadline_ms = self._deadline_ms(header)
             plan = entry["plan"]
             chunk = unpack_array(payload)
             if chunk.ndim == 1 and plan.in_channels == 1:
@@ -666,9 +527,6 @@ class InferenceServer:
                     priority=priority,
                     deadline_ms=deadline_ms,
                 )
-            except DeadlineExpired:
-                self.stats["expired"] += 1
-                raise
             finally:
                 entry["busy"] = False
             latency_ms = (time.perf_counter() - start) * 1e3
@@ -679,7 +537,7 @@ class InferenceServer:
                 {
                     "status": "ok",
                     "op": "stream_push",
-                    "stream": header.get("stream"),
+                    "stream": handle,
                     "rows": int(chunk.shape[0]),
                     "samples": int(entry["state"].samples),
                     "latency_ms": latency_ms,
@@ -687,11 +545,11 @@ class InferenceServer:
                 pack_array_views(out),
             )
         if op == "stream_close":
-            entry = streams.pop(header.get("stream"), None)
+            handle = string_field(header, "stream")
+            entry = streams.pop(handle, None)
             if entry is None:
                 raise ServingError(
-                    f"unknown stream {header.get('stream')!r} on this "
-                    "connection"
+                    f"unknown stream {handle!r} on this connection"
                 )
             self._free_stream(entry)
             self.stats["stream_closes"] += 1
@@ -699,7 +557,7 @@ class InferenceServer:
                 {
                     "status": "ok",
                     "op": "stream_close",
-                    "stream": header.get("stream"),
+                    "stream": handle,
                     "samples": int(entry["state"].samples),
                     "pushes": int(entry["state"].pushes),
                 },
@@ -712,38 +570,9 @@ class InferenceServer:
                 )
             if not payload:
                 raise ServingError(f"{op} requires an array payload")
-            # Admission, cheapest checks first: an injected shed, then
-            # the global rate bucket; the per-route queue bounds are
-            # enforced by the batcher at submit.
-            if faults.enabled:
-                shed = faults.take("admission.shed", retry_after_ms=50.0)
-                if shed is not None:
-                    raise Overloaded(
-                        "request shed by injected fault",
-                        retry_after_ms=float(shed["retry_after_ms"]),
-                    )
-            if self._bucket is not None:
-                wait_s = self._bucket.try_acquire()
-                if wait_s > 0.0:
-                    self.stats["rate_limited"] += 1
-                    raise Overloaded(
-                        f"rate limit exceeded "
-                        f"({self._bucket.rate:g} requests/s)",
-                        retry_after_ms=wait_s * 1e3,
-                    )
+            self._admit()
             model, precision, priority = self._resolve_route(header)
-            deadline_ms = header.get("deadline_ms")
-            if deadline_ms is not None and (
-                isinstance(deadline_ms, bool)
-                or not isinstance(deadline_ms, (int, float))
-                or deadline_ms < 0
-            ):
-                # Type-check before comparing: a JSON string here must
-                # be a clean protocol error, not an "internal error".
-                raise ServingError(
-                    f"deadline_ms must be a non-negative number, "
-                    f"got {deadline_ms!r}"
-                )
+            deadline_ms = self._deadline_ms(header)
             rows = unpack_array(payload)
             if rows.ndim == 1:
                 rows = rows[None]
@@ -766,13 +595,9 @@ class InferenceServer:
             rows = np.asarray(rows, dtype=session.policy.real_dtype)
             self.stats["requests"] += 1
             start = time.perf_counter()
-            try:
-                proba = await self._batcher_for(model, precision).submit(
-                    rows, priority=priority, deadline_ms=deadline_ms
-                )
-            except DeadlineExpired:
-                self.stats["expired"] += 1
-                raise
+            proba = await self._batcher_for(model, precision).submit(
+                rows, priority=priority, deadline_ms=deadline_ms
+            )
             latency_ms = (time.perf_counter() - start) * 1e3
             out = proba.argmax(axis=-1) if op == "predict" else proba
             return (

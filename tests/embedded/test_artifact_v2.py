@@ -140,7 +140,7 @@ class TestV2RoundTrip:
         )
 
     def test_session_parity_vs_live_model(self, tmp_path, rng, fc_model):
-        # v2 save -> load -> to_session must match the live model to
+        # v2 save -> load -> session must match the live model to
         # float32-storage accuracy (same contract as v1 deployment).
         from repro.nn import Tensor
 

@@ -7,14 +7,23 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
-from repro.exceptions import ServingError
+from repro.exceptions import (
+    ConfigurationError,
+    DeadlineExpired,
+    Overloaded,
+    ServerUnavailable,
+    ServingError,
+)
 from repro.nn import BlockCirculantLinear, Linear, ReLU, Sequential
 from repro.runtime import InferenceSession
 from repro.serving import AsyncServeClient, InferenceServer, ServeClient
 from repro.serving.protocol import (
+    check_reply,
     encode_frame,
+    error_header,
     pack_array,
     pack_array_views,
+    send_frame_sync,
     unpack_array,
 )
 from repro.zoo import build_arch2
@@ -84,7 +93,140 @@ class TestProtocol:
         assert np.array_equal(unpack_array(joined), arr)
 
 
+class RecordingSocket:
+    """Fake socket: records every ``sendmsg``, taking ``limit`` bytes each."""
+
+    def __init__(self, limit=None):
+        self.limit = limit
+        self.calls = []
+
+    def sendmsg(self, buffers):
+        data = b"".join(bytes(buffer) for buffer in buffers)[: self.limit]
+        self.calls.append(data)
+        return len(data)
+
+
+class TestSyncSend:
+    """One frame, one send: a header segment the peer's delayed ACK can
+    hold the payload behind cost the blocking client 44 ms per call."""
+
+    header = {"op": "predict_proba", "request_id": "0" * 32}
+
+    def test_small_frame_is_one_vectored_send(self, rng):
+        arr = rng.normal(size=(8, 96))
+        sock = RecordingSocket()
+        send_frame_sync(sock, self.header, pack_array_views(arr))
+        assert sock.calls == [encode_frame(self.header, pack_array(arr))]
+
+    @pytest.mark.parametrize("limit", [1, 7, 100, 4096])
+    def test_partial_sends_resume_where_the_kernel_stopped(self, rng, limit):
+        arr = rng.normal(size=(8, 96))
+        sock = RecordingSocket(limit)
+        send_frame_sync(sock, self.header, pack_array_views(arr))
+        assert b"".join(sock.calls) == encode_frame(
+            self.header, pack_array(arr)
+        )
+        assert all(0 < len(call) <= limit for call in sock.calls)
+
+    def test_empty_payload_and_raw_memoryview(self, rng):
+        sock = RecordingSocket()
+        send_frame_sync(sock, {"op": "ping"})
+        assert sock.calls == [encode_frame({"op": "ping"})]
+        arr = np.ascontiguousarray(rng.normal(size=(4,)))
+        sock = RecordingSocket()
+        send_frame_sync(sock, {"k": 1}, memoryview(arr))  # uncast float64
+        assert sock.calls == [encode_frame({"k": 1}, arr.tobytes())]
+
+    def test_without_sendmsg_payload_view_is_still_never_joined(self, rng):
+        class SendallOnly:
+            def __init__(self):
+                self.sent = []
+
+            def sendall(self, data):
+                self.sent.append(data)
+
+        views = pack_array_views(rng.normal(size=(8, 96)))
+        sock = SendallOnly()
+        send_frame_sync(sock, self.header, views)
+        assert sock.sent[-1] is views[-1]  # the zero-copy body, as given
+        assert b"".join(bytes(part) for part in sock.sent) == encode_frame(
+            self.header, views
+        )
+
+
+class TestErrorCodeTable:
+    """exception -> error header -> the same exception, in one module."""
+
+    @pytest.mark.parametrize(
+        "exc, wire",
+        [
+            (
+                Overloaded("full", retry_after_ms=40),
+                b'{"status":"error","code":"overloaded","message":"full",'
+                b'"retry_after_ms":40.0}',
+            ),
+            (
+                Overloaded("full"),
+                b'{"status":"error","code":"overloaded","message":"full"}',
+            ),
+            (
+                ServerUnavailable("draining"),
+                b'{"status":"error","code":"server_unavailable",'
+                b'"message":"draining"}',
+            ),
+            (
+                DeadlineExpired("late"),
+                b'{"status":"error","message":"late",'
+                b'"code":"deadline_expired"}',
+            ),
+            (ServingError("bad op"), b'{"status":"error","message":"bad op"}'),
+        ],
+        ids=["shed-hint", "shed", "unavailable", "expired", "uncoded"],
+    )
+    def test_typed_errors_round_trip_with_the_parent_wire_bytes(
+        self, exc, wire
+    ):
+        header = error_header(exc)
+        assert encode_frame(header)[8:] == wire
+        with pytest.raises(type(exc), match=str(exc)) as raised:
+            check_reply(header)
+        assert type(raised.value) is type(exc)
+        assert getattr(raised.value, "retry_after_ms", None) == getattr(
+            exc, "retry_after_ms", None
+        )
+
+    def test_config_errors_travel_uncoded_and_bugs_as_internal(self):
+        assert error_header(ConfigurationError("unknown model 'x'")) == {
+            "status": "error", "message": "unknown model 'x'"
+        }
+        assert error_header(TypeError("unhashable")) == {
+            "status": "error", "message": "internal error: unhashable"
+        }
+
+    def test_ok_reply_passes_through(self):
+        reply = {"status": "ok", "op": "ping"}
+        assert check_reply(reply) is reply
+
+    def test_deadline_expired_is_one_class_under_every_import_path(self):
+        import repro.exceptions
+        import repro.serving
+        import repro.serving.batcher
+
+        assert (
+            repro.serving.DeadlineExpired
+            is repro.serving.batcher.DeadlineExpired
+            is repro.exceptions.DeadlineExpired
+        )
+
+
 class TestServerE2E:
+    def test_engine_is_required(self):
+        # The pre-engine InferenceServer(session) signature is gone.
+        session = InferenceSession.freeze(small_model())
+        with pytest.raises(TypeError, match="Engine"):
+            InferenceServer(session, port=0)
+        session.close()
+
     def test_predict_proba_bitwise_equals_serial(self, rng, served_reference):
         model = small_model()
         engine = Engine(model=model)
@@ -303,8 +445,6 @@ class TestRouting:
         engine.close()
 
     def test_expired_deadline_answers_typed_error_frame(self, rng):
-        from repro.serving import DeadlineExpired
-
         engine = small_engine()
         x = rng.normal(size=(2, 96))
 
@@ -342,60 +482,6 @@ class TestRouting:
 
 
 class TestServerRobustness:
-    def test_bad_op_and_missing_payload_keep_connection_alive(self, rng):
-        engine = small_engine()
-        x = rng.normal(size=(2, 96))
-
-        async def scenario(server):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            from repro.serving.protocol import read_frame, send_frame
-
-            await send_frame(writer, {"op": "teleport"})
-            error1, _ = await read_frame(reader)
-            await send_frame(writer, {"op": "predict"})  # no payload
-            error2, _ = await read_frame(reader)
-            await send_frame(writer, {"op": "predict"}, pack_array(x))
-            ok, payload = await read_frame(reader)
-            writer.close()
-            await writer.wait_closed()
-            return error1, error2, ok, payload
-
-        error1, error2, ok, payload = serve(engine, scenario)
-        assert error1["status"] == "error" and "teleport" in error1["message"]
-        assert error2["status"] == "error"
-        assert ok["status"] == "ok"
-        assert unpack_array(payload).shape == (2,)
-        engine.close()
-
-    def test_oversized_payload_rejected_cheaply(self):
-        engine = small_engine()
-
-        async def scenario(server):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            from repro.serving.protocol import read_frame
-
-            # A header lying about a huge payload must not be allocated.
-            frame = encode_frame({"op": "predict"}, b"x" * 64)
-            huge = frame[:4] + (1 << 30).to_bytes(4, "big") + frame[8:]
-            writer.write(huge)
-            await writer.drain()
-            # Server answers with an error frame, then hangs up rather
-            # than reading 1 GiB.
-            response, _ = await read_frame(reader)
-            eof = await reader.read(1024)
-            writer.close()
-            return response, eof
-
-        response, eof = serve(engine, scenario, max_payload=1 << 20)
-        assert response["status"] == "error"
-        assert "too large" in response["message"]
-        assert eof == b""
-        engine.close()
-
     def test_bad_width_request_fails_alone_server_keeps_serving(
         self, rng, served_reference
     ):
@@ -439,24 +525,6 @@ class TestServerRobustness:
         assert np.array_equal(
             served, served_reference(engine, serial, x32)
         )
-        engine.close()
-
-    def test_request_id_echoed(self, rng):
-        engine = small_engine()
-
-        async def scenario(server):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            from repro.serving.protocol import read_frame, send_frame
-
-            await send_frame(writer, {"op": "ping", "id": 41})
-            response, _ = await read_frame(reader)
-            writer.close()
-            return response
-
-        response = serve(engine, scenario)
-        assert response["id"] == 41
         engine.close()
 
     def test_stats_and_info_expose_routes(self, rng):
