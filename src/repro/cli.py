@@ -626,15 +626,20 @@ def _print_op_stats(stats: dict) -> None:
         )
 
 
-def _print_arena_info(info: dict) -> None:
-    """The ``--profile`` arena line: workspace buffer footprint, stderr."""
+def _print_arena_info(info: dict, expanded_nbytes: int) -> None:
+    """The ``--profile`` arena line: workspace buffer footprint and the
+    weights expanded at freeze (dense-kernel ``bc_conv``), on stderr."""
+    expanded = f"expanded_weights={expanded_nbytes / 1024:.1f} KiB"
     if not info.get("enabled"):
-        print("arena: disabled (fresh buffers every call)", file=sys.stderr)
+        print(
+            f"arena: disabled (fresh buffers every call) {expanded}",
+            file=sys.stderr,
+        )
         return
     kb = info["nbytes"] / 1024
     print(
         f"arena: workspaces={info['workspaces']} "
-        f"buffers={info['buffers']} reserved={kb:.1f} KiB "
+        f"buffers={info['buffers']} reserved={kb:.1f} KiB {expanded} "
         f"buckets={list(info['buckets'])}",
         file=sys.stderr,
     )
@@ -668,9 +673,11 @@ def _cmd_predict(args) -> int:
                 score = float((predictions == labels).mean())
                 print(f"accuracy: {score:.4f}", file=sys.stderr)
         if args.profile:
-            executor = engine.session().executor
-            _print_op_stats(executor.op_stats())
-            _print_arena_info(executor.arena_info())
+            session = engine.session()
+            _print_op_stats(session.executor.op_stats())
+            _print_arena_info(
+                session.executor.arena_info(), session.expanded_weight_nbytes
+            )
     return 0
 
 

@@ -62,8 +62,8 @@ from ..nn.layers import (
     shift_right,
 )
 from ..nn.module import Sequential
+from ..runtime.plan import pool_windows as _pool_windows
 from ..runtime.session import iter_batches as _iter_batches
-from ..runtime.session import pool_windows as _pool_windows
 from ..runtime.session import softmax as _softmax
 from ..structured import block_circulant_forward_batch
 from ..nn.functional import im2col

@@ -452,7 +452,8 @@ class Engine:
         }
 
     def describe_routes(self) -> dict:
-        """Per pooled route: plan ops, executor, arena (JSON-able).
+        """Per pooled route: plan ops, executor, arena, and the bytes of
+        weights expanded at freeze (JSON-able).
 
         Snapshots the pool under its lock, so racing a concurrent
         ``close()`` yields a consistent (possibly empty) view instead
@@ -466,6 +467,7 @@ class Engine:
                 "ops": session.describe(),
                 "executor": repr(session.executor),
                 "arena": session.executor.arena_info(),
+                "expanded_weight_nbytes": session.expanded_weight_nbytes,
             }
             if getattr(session.executor, "profile", False):
                 route["op_stats"] = session.executor.op_stats()

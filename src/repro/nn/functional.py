@@ -24,6 +24,8 @@ __all__ = [
     "im2col",
     "col2im",
     "im2col_indices",
+    "conv_output_size",
+    "unfold_patches",
     "max_pool2d",
     "avg_pool2d",
 ]
@@ -138,6 +140,32 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # im2col / col2im (paper Fig. 3 reformulation)
 # ----------------------------------------------------------------------
+def conv_output_size(
+    height: int,
+    width: int,
+    kernel: int,
+    stride: int = 1,
+    padding: int = 0,
+) -> tuple[int, int]:
+    """Output grid ``(out_h, out_w)`` of a square-kernel convolution.
+
+    Raises :class:`ValueError` for a non-positive kernel or stride, a
+    negative padding, or a kernel that does not fit the padded image.
+    """
+    if kernel <= 0 or stride <= 0 or padding < 0:
+        raise ValueError(
+            f"invalid geometry: kernel={kernel} stride={stride} padding={padding}"
+        )
+    out_h = (height + 2 * padding - kernel) // stride + 1
+    out_w = (width + 2 * padding - kernel) // stride + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(
+            f"kernel {kernel} does not fit in ({height}, {width}) "
+            f"with padding {padding}"
+        )
+    return out_h, out_w
+
+
 def im2col_indices(
     height: int,
     width: int,
@@ -152,17 +180,7 @@ def im2col_indices(
     image; windows are laid out row-major, matching paper Eqn. 5's
     ``(x + i - 1, y + j - 1)`` sliding pattern.
     """
-    if kernel <= 0 or stride <= 0 or padding < 0:
-        raise ValueError(
-            f"invalid geometry: kernel={kernel} stride={stride} padding={padding}"
-        )
-    out_h = (height + 2 * padding - kernel) // stride + 1
-    out_w = (width + 2 * padding - kernel) // stride + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"kernel {kernel} does not fit in ({height}, {width}) "
-            f"with padding {padding}"
-        )
+    out_h, out_w = conv_output_size(height, width, kernel, stride, padding)
     base_r = np.repeat(np.arange(out_h) * stride, out_w)
     base_c = np.tile(np.arange(out_w) * stride, out_h)
     offset_r = np.repeat(np.arange(kernel), kernel)
@@ -170,6 +188,35 @@ def im2col_indices(
     rows = base_r[:, None] + offset_r[None, :]
     cols = base_c[:, None] + offset_c[None, :]
     return rows, cols, out_h, out_w
+
+
+def unfold_patches(
+    dest: np.ndarray, padded: np.ndarray, kernel: int, stride: int = 1
+) -> None:
+    """Write every convolution patch of ``padded`` into ``dest``.
+
+    ``padded`` is ``(batch, C, H, W)`` with any zero border already in
+    place; ``dest`` is indexed ``(batch, out_h, out_w, k, k, C')`` with
+    ``C' >= C`` (channels past ``C`` are left untouched) and may be any
+    strided view, so one core serves both the channel-major layout of
+    :func:`im2col` and the channel-last layout the frozen plan contracts
+    over.  Each sample's patch matrix is written by ``k * k`` strided
+    slice copies — no index arrays, no fancy-index gather — one sample
+    at a time, so the matrix being written stays cache-resident across
+    its ``k * k`` passes.
+    """
+    batch, out_h, out_w = dest.shape[:3]
+    channels = padded.shape[1]
+    # dest as (batch, C, k, k, out_h, out_w): each copy below is then a
+    # plain same-order assignment of one shifted image plane per channel.
+    planes = dest[..., :channels].transpose(0, 5, 3, 4, 1, 2)
+    for n in range(batch):
+        for i in range(kernel):
+            rows = slice(i, i + stride * out_h, stride)
+            for j in range(kernel):
+                planes[n, :, i, j] = padded[
+                    n, :, rows, slice(j, j + stride * out_w, stride)
+                ]
 
 
 def im2col(
@@ -187,15 +234,19 @@ def im2col(
     if images.ndim != 4:
         raise ValueError(f"im2col expects (batch, C, H, W), got {images.shape}")
     batch, channels, height, width = images.shape
-    rows, cols, out_h, out_w = im2col_indices(height, width, kernel, stride, padding)
+    out_h, out_w = conv_output_size(height, width, kernel, stride, padding)
     if padding:
-        images = np.pad(
-            images, ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        padded = np.zeros(
+            (batch, channels, height + 2 * padding, width + 2 * padding),
+            dtype=images.dtype,
         )
-    # Gather: (batch, C, positions, k*k) -> (batch, positions, C, k*k).
-    patches = images[:, :, rows, cols]
-    patches = patches.transpose(0, 2, 1, 3)
-    return patches.reshape(batch, out_h * out_w, channels * kernel * kernel)
+        padded[:, :, padding : padding + height, padding : padding + width] = images
+        images = padded
+    cols = np.empty(
+        (batch, out_h, out_w, channels, kernel, kernel), dtype=images.dtype
+    )
+    unfold_patches(cols.transpose(0, 1, 2, 4, 5, 3), images, kernel, stride)
+    return cols.reshape(batch, out_h * out_w, channels * kernel * kernel)
 
 
 def col2im(

@@ -7,18 +7,45 @@ of :class:`PlanOp` closures.  Executing the plan is the job of
 :mod:`repro.runtime.executors`; the user-facing façade is
 :class:`repro.runtime.session.InferenceSession`.
 
-Two compile-time choices shape the emitted ops:
+Three compile-time choices shape the emitted ops:
 
 * **Precision** — every weight, bias, spectrum and work buffer is
   materialized at the dtypes of a
   :class:`~repro.precision.PrecisionPolicy`.  Under ``"fp32"`` the whole
-  hot path (im2col, rfft, complex GEMM, irfft, bias, activation) runs in
-  float32/complex64 with no silent upcast anywhere.
+  hot path (unfold, GEMM or rfft -> complex GEMM -> irfft, bias,
+  activation) runs in float32/complex64 with no silent upcast anywhere.
+* **Which kernel runs a block-circulant conv** — :func:`bc_conv_kernel`
+  turns the paper's section IV operation counts
+  (:mod:`repro.analysis.complexity`) into the decision: the op either
+  keeps the stored half-spectra and runs rfft -> frequency-major GEMM ->
+  irfft, or is expanded once, here, to the equivalent dense real matrix
+  and runs one GEMM.  The rule is a pure function of the block grid and
+  the dtype (two module constants, no timing, no host probe), so every
+  host freezes the same plan; the op name carries the choice
+  (``bc_conv(16->32,k=3,b=8,dense)``).  Expansion is RAM-only and
+  capped per op: artifact bytes and the ``embedded/memory.py`` estimates
+  are what they were, and :attr:`PlanOp.expanded_nbytes` reports what a
+  plan holds beyond them.
 * **Overlap-add conv tiling** (``conv_tile``) — block-circulant conv ops
   are emitted as streaming tiles of ``conv_tile`` output rows: each tile
   gathers only its own (overlapping) input slab, so peak memory is
-  bounded by the tile size instead of the full im2col matrix (the
-  ROADMAP's overlap-add streaming item).
+  bounded by the tile size instead of the full patch matrix (the
+  ROADMAP's overlap-add streaming item).  Tiled ops always run the FFT
+  kernel.
+
+**The conv hot path** is *unfold, GEMM or rfft -> GEMM -> irfft, bias,
+activation*.  The unfold writes the patch matrix by ``k*k`` strided
+slice copies from a zero-bordered image slot straight into the
+channel-last ``(batch, positions, k*k, C)`` layout its consumer
+contracts over (:func:`~repro.nn.functional.unfold_patches`); dense
+conv weights are permuted to that row order once at freeze.
+
+**What "equal" means across kernels.**  A plan equals the training-time
+layer and the :class:`~repro.embedded.deploy.DeployedModel` record
+interpreter to 1e-10 (fp64) whichever kernel an op froze to — the two
+kernels sum the same products in different orders.  *Bitwise* equality
+holds only between paths running the same kernel: arena vs fresh,
+threaded vs serial at the same ``batch_size``.
 
 Fusion: every elementwise activation is folded into the producing compute
 op (``fusable`` ops), so the plan executes one closure per weight layer
@@ -35,8 +62,10 @@ buffers (``np.matmul(..., out=...)``, in-place bias/activation, zero-once
 pad buffers) so steady-state inference stops paying the allocator.
 ``ws_fn`` is bitwise-identical to ``fn`` by construction: it runs the
 same floating-point operations in the same order, only into caller-owned
-memory.  Executors choose the path; ops with no arena form
-(conv-tiled) simply leave ``ws_fn`` unset and keep their fresh path.
+memory (the conv and max-pool ops are literally one body, run against
+either an arena or a fresh-allocating stand-in).  Executors choose the
+path; ops with no arena form (conv-tiled) simply leave ``ws_fn`` unset
+and keep their fresh path.
 """
 
 from __future__ import annotations
@@ -46,10 +75,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..analysis.complexity import bc_fc_ops, dense_fc_ops
 from ..exceptions import DeploymentError
 from ..fft import irfft, rfft
 from ..fft.backend import get_backend
-from ..nn.functional import im2col
+from ..nn.functional import conv_output_size, im2col, unfold_patches
 from ..nn.layers import (
     AvgPool2d,
     BatchNorm1d,
@@ -73,11 +103,14 @@ from ..nn.layers import (
 )
 from ..nn.module import Sequential
 from ..precision import FP64, PrecisionPolicy
-from ..structured import block_circulant_forward_batch
+from ..structured import block_circulant_forward_batch, block_circulant_to_dense
 from ..structured.spectral import freq_major
 
 __all__ = [
+    "DENSE_EXPANSION_CAP_BYTES",
+    "GEMM_FLOP_ADVANTAGE",
     "PlanOp",
+    "bc_conv_kernel",
     "compile_model_plan",
     "compile_records_plan",
     "fuse_plan",
@@ -88,6 +121,41 @@ __all__ = [
 #: Per-op-instance arena slot prefixes: two ops in one plan (or two
 #: plans sharing a worker pool) can never collide on a workspace slot.
 _OP_IDS = itertools.count()
+
+
+#: How many operations of the paper's FFT-path count (section IV-A,
+#: :func:`~repro.analysis.complexity.bc_fc_ops`) cost as much as one
+#: multiply-add pair of a real GEMM on a CPU BLAS.  Measured: the
+#: rfft -> GEMM -> irfft kernel and the dense-expanded GEMM break even
+#: where the paper's count ratio is about 1/6 (crossover table in
+#: ``docs/performance.md``).
+GEMM_FLOP_ADVANTAGE = 6.0
+
+#: A block-circulant conv op never expands to a dense matrix larger
+#: than this (at the plan's real dtype), whatever the op counts say:
+#: expansion trades the paper's storage saving for speed in RAM only,
+#: and this bounds the trade per op.
+DENSE_EXPANSION_CAP_BYTES = 1 << 20
+
+
+def bc_conv_kernel(p: int, q: int, b: int, real_dtype=np.float64) -> str:
+    """Which kernel a frozen block-circulant conv runs: ``"dense"`` or ``"fft"``.
+
+    A pure function of the ``(p, q, b)`` block grid and the plan's real
+    dtype — no timing, no host probe — so every host compiles the same
+    plan.  ``"dense"`` (the layer expanded to a real ``(q*b, p*b)``
+    matrix at freeze, one GEMM per call) wins iff the paper's FFT-path
+    operation count, weighted by :data:`GEMM_FLOP_ADVANTAGE`, exceeds
+    the dense count **and** the expanded matrix fits
+    :data:`DENSE_EXPANSION_CAP_BYTES`; otherwise the op keeps the
+    rfft -> frequency-major GEMM -> irfft path on the stored spectra.
+    """
+    rows, cols = p * b, q * b
+    if rows * cols * np.dtype(real_dtype).itemsize > DENSE_EXPANSION_CAP_BYTES:
+        return "fft"
+    if GEMM_FLOP_ADVANTAGE * bc_fc_ops(rows, cols, b) > dense_fc_ops(rows, cols):
+        return "dense"
+    return "fft"
 
 
 def _fft_writes_out() -> bool:
@@ -172,7 +240,9 @@ class PlanOp:
     condition under which a folded successor may run its ``inplace_fn``
     (an in-place variant, bitwise-equal to ``fn``) on it.  ``flatten``
     is the one op with ``fresh_out=False``: its output is a view of its
-    *input*, which the op does not own.
+    *input*, which the op does not own.  ``expanded_nbytes`` is the RAM
+    the op holds in weights expanded beyond what the artifact stores (a
+    dense-kernel ``bc_conv``); zero for every other op.
     """
 
     __slots__ = (
@@ -183,6 +253,7 @@ class PlanOp:
         "foldable",
         "inplace_fn",
         "fresh_out",
+        "expanded_nbytes",
     )
 
     def __init__(
@@ -202,6 +273,7 @@ class PlanOp:
         self.foldable = foldable
         self.inplace_fn = inplace_fn
         self.fresh_out = fresh_out
+        self.expanded_nbytes = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x)
@@ -233,6 +305,7 @@ class PlanOp:
             foldable=self.foldable and op.foldable,
             fresh_out=self.fresh_out or op.fresh_out,
         )
+        folded.expanded_nbytes = self.expanded_nbytes + op.expanded_nbytes
         if self.ws_fn is not None:
             inner_ws = self.ws_fn
             if op.inplace_fn is not None and self.fresh_out:
@@ -499,6 +572,121 @@ def _pointwise1d_op(
     return PlanOp(f"pointwise1d({in_c}->{out_c})", fn, fusable=True)
 
 
+class _FreshBuffers:
+    """Workspace stand-in for the fresh path: every slot is a new array.
+
+    The unfold-based kernels are written once against the
+    :class:`~repro.runtime.workspace.Workspace` slot interface; run with
+    this stand-in they are the op's ``fn``, run with a real arena they
+    are its ``ws_fn`` — the same floating-point operations in the same
+    order by construction, only into different memory.
+    """
+
+    @staticmethod
+    def bucket(n: int) -> int:
+        return n
+
+    @staticmethod
+    def get(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return np.empty(shape, dtype=dtype)
+
+    @staticmethod
+    def zeros(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return np.zeros(shape, dtype=dtype)
+
+
+_FRESH = _FreshBuffers()
+
+
+def _check_channels(x: np.ndarray, in_channels: int) -> None:
+    if x.ndim != 4 or x.shape[1] != in_channels:
+        raise ValueError(
+            f"expected input with {in_channels} channels, got shape {x.shape}"
+        )
+
+
+def _unfold(
+    x: np.ndarray,
+    ws,
+    tag: str,
+    in_channels: int,
+    padded_c: int,
+    k: int,
+    stride: int,
+    padding: int,
+    rdtype,
+) -> tuple[np.ndarray, int, int]:
+    """Patch matrix ``(batch, positions, k*k*padded_c)`` plus the output grid.
+
+    Rows are ``(k, k, channel)``-major with the channel axis padded to
+    ``padded_c`` — the block layout the block-circulant contraction
+    consumes, and (with ``padded_c == in_channels``) the row order the
+    dense weight matrices are permuted to at freeze — written by
+    :func:`~repro.nn.functional.unfold_patches` straight from a
+    zero-bordered image slot.  Both zero regions (image border, channel
+    pad) live in zero-once slots whose single writer only ever writes
+    the data region.
+    """
+    _check_channels(x, in_channels)
+    batch, _, height, width = x.shape
+    out_h, out_w = conv_output_size(height, width, k, stride, padding)
+    m = ws.bucket(batch)
+    if padding:
+        image = ws.zeros(
+            tag + ".img",
+            (m, in_channels, height + 2 * padding, width + 2 * padding),
+            rdtype,
+        )[:batch]
+        image[:, :, padding : padding + height, padding : padding + width] = x
+    else:
+        image = x
+    slot = ws.get if padded_c == in_channels else ws.zeros
+    cols = slot(tag + ".cols", (m, out_h, out_w, k, k, padded_c), rdtype)[:batch]
+    unfold_patches(cols, image, k, stride)
+    return cols.reshape(batch, out_h * out_w, k * k * padded_c), out_h, out_w
+
+
+def _unfold_gemm_op(
+    name: str,
+    weight_t: np.ndarray,
+    bias: np.ndarray | None,
+    in_channels: int,
+    k: int,
+    stride: int,
+    padding: int,
+    rdtype,
+) -> PlanOp:
+    """unfold -> one real GEMM -> channels-first -> bias.
+
+    ``weight_t`` is ``(k*k*in_channels, out_channels)`` with rows in the
+    unfold's ``(k, k, channel)`` order.  Serves the dense conv and the
+    dense-expanded block-circulant conv alike.
+    """
+    out_c = weight_t.shape[1]
+    tag = f"op{next(_OP_IDS)}.conv"
+
+    def run(x: np.ndarray, ws) -> np.ndarray:
+        cols, out_h, out_w = _unfold(
+            x, ws, tag, in_channels, in_channels, k, stride, padding, rdtype
+        )
+        batch = x.shape[0]
+        gemm = np.matmul(
+            cols,
+            weight_t,
+            out=ws.get(
+                tag + ".gemm", (ws.bucket(batch), out_h * out_w, out_c), rdtype
+            )[:batch],
+        )
+        # Channels-first: a copy, or (one image) a view of the op-private
+        # GEMM slot — op-owned either way, so bias adds in place.
+        out = gemm.transpose(0, 2, 1).reshape(batch, out_c, out_h, out_w)
+        if bias is not None:
+            out += bias[None, :, None, None]
+        return out
+
+    return PlanOp(name, lambda x: run(x, _FRESH), fusable=True, ws_fn=run)
+
+
 def _conv_op(
     weight: np.ndarray,
     bias: np.ndarray | None,
@@ -509,44 +697,37 @@ def _conv_op(
     rdtype = policy.real_dtype
     weight = np.asarray(weight, dtype=rdtype)
     out_c, in_c, k, _ = weight.shape
-    flat_t = np.ascontiguousarray(weight.reshape(out_c, -1).T)
+    # Rows permuted once to the unfold's (k, k, channel) order.
+    weight_t = np.ascontiguousarray(
+        weight.transpose(2, 3, 1, 0).reshape(k * k * in_c, out_c)
+    )
     bias = None if bias is None else np.asarray(bias, dtype=rdtype)
+    return _unfold_gemm_op(
+        f"conv({in_c}->{out_c},k={k})",
+        weight_t, bias, in_c, k, stride, padding, rdtype,
+    )
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        batch, _, height, width = x.shape
-        out_h = (height + 2 * padding - k) // stride + 1
-        out_w = (width + 2 * padding - k) // stride + 1
-        cols = im2col(x, k, stride, padding)
-        out = cols @ flat_t
-        out = out.transpose(0, 2, 1).reshape(batch, out_c, out_h, out_w)
-        if bias is not None:
-            out = out + bias[None, :, None, None]
-        return out
 
-    tag = f"op{next(_OP_IDS)}.conv"
+def _expand_bc_conv(
+    spectra: np.ndarray,
+    in_channels: int,
+    out_channels: int,
+    k: int,
+    b: int,
+    rdtype,
+) -> np.ndarray:
+    """Half-spectra -> the equivalent real ``(k*k*C, P)`` GEMM operand.
 
-    def ws_fn(x: np.ndarray, ws) -> np.ndarray:
-        batch, _, height, width = x.shape
-        out_h = (height + 2 * padding - k) // stride + 1
-        out_w = (width + 2 * padding - k) // stride + 1
-        cols = im2col(x, k, stride, padding)
-        m = ws.bucket(batch)
-        gemm = np.matmul(
-            cols,
-            flat_t,
-            out=ws.get(f"{tag}.gemm", (m, out_h * out_w, out_c), rdtype)[
-                :batch
-            ],
-        )
-        # The channels-first reshape copies (same as the fresh path —
-        # the transpose view is not reshapeable), so the result is op-
-        # owned and bias can add in place.
-        out = gemm.transpose(0, 2, 1).reshape(batch, out_c, out_h, out_w)
-        if bias is not None:
-            out += bias[None, :, None, None]
-        return out
-
-    return PlanOp(f"conv({in_c}->{out_c},k={k})", fn, fusable=True, ws_fn=ws_fn)
+    ``irfft`` recovers the ``(p, q, b)`` defining vectors, the circulant
+    index gather expands them to ``(p*b, q*b)``, and the padding is
+    dropped: filter rows past ``out_channels`` and the columns that only
+    ever meet zero-padded channels.
+    """
+    weights = np.fft.irfft(spectra.astype(np.complex128), n=b, axis=-1)
+    dense = block_circulant_to_dense(weights)
+    dense = dense[:out_channels].reshape(out_channels, k * k, -1)
+    dense = dense[:, :, :in_channels].reshape(out_channels, -1)
+    return np.ascontiguousarray(dense.T, dtype=rdtype)
 
 
 def _bc_conv_op(
@@ -563,50 +744,47 @@ def _bc_conv_op(
     policy: PrecisionPolicy = FP64,
     conv_tile: int | None = None,
 ) -> PlanOp:
+    """The one place a block-circulant conv picks its kernel.
+
+    Un-tiled ops run whichever of the two kernels
+    :func:`bc_conv_kernel` names; ``conv_tile`` ops always stream the
+    FFT kernel over input slabs.
+    """
     cdtype = policy.complex_dtype
     rdtype = policy.real_dtype
     spectra = np.asarray(spectra, dtype=cdtype)
-    if spectra_fm is None or np.asarray(spectra_fm).dtype != cdtype:
-        spectra_fm = freq_major(spectra)
     b = block_size
     k = kernel_size
     padded_c = channel_blocks * b
     bias = None if bias is None else np.asarray(bias, dtype=rdtype)
+    p, q, nb = spectra.shape
+    label = f"bc_conv({in_channels}->{out_channels},k={k},b={b}"
 
-    def pad_blocks(cols: np.ndarray, batch: int, positions: int) -> np.ndarray:
-        """im2col columns -> channel-padded ``(batch*positions, q, b)``."""
-        by_pos = cols.reshape(batch, positions, in_channels, k * k).transpose(
-            0, 1, 3, 2
+    if conv_tile is None and bc_conv_kernel(p, q, b, rdtype) == "dense":
+        weight_t = _expand_bc_conv(
+            spectra, in_channels, out_channels, k, b, rdtype
         )
-        if padded_c != in_channels:
-            padded = np.zeros((batch, positions, k * k, padded_c), dtype=rdtype)
-            padded[..., :in_channels] = by_pos
-            by_pos = padded
-        return by_pos.reshape(batch * positions, -1, b)
+        op = _unfold_gemm_op(
+            label + ",dense)",
+            weight_t, bias, in_channels, k, stride, padding, rdtype,
+        )
+        op.expanded_nbytes = weight_t.nbytes
+        return op
 
-    name = f"bc_conv({in_channels}->{out_channels},k={k},b={b})"
-    p = spectra.shape[0]
+    if spectra_fm is None or np.asarray(spectra_fm).dtype != cdtype:
+        spectra_fm = freq_major(spectra)
 
-    def contract(cols: np.ndarray, batch: int, positions: int) -> np.ndarray:
-        """im2col columns -> ``(batch, positions, out_channels)``."""
-        blocks = pad_blocks(cols, batch, positions)
-        out = block_circulant_forward_batch(spectra, blocks, weight_fm=spectra_fm)
-        out = out.reshape(batch * positions, -1)[:, :out_channels]
-        return out.reshape(batch, positions, out_channels)
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        batch, _, height, width = x.shape
-        out_h = (height + 2 * padding - k) // stride + 1
-        out_w = (width + 2 * padding - k) // stride + 1
-        if conv_tile is None or conv_tile >= out_h:
-            out = contract(im2col(x, k, stride, padding), batch, out_h * out_w)
-            out = out.transpose(0, 2, 1).reshape(
-                batch, out_channels, out_h, out_w
-            )
-        else:
-            # Overlap-add streaming: each tile of `conv_tile` output rows
-            # gathers only its own input slab (slabs overlap by k - stride
-            # rows), bounding peak im2col memory by the tile size.
+    if conv_tile is not None:
+        # Overlap-add streaming: each tile of `conv_tile` output rows
+        # gathers only its own input slab (slabs overlap by k - stride
+        # rows), bounding peak patch-matrix memory by the tile size.
+        # Tiled ops keep the fresh path: the tile loop is already the
+        # memory-bounding strategy, and its slab geometry varies per
+        # call position — no stable buffer set to preallocate.
+        def tiled_fn(x: np.ndarray) -> np.ndarray:
+            _check_channels(x, in_channels)
+            batch, _, height, width = x.shape
+            out_h, out_w = conv_output_size(height, width, k, stride, padding)
             padded = (
                 np.pad(
                     x,
@@ -618,57 +796,53 @@ def _bc_conv_op(
             out = np.empty((batch, out_channels, out_h, out_w), dtype=rdtype)
             for r0 in range(0, out_h, conv_tile):
                 r1 = min(r0 + conv_tile, out_h)
+                positions = (r1 - r0) * out_w
                 slab = padded[:, :, r0 * stride : (r1 - 1) * stride + k, :]
-                tile = contract(
-                    im2col(slab, k, stride, 0), batch, (r1 - r0) * out_w
+                by_pos = (
+                    im2col(slab, k, stride, 0)
+                    .reshape(batch, positions, in_channels, k * k)
+                    .transpose(0, 1, 3, 2)
                 )
+                if padded_c != in_channels:
+                    wide = np.zeros(
+                        (batch, positions, k * k, padded_c), dtype=rdtype
+                    )
+                    wide[..., :in_channels] = by_pos
+                    by_pos = wide
+                tile = block_circulant_forward_batch(
+                    spectra,
+                    by_pos.reshape(batch * positions, q, b),
+                    weight_fm=spectra_fm,
+                )
+                tile = tile.reshape(batch, positions, -1)[..., :out_channels]
                 out[:, :, r0:r1, :] = tile.transpose(0, 2, 1).reshape(
                     batch, out_channels, r1 - r0, out_w
                 )
-        if bias is not None:
-            out = out + bias[None, :, None, None]
-        return out
+            if bias is not None:
+                out = out + bias[None, :, None, None]
+            return out
 
-    if conv_tile is not None:
-        # Tiled ops keep the fresh path: the tile loop is already the
-        # memory-bounding strategy, and its slab geometry varies per
-        # call position — no stable buffer set to preallocate.
-        name = name[:-1] + f",tile={conv_tile})"
-        return PlanOp(name, fn, fusable=True)
+        return PlanOp(label + f",fft,tile={conv_tile})", tiled_fn, fusable=True)
 
-    nb = spectra.shape[2]
     tag = f"op{next(_OP_IDS)}.bcc"
-    k_pad, k_spec, k_xsfm, k_yfm, k_ysp, k_blk = (
-        tag + ".pad", tag + ".spec", tag + ".xsfm",
-        tag + ".yfm", tag + ".ysp", tag + ".blk",
+    k_spec, k_xsfm, k_yfm, k_ysp, k_blk = (
+        tag + ".spec", tag + ".xsfm", tag + ".yfm", tag + ".ysp", tag + ".blk",
     )
     single = np.dtype(cdtype) == np.complex64
 
-    def ws_fn(x: np.ndarray, ws) -> np.ndarray:
-        batch, _, height, width = x.shape
-        out_h = (height + 2 * padding - k) // stride + 1
-        out_w = (width + 2 * padding - k) // stride + 1
-        positions = out_h * out_w
-        cols = im2col(x, k, stride, padding)
-        by_pos = cols.reshape(batch, positions, in_channels, k * k).transpose(
-            0, 1, 3, 2
+    def run(x: np.ndarray, ws) -> np.ndarray:
+        cols, out_h, out_w = _unfold(
+            x, ws, tag, in_channels, padded_c, k, stride, padding, rdtype
         )
-        mrows = ws.bucket(batch) * positions
-        if padded_c != in_channels:
-            padded = ws.zeros(
-                k_pad,
-                (ws.bucket(batch), positions, k * k, padded_c),
-                rdtype,
-            )[:batch]
-            padded[..., :in_channels] = by_pos
-            by_pos = padded
-        blocks = by_pos.reshape(batch * positions, -1, b)
+        batch = x.shape[0]
+        positions = out_h * out_w
+        blocks = cols.reshape(batch * positions, q, b)
         rows = blocks.shape[0]
-        qc = blocks.shape[1]
+        mrows = ws.bucket(batch) * positions
         if _fft_writes_out():
             x_spec = rfft(
                 blocks,
-                out=ws.get(k_spec, (mrows, qc, nb), cdtype)[:rows],
+                out=ws.get(k_spec, (mrows, q, nb), cdtype)[:rows],
             )
         elif single:
             x_spec = _fast_rfft(blocks, True)
@@ -676,9 +850,9 @@ def _bc_conv_op(
             x_spec = _fast_rfft(
                 blocks,
                 False,
-                out=ws.get(k_spec, (mrows, qc, nb), cdtype)[:rows],
+                out=ws.get(k_spec, (mrows, q, nb), cdtype)[:rows],
             )
-        xs_fm = ws.get(k_xsfm, (nb, qc, mrows), cdtype)[..., :rows]
+        xs_fm = ws.get(k_xsfm, (nb, q, mrows), cdtype)[..., :rows]
         np.copyto(xs_fm, x_spec.transpose(2, 1, 0))
         y_fm = np.matmul(
             spectra_fm,
@@ -705,14 +879,15 @@ def _bc_conv_op(
                 False,
                 out=ws.get(k_blk, (mrows, p, b), rdtype)[:rows],
             )
-        out = out_blocks.reshape(rows, -1)[:, :out_channels]
-        out = out.reshape(batch, positions, out_channels)
+        out = out_blocks.reshape(batch, positions, -1)[..., :out_channels]
         out = out.transpose(0, 2, 1).reshape(batch, out_channels, out_h, out_w)
         if bias is not None:
             out += bias[None, :, None, None]
         return out
 
-    return PlanOp(name, fn, fusable=True, ws_fn=ws_fn)
+    return PlanOp(
+        label + ",fft)", lambda x: run(x, _FRESH), fusable=True, ws_fn=run
+    )
 
 
 def _affine_op(
@@ -763,23 +938,33 @@ def _affine_op(
 
 
 def _maxpool_op(kernel: int, stride: int) -> PlanOp:
-    def fn(x: np.ndarray) -> np.ndarray:
-        windows, out_h, out_w = pool_windows(x, kernel, stride)
-        return windows.max(axis=-1).reshape(x.shape[0], x.shape[1], out_h, out_w)
-
     tag = f"op{next(_OP_IDS)}.maxp"
 
-    def ws_fn(x: np.ndarray, ws) -> np.ndarray:
-        windows, out_h, out_w = pool_windows(x, kernel, stride)
-        batch, chans = x.shape[0], x.shape[1]
+    def run(x: np.ndarray, ws) -> np.ndarray:
+        batch, chans, height, width = x.shape
         m = ws.bucket(batch)
+        if kernel == stride and height % kernel == 0 and width % kernel == 0:
+            # Non-overlapping windows tiling the image: the k*k window
+            # members are strided views of one reshape, and their
+            # elementwise max is the gather's max (order-independent).
+            out_h, out_w = height // kernel, width // kernel
+            tiles = x.reshape(batch, chans, out_h, kernel, out_w, kernel)
+            buf = ws.get(f"{tag}.out", (m, chans, out_h, out_w), x.dtype)[:batch]
+            np.copyto(buf, tiles[:, :, :, 0, :, 0])
+            for i, j in itertools.product(range(kernel), repeat=2):
+                if i or j:
+                    np.maximum(buf, tiles[:, :, :, i, :, j], out=buf)
+            return buf
+        windows, out_h, out_w = pool_windows(x, kernel, stride)
         buf = ws.get(f"{tag}.out", (m, chans, out_h * out_w), x.dtype)[:batch]
         windows.max(axis=-1, out=buf)
         return buf.reshape(batch, chans, out_h, out_w)
 
     # fusable: a pool owns its output buffer, so a folded successor
     # (flatten, activation) may reshape or mutate it freely.
-    return PlanOp(f"maxpool(k={kernel})", fn, fusable=True, ws_fn=ws_fn)
+    return PlanOp(
+        f"maxpool(k={kernel})", lambda x: run(x, _FRESH), fusable=True, ws_fn=run
+    )
 
 
 def _avgpool_op(kernel: int, stride: int) -> PlanOp:

@@ -73,7 +73,6 @@ from .plan import (
     compile_model_plan,
     compile_records_plan,
     fuse_plan,
-    pool_windows,
     softmax,
 )
 from .workspace import DEFAULT_BATCH_BUCKETS, Workspace
@@ -83,7 +82,6 @@ __all__ = [
     "PlanOp",
     "Workspace",
     "iter_batches",
-    "pool_windows",
     "softmax",
 ]
 
@@ -309,8 +307,15 @@ class InferenceSession:
     # Introspection
     # ------------------------------------------------------------------
     def describe(self) -> list[str]:
-        """The flat plan as readable op names (fused ops show as `a+b`)."""
+        """The flat plan as readable op names (fused ops show as `a+b`;
+        a ``bc_conv`` carries the kernel it froze to, ``dense`` or ``fft``)."""
         return [op.name for op in self.ops]
+
+    @property
+    def expanded_weight_nbytes(self) -> int:
+        """RAM held in weights expanded at freeze beyond what the artifact
+        stores (dense-kernel ``bc_conv`` ops); reported beside the arena."""
+        return sum(op.expanded_nbytes for op in self.ops)
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -301,12 +301,9 @@ def block_circulant_to_dense(weights: np.ndarray) -> np.ndarray:
     """Expand a ``(p, q, b)`` block grid to its dense ``(p*b, q*b)`` matrix."""
     weights = np.asarray(weights)
     p, q, b = _check_block_grid(weights)
-    dense = np.zeros((p * b, q * b), dtype=weights.dtype)
     shift = (np.arange(b)[:, None] - np.arange(b)[None, :]) % b
-    for i in range(p):
-        for j in range(q):
-            dense[i * b : (i + 1) * b, j * b : (j + 1) * b] = weights[i, j][shift]
-    return dense
+    # (p, q, b, b) circulant blocks -> block rows by block columns.
+    return weights[:, :, shift].transpose(0, 2, 1, 3).reshape(p * b, q * b)
 
 
 def _check_block_grid(weights: np.ndarray) -> tuple[int, int, int]:

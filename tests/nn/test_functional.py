@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.nn.functional as F
 from repro.nn import Tensor
@@ -221,6 +223,86 @@ class TestIm2col:
     def test_col2im_shape_check(self, rng):
         with pytest.raises(ValueError):
             F.col2im(rng.normal(size=(1, 4, 9)), (1, 1, 5, 5), kernel=3)
+
+
+def _im2col_by_gather(images, kernel, stride, padding):
+    """The index-gather formulation ``im2col`` used to run — the oracle
+    the slice-copy unfold must reproduce element for element."""
+    batch, channels, height, width = images.shape
+    rows, cols, out_h, out_w = F.im2col_indices(
+        height, width, kernel, stride, padding
+    )
+    if padding:
+        images = np.pad(
+            images, ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        )
+    patches = images[:, :, rows, cols].transpose(0, 2, 1, 3)
+    return patches.reshape(batch, out_h * out_w, channels * kernel * kernel)
+
+
+class TestIm2colMatchesGather:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "batch,channels,height,width,kernel,stride,padding",
+        [
+            (1, 3, 32, 32, 3, 1, 1),
+            (2, 16, 16, 16, 3, 1, 1),
+            (3, 1, 9, 7, 3, 1, 0),
+            (2, 4, 11, 13, 5, 2, 2),
+            (1, 2, 8, 8, 2, 2, 0),
+            (2, 3, 7, 9, 3, 3, 1),
+            (1, 5, 6, 6, 6, 1, 0),  # a single output position
+            (4, 2, 5, 5, 1, 1, 0),  # 1x1 kernel
+            (2, 2, 4, 4, 3, 1, 3),  # padding wider than the kernel needs
+        ],
+    )
+    def test_grid(
+        self, rng, dtype, batch, channels, height, width, kernel, stride, padding
+    ):
+        x = rng.normal(size=(batch, channels, height, width)).astype(dtype)
+        got = F.im2col(x, kernel, stride, padding)
+        assert got.dtype == dtype
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, _im2col_by_gather(x, kernel, stride, padding))
+
+    @given(
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 5),
+        height=st.integers(1, 12),
+        width=st.integers(1, 12),
+        kernel=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 3),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property(
+        self, batch, channels, height, width, kernel, stride, padding, dtype, seed
+    ):
+        x = (
+            np.random.default_rng(seed)
+            .normal(size=(batch, channels, height, width))
+            .astype(dtype)
+        )
+        if min(height, width) + 2 * padding < kernel:
+            with pytest.raises(ValueError):
+                F.im2col(x, kernel, stride, padding)
+            return
+        assert np.array_equal(
+            F.im2col(x, kernel, stride, padding),
+            _im2col_by_gather(x, kernel, stride, padding),
+        )
+
+    def test_non_contiguous_input(self, rng):
+        x = rng.normal(size=(2, 8, 8, 3)).transpose(0, 3, 1, 2)
+        assert np.array_equal(F.im2col(x, 3, 1, 1), _im2col_by_gather(x, 3, 1, 1))
+
+    def test_output_size_rejects_bad_geometry(self):
+        with pytest.raises(ValueError, match="invalid geometry"):
+            F.conv_output_size(8, 8, 3, stride=0)
+        with pytest.raises(ValueError, match="does not fit"):
+            F.conv_output_size(2, 8, 3)
 
 
 class TestPooling:
