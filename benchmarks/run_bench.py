@@ -33,14 +33,9 @@ trajectory:
   throughput (facade overhead vs the ``serving`` section) and a
   mixed fp64/fp32 client population routed per-request across the
   per-precision session pool, with parity checks for both routes.
-* **arena** — the allocation-free hot path: repeated-forward latency
-  and allocation profile (tracemalloc peak bytes + live data blocks
-  per forward) for the default arena+fused session vs the fresh-buffer
-  unfused reference, plus served rows/s for both configurations, with
-  bitwise parity checks throughout.
 * **pipeline** — the declarative build pipeline end to end: a tiny
   synthetic-MNIST train -> compress -> 12-bit quantize -> package run,
-  recording artifact size (v1 float vs v2 quantized), the quantization
+  recording artifact size (float vs 12-bit quantized), the quantization
   accuracy delta, and served rows/s for the quantized artifact through
   the engine (with bitwise parity vs a local session and the
   documented quantized-vs-float bound).
@@ -53,12 +48,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import gc
 import json
 import os
 import platform
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -634,7 +627,7 @@ def bench_pipeline(repeats: int, quick: bool = False) -> dict:
     One declarative :class:`~repro.pipeline.PipelineConfig` trains a
     dense FC net on the synthetic MNIST stand-in, compresses it to
     block-circulant, quantizes to 12-bit fixed point, and packages the
-    format-v2 artifact; the float twin is saved as a format-v1
+    format-v2 artifact; the float twin is saved as a float format-v2
     artifact for the size comparison.  The quantized artifact is then
     served through the engine with concurrent async clients —
     responses are checked bitwise against a local session and against
@@ -672,8 +665,8 @@ def bench_pipeline(repeats: int, quick: bool = False) -> dict:
         result = pipeline.run()
 
         float_deployed = DeployedModel.from_model(pipeline.model)
-        float_path = Path(tmp) / "float_v1.npz"
-        float_deployed.save(float_path, version=1)
+        float_path = Path(tmp) / "float.npz"
+        float_deployed.save(float_path)
         quantized = result.package.deployed
         bound = 10.0 * result.quantize.max_weight_error
 
@@ -738,10 +731,10 @@ def bench_pipeline(repeats: int, quick: bool = False) -> dict:
         # File bytes include the .npz container; array bytes are the
         # weight payload alone (the honest compression number at this
         # tiny scale, where zip headers dominate the file size).
-        v1_bytes = float_path.stat().st_size
-        v2_bytes = artifact.stat().st_size
-        v1_array_bytes = float_deployed.storage_bytes()
-        v2_array_bytes = quantized.storage_bytes()
+        float_bytes = float_path.stat().st_size
+        quantized_bytes = artifact.stat().st_size
+        float_array_bytes = float_deployed.storage_bytes()
+        quantized_array_bytes = quantized.storage_bytes()
         return {
             "config": {
                 "architecture": "121-64F-64F-10F",
@@ -754,12 +747,12 @@ def bench_pipeline(repeats: int, quick: bool = False) -> dict:
             },
             "cpus": os.cpu_count(),
             "effective_cpus": _effective_cpus(),
-            "artifact_v1_float_bytes": int(v1_bytes),
-            "artifact_v2_quantized_bytes": int(v2_bytes),
-            "size_ratio": v1_bytes / v2_bytes,
-            "array_v1_float_bytes": int(v1_array_bytes),
-            "array_v2_quantized_bytes": int(v2_array_bytes),
-            "array_size_ratio": v1_array_bytes / v2_array_bytes,
+            "artifact_float_bytes": int(float_bytes),
+            "artifact_quantized_bytes": int(quantized_bytes),
+            "size_ratio": float_bytes / quantized_bytes,
+            "array_float_bytes": int(float_array_bytes),
+            "array_quantized_bytes": int(quantized_array_bytes),
+            "array_size_ratio": float_array_bytes / quantized_array_bytes,
             "float_accuracy": result.quantize.float_accuracy,
             "quantized_accuracy": result.quantize.test_accuracy,
             "accuracy_delta": result.quantize.accuracy_delta,
@@ -773,194 +766,6 @@ def bench_pipeline(repeats: int, quick: bool = False) -> dict:
                 ),
             },
         }
-
-
-def _alloc_profile(session: InferenceSession, x: np.ndarray) -> dict:
-    """Allocation profile of one forward, measured off the clock.
-
-    ``peak_kb_per_call``: tracemalloc peak traced bytes for one
-    ``forward`` with tracing started *after* warm-up, so arena buffers
-    (allocated at warm-up) are untracked and only per-call allocations
-    count.  ``alloc_blocks_per_forward``: live data blocks >= 1 KiB
-    after stepping the plan op by op while holding every op output —
-    the fresh path allocates one result array per op, the arena path
-    returns views of pre-traced workspace buffers.
-    """
-    session.forward(x)
-    session.forward(x)  # warm: every arena slot exists before tracing
-    gc.collect()
-    tracemalloc.start()
-    session.forward(x)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-
-    executor = session.executor
-    ws = (
-        executor._workspace()
-        if executor._arena_buckets is not None
-        else None
-    )
-    y0 = np.asarray(x, dtype=session.policy.real_dtype)
-    gc.collect()
-    tracemalloc.start()
-    held, y = [], y0
-    for op in session.ops:
-        y = op.run(y, ws) if ws is not None else op(y)
-        held.append(y)
-    snapshot = tracemalloc.take_snapshot()
-    blocks = sum(1 for trace in snapshot.traces if trace.size >= 1024)
-    tracemalloc.stop()
-    return {
-        "peak_kb_per_call": peak / 1024,
-        "alloc_blocks_per_forward": blocks,
-    }
-
-
-def bench_arena(repeats: int, quick: bool = False) -> dict:
-    """Arena + fusion A/B: repeated forward, allocations, served rows/s.
-
-    Compares three sessions over the MNIST-FC (Arch. 1) model:
-
-    * ``fresh`` — ``arena=False, fuse=False``: the pre-arena reference
-      path (fresh buffers every call, unfused plan),
-    * ``fused_only`` — ``arena=False``: the fuse_plan pass alone,
-    * ``arena_fused`` — the default: fused plan + workspace arena.
-
-    Timing runs *without* tracemalloc (tracing slows every allocation);
-    the allocation profile is measured separately.  All comparisons
-    assert bitwise parity — the speedup must come from allocator and
-    dispatch savings, never from different arithmetic.
-    """
-    from repro.engine import Engine
-    from repro.serving import AsyncServeClient, InferenceServer
-
-    model = build_arch1(rng=np.random.default_rng(0)).eval()
-    rng = np.random.default_rng(5)
-    batches = (1, 32) if quick else (1, 8, 32, 37)
-    inner = 20 if quick else 50
-
-    fresh = InferenceSession.freeze(model, arena=False, fuse=False)
-    fused_only = InferenceSession.freeze(model, arena=False)
-    arena_fused = InferenceSession.freeze(model)
-
-    forward: dict = {}
-    for batch in batches:
-        x = rng.normal(size=(batch, 256))
-        for session in (fresh, fused_only, arena_fused):
-            session.forward(x)  # warm caches and arena slots
-        # Interleave the three variants inside every round so background
-        # load hits all of them equally; best-of then drops the noisy
-        # rounds for each variant independently.
-        fresh_s = fused_s = arena_s = float("inf")
-        for _ in range(max(repeats, 3)):
-            fresh_s = min(
-                fresh_s, best_of(lambda: fresh.forward(x), 1, inner=inner)
-            )
-            fused_s = min(
-                fused_s, best_of(lambda: fused_only.forward(x), 1, inner=inner)
-            )
-            arena_s = min(
-                arena_s, best_of(lambda: arena_fused.forward(x), 1, inner=inner)
-            )
-        reference = fresh.forward(x)
-        forward[str(batch)] = {
-            "fresh_us": 1e6 * fresh_s,
-            "fused_only_us": 1e6 * fused_s,
-            "arena_fused_us": 1e6 * arena_s,
-            "speedup": fresh_s / arena_s,
-            "fused_only_speedup": fresh_s / fused_s,
-            "bitwise_identical": bool(
-                np.array_equal(arena_fused.forward(x), reference)
-                and np.array_equal(fused_only.forward(x), reference)
-            ),
-        }
-
-    x_alloc = rng.normal(size=(32, 256))
-    allocations = {
-        "batch": 32,
-        "fresh": _alloc_profile(fresh, x_alloc),
-        "arena_fused": _alloc_profile(arena_fused, x_alloc),
-    }
-
-    # Served rows/s A/B: the same engine/server stack, arena on vs off.
-    n_clients = 2 if quick else 4
-    requests_per_client = 3 if quick else 6
-    rows = 16
-
-    async def run_served(engine) -> dict:
-        server = InferenceServer(
-            engine, port=0, max_batch=4 * rows, max_wait_ms=1.0
-        )
-        async with server:
-            async def one_client(client_id: int):
-                c_rng = np.random.default_rng(300 + client_id)
-                client = await AsyncServeClient.connect(port=server.port)
-                exchanges = []
-                try:
-                    for _ in range(requests_per_client):
-                        x = c_rng.normal(size=(rows, 256))
-                        proba = await client.predict_proba(x)
-                        exchanges.append((x, proba))
-                finally:
-                    await client.close()
-                return exchanges
-
-            start = time.perf_counter()
-            outcomes = await asyncio.gather(
-                *[one_client(i) for i in range(n_clients)]
-            )
-            wall = time.perf_counter() - start
-        worst = 0.0
-        for exchanges in outcomes:
-            for x, proba in exchanges:
-                reference = fresh.predict_proba(x)
-                worst = max(worst, float(np.abs(proba - reference).max()))
-        total_rows = n_clients * requests_per_client * rows
-        return {
-            "rows_per_s": total_rows / wall,
-            "max_abs_err_vs_fresh": worst,
-        }
-
-    served: dict = {"clients": n_clients, "rows_per_request": rows}
-    for label, config in (
-        ("fresh", dict(arena=False, fuse=False)),
-        ("arena_fused", {}),
-    ):
-        engine = Engine(model=model, **config)
-        best = None
-        try:
-            for _ in range(max(1, repeats // 2)):
-                outcome = asyncio.run(run_served(engine))
-                if best is None or (
-                    outcome["rows_per_s"] > best["rows_per_s"]
-                ):
-                    best = outcome
-        finally:
-            engine.close()
-        served[label] = best
-    served["speedup"] = (
-        served["arena_fused"]["rows_per_s"] / served["fresh"]["rows_per_s"]
-    )
-
-    # Fused-plan evidence for the CI smoke assertion: arch1 carries
-    # activation fusion; the conv zoo model additionally folds its
-    # flatten into the preceding pool.
-    conv_session = InferenceSession.freeze(
-        build_arch3_reduced(rng=np.random.default_rng(0)).eval()
-    )
-    result = {
-        "plan": arena_fused.describe(),
-        "conv_plan": conv_session.describe(),
-        "arena_info": arena_fused.executor.arena_info(),
-        "forward": forward,
-        "allocations": allocations,
-        "served": served,
-    }
-    fresh.close()
-    fused_only.close()
-    arena_fused.close()
-    conv_session.close()
-    return result
 
 
 def bench_resilience(repeats: int, quick: bool = False) -> dict:
@@ -1292,7 +1097,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "serving": bench_serving(repeats, quick=args.quick),
         "engine": bench_engine(repeats, quick=args.quick),
-        "arena": bench_arena(repeats, quick=args.quick),
         "pipeline": bench_pipeline(repeats, quick=args.quick),
         "resilience": bench_resilience(repeats, quick=args.quick),
         "router": bench_router(repeats, quick=args.quick),
@@ -1352,26 +1156,9 @@ def main(argv: list[str] | None = None) -> int:
         worst32 = max(r["max_abs_err_fp32_route"] for r in rows.values())
         print(f"engine ({mode}): {summary}; fp64 err {worst64:.2g}, "
               f"fp32 err {worst32:.2g}")
-    arena = report["arena"]
-    for batch, row in arena["forward"].items():
-        print(f"arena (batch {batch}): {row['speedup']:.2f}x vs fresh "
-              f"({row['fresh_us']:.0f} -> {row['arena_fused_us']:.0f} us, "
-              f"fusion alone {row['fused_only_speedup']:.2f}x), "
-              f"bitwise {'OK' if row['bitwise_identical'] else 'FAIL'}")
-    alloc = arena["allocations"]
-    print(f"arena allocations (batch {alloc['batch']}): peak "
-          f"{alloc['fresh']['peak_kb_per_call']:.0f} -> "
-          f"{alloc['arena_fused']['peak_kb_per_call']:.0f} KiB/call, "
-          f"blocks {alloc['fresh']['alloc_blocks_per_forward']} -> "
-          f"{alloc['arena_fused']['alloc_blocks_per_forward']} per forward")
-    served_ab = arena["served"]
-    print(f"arena served ({served_ab['clients']} clients): "
-          f"{served_ab['fresh']['rows_per_s']:.0f} -> "
-          f"{served_ab['arena_fused']['rows_per_s']:.0f} rows/s "
-          f"({served_ab['speedup']:.2f}x)")
     pipe_line = report["pipeline"]
-    print(f"pipeline: v1 float {pipe_line['artifact_v1_float_bytes']} B -> "
-          f"v2 quantized {pipe_line['artifact_v2_quantized_bytes']} B "
+    print(f"pipeline: float {pipe_line['artifact_float_bytes']} B -> "
+          f"quantized {pipe_line['artifact_quantized_bytes']} B "
           f"({pipe_line['size_ratio']:.2f}x file, "
           f"{pipe_line['array_size_ratio']:.2f}x arrays), "
           f"accuracy {pipe_line['float_accuracy']:.3f} -> "

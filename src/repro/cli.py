@@ -195,26 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-op-kind cumulative timings to stderr after "
         "predicting (see docs/performance.md)",
     )
-    predict.add_argument(
-        "--conv-tile",
-        type=_positive_int,
-        default=None,
-        help="overlap-add conv tiling: output rows per tile (bounds "
-        "block-circulant conv memory by the tile instead of the full "
-        "im2col matrix)",
-    )
-    predict.add_argument(
-        "--no-arena",
-        action="store_true",
-        help="disable the per-plan workspace arena (fall back to "
-        "fresh-buffer execution; results are bitwise-identical)",
-    )
-    predict.add_argument(
-        "--no-fuse",
-        action="store_true",
-        help="disable the plan-compile fusion pass (keep affine / "
-        "flatten / activation ops unfused; bitwise-identical)",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -297,23 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="open incremental-inference streams allowed at once; a "
         "stream_open beyond this is shed as overloaded (each open "
         "stream holds its per-layer history in server memory)",
-    )
-    serve.add_argument(
-        "--conv-tile",
-        type=_positive_int,
-        default=None,
-        help="overlap-add conv tiling: output rows per tile",
-    )
-    serve.add_argument(
-        "--no-arena",
-        action="store_true",
-        help="disable the per-plan workspace arena "
-        "(bitwise-identical fresh-buffer execution)",
-    )
-    serve.add_argument(
-        "--no-fuse",
-        action="store_true",
-        help="disable the plan-compile fusion pass (bitwise-identical)",
     )
 
     route = sub.add_parser(
@@ -629,17 +592,10 @@ def _print_op_stats(stats: dict) -> None:
 def _print_arena_info(info: dict, expanded_nbytes: int) -> None:
     """The ``--profile`` arena line: workspace buffer footprint and the
     weights expanded at freeze (dense-kernel ``bc_conv``), on stderr."""
-    expanded = f"expanded_weights={expanded_nbytes / 1024:.1f} KiB"
-    if not info.get("enabled"):
-        print(
-            f"arena: disabled (fresh buffers every call) {expanded}",
-            file=sys.stderr,
-        )
-        return
-    kb = info["nbytes"] / 1024
     print(
         f"arena: workspaces={info['workspaces']} "
-        f"buffers={info['buffers']} reserved={kb:.1f} KiB {expanded} "
+        f"buffers={info['buffers']} reserved={info['nbytes'] / 1024:.1f} KiB "
+        f"expanded_weights={expanded_nbytes / 1024:.1f} KiB "
         f"buckets={list(info['buckets'])}",
         file=sys.stderr,
     )
@@ -656,9 +612,6 @@ def _cmd_predict(args) -> int:
         executor=args.executor,
         threads=args.threads,
         profile=args.profile,
-        conv_tile=args.conv_tile,
-        arena=not args.no_arena,
-        fuse=not args.no_fuse,
     )
     inputs, labels = load_inputs(args.data)
     with Engine(config) as engine:
@@ -738,9 +691,6 @@ def _cmd_serve(args) -> int:
             precision=default_precision,
             executor=args.executor,
             threads=args.threads,
-            conv_tile=args.conv_tile,
-            arena=not args.no_arena,
-            fuse=not args.no_fuse,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             max_streams=args.max_streams,

@@ -7,7 +7,9 @@ implements that flow:
 
 * :meth:`DeployedModel.from_model` converts a trained
   :class:`~repro.nn.module.Sequential` into a flat list of layer records
-  whose block-circulant weights are ``rfft`` half-spectra (complex64),
+  whose block-circulant weights are ``rfft`` half-spectra (complex64) —
+  the records of :func:`~repro.runtime.plan.model_records`, the one
+  layer walker the frozen runtime also compiles, cast to storage dtypes,
 * :meth:`DeployedModel.predict_proba` runs pure-numpy inference straight
   from the spectra — no autograd, no weight reconstruction — which is the
   engine whose op counts the runtime simulator prices,
@@ -18,9 +20,8 @@ implements that flow:
   size, projection error), quantization metadata (per-layer Q-format,
   with weights stored as fixed-point integer code points and
   dequantized at load), and provenance (pipeline config hash, training
-  summary) — see ``docs/pipeline.md``.  Version-1 files written by
-  earlier releases still load bitwise; ``save(..., version=1)`` keeps
-  writing them for unquantized models,
+  summary) — see ``docs/pipeline.md``.  v2 is the one format written;
+  version-1 files written by earlier releases still load bitwise,
 * fast/batched/served inference lives behind the
   :class:`~repro.engine.Engine` facade now —
   ``Engine(model=deployed, ...)`` pools frozen sessions per precision
@@ -40,28 +41,9 @@ import numpy as np
 
 from ..exceptions import DeploymentError
 from ..fft import rfft
-from ..nn.layers import (
-    AvgPool2d,
-    BatchNorm1d,
-    BatchNorm2d,
-    BlockCirculantConv2d,
-    BlockCirculantLinear,
-    Conv2d,
-    Dropout,
-    FFTLayer1d,
-    Flatten,
-    LeakyReLU,
-    Linear,
-    MaxPool2d,
-    Pointwise1d,
-    ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
-    seq_matmul,
-    shift_right,
-)
+from ..nn.layers import seq_matmul, shift_right
 from ..nn.module import Sequential
+from ..runtime.plan import model_records
 from ..runtime.plan import pool_windows as _pool_windows
 from ..runtime.session import iter_batches as _iter_batches
 from ..runtime.session import softmax as _softmax
@@ -137,15 +119,21 @@ class DeployedModel:
     ) -> "DeployedModel":
         """Freeze a trained Sequential into deployment records.
 
-        With ``quantize_bits`` set, every weight and bias of the compute
-        layers (dense and block-circulant, linear and conv) is quantized
-        to that fixed-point width with a per-tensor Q-format — the same
-        dynamic-range rule as :func:`~repro.quantize.quantize_model` —
-        and the records keep the integer code points for format-v2
-        storage.  Spectra are computed *from the quantized weights*, so
-        artifact inference matches a model quantized in place.
-        Batch-norm folds to a float affine either way (its per-feature
-        scale/shift are small and precision-critical).
+        The records are :func:`~repro.runtime.plan.model_records` — the
+        walk :meth:`InferenceSession.freeze
+        <repro.runtime.session.InferenceSession.freeze>` compiles — cast
+        to the artifact's storage dtypes: block-circulant layers keep
+        only their ``rfft`` half-spectra (complex64), every other array
+        is float32.  With ``quantize_bits`` set, every weight and bias
+        of the compute layers (dense and block-circulant, linear and
+        conv) is quantized to that fixed-point width with a per-tensor
+        Q-format — the same dynamic-range rule as
+        :func:`~repro.quantize.quantize_model` — and the records keep
+        the integer code points for format-v2 storage.  Spectra are
+        computed *from the quantized weights*, so artifact inference
+        matches a model quantized in place.  Batch-norm folds to a float
+        affine either way (its per-feature scale/shift are small and
+        precision-critical).
         """
         if quantize_bits is not None and quantize_bits < 2:
             raise DeploymentError(
@@ -191,137 +179,20 @@ class DeployedModel:
             return fields
 
         records: list[dict] = []
-        for layer in model:
-            if isinstance(layer, BlockCirculantLinear):
-                records.append(
-                    {
-                        "kind": "bc_linear",
-                        **weight_fields(
-                            layer.weight.data,
-                            None if layer.bias is None else layer.bias.data,
-                            spectral=True,
-                        ),
-                        "in_features": layer.in_features,
-                        "out_features": layer.out_features,
-                        "block_size": layer.block_size,
-                    }
-                )
-            elif isinstance(layer, Linear):
-                records.append(
-                    {
-                        "kind": "linear",
-                        **weight_fields(
-                            layer.weight.data,
-                            None if layer.bias is None else layer.bias.data,
-                            spectral=False,
-                        ),
-                    }
-                )
-            elif isinstance(layer, BlockCirculantConv2d):
-                records.append(
-                    {
-                        "kind": "bc_conv",
-                        **weight_fields(
-                            layer.weight.data,
-                            None if layer.bias is None else layer.bias.data,
-                            spectral=True,
-                        ),
-                        "in_channels": layer.in_channels,
-                        "out_channels": layer.out_channels,
-                        "kernel_size": layer.kernel_size,
-                        "block_size": layer.block_size,
-                        "stride": layer.stride,
-                        "padding": layer.padding,
-                        "channel_blocks": layer.channel_blocks,
-                    }
-                )
-            elif isinstance(layer, Conv2d):
-                records.append(
-                    {
-                        "kind": "conv",
-                        **weight_fields(
-                            layer.weight.data,
-                            None if layer.bias is None else layer.bias.data,
-                            spectral=False,
-                        ),
-                        "stride": layer.stride,
-                        "padding": layer.padding,
-                    }
-                )
-            elif isinstance(layer, FFTLayer1d):
-                # Both taps stack into one (2, out, in) weight — [0] is
-                # the dilated left tap, [1] the current-sample right tap
-                # — so the shared quantization path covers them with a
-                # single per-tensor Q-format.
-                stacked = np.stack(
-                    [layer.weight_l.data, layer.weight_r.data]
-                )
-                records.append(
-                    {
-                        "kind": "fft1d",
-                        **weight_fields(
-                            stacked,
-                            None if layer.bias is None else layer.bias.data,
-                            spectral=False,
-                        ),
-                        "in_channels": layer.in_channels,
-                        "out_channels": layer.out_channels,
-                        "dilation": layer.dilation,
-                    }
-                )
-            elif isinstance(layer, Pointwise1d):
-                records.append(
-                    {
-                        "kind": "pointwise1d",
-                        **weight_fields(
-                            layer.weight.data,
-                            None if layer.bias is None else layer.bias.data,
-                            spectral=False,
-                        ),
-                        "in_channels": layer.in_channels,
-                        "out_channels": layer.out_channels,
-                    }
-                )
-            elif isinstance(layer, ReLU):
-                records.append({"kind": "relu"})
-            elif isinstance(layer, LeakyReLU):
-                records.append({"kind": "leaky_relu", "slope": layer.negative_slope})
-            elif isinstance(layer, Sigmoid):
-                records.append({"kind": "sigmoid"})
-            elif isinstance(layer, Tanh):
-                records.append({"kind": "tanh"})
-            elif isinstance(layer, Softmax):
-                records.append({"kind": "softmax"})
-            elif isinstance(layer, Flatten):
-                records.append({"kind": "flatten"})
-            elif isinstance(layer, MaxPool2d):
-                records.append(
-                    {"kind": "maxpool", "kernel": layer.kernel_size,
-                     "stride": layer.stride}
-                )
-            elif isinstance(layer, AvgPool2d):
-                records.append(
-                    {"kind": "avgpool", "kernel": layer.kernel_size,
-                     "stride": layer.stride}
-                )
-            elif isinstance(layer, Dropout):
-                continue  # identity at inference
-            elif isinstance(layer, (BatchNorm1d, BatchNorm2d)):
-                std = np.sqrt(layer.running_var + layer.eps)
-                scale = layer.gamma.data / std
-                shift = layer.beta.data - layer.running_mean * scale
-                records.append(
-                    {
-                        "kind": "affine",
-                        "scale": scale.astype(np.float32),
-                        "shift": shift.astype(np.float32),
-                        "per_channel": isinstance(layer, BatchNorm2d),
-                    }
-                )
-            else:
-                raise DeploymentError(
-                    f"cannot deploy layer type {type(layer).__name__}"
-                )
+        for record in model_records(model):
+            if "weight" in record:  # a compute layer: cast or quantize
+                kind = record.pop("kind")
+                weight, bias = record.pop("weight"), record.pop("bias")
+                spectral = record.pop("spectra", None) is not None
+                record = {
+                    "kind": kind,
+                    **weight_fields(weight, bias, spectral),
+                    **record,
+                }
+            elif record["kind"] == "affine":
+                record["scale"] = record["scale"].astype(np.float32)
+                record["shift"] = record["shift"].astype(np.float32)
+            records.append(record)
         return cls(records)
 
     # ------------------------------------------------------------------
@@ -542,41 +413,16 @@ class DeployedModel:
         """Whether any record stores fixed-point code points."""
         return any("weight_q" in record for record in self.records)
 
-    def save(self, path: str | Path, version: int | None = None) -> None:
-        """Write the artifact to a single ``.npz`` file.
-
-        ``version`` defaults to :data:`FORMAT_VERSION` (2).  Passing
-        ``version=1`` writes the legacy layout older loaders read —
-        only possible for unquantized models (v1 has no fixed-point
-        slot; ``metadata`` is dropped with the header).
-        """
-        path = Path(path)
-        version = FORMAT_VERSION if version is None else version
-        if version == LEGACY_FORMAT_VERSION:
-            if self.quantized:
-                raise DeploymentError(
-                    "format v1 cannot store quantized records; "
-                    "save with version=2"
-                )
-        elif version != FORMAT_VERSION:
-            raise DeploymentError(
-                f"unsupported format version {version}"
-            )
+    def save(self, path: str | Path) -> None:
+        """Write the artifact to a single ``.npz`` file, format v2
+        (:data:`FORMAT_VERSION`) — the only format written; v1 files
+        still load."""
         header = []
         arrays: dict[str, np.ndarray] = {}
         for index, record in enumerate(self.records):
             meta = {}
-            items = (
-                self._persisted_items(record)
-                if version >= FORMAT_VERSION
-                else (
-                    (k, v)
-                    for k, v in record.items()
-                    if isinstance(v, np.ndarray)
-                )
-            )
             persisted = set()
-            for key, value in items:
+            for key, value in self._persisted_items(record):
                 arrays[f"layer{index}_{key}"] = value
                 meta[key] = f"@layer{index}_{key}"
                 persisted.add(key)
@@ -585,13 +431,15 @@ class DeployedModel:
                     continue
                 meta[key] = value
             header.append(meta)
-        payload: dict = {"version": version, "layers": header}
-        if version >= FORMAT_VERSION:
-            payload["meta"] = self.metadata
+        payload = {
+            "version": FORMAT_VERSION,
+            "layers": header,
+            "meta": self.metadata,
+        }
         arrays["__header__"] = np.frombuffer(
             json.dumps(payload).encode(), dtype=np.uint8
         )
-        np.savez(path, **arrays)
+        np.savez(Path(path), **arrays)
 
     @classmethod
     def load(cls, path: str | Path) -> "DeployedModel":

@@ -114,23 +114,6 @@ class EngineConfig:
         Arm per-op-kind timing on every route's executor; cumulative
         per-kind nanoseconds surface via the serving ``info`` op
         (``routes[...]["op_stats"]``) and ``repro predict --profile``.
-    conv_tile:
-        Plan-compilation knob passed through to
-        :meth:`~repro.runtime.session.InferenceSession.freeze`.
-    arena:
-        Give every route's executor threads a per-plan workspace arena of reusable batch-bucketed buffers, making the
-        steady-state hot path allocation-free (default on;
-        bitwise-neutral).  Disable to fall back to fresh-buffer
-        execution, e.g. for memory-constrained many-route deployments.
-    batch_buckets:
-        Strictly increasing batch sizes the arena rounds up to
-        (``None`` uses
-        :data:`~repro.runtime.workspace.DEFAULT_BATCH_BUCKETS`).
-        Batches beyond the largest bucket get exact-size buffers.
-    fuse:
-        Run the :func:`~repro.runtime.plan.fuse_plan` compile pass on
-        every frozen plan, folding affine / flatten / activation chains
-        into their producing compute op (default on; bitwise-neutral).
     max_batch, max_wait_ms:
         Micro-batching limits for the serving front-end.
     priority_classes:
@@ -176,10 +159,6 @@ class EngineConfig:
     executor: str | None = None
     threads: int | None = None
     profile: bool = False
-    conv_tile: int | None = None
-    arena: bool = True
-    batch_buckets: tuple[int, ...] | None = None
-    fuse: bool = True
     max_batch: int = 32
     max_wait_ms: float = 2.0
     priority_classes: tuple[str, ...] = ("batch", "normal", "interactive")
@@ -265,33 +244,6 @@ class EngineConfig:
         if self.threads is not None and self.threads < 1:
             raise ConfigurationError(
                 f"threads must be >= 1, got {self.threads}"
-            )
-        if self.conv_tile is not None and self.conv_tile < 1:
-            raise ConfigurationError(
-                f"conv_tile must be >= 1, got {self.conv_tile}"
-            )
-        if self.batch_buckets is not None:
-            buckets = tuple(self.batch_buckets)
-            if not buckets:
-                raise ConfigurationError(
-                    "batch_buckets must be None or a non-empty sequence"
-                )
-            for b in buckets:
-                if not isinstance(b, int) or isinstance(b, bool) or b < 1:
-                    raise ConfigurationError(
-                        f"batch_buckets entries must be positive integers, "
-                        f"got {b!r}"
-                    )
-            if list(buckets) != sorted(set(buckets)):
-                raise ConfigurationError(
-                    f"batch_buckets must be strictly increasing, "
-                    f"got {buckets}"
-                )
-            object.__setattr__(self, "batch_buckets", buckets)
-        if self.batch_buckets is not None and not self.arena:
-            raise ConfigurationError(
-                "batch_buckets was set but arena=False; the buckets "
-                "would be ignored"
             )
 
         # --- batching + priorities ------------------------------------
@@ -459,14 +411,6 @@ class EngineConfig:
             "resolved_executor": self.resolve_executor(),
             "threads": self.threads,
             "profile": self.profile,
-            "conv_tile": self.conv_tile,
-            "arena": self.arena,
-            "batch_buckets": (
-                list(self.batch_buckets)
-                if self.batch_buckets is not None
-                else None
-            ),
-            "fuse": self.fuse,
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_ms,
             "priority_classes": list(self.priority_classes),

@@ -183,17 +183,14 @@ class Engine:
                 f"model {name!r} is an adopted {source.precision} session; "
                 f"it cannot be re-frozen at {precision}"
             )
-        kwargs = dict(
-            precision=precision,
-            executor=self._make_executor(),
-            conv_tile=self.config.conv_tile,
-            arena=self.config.arena,
-            batch_buckets=self.config.batch_buckets,
-            fuse=self.config.fuse,
-        )
+        executor = self._make_executor()
         if hasattr(source, "records"):  # DeployedModel artifact
-            return InferenceSession.from_deployed(source, **kwargs)
-        return InferenceSession.freeze(source, **kwargs)
+            return InferenceSession.from_deployed(
+                source, precision=precision, executor=executor
+            )
+        return InferenceSession.freeze(
+            source, precision=precision, executor=executor
+        )
 
     def session(
         self, model: str | None = None, precision=None

@@ -5,16 +5,18 @@ inference time that training needs but deployment does not: autograd
 graph construction, per-call weight FFTs, and one Python dispatch per
 layer object.  The runtime strips all three, split across four modules:
 
-* :mod:`repro.runtime.plan` — the compiler: freeze a model (or a
-  deployment artifact) into a flat plan of numpy closures with
-  precomputed weight spectra, fused bias+activation (and the
-  :func:`fuse_plan` pass folding affine / flatten / activation chains)
-  and optional overlap-add conv tiling — all at the dtypes of a
-  :class:`~repro.precision.PrecisionPolicy` (``"fp32"`` halves spectrum
-  memory; ``"fp64"`` is the reference numerics),
-* :mod:`repro.runtime.workspace` — :class:`Workspace`, the per-plan
-  arena of reusable batch-bucketed buffers that makes the steady-state
-  hot path allocation-free,
+* :mod:`repro.runtime.plan` — the compiler, one path: the one layer
+  walker :func:`model_records` reduces a model to the layer records a
+  deployment artifact stores, and :func:`compile_records_plan` turns
+  records into a flat plan of ops with precomputed weight spectra, each
+  op one body ``run(x, ws)``, fused by the :func:`fuse_plan` pass
+  (affine / flatten / activation chains fold into their producer) — all
+  at the dtypes of a :class:`~repro.precision.PrecisionPolicy`
+  (``"fp32"`` halves spectrum memory; ``"fp64"`` is the reference
+  numerics),
+* :mod:`repro.runtime.workspace` — :class:`Workspace`, the per-thread
+  arena of reusable batch-bucketed buffers every plan runs on, which
+  makes the steady-state hot path allocation-free,
 * :mod:`repro.runtime.executors` — the two ways to run a plan:
   :class:`SerialExecutor` (the calling thread) and
   :class:`ThreadedExecutor` (whole ``predict`` chunks fanned across one
@@ -34,11 +36,11 @@ from .executors import (
     ThreadedExecutor,
     effective_cpu_count,
 )
-from .plan import PlanOp, compile_model_plan, compile_records_plan, fuse_plan
+from .plan import PlanOp, compile_records_plan, fuse_plan, model_records
 from .session import InferenceSession
 
 # Imported after .plan so repro.streaming can reuse the batch plan's
-# activation table without a cycle.
+# layer walker and activation table without a cycle.
 from ..streaming import StreamPlan, StreamState, compile_stream_plan
 from .workspace import DEFAULT_BATCH_BUCKETS, Workspace
 
@@ -54,9 +56,9 @@ __all__ = [
     "ThreadWorkerPool",
     "ThreadedExecutor",
     "Workspace",
-    "compile_model_plan",
     "compile_records_plan",
     "compile_stream_plan",
     "effective_cpu_count",
     "fuse_plan",
+    "model_records",
 ]

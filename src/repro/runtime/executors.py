@@ -1,8 +1,10 @@
 """Plan executors: the *how* of running a frozen op plan.
 
 :mod:`repro.runtime.plan` compiles a model into a flat list of
-:class:`~repro.runtime.plan.PlanOp` closures; this module decides how
-those closures actually execute.  There are two ways:
+:class:`~repro.runtime.plan.PlanOp` steps, each with one body,
+``run(x, ws)``; this module decides which thread runs them.  Every
+executor runs every op against the calling thread's own workspace arena
+— there is no fresh-buffer mode to choose.  There are two ways:
 
 * :class:`SerialExecutor` — one op after another in the calling
   thread.  Zero overhead, always available.
@@ -49,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .plan import PlanOp
-from .workspace import Workspace
+from .workspace import DEFAULT_BATCH_BUCKETS, Workspace
 
 __all__ = [
     "PlanExecutor",
@@ -100,13 +102,13 @@ class PlanExecutor:
     the per-thread stores on read, so threaded executors profile safely
     and contention-free.
 
-    ``bind(..., arena_buckets=...)`` arms the workspace arena: each
-    executing thread lazily builds a private
-    :class:`~repro.runtime.workspace.Workspace` and the inner loop runs
-    every op's arena form (:meth:`PlanOp.run`).  Results that would
-    otherwise be views into the arena are copied out before returning —
-    the next call reuses every slot, so nothing escaping the executor
-    may alias one.
+    Every executing thread lazily builds a private
+    :class:`~repro.runtime.workspace.Workspace` (at
+    :data:`~repro.runtime.workspace.DEFAULT_BATCH_BUCKETS`) and the
+    inner loop runs each op's one body, ``op.run(x, ws)``, against it.
+    The result of a batch is always copied out before returning: the
+    next call reuses every slot, so nothing escaping the executor may
+    alias one.
     """
 
     _ops: list[PlanOp] | None = None
@@ -117,22 +119,14 @@ class PlanExecutor:
         self._op_stores: list[dict[str, list[int]]] = []
         self._workspaces: list[Workspace] = []
         self._tls = threading.local()
-        self._arena_buckets: tuple[int, ...] | None = None
 
-    def bind(
-        self,
-        ops: Sequence[PlanOp],
-        arena_buckets: tuple[int, ...] | None = None,
-    ) -> "PlanExecutor":
+    def bind(self, ops: Sequence[PlanOp]) -> "PlanExecutor":
         if self._ops is not None:
             raise RuntimeError(
                 "executor is already bound to a plan; "
                 "use one executor per session"
             )
         self._ops = list(ops)
-        self._arena_buckets = (
-            None if arena_buckets is None else tuple(arena_buckets)
-        )
         return self
 
     def _record_op(self, name: str, ns: int) -> None:
@@ -150,13 +144,11 @@ class PlanExecutor:
             cell[0] += 1
             cell[1] += ns
 
-    def _workspace(self) -> Workspace | None:
-        """This thread's arena (lazily built; None when arena is off)."""
-        if self._arena_buckets is None:
-            return None
+    def _workspace(self) -> Workspace:
+        """This thread's arena (lazily built)."""
         ws = getattr(self._tls, "ws", None)
         if ws is None:
-            ws = Workspace(self._arena_buckets)
+            ws = Workspace()
             with self._state_lock:
                 self._workspaces.append(ws)
             self._tls.ws = ws
@@ -165,22 +157,18 @@ class PlanExecutor:
     def _run_ops(self, x: np.ndarray) -> np.ndarray:
         """The serial inner loop every executor runs a batch through,
         with per-op timing when profiling is armed."""
-        ops = self._ops
         ws = self._workspace()
-        op = None
         if not self.profile:
-            for op in ops:
+            for op in self._ops:
                 x = op.run(x, ws)
         else:
-            for op in ops:
+            for op in self._ops:
                 start = time.perf_counter_ns()
                 x = op.run(x, ws)
                 self._record_op(op.name, time.perf_counter_ns() - start)
-        if ws is not None and op is not None and op.ws_fn is not None:
-            # The result may be an arena view; the next call overwrites
-            # every slot, so it escapes as a private copy.
-            x = x.copy()
-        return x
+        # The result may live in an arena slot (or be a view of one) that
+        # the next call overwrites, so it always escapes as a copy.
+        return x.copy()
 
     def op_stats(self) -> dict:
         """Per-op-kind cumulative timings: ``{kind: {calls, total_ns}}``.
@@ -219,12 +207,11 @@ class PlanExecutor:
                 store.clear()
 
     def arena_info(self) -> dict:
-        """Arena posture and resident-buffer footprint across threads."""
+        """Arena buckets and resident-buffer footprint across threads."""
         with self._state_lock:
             stats = [ws.stats() for ws in self._workspaces]
         return {
-            "enabled": self._arena_buckets is not None,
-            "buckets": self._arena_buckets,
+            "buckets": DEFAULT_BATCH_BUCKETS,
             "workspaces": len(stats),
             "buffers": sum(s["buffers"] for s in stats),
             "nbytes": sum(s["nbytes"] for s in stats),

@@ -1,13 +1,16 @@
 """Freeze a model (or deployment artifact) into a flat, precision-aware op plan.
 
-This module is the *compiler* half of the frozen runtime: it walks a
-trained :class:`~repro.nn.module.Sequential` (or the layer records of a
-:class:`~repro.embedded.deploy.DeployedModel`) once and emits a flat list
-of :class:`PlanOp` closures.  Executing the plan is the job of
-:mod:`repro.runtime.executors`; the user-facing façade is
-:class:`repro.runtime.session.InferenceSession`.
+This module is the *compiler* half of the frozen runtime, and it has
+one path, the paper's Fig. 4 flow: :func:`model_records` — the one walk
+over a trained :class:`~repro.nn.module.Sequential` — reduces the
+network to one record per layer in the
+:class:`~repro.embedded.deploy.DeployedModel` format, and
+:func:`compile_records_plan` turns records (walked from a live model or
+loaded from an artifact) into a flat list of :class:`PlanOp` steps.
+Executing the plan is the job of :mod:`repro.runtime.executors`; the
+user-facing façade is :class:`repro.runtime.session.InferenceSession`.
 
-Three compile-time choices shape the emitted ops:
+Two compile-time choices shape the emitted ops:
 
 * **Precision** — every weight, bias, spectrum and work buffer is
   materialized at the dtypes of a
@@ -26,12 +29,6 @@ Three compile-time choices shape the emitted ops:
   capped per op: artifact bytes and the ``embedded/memory.py`` estimates
   are what they were, and :attr:`PlanOp.expanded_nbytes` reports what a
   plan holds beyond them.
-* **Overlap-add conv tiling** (``conv_tile``) — block-circulant conv ops
-  are emitted as streaming tiles of ``conv_tile`` output rows: each tile
-  gathers only its own (overlapping) input slab, so peak memory is
-  bounded by the tile size instead of the full patch matrix (the
-  ROADMAP's overlap-add streaming item).  Tiled ops always run the FFT
-  kernel.
 
 **The conv hot path** is *unfold, GEMM or rfft -> GEMM -> irfft, bias,
 activation*.  The unfold writes the patch matrix by ``k*k`` strided
@@ -44,28 +41,24 @@ conv weights are permuted to that row order once at freeze.
 layer and the :class:`~repro.embedded.deploy.DeployedModel` record
 interpreter to 1e-10 (fp64) whichever kernel an op froze to — the two
 kernels sum the same products in different orders.  *Bitwise* equality
-holds only between paths running the same kernel: arena vs fresh,
-threaded vs serial at the same ``batch_size``.
+holds only between paths running the same kernel: arena vs a direct
+``op(x)`` call, threaded vs serial at the same ``batch_size``.
 
-Fusion: every elementwise activation is folded into the producing compute
-op (``fusable`` ops), so the plan executes one closure per weight layer
-instead of one Python dispatch per ``Module``.  :func:`fuse_plan`
-generalizes this at the plan level: it folds *every* ``foldable`` op
-(affine, flatten, non-softmax activations — and chains of them) into the
-preceding producer, so e.g. ``conv -> batchnorm -> relu`` and
-``bc_conv+relu -> flatten`` each become a single closure.
+**Fusion** is one rule, :func:`fuse_plan`, run on every plan a session
+builds: it folds every ``foldable`` op (affine, flatten, non-softmax
+activations — and chains of them) into the preceding producer, so e.g.
+``conv -> batchnorm -> relu`` and ``bc_conv+relu -> flatten`` each
+become a single step and the plan executes one Python dispatch per
+weight layer instead of one per ``Module``.
 
-**Workspace arenas.**  Every compute op also carries a ``ws_fn`` — the
-same computation staged through a
-:class:`~repro.runtime.workspace.Workspace` of per-batch-bucket reusable
-buffers (``np.matmul(..., out=...)``, in-place bias/activation, zero-once
-pad buffers) so steady-state inference stops paying the allocator.
-``ws_fn`` is bitwise-identical to ``fn`` by construction: it runs the
-same floating-point operations in the same order, only into caller-owned
-memory (the conv and max-pool ops are literally one body, run against
-either an arena or a fresh-allocating stand-in).  Executors choose the
-path; ops with no arena form (conv-tiled) simply leave ``ws_fn`` unset
-and keep their fresh path.
+**One body per op.**  Every op is one callable, ``run(x, ws)``, staged
+through a :class:`~repro.runtime.workspace.Workspace` of per-batch-bucket
+reusable buffers (``np.matmul(..., out=...)``, in-place
+bias/activation, zero-once pad buffers) so steady-state inference stops
+paying the allocator.  Calling an op directly, ``op(x)``, runs that same
+body against a fresh-allocating stand-in for the arena — the same
+floating-point operations in the same order, only into new memory —
+which is what tests use as the reference.
 """
 
 from __future__ import annotations
@@ -79,7 +72,7 @@ from ..analysis.complexity import bc_fc_ops, dense_fc_ops
 from ..exceptions import DeploymentError
 from ..fft import irfft, rfft
 from ..fft.backend import get_backend
-from ..nn.functional import conv_output_size, im2col, unfold_patches
+from ..nn.functional import conv_output_size, unfold_patches
 from ..nn.layers import (
     AvgPool2d,
     BatchNorm1d,
@@ -103,7 +96,7 @@ from ..nn.layers import (
 )
 from ..nn.module import Sequential
 from ..precision import FP64, PrecisionPolicy
-from ..structured import block_circulant_forward_batch, block_circulant_to_dense
+from ..structured import block_circulant_to_dense
 from ..structured.spectral import freq_major
 
 __all__ = [
@@ -111,9 +104,9 @@ __all__ = [
     "GEMM_FLOP_ADVANTAGE",
     "PlanOp",
     "bc_conv_kernel",
-    "compile_model_plan",
     "compile_records_plan",
     "fuse_plan",
+    "model_records",
     "pool_windows",
     "softmax",
 ]
@@ -225,31 +218,32 @@ def pool_windows(
 
 
 class PlanOp:
-    """One step of a frozen plan: a name plus a ``ndarray -> ndarray`` fn.
+    """One step of a frozen plan: a name plus one body, ``run(x, ws)``.
 
-    ``fusable`` marks compute ops (linear, conv) that a following
-    elementwise activation may be folded into.  ``foldable`` marks the
-    other direction: ops cheap enough that :func:`fuse_plan` folds them
-    *into* their producer (affine, flatten, non-softmax activations).
+    ``run`` executes the op with ``ws`` — a
+    :class:`~repro.runtime.workspace.Workspace` — as the memory for
+    every intermediate and (for compute ops) the output; executors hand
+    each thread its own.  ``op(x)`` runs the same body against fresh
+    allocations instead, the reference the tests compare against.
 
-    ``ws_fn`` is the op's arena form — the same computation, bitwise,
-    staged through a :class:`~repro.runtime.workspace.Workspace` instead
-    of fresh allocations; :meth:`run` dispatches to it when the executor
-    supplies a workspace.  ``fresh_out`` records whether the op owns its
-    output buffer (a fresh allocation or an op-private arena slot) — the
-    condition under which a folded successor may run its ``inplace_fn``
-    (an in-place variant, bitwise-equal to ``fn``) on it.  ``flatten``
-    is the one op with ``fresh_out=False``: its output is a view of its
-    *input*, which the op does not own.  ``expanded_nbytes`` is the RAM
-    the op holds in weights expanded beyond what the artifact stores (a
-    dense-kernel ``bc_conv``); zero for every other op.
+    ``fusable`` marks producers (compute ops, pools) that
+    :func:`fuse_plan` may fold a successor into; ``foldable`` marks ops
+    cheap enough to be folded *into* their producer (affine, flatten,
+    non-softmax activations).  ``fresh_out`` records whether the op owns
+    its output buffer (a fresh allocation or an op-private arena slot) —
+    the condition under which a folded successor may run its
+    ``inplace_fn`` (an in-place variant, bitwise-equal to ``run``) on
+    it.  ``flatten`` is the one op with ``fresh_out=False``: its output
+    is a view of its *input*, which the op does not own.
+    ``expanded_nbytes`` is the RAM the op holds in weights expanded
+    beyond what the artifact stores (a dense-kernel ``bc_conv``); zero
+    for every other op.
     """
 
     __slots__ = (
         "name",
-        "fn",
+        "run",
         "fusable",
-        "ws_fn",
         "foldable",
         "inplace_fn",
         "fresh_out",
@@ -259,75 +253,53 @@ class PlanOp:
     def __init__(
         self,
         name: str,
-        fn: Callable[[np.ndarray], np.ndarray],
+        run: Callable[[np.ndarray, object], np.ndarray],
         fusable: bool = False,
-        ws_fn: Callable[[np.ndarray, object], np.ndarray] | None = None,
         foldable: bool = False,
         inplace_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         fresh_out: bool = True,
     ):
         self.name = name
-        self.fn = fn
+        self.run = run
         self.fusable = fusable
-        self.ws_fn = ws_fn
         self.foldable = foldable
         self.inplace_fn = inplace_fn
         self.fresh_out = fresh_out
         self.expanded_nbytes = 0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.fn(x)
-
-    def run(self, x: np.ndarray, ws=None) -> np.ndarray:
-        """Execute via the arena path when ``ws`` is given and supported."""
-        if ws is not None and self.ws_fn is not None:
-            return self.ws_fn(x, ws)
-        return self.fn(x)
+        return self.run(x, _FRESH)
 
     def fold(self, op: "PlanOp") -> "PlanOp":
-        """Fold a ``foldable`` successor into this op (one closure).
+        """Fold a ``foldable`` successor into this op (one step).
 
-        The fresh path composes out-of-place — exactly the two ops run
-        back to back, so reference numerics are untouched.  The arena
-        path runs the successor's ``inplace_fn`` directly on this op's
+        The successor runs its ``inplace_fn`` directly on this op's
         output when this op owns that buffer (``fresh_out``), which is
-        bitwise-equal by the in-place ufunc contract.
+        bitwise-equal by the in-place ufunc contract; otherwise it runs
+        its own body on the same workspace.
         """
-        inner, post = self.fn, op.fn
+        inner = self.run
+        if op.inplace_fn is not None and self.fresh_out:
+            post = op.inplace_fn
 
-        def folded_fn(x: np.ndarray) -> np.ndarray:
-            return post(inner(x))
+            def run(x: np.ndarray, ws) -> np.ndarray:
+                return post(inner(x, ws))
+
+        else:
+            outer = op.run
+
+            def run(x: np.ndarray, ws) -> np.ndarray:
+                return outer(inner(x, ws), ws)
 
         folded = PlanOp(
             f"{self.name}+{op.name}",
-            folded_fn,
+            run,
             fusable=self.fusable,
             foldable=self.foldable and op.foldable,
             fresh_out=self.fresh_out or op.fresh_out,
         )
         folded.expanded_nbytes = self.expanded_nbytes + op.expanded_nbytes
-        if self.ws_fn is not None:
-            inner_ws = self.ws_fn
-            if op.inplace_fn is not None and self.fresh_out:
-                post_ws = op.inplace_fn
-            else:
-                post_ws = post
-            folded.ws_fn = lambda x, ws: post_ws(inner_ws(x, ws))
-        if self.inplace_fn is not None and op.inplace_fn is not None:
-            self_ip, op_ip = self.inplace_fn, op.inplace_fn
-            folded.inplace_fn = lambda x: op_ip(self_ip(x))
         return folded
-
-    def fuse(self, name: str, activation: Callable[[np.ndarray], np.ndarray]) -> "PlanOp":
-        """A new op applying ``activation`` after this op's computation."""
-        return self.fold(
-            PlanOp(
-                name,
-                activation,
-                foldable=True,
-                inplace_fn=_ACTIVATIONS_INPLACE.get(name),
-            )
-        )
 
     def __repr__(self) -> str:
         return f"PlanOp({self.name!r})"
@@ -352,8 +324,8 @@ def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
 
 
 #: In-place forms of the foldable activations, bitwise-equal to the
-#: out-of-place forms in ``_ACTIVATIONS``.  Only applied by the arena
-#: path to buffers the producing op owns (``fresh_out``).  leaky_relu
+#: out-of-place forms in ``_ACTIVATIONS``.  Only applied by a folded op
+#: to buffers its producing op owns (``fresh_out``).  leaky_relu
 #: has no allocation-free in-place form (``np.where`` needs a fresh
 #: destination) and softmax is never folded, so neither appears here.
 _ACTIVATIONS_INPLACE: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -363,68 +335,108 @@ _ACTIVATIONS_INPLACE: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
+class _FreshBuffers:
+    """Workspace stand-in behind ``op(x)``: every slot is a new array.
+
+    Op bodies are written once against the
+    :class:`~repro.runtime.workspace.Workspace` slot interface; run with
+    this stand-in they allocate everything fresh — the same
+    floating-point operations in the same order, only into new memory.
+    """
+
+    @staticmethod
+    def bucket(n: int) -> int:
+        return n
+
+    @staticmethod
+    def get(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return np.empty(shape, dtype=dtype)
+
+    @staticmethod
+    def zeros(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return np.zeros(shape, dtype=dtype)
+
+
+_FRESH = _FreshBuffers()
+
+
 # ----------------------------------------------------------------------
-# Op builders (shared by compile_model_plan and compile_records_plan)
+# Op builders
 # ----------------------------------------------------------------------
+def _spectral_gemm(
+    spectra: np.ndarray, b: int, tag: str, policy: PrecisionPolicy
+) -> Callable[[np.ndarray, object, int], np.ndarray]:
+    """The block-circulant contraction: rfft -> frequency-major GEMM -> irfft.
+
+    Returns ``gemm(blocks, ws, m)`` mapping real ``(rows, q, b)`` input
+    blocks to ``(rows, p, b)`` output blocks, staged through workspace
+    slots sized for ``m >= rows`` rows.  The explicit copy into the
+    contiguous frequency-major operand replaces the re-buffering matmul
+    would do internally per call, and matmul writes straight into its
+    slot.  ``bc_linear`` runs it on one block row per sample, the FFT
+    kernel of ``bc_conv`` on one per output position.
+    """
+    cdtype = policy.complex_dtype
+    rdtype = policy.real_dtype
+    spectra_fm = freq_major(spectra)
+    nb, p, q = spectra_fm.shape
+    k_spec, k_xsfm, k_yfm, k_ysp, k_blk = (
+        tag + ".spec", tag + ".xsfm", tag + ".yfm", tag + ".ysp", tag + ".blk",
+    )
+    single = np.dtype(cdtype) == np.complex64
+
+    def gemm(blocks: np.ndarray, ws, m: int) -> np.ndarray:
+        rows = blocks.shape[0]
+        if _fft_writes_out():
+            x_spec = rfft(blocks, out=ws.get(k_spec, (m, q, nb), cdtype)[:rows])
+        elif single:
+            x_spec = _fast_rfft(blocks, True)
+        else:
+            x_spec = _fast_rfft(
+                blocks, False, out=ws.get(k_spec, (m, q, nb), cdtype)[:rows]
+            )
+        xs_fm = ws.get(k_xsfm, (nb, q, m), cdtype)[..., :rows]
+        np.copyto(xs_fm, x_spec.transpose(2, 1, 0))
+        y_fm = np.matmul(
+            spectra_fm,
+            xs_fm,
+            out=ws.get(k_yfm, (nb, p, m), cdtype)[..., :rows],
+        )
+        y_spec = y_fm.transpose(2, 1, 0)
+        if _fft_writes_out():
+            return irfft(y_spec, n=b, out=ws.get(k_blk, (m, p, b), rdtype)[:rows])
+        if single:
+            return _fast_irfft(y_spec, b, True)
+        # numpy's irfft hits a slow path when both ``out=`` and a
+        # strided input are given; stage the transposed spectrum
+        # contiguously first (a plain copy) so the transform runs on its
+        # fast path and still writes into the arena.
+        y_stage = ws.get(k_ysp, (m, p, nb), cdtype)[:rows]
+        np.copyto(y_stage, y_spec)
+        return _fast_irfft(
+            y_stage, b, False, out=ws.get(k_blk, (m, p, b), rdtype)[:rows]
+        )
+
+    return gemm
+
+
 def _bc_linear_op(
     spectra: np.ndarray,
     bias: np.ndarray | None,
     in_features: int,
     out_features: int,
     block_size: int,
-    spectra_fm: np.ndarray | None = None,
     policy: PrecisionPolicy = FP64,
 ) -> PlanOp:
-    cdtype = policy.complex_dtype
     rdtype = policy.real_dtype
-    spectra = np.asarray(spectra, dtype=cdtype)
-    if spectra_fm is None or np.asarray(spectra_fm).dtype != cdtype:
-        spectra_fm = freq_major(spectra)
-    p, q = spectra.shape[0], spectra.shape[1]
+    spectra = np.asarray(spectra, dtype=policy.complex_dtype)
+    q = spectra.shape[1]
     b = block_size
     bias = None if bias is None else np.asarray(bias, dtype=rdtype)
-
-    def blocks_of(x: np.ndarray) -> np.ndarray:
-        batch = x.shape[0]
-        if x.shape[-1] != in_features:
-            raise ValueError(
-                f"expected input with {in_features} features, got shape {x.shape}"
-            )
-        if in_features == q * b:
-            return x.reshape(batch, q, b)
-        padded = np.zeros((batch, q * b), dtype=rdtype)
-        padded[:, :in_features] = x
-        return padded.reshape(batch, q, b)
-
-    def finish(out_blocks: np.ndarray) -> np.ndarray:
-        out = out_blocks.reshape(out_blocks.shape[0], -1)[:, :out_features]
-        if bias is not None:
-            out = out + bias
-        return out
-
-    name = f"bc_linear({in_features}->{out_features},b={b})"
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        out = block_circulant_forward_batch(
-            spectra, blocks_of(x), weight_fm=spectra_fm
-        )
-        return finish(out)
-
-    # Arena form: same FFT -> GEMM -> IFFT -> bias pipeline, staged
-    # through per-bucket workspace slots.  The explicit copy into the
-    # contiguous frequency-major operand replaces the re-buffering
-    # matmul would do internally per call; matmul writes straight into
-    # its slot; bias adds in place on the op-owned result.  Each step is
-    # bitwise-equal to its fresh counterpart (tests/runtime/test_arena).
-    nb = spectra.shape[2]
     tag = f"op{next(_OP_IDS)}.bcl"
-    k_pad, k_spec, k_xsfm, k_yfm, k_ysp, k_blk = (
-        tag + ".pad", tag + ".spec", tag + ".xsfm",
-        tag + ".yfm", tag + ".ysp", tag + ".blk",
-    )
-    single = np.dtype(cdtype) == np.complex64
+    gemm = _spectral_gemm(spectra, b, tag, policy)
 
-    def ws_fn(x: np.ndarray, ws) -> np.ndarray:
+    def run(x: np.ndarray, ws) -> np.ndarray:
         batch = x.shape[0]
         if x.shape[-1] != in_features:
             raise ValueError(
@@ -436,51 +448,17 @@ def _bc_linear_op(
         else:
             # Zero-once pad slot: columns past in_features are zeroed at
             # allocation and never written again.
-            padded = ws.zeros(k_pad, (m, q * b), rdtype)[:batch]
+            padded = ws.zeros(tag + ".pad", (m, q * b), rdtype)[:batch]
             padded[:, :in_features] = x
             xb = padded.reshape(batch, q, b)
-        if _fft_writes_out():
-            x_spec = rfft(
-                xb, out=ws.get(k_spec, (m, q, nb), cdtype)[:batch]
-            )
-        elif single:
-            x_spec = _fast_rfft(xb, True)
-        else:
-            x_spec = _fast_rfft(
-                xb, False, out=ws.get(k_spec, (m, q, nb), cdtype)[:batch]
-            )
-        xs_fm = ws.get(k_xsfm, (nb, q, m), cdtype)[..., :batch]
-        np.copyto(xs_fm, x_spec.transpose(2, 1, 0))
-        y_fm = np.matmul(
-            spectra_fm,
-            xs_fm,
-            out=ws.get(k_yfm, (nb, p, m), cdtype)[..., :batch],
-        )
-        y_spec = y_fm.transpose(2, 1, 0)
-        if _fft_writes_out():
-            out_blocks = irfft(
-                y_spec,
-                n=b,
-                out=ws.get(k_blk, (m, p, b), rdtype)[:batch],
-            )
-        elif single:
-            out_blocks = _fast_irfft(y_spec, b, True)
-        else:
-            # numpy's irfft hits a slow path when both ``out=`` and a
-            # strided input are given; stage the transposed spectrum
-            # contiguously first (a plain copy) so the transform runs on
-            # its fast path and still writes into the arena.
-            y_stage = ws.get(k_ysp, (m, p, nb), cdtype)[:batch]
-            np.copyto(y_stage, y_spec)
-            out_blocks = _fast_irfft(
-                y_stage, b, False, out=ws.get(k_blk, (m, p, b), rdtype)[:batch]
-            )
-        out = out_blocks.reshape(batch, -1)[:, :out_features]
+        out = gemm(xb, ws, m).reshape(batch, -1)[:, :out_features]
         if bias is not None:
             out += bias
         return out
 
-    return PlanOp(name, fn, fusable=True, ws_fn=ws_fn)
+    return PlanOp(
+        f"bc_linear({in_features}->{out_features},b={b})", run, fusable=True
+    )
 
 
 def _linear_op(
@@ -492,16 +470,9 @@ def _linear_op(
     weight_t = np.ascontiguousarray(np.asarray(weight, dtype=rdtype).T)
     bias = None if bias is None else np.asarray(bias, dtype=rdtype)
     out_f, in_f = weight.shape
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        out = x @ weight_t
-        if bias is not None:
-            out = out + bias
-        return out
-
     tag = f"op{next(_OP_IDS)}.lin"
 
-    def ws_fn(x: np.ndarray, ws) -> np.ndarray:
+    def run(x: np.ndarray, ws) -> np.ndarray:
         batch = x.shape[0]
         m = ws.bucket(batch)
         out = np.matmul(
@@ -511,7 +482,7 @@ def _linear_op(
             out += bias
         return out
 
-    return PlanOp(f"linear({in_f}->{out_f})", fn, fusable=True, ws_fn=ws_fn)
+    return PlanOp(f"linear({in_f}->{out_f})", run, fusable=True)
 
 
 def _fft1d_op(
@@ -527,7 +498,8 @@ def _fft1d_op(
     GEMMs go through :func:`~repro.nn.layers.fftnet1d.seq_matmul` — the
     row-count-stable kernel — and the adds are elementwise, so any
     row-chunking of the timeline (the incremental stream plan pushing K
-    samples at a time) reproduces this op's outputs bitwise.
+    samples at a time) reproduces this op's outputs bitwise.  It
+    allocates its output fresh and ignores the workspace.
     """
     rdtype = policy.real_dtype
     wl_t = np.ascontiguousarray(np.asarray(weight_l, dtype=rdtype).T)
@@ -535,7 +507,7 @@ def _fft1d_op(
     bias = None if bias is None else np.asarray(bias, dtype=rdtype)
     in_c, out_c = wr_t.shape
 
-    def fn(x: np.ndarray) -> np.ndarray:
+    def run(x: np.ndarray, ws) -> np.ndarray:
         batch, steps, _ = x.shape
         xl = shift_right(x, dilation)
         out = seq_matmul(x.reshape(-1, in_c), wr_t)
@@ -544,7 +516,7 @@ def _fft1d_op(
             out += bias
         return out.reshape(batch, steps, out_c)
 
-    return PlanOp(f"fft1d({in_c}->{out_c},d={dilation})", fn, fusable=True)
+    return PlanOp(f"fft1d({in_c}->{out_c},d={dilation})", run, fusable=True)
 
 
 def _pointwise1d_op(
@@ -562,40 +534,14 @@ def _pointwise1d_op(
     bias = None if bias is None else np.asarray(bias, dtype=rdtype)
     in_c, out_c = weight_t.shape
 
-    def fn(x: np.ndarray) -> np.ndarray:
+    def run(x: np.ndarray, ws) -> np.ndarray:
         batch, steps, _ = x.shape
         out = seq_matmul(x.reshape(-1, in_c), weight_t)
         if bias is not None:
             out += bias
         return out.reshape(batch, steps, out_c)
 
-    return PlanOp(f"pointwise1d({in_c}->{out_c})", fn, fusable=True)
-
-
-class _FreshBuffers:
-    """Workspace stand-in for the fresh path: every slot is a new array.
-
-    The unfold-based kernels are written once against the
-    :class:`~repro.runtime.workspace.Workspace` slot interface; run with
-    this stand-in they are the op's ``fn``, run with a real arena they
-    are its ``ws_fn`` — the same floating-point operations in the same
-    order by construction, only into different memory.
-    """
-
-    @staticmethod
-    def bucket(n: int) -> int:
-        return n
-
-    @staticmethod
-    def get(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        return np.empty(shape, dtype=dtype)
-
-    @staticmethod
-    def zeros(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
-
-
-_FRESH = _FreshBuffers()
+    return PlanOp(f"pointwise1d({in_c}->{out_c})", run, fusable=True)
 
 
 def _check_channels(x: np.ndarray, in_channels: int) -> None:
@@ -684,7 +630,7 @@ def _unfold_gemm_op(
             out += bias[None, :, None, None]
         return out
 
-    return PlanOp(name, lambda x: run(x, _FRESH), fusable=True, ws_fn=run)
+    return PlanOp(name, run, fusable=True)
 
 
 def _conv_op(
@@ -740,27 +686,20 @@ def _bc_conv_op(
     stride: int,
     padding: int,
     channel_blocks: int,
-    spectra_fm: np.ndarray | None = None,
     policy: PrecisionPolicy = FP64,
-    conv_tile: int | None = None,
 ) -> PlanOp:
-    """The one place a block-circulant conv picks its kernel.
-
-    Un-tiled ops run whichever of the two kernels
-    :func:`bc_conv_kernel` names; ``conv_tile`` ops always stream the
-    FFT kernel over input slabs.
-    """
-    cdtype = policy.complex_dtype
+    """The one place a block-circulant conv picks its kernel: whichever
+    of the two :func:`bc_conv_kernel` names."""
     rdtype = policy.real_dtype
-    spectra = np.asarray(spectra, dtype=cdtype)
+    spectra = np.asarray(spectra, dtype=policy.complex_dtype)
     b = block_size
     k = kernel_size
     padded_c = channel_blocks * b
     bias = None if bias is None else np.asarray(bias, dtype=rdtype)
-    p, q, nb = spectra.shape
+    p, q, _ = spectra.shape
     label = f"bc_conv({in_channels}->{out_channels},k={k},b={b}"
 
-    if conv_tile is None and bc_conv_kernel(p, q, b, rdtype) == "dense":
+    if bc_conv_kernel(p, q, b, rdtype) == "dense":
         weight_t = _expand_bc_conv(
             spectra, in_channels, out_channels, k, b, rdtype
         )
@@ -771,64 +710,8 @@ def _bc_conv_op(
         op.expanded_nbytes = weight_t.nbytes
         return op
 
-    if spectra_fm is None or np.asarray(spectra_fm).dtype != cdtype:
-        spectra_fm = freq_major(spectra)
-
-    if conv_tile is not None:
-        # Overlap-add streaming: each tile of `conv_tile` output rows
-        # gathers only its own input slab (slabs overlap by k - stride
-        # rows), bounding peak patch-matrix memory by the tile size.
-        # Tiled ops keep the fresh path: the tile loop is already the
-        # memory-bounding strategy, and its slab geometry varies per
-        # call position — no stable buffer set to preallocate.
-        def tiled_fn(x: np.ndarray) -> np.ndarray:
-            _check_channels(x, in_channels)
-            batch, _, height, width = x.shape
-            out_h, out_w = conv_output_size(height, width, k, stride, padding)
-            padded = (
-                np.pad(
-                    x,
-                    ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                )
-                if padding
-                else x
-            )
-            out = np.empty((batch, out_channels, out_h, out_w), dtype=rdtype)
-            for r0 in range(0, out_h, conv_tile):
-                r1 = min(r0 + conv_tile, out_h)
-                positions = (r1 - r0) * out_w
-                slab = padded[:, :, r0 * stride : (r1 - 1) * stride + k, :]
-                by_pos = (
-                    im2col(slab, k, stride, 0)
-                    .reshape(batch, positions, in_channels, k * k)
-                    .transpose(0, 1, 3, 2)
-                )
-                if padded_c != in_channels:
-                    wide = np.zeros(
-                        (batch, positions, k * k, padded_c), dtype=rdtype
-                    )
-                    wide[..., :in_channels] = by_pos
-                    by_pos = wide
-                tile = block_circulant_forward_batch(
-                    spectra,
-                    by_pos.reshape(batch * positions, q, b),
-                    weight_fm=spectra_fm,
-                )
-                tile = tile.reshape(batch, positions, -1)[..., :out_channels]
-                out[:, :, r0:r1, :] = tile.transpose(0, 2, 1).reshape(
-                    batch, out_channels, r1 - r0, out_w
-                )
-            if bias is not None:
-                out = out + bias[None, :, None, None]
-            return out
-
-        return PlanOp(label + f",fft,tile={conv_tile})", tiled_fn, fusable=True)
-
     tag = f"op{next(_OP_IDS)}.bcc"
-    k_spec, k_xsfm, k_yfm, k_ysp, k_blk = (
-        tag + ".spec", tag + ".xsfm", tag + ".yfm", tag + ".ysp", tag + ".blk",
-    )
-    single = np.dtype(cdtype) == np.complex64
+    gemm = _spectral_gemm(spectra, b, tag, policy)
 
     def run(x: np.ndarray, ws) -> np.ndarray:
         cols, out_h, out_w = _unfold(
@@ -837,57 +720,14 @@ def _bc_conv_op(
         batch = x.shape[0]
         positions = out_h * out_w
         blocks = cols.reshape(batch * positions, q, b)
-        rows = blocks.shape[0]
-        mrows = ws.bucket(batch) * positions
-        if _fft_writes_out():
-            x_spec = rfft(
-                blocks,
-                out=ws.get(k_spec, (mrows, q, nb), cdtype)[:rows],
-            )
-        elif single:
-            x_spec = _fast_rfft(blocks, True)
-        else:
-            x_spec = _fast_rfft(
-                blocks,
-                False,
-                out=ws.get(k_spec, (mrows, q, nb), cdtype)[:rows],
-            )
-        xs_fm = ws.get(k_xsfm, (nb, q, mrows), cdtype)[..., :rows]
-        np.copyto(xs_fm, x_spec.transpose(2, 1, 0))
-        y_fm = np.matmul(
-            spectra_fm,
-            xs_fm,
-            out=ws.get(k_yfm, (nb, p, mrows), cdtype)[..., :rows],
-        )
-        y_spec = y_fm.transpose(2, 1, 0)
-        if _fft_writes_out():
-            out_blocks = irfft(
-                y_spec,
-                n=b,
-                out=ws.get(k_blk, (mrows, p, b), rdtype)[:rows],
-            )
-        elif single:
-            out_blocks = _fast_irfft(y_spec, b, True)
-        else:
-            # Same strided-input + out= slow path as the linear kernel:
-            # stage the spectrum contiguously before transforming.
-            y_stage = ws.get(k_ysp, (mrows, p, nb), cdtype)[:rows]
-            np.copyto(y_stage, y_spec)
-            out_blocks = _fast_irfft(
-                y_stage,
-                b,
-                False,
-                out=ws.get(k_blk, (mrows, p, b), rdtype)[:rows],
-            )
+        out_blocks = gemm(blocks, ws, ws.bucket(batch) * positions)
         out = out_blocks.reshape(batch, positions, -1)[..., :out_channels]
         out = out.transpose(0, 2, 1).reshape(batch, out_channels, out_h, out_w)
         if bias is not None:
             out += bias[None, :, None, None]
         return out
 
-    return PlanOp(
-        label + ",fft)", lambda x: run(x, _FRESH), fusable=True, ws_fn=run
-    )
+    return PlanOp(label + ",fft)", run, fusable=True)
 
 
 def _affine_op(
@@ -898,11 +738,6 @@ def _affine_op(
 ) -> PlanOp:
     scale = np.asarray(scale, dtype=policy.real_dtype)
     shift = np.asarray(shift, dtype=policy.real_dtype)
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        if per_channel:
-            return x * scale[None, :, None, None] + shift[None, :, None, None]
-        return x * scale + shift
 
     def inplace_fn(x: np.ndarray) -> np.ndarray:
         if per_channel:
@@ -915,7 +750,7 @@ def _affine_op(
 
     tag = f"op{next(_OP_IDS)}.aff"
 
-    def ws_fn(x: np.ndarray, ws) -> np.ndarray:
+    def run(x: np.ndarray, ws) -> np.ndarray:
         batch = x.shape[0]
         m = ws.bucket(batch)
         out = ws.get(f"{tag}.out", (m,) + x.shape[1:], x.dtype)[:batch]
@@ -929,9 +764,8 @@ def _affine_op(
 
     return PlanOp(
         "affine",
-        fn,
+        run,
         fusable=True,
-        ws_fn=ws_fn,
         foldable=True,
         inplace_fn=inplace_fn,
     )
@@ -962,19 +796,13 @@ def _maxpool_op(kernel: int, stride: int) -> PlanOp:
 
     # fusable: a pool owns its output buffer, so a folded successor
     # (flatten, activation) may reshape or mutate it freely.
-    return PlanOp(
-        f"maxpool(k={kernel})", lambda x: run(x, _FRESH), fusable=True, ws_fn=run
-    )
+    return PlanOp(f"maxpool(k={kernel})", run, fusable=True)
 
 
 def _avgpool_op(kernel: int, stride: int) -> PlanOp:
-    def fn(x: np.ndarray) -> np.ndarray:
-        windows, out_h, out_w = pool_windows(x, kernel, stride)
-        return windows.mean(axis=-1).reshape(x.shape[0], x.shape[1], out_h, out_w)
-
     tag = f"op{next(_OP_IDS)}.avgp"
 
-    def ws_fn(x: np.ndarray, ws) -> np.ndarray:
+    def run(x: np.ndarray, ws) -> np.ndarray:
         windows, out_h, out_w = pool_windows(x, kernel, stride)
         batch, chans = x.shape[0], x.shape[1]
         m = ws.bucket(batch)
@@ -982,7 +810,7 @@ def _avgpool_op(kernel: int, stride: int) -> PlanOp:
         windows.mean(axis=-1, out=buf)
         return buf.reshape(batch, chans, out_h, out_w)
 
-    return PlanOp(f"avgpool(k={kernel})", fn, fusable=True, ws_fn=ws_fn)
+    return PlanOp(f"avgpool(k={kernel})", run, fusable=True)
 
 
 def _flatten_op() -> PlanOp:
@@ -991,41 +819,34 @@ def _flatten_op() -> PlanOp:
     # allocation-free, so it doubles as its own in-place form.
     fn = lambda x: x.reshape(x.shape[0], -1)  # noqa: E731
     return PlanOp(
-        "flatten", fn, foldable=True, inplace_fn=fn, fresh_out=False
+        "flatten",
+        lambda x, ws: fn(x),
+        foldable=True,
+        inplace_fn=fn,
+        fresh_out=False,
     )
 
 
 def _activation_op(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> PlanOp:
+    """An elementwise op; standalone it allocates its output fresh."""
     return PlanOp(
         name,
-        fn,
+        lambda x, ws: fn(x),
         foldable=name != "softmax",
         inplace_fn=_ACTIVATIONS_INPLACE.get(name),
     )
 
 
-def _append_activation(
-    ops: list[PlanOp], name: str, fn: Callable[[np.ndarray], np.ndarray]
-) -> None:
-    """Fuse the activation into the previous compute op when possible."""
-    if ops and ops[-1].fusable and name != "softmax":
-        ops[-1] = ops[-1].fold(_activation_op(name, fn))
-    else:
-        ops.append(_activation_op(name, fn))
-
-
 def fuse_plan(ops: Sequence[PlanOp]) -> list[PlanOp]:
     """Compile pass: fold every foldable op into its producer.
 
-    Generalizes the per-activation fusion the compilers already do into
-    a pass over the whole op list: affine (folded batch-norm /
-    dequantize), flatten and non-softmax activation ops — and chains of
-    them — merge into the preceding compute op, so e.g.
-    ``conv -> affine+relu -> ... -> bc_conv+relu -> flatten`` executes
-    as ``conv+affine+relu -> ... -> bc_conv+relu+flatten``.  The first
-    op never folds into anything, so user input is never mutated; the
-    fresh path of a folded op is the exact out-of-place composition of
-    its parts, so reference numerics are untouched (bitwise).
+    Affine (folded batch-norm / dequantize), flatten and non-softmax
+    activation ops — and chains of them — merge into the preceding op,
+    so e.g. ``conv -> affine -> relu -> ... -> bc_conv -> relu ->
+    flatten`` executes as ``conv+affine+relu -> ... ->
+    bc_conv+relu+flatten``.  The first op never folds into anything, so
+    user input is never mutated; a folded op runs the same operations
+    as its parts back to back, so outputs are untouched (bitwise).
     """
     fused: list[PlanOp] = []
     for op in ops:
@@ -1038,141 +859,150 @@ def fuse_plan(ops: Sequence[PlanOp]) -> list[PlanOp]:
 
 
 # ----------------------------------------------------------------------
-# Plan compilers
+# The layer walker and the record compiler
 # ----------------------------------------------------------------------
-def compile_model_plan(
-    model: Sequential,
-    policy: PrecisionPolicy = FP64,
-    conv_tile: int | None = None,
-) -> list[PlanOp]:
-    """Snapshot a trained ``model`` into a flat op plan.
+def model_records(model: Sequential) -> list[dict]:
+    """Walk a trained model into layer records — the one freezing ladder.
 
-    Block-circulant weights are captured as their dtype-keyed cached
-    half-spectra (shared with the layer's
-    :class:`~repro.structured.spectral.SpectrumCache`); dense weights are
-    cast to the policy's real dtype; dropout disappears; batch-norm folds
-    into a per-feature affine op; activations fuse into the producing op.
+    One record per inference-time layer, in the
+    :class:`~repro.embedded.deploy.DeployedModel` format but at the
+    model's native precision: compute layers carry their ``weight`` and
+    ``bias`` arrays as they are (``fft1d`` stacks its left and right
+    taps into one ``(2, out, in)`` weight), and block-circulant layers
+    add ``spectra`` — their ``rfft`` half-spectra, taken from the
+    layer's :class:`~repro.structured.spectral.SpectrumCache`, so a
+    model that has already run inference pays no transform here.
+    Dropout disappears; batch-norm folds into a per-feature ``affine``
+    record.
+
+    :meth:`InferenceSession.freeze
+    <repro.runtime.session.InferenceSession.freeze>` compiles these
+    records directly; :meth:`DeployedModel.from_model
+    <repro.embedded.deploy.DeployedModel.from_model>` casts them to the
+    artifact's storage dtypes (optionally quantizing) first.
     """
-    spectrum_dtype = policy.complex_dtype
-    ops: list[PlanOp] = []
+    records: list[dict] = []
     for layer in model:
+        bias = getattr(layer, "bias", None)
+        bias = None if bias is None else bias.data
         if isinstance(layer, BlockCirculantLinear):
-            spectra, spectra_fm = layer.weight_spectra(spectrum_dtype)
-            ops.append(
-                _bc_linear_op(
-                    spectra,
-                    None if layer.bias is None else layer.bias.data,
-                    layer.in_features,
-                    layer.out_features,
-                    layer.block_size,
-                    spectra_fm=spectra_fm,
-                    policy=policy,
-                ),
+            records.append(
+                {
+                    "kind": "bc_linear",
+                    "weight": layer.weight.data,
+                    "spectra": layer.weight_spectra()[0],
+                    "bias": bias,
+                    "in_features": layer.in_features,
+                    "out_features": layer.out_features,
+                    "block_size": layer.block_size,
+                }
             )
         elif isinstance(layer, Linear):
-            ops.append(
-                _linear_op(
-                    layer.weight.data,
-                    None if layer.bias is None else layer.bias.data,
-                    policy=policy,
-                ),
-            )
-        elif isinstance(layer, FFTLayer1d):
-            ops.append(
-                _fft1d_op(
-                    layer.weight_l.data,
-                    layer.weight_r.data,
-                    None if layer.bias is None else layer.bias.data,
-                    layer.dilation,
-                    policy=policy,
-                ),
-            )
-        elif isinstance(layer, Pointwise1d):
-            ops.append(
-                _pointwise1d_op(
-                    layer.weight.data,
-                    None if layer.bias is None else layer.bias.data,
-                    policy=policy,
-                ),
+            records.append(
+                {"kind": "linear", "weight": layer.weight.data, "bias": bias}
             )
         elif isinstance(layer, BlockCirculantConv2d):
-            spectra, spectra_fm = layer.weight_spectra(spectrum_dtype)
-            ops.append(
-                _bc_conv_op(
-                    spectra,
-                    None if layer.bias is None else layer.bias.data,
-                    layer.in_channels,
-                    layer.out_channels,
-                    layer.kernel_size,
-                    layer.block_size,
-                    layer.stride,
-                    layer.padding,
-                    layer.channel_blocks,
-                    spectra_fm=spectra_fm,
-                    policy=policy,
-                    conv_tile=conv_tile,
-                ),
+            records.append(
+                {
+                    "kind": "bc_conv",
+                    "weight": layer.weight.data,
+                    "spectra": layer.weight_spectra()[0],
+                    "bias": bias,
+                    "in_channels": layer.in_channels,
+                    "out_channels": layer.out_channels,
+                    "kernel_size": layer.kernel_size,
+                    "block_size": layer.block_size,
+                    "stride": layer.stride,
+                    "padding": layer.padding,
+                    "channel_blocks": layer.channel_blocks,
+                }
             )
         elif isinstance(layer, Conv2d):
-            ops.append(
-                _conv_op(
-                    layer.weight.data,
-                    None if layer.bias is None else layer.bias.data,
-                    layer.stride,
-                    layer.padding,
-                    policy=policy,
-                ),
+            records.append(
+                {
+                    "kind": "conv",
+                    "weight": layer.weight.data,
+                    "bias": bias,
+                    "stride": layer.stride,
+                    "padding": layer.padding,
+                }
+            )
+        elif isinstance(layer, FFTLayer1d):
+            # [0] is the dilated left tap, [1] the current-sample right
+            # tap: one weight, so quantization covers both taps with a
+            # single per-tensor Q-format.
+            records.append(
+                {
+                    "kind": "fft1d",
+                    "weight": np.stack([layer.weight_l.data, layer.weight_r.data]),
+                    "bias": bias,
+                    "in_channels": layer.in_channels,
+                    "out_channels": layer.out_channels,
+                    "dilation": layer.dilation,
+                }
+            )
+        elif isinstance(layer, Pointwise1d):
+            records.append(
+                {
+                    "kind": "pointwise1d",
+                    "weight": layer.weight.data,
+                    "bias": bias,
+                    "in_channels": layer.in_channels,
+                    "out_channels": layer.out_channels,
+                }
             )
         elif isinstance(layer, ReLU):
-            _append_activation(ops, "relu", _ACTIVATIONS["relu"])
+            records.append({"kind": "relu"})
         elif isinstance(layer, LeakyReLU):
-            slope = layer.negative_slope
-            _append_activation(
-                ops,
-                "leaky_relu",
-                lambda x, s=slope: np.where(x > 0.0, x, s * x),
-            )
+            records.append({"kind": "leaky_relu", "slope": layer.negative_slope})
         elif isinstance(layer, Sigmoid):
-            _append_activation(ops, "sigmoid", _ACTIVATIONS["sigmoid"])
+            records.append({"kind": "sigmoid"})
         elif isinstance(layer, Tanh):
-            _append_activation(ops, "tanh", _ACTIVATIONS["tanh"])
+            records.append({"kind": "tanh"})
         elif isinstance(layer, Softmax):
-            ops.append(_activation_op("softmax", softmax))
+            records.append({"kind": "softmax"})
         elif isinstance(layer, Flatten):
-            ops.append(_flatten_op())
+            records.append({"kind": "flatten"})
         elif isinstance(layer, MaxPool2d):
-            ops.append(_maxpool_op(layer.kernel_size, layer.stride))
+            records.append(
+                {"kind": "maxpool", "kernel": layer.kernel_size, "stride": layer.stride}
+            )
         elif isinstance(layer, AvgPool2d):
-            ops.append(_avgpool_op(layer.kernel_size, layer.stride))
+            records.append(
+                {"kind": "avgpool", "kernel": layer.kernel_size, "stride": layer.stride}
+            )
         elif isinstance(layer, Dropout):
             continue  # identity at inference
         elif isinstance(layer, (BatchNorm1d, BatchNorm2d)):
             std = np.sqrt(layer.running_var + layer.eps)
             scale = layer.gamma.data / std
-            shift = layer.beta.data - layer.running_mean * scale
-            ops.append(
-                _affine_op(
-                    scale, shift, isinstance(layer, BatchNorm2d), policy=policy
-                )
+            records.append(
+                {
+                    "kind": "affine",
+                    "scale": scale,
+                    "shift": layer.beta.data - layer.running_mean * scale,
+                    "per_channel": isinstance(layer, BatchNorm2d),
+                }
             )
         else:
             raise DeploymentError(
                 f"cannot freeze layer type {type(layer).__name__}"
             )
-    return ops
+    return records
 
 
 def compile_records_plan(
     records: Sequence[dict],
     policy: PrecisionPolicy = FP64,
-    conv_tile: int | None = None,
 ) -> list[PlanOp]:
-    """Compile deployment-artifact layer records into a flat op plan.
+    """Compile layer records into a flat, unfused op plan.
 
-    ``records`` is the list of dicts in the
-    :class:`~repro.embedded.deploy.DeployedModel` format.  The complex64
-    artifact spectra are widened (fp64) or used as stored (fp32) once
-    here, instead of on every call as the record interpreter does.
+    ``records`` is a list of dicts in the
+    :class:`~repro.embedded.deploy.DeployedModel` format — walked from a
+    live model by :func:`model_records` or loaded from an artifact.
+    Every array is cast once here to the policy's dtypes (the artifact's
+    complex64 spectra widen under fp64), instead of on every call as the
+    record interpreter does.
     """
     ops: list[PlanOp] = []
     for record in records:
@@ -1218,7 +1048,6 @@ def compile_records_plan(
                     record["padding"],
                     record["channel_blocks"],
                     policy=policy,
-                    conv_tile=conv_tile,
                 ),
             )
         elif kind == "conv":
@@ -1231,17 +1060,15 @@ def compile_records_plan(
                     policy=policy,
                 ),
             )
-        elif kind in ("relu", "sigmoid", "tanh"):
-            _append_activation(ops, kind, _ACTIVATIONS[kind])
+        elif kind in _ACTIVATIONS:
+            ops.append(_activation_op(kind, _ACTIVATIONS[kind]))
         elif kind == "leaky_relu":
             slope = record["slope"]
-            _append_activation(
-                ops,
-                "leaky_relu",
-                lambda x, s=slope: np.where(x > 0.0, x, s * x),
+            ops.append(
+                _activation_op(
+                    "leaky_relu", lambda x, s=slope: np.where(x > 0.0, x, s * x)
+                )
             )
-        elif kind == "softmax":
-            ops.append(_activation_op("softmax", softmax))
         elif kind == "flatten":
             ops.append(_flatten_op())
         elif kind == "maxpool":

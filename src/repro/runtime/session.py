@@ -7,12 +7,17 @@ through :class:`repro.engine.Engine`, which pools sessions per
 this module stays the documented seam for tests, benchmarks, and the
 engine itself.
 
-**Freeze/predict contract.**  :meth:`InferenceSession.freeze` walks a
-trained :class:`~repro.nn.module.Sequential` once and captures an
-immutable snapshot (see :mod:`repro.runtime.plan` for the compiler):
+**Freeze/predict contract.**  There is one way to freeze a plan:
+:meth:`InferenceSession.freeze` walks a trained
+:class:`~repro.nn.module.Sequential` into layer records with
+:func:`~repro.runtime.plan.model_records` — the same walk
+:meth:`~repro.embedded.deploy.DeployedModel.from_model` packages — and
+compiles them exactly as :meth:`InferenceSession.from_deployed`
+compiles an artifact's records (see :mod:`repro.runtime.plan`).  The
+snapshot is immutable:
 
 * block-circulant weights are captured as their precomputed ``rfft``
-  half-spectra (shared with the layer's version- and dtype-keyed
+  half-spectra (taken from the layer's version-keyed
   :class:`~repro.structured.spectral.SpectrumCache`, so freezing a model
   that has already run inference costs no extra transforms),
 * dense weights are captured at the session's precision (training after
@@ -20,9 +25,9 @@ immutable snapshot (see :mod:`repro.runtime.plan` for the compiler):
   supported — freeze again after updating weights),
 * dropout disappears, batch-norm folds its running statistics into a
   per-feature affine op,
-* every elementwise activation is fused into the producing compute op,
-  so the plan executes one closure per weight layer instead of one
-  Python dispatch per ``Module``.
+* every elementwise activation, affine and flatten is fused into the
+  producing op, so the plan executes one step per weight layer instead
+  of one Python dispatch per ``Module``.
 
 **Precision.**  ``precision="fp32"`` compiles the whole plan at
 float32/complex64 (half the spectrum memory and memory traffic, ~1e-6
@@ -41,21 +46,20 @@ compiled plan is the same either way, and threaded output is
 bitwise-identical to serial output at the same ``batch_size`` by
 construction.
 
-**Allocation-free hot path.**  By default the session runs the
-:func:`~repro.runtime.plan.fuse_plan` compile pass (folding affine /
-flatten / activation chains into their producing compute op) and hands
-the executor a per-plan workspace arena
-(:class:`~repro.runtime.workspace.Workspace`): every executing thread
-reuses a fixed set of buffers keyed by op and bucketed batch size, so steady-state calls allocate only the returned output array.
-Both passes are bitwise-identical to the fresh-buffer reference path;
-``fuse=False`` / ``arena=False`` restore it.
+**Allocation-free hot path.**  This is how every plan runs, not an
+option: the session runs the :func:`~repro.runtime.plan.fuse_plan`
+compile pass (folding affine / flatten / activation chains into their
+producing op), and the executor gives every executing thread a
+workspace arena (:class:`~repro.runtime.workspace.Workspace`) of
+buffers keyed by op and bucketed batch size
+(:attr:`InferenceSession.arena_buckets`), so steady-state calls
+allocate only the returned output array.  Both are bitwise-neutral:
+``op(x)`` over the unfused ops returns the same bits.
 
 ``predict`` / ``predict_proba`` stream arbitrarily large input arrays
 through the plan in ``batch_size`` chunks, bounding peak memory by the
 chunk size rather than the dataset size; ``batch_size=None`` runs one
-shot.  ``conv_tile`` additionally bounds block-circulant conv memory by
-emitting overlap-add streaming tiles.  No autograd graph is built
-anywhere on this path.
+shot.  No autograd graph is built anywhere on this path.
 """
 
 from __future__ import annotations
@@ -70,9 +74,9 @@ from ..precision import PrecisionPolicy
 from .executors import PlanExecutor, SerialExecutor, ThreadedExecutor
 from .plan import (
     PlanOp,
-    compile_model_plan,
     compile_records_plan,
     fuse_plan,
+    model_records,
     softmax,
 )
 from .workspace import DEFAULT_BATCH_BUCKETS, Workspace
@@ -131,38 +135,27 @@ class InferenceSession:
     ``precision`` is a :class:`~repro.precision.PrecisionPolicy` or its
     name; ``executor`` is a
     :class:`~repro.runtime.executors.PlanExecutor`, ``"serial"``,
-    ``"threaded"``, or ``None`` (serial).  The session binds the
-    executor to its plan; call :meth:`close` (or use the session as a
-    context manager) to release a threaded executor's private pool.
+    ``"threaded"``, or ``None`` (serial).  The session fuses ``ops``
+    and binds the executor to the result; call :meth:`close` (or use
+    the session as a context manager) to release a threaded executor's
+    private pool.
     """
+
+    #: The batch sizes every executor thread's workspace arena rounds
+    #: up to (see :class:`~repro.runtime.workspace.Workspace`).
+    arena_buckets: tuple[int, ...] = DEFAULT_BATCH_BUCKETS
 
     def __init__(
         self,
         ops: Sequence[PlanOp],
         precision: str | PrecisionPolicy | None = None,
         executor: PlanExecutor | str | None = None,
-        arena: bool = True,
-        batch_buckets: Sequence[int] | None = None,
-        fuse: bool = True,
     ):
         if not ops:
             raise DeploymentError("inference session has no ops")
-        self.ops = list(ops)
-        if fuse:
-            self.ops = fuse_plan(self.ops)
-        self.fused = fuse
-        if arena:
-            self.arena_buckets: tuple[int, ...] | None = (
-                tuple(batch_buckets)
-                if batch_buckets is not None
-                else DEFAULT_BATCH_BUCKETS
-            )
-        else:
-            self.arena_buckets = None
+        self.ops = fuse_plan(ops)
         self.policy = PrecisionPolicy.resolve(precision)
-        self.executor = _resolve_executor(executor).bind(
-            self.ops, arena_buckets=self.arena_buckets
-        )
+        self.executor = _resolve_executor(executor).bind(self.ops)
 
     # ------------------------------------------------------------------
     # Construction
@@ -173,36 +166,13 @@ class InferenceSession:
         model: Sequential,
         precision: str | PrecisionPolicy | None = None,
         executor: PlanExecutor | str | None = None,
-        conv_tile: int | None = None,
-        arena: bool = True,
-        batch_buckets: Sequence[int] | None = None,
-        fuse: bool = True,
     ) -> "InferenceSession":
-        """Snapshot ``model`` into a session (see module docstring).
-
-        ``conv_tile`` emits overlap-add streaming conv ops of that many
-        output rows per tile.
-
-        ``arena`` (default on) gives each executor thread a per-plan
-        workspace of reusable buffers so repeated calls allocate
-        nothing on the hot path; ``batch_buckets`` overrides the
-        batch-size rounding grid (see
-        :class:`~repro.runtime.workspace.Workspace`).  ``fuse`` (default
-        on) runs the :func:`~repro.runtime.plan.fuse_plan` compile pass,
-        folding affine / flatten / activation ops into their producing
-        compute op.  Both are bitwise-neutral; disable them to compare
-        against the unfused fresh-buffer reference path.
-        """
+        """Snapshot ``model`` into a session (see module docstring):
+        the records of :func:`~repro.runtime.plan.model_records`,
+        compiled at ``precision``."""
         policy = PrecisionPolicy.resolve(precision)
-        ops = compile_model_plan(model, policy=policy, conv_tile=conv_tile)
-        return cls(
-            ops,
-            precision=policy,
-            executor=executor,
-            arena=arena,
-            batch_buckets=batch_buckets,
-            fuse=fuse,
-        )
+        ops = compile_records_plan(model_records(model), policy=policy)
+        return cls(ops, precision=policy, executor=executor)
 
     @classmethod
     def from_deployed(
@@ -210,10 +180,6 @@ class InferenceSession:
         deployed,
         precision: str | PrecisionPolicy | None = None,
         executor: PlanExecutor | str | None = None,
-        conv_tile: int | None = None,
-        arena: bool = True,
-        batch_buckets: Sequence[int] | None = None,
-        fuse: bool = True,
     ) -> "InferenceSession":
         """Build a session from a deployment artifact's layer records.
 
@@ -221,21 +187,11 @@ class InferenceSession:
         :class:`~repro.embedded.deploy.DeployedModel` format.  The
         complex64 artifact spectra are widened (fp64) or used as stored
         (fp32) once here, instead of on every call as the record
-        interpreter does.  ``arena`` / ``batch_buckets`` / ``fuse``
-        behave exactly as in :meth:`freeze`.
+        interpreter does.
         """
         policy = PrecisionPolicy.resolve(precision)
-        ops = compile_records_plan(
-            deployed.records, policy=policy, conv_tile=conv_tile
-        )
-        return cls(
-            ops,
-            precision=policy,
-            executor=executor,
-            arena=arena,
-            batch_buckets=batch_buckets,
-            fuse=fuse,
-        )
+        ops = compile_records_plan(deployed.records, policy=policy)
+        return cls(ops, precision=policy, executor=executor)
 
     # ------------------------------------------------------------------
     # Execution

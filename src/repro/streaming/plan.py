@@ -3,7 +3,7 @@
 :func:`compile_stream_plan` freezes a sequence model (a live
 :class:`~repro.nn.module.Sequential` or a deployment artifact's records)
 into a :class:`StreamPlan` — the streaming twin of
-:func:`~repro.runtime.plan.compile_model_plan`.  Where the batch plan
+:func:`~repro.runtime.plan.compile_records_plan`.  Where the batch plan
 consumes a whole ``(batch, T, channels)`` timeline at once, the stream
 plan consumes it in arbitrary suffix chunks: push ``K`` new samples and
 get exactly the ``K`` new output rows, with all cross-sample memory held
@@ -35,20 +35,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..exceptions import DeploymentError, ShapeError
-from ..nn.layers import (
-    Dropout,
-    FFTLayer1d,
-    LeakyReLU,
-    Pointwise1d,
-    ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
-    seq_matmul,
-)
+from ..nn.layers import seq_matmul
 from ..nn.module import Sequential
 from ..precision import FP64, PrecisionPolicy
-from ..runtime.plan import _ACTIVATIONS, softmax
+from ..runtime.plan import _ACTIVATIONS, model_records, softmax
 from .state import StreamState
 
 __all__ = ["StreamPlan", "compile_stream_plan"]
@@ -266,53 +256,6 @@ def _attach_activation(steps: list, name: str, fn) -> None:
         steps.append(_ElementwiseStep(name, fn))
 
 
-def _steps_from_model(model: Sequential, rdtype) -> list:
-    steps: list = []
-    for layer in model:
-        if isinstance(layer, FFTLayer1d):
-            steps.append(
-                _TapStep(
-                    layer.weight_l.data,
-                    layer.weight_r.data,
-                    None if layer.bias is None else layer.bias.data,
-                    layer.dilation,
-                    rdtype,
-                )
-            )
-        elif isinstance(layer, Pointwise1d):
-            steps.append(
-                _DenseStep(
-                    layer.weight.data,
-                    None if layer.bias is None else layer.bias.data,
-                    rdtype,
-                )
-            )
-        elif isinstance(layer, ReLU):
-            _attach_activation(steps, "relu", _ACTIVATIONS["relu"])
-        elif isinstance(layer, LeakyReLU):
-            slope = layer.negative_slope
-            _attach_activation(
-                steps,
-                "leaky_relu",
-                lambda x, s=slope: np.where(x > 0.0, x, s * x),
-            )
-        elif isinstance(layer, Sigmoid):
-            _attach_activation(steps, "sigmoid", _ACTIVATIONS["sigmoid"])
-        elif isinstance(layer, Tanh):
-            _attach_activation(steps, "tanh", _ACTIVATIONS["tanh"])
-        elif isinstance(layer, Softmax):
-            steps.append(_ElementwiseStep("softmax", softmax))
-        elif isinstance(layer, Dropout):
-            continue  # identity at inference
-        else:
-            raise DeploymentError(
-                f"layer type {type(layer).__name__} is not streamable; "
-                "stream plans support FFTLayer1d / Pointwise1d plus "
-                "elementwise activations"
-            )
-    return steps
-
-
 def _steps_from_records(records: Sequence[dict], rdtype) -> list:
     steps: list = []
     for record in records:
@@ -350,17 +293,15 @@ def compile_stream_plan(
 ) -> StreamPlan:
     """Freeze ``source`` into a :class:`StreamPlan`.
 
-    ``source`` is a live :class:`~repro.nn.module.Sequential`, a
-    :class:`~repro.embedded.deploy.DeployedModel`, or its raw record
-    list — the same trio :func:`~repro.runtime.plan.compile_model_plan`
-    / :func:`~repro.runtime.plan.compile_records_plan` accept, so any
-    artifact the engine can serve in batch mode can also be served
-    incrementally if its layers are streamable.
+    ``source`` is a live :class:`~repro.nn.module.Sequential` (walked
+    into records by :func:`~repro.runtime.plan.model_records`, the batch
+    plan's own walker), a :class:`~repro.embedded.deploy.DeployedModel`,
+    or its raw record list — so any model or artifact the engine can
+    serve in batch mode can also be served incrementally if its layers
+    are streamable.
     """
-    rdtype = policy.real_dtype
     if isinstance(source, Sequential):
-        steps = _steps_from_model(source, rdtype)
+        records = model_records(source)
     else:
         records = getattr(source, "records", source)
-        steps = _steps_from_records(records, rdtype)
-    return StreamPlan(steps, policy)
+    return StreamPlan(_steps_from_records(records, policy.real_dtype), policy)

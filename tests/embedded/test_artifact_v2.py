@@ -78,24 +78,6 @@ class TestV1BackCompat:
                 if isinstance(value, np.ndarray):
                     assert np.array_equal(value, theirs[key])
 
-    def test_save_version_1_still_supported(self, tmp_path, fc_model):
-        deployed = DeployedModel.from_model(fc_model)
-        path = tmp_path / "v1.npz"
-        deployed.save(path, version=1)
-        loaded = DeployedModel.load(path)
-        assert loaded.source_version == LEGACY_FORMAT_VERSION
-        assert not loaded.metadata
-
-    def test_quantized_refuses_v1(self, tmp_path, fc_model):
-        deployed = DeployedModel.from_model(fc_model, quantize_bits=12)
-        with pytest.raises(DeploymentError, match="v1"):
-            deployed.save(tmp_path / "nope.npz", version=1)
-
-    def test_unknown_version_rejected(self, tmp_path, fc_model):
-        deployed = DeployedModel.from_model(fc_model)
-        with pytest.raises(DeploymentError, match="version"):
-            deployed.save(tmp_path / "nope.npz", version=3)
-
 
 class TestV2RoundTrip:
     def test_float_round_trip_bitwise(self, tmp_path, rng, fc_model):

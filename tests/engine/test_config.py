@@ -93,8 +93,6 @@ class TestExecutorPolicy:
             EngineConfig(model=model, executor="gpu")
         with pytest.raises(ConfigurationError, match="threads"):
             EngineConfig(model=model, threads=0)
-        with pytest.raises(ConfigurationError, match="conv_tile"):
-            EngineConfig(model=model, conv_tile=0)
 
     def test_batching_limits_validated(self, model):
         with pytest.raises(ConfigurationError, match="max_batch"):

@@ -51,18 +51,19 @@ class TestSessionPool:
 
     def test_shared_weight_spectra_across_precision_sessions(self, rng):
         # Freezing the same live model at a second precision must not
-        # re-transform the weights: the layer's dtype-keyed cache serves
-        # both sessions from one base spectrum.
+        # re-transform the weights: the layer's cache serves both
+        # sessions from one base spectrum.
         model = small_model()
         cache = model.layers[0]._spectrum_cache
         engine = Engine(model=model, precisions=("fp64", "fp32"))
         engine.session(precision="fp64")
         base = cache._base  # the one complex128 rfft of the weights
+        misses = cache.misses
         engine.session(precision="fp32")
-        # fp32 session derived its complex64 spectra from the same base
-        # (one rounding), instead of re-running the transform.
+        # The fp32 session rounded that same base to complex64 (one
+        # rounding) instead of re-running the transform.
         assert cache._base is base
-        assert np.dtype(np.complex64) in cache._spectra
+        assert cache.misses == misses
         engine.close()
 
     def test_warm_up_freezes_the_full_grid(self):

@@ -1,4 +1,8 @@
-"""Workspace arenas + fuse_plan: allocation-free hot path, bitwise parity."""
+"""Workspace arenas + fuse_plan: allocation-free hot path, bitwise parity.
+
+The reference every test compares against is the unfused plan run op by
+op with ``op(x)`` — each op's one body on fresh buffers.
+"""
 
 import threading
 
@@ -7,9 +11,11 @@ import pytest
 
 from repro.embedded.deploy import DeployedModel
 from repro.nn import (
+    AvgPool2d,
     BatchNorm1d,
     BlockCirculantConv2d,
     BlockCirculantLinear,
+    Conv2d,
     Flatten,
     Linear,
     MaxPool2d,
@@ -17,6 +23,7 @@ from repro.nn import (
     Sequential,
     Softmax,
 )
+from repro.precision import PrecisionPolicy
 from repro.runtime import (
     DEFAULT_BATCH_BUCKETS,
     InferenceSession,
@@ -24,9 +31,31 @@ from repro.runtime import (
     ThreadWorkerPool,
     ThreadedExecutor,
     Workspace,
-    compile_model_plan,
+    compile_records_plan,
     fuse_plan,
+    model_records,
 )
+
+
+def unfused(source, precision="fp64"):
+    """The unfused plan of a model (through the walker) or an artifact."""
+    records = getattr(source, "records", None) or model_records(source)
+    return compile_records_plan(
+        records, policy=PrecisionPolicy.resolve(precision)
+    )
+
+
+def fresh_forward(ops, x, precision="fp64", batch_size=None):
+    """Run ``ops`` one by one on fresh buffers, in ``batch_size`` chunks."""
+    x = np.asarray(x, dtype=PrecisionPolicy.resolve(precision).real_dtype)
+    step = batch_size or x.shape[0]
+    outs = []
+    for start in range(0, x.shape[0], step):
+        y = x[start : start + step]
+        for op in ops:
+            y = op(y)
+        outs.append(y)
+    return np.concatenate(outs)
 
 
 @pytest.fixture
@@ -120,7 +149,7 @@ class TestWorkspace:
 class TestFusePlan:
     def test_folds_affine_into_compute(self):
         model = bn_model()
-        ops = compile_model_plan(model)
+        ops = unfused(model)
         fused = fuse_plan(ops)
         assert len(fused) < len(ops)
         # batch-norm's affine (and its relu) folded into the bc layer
@@ -131,7 +160,7 @@ class TestFusePlan:
 
     def test_fused_plan_bitwise_matches(self, rng):
         model = bn_model()
-        ops = compile_model_plan(model)
+        ops = unfused(model)
         fused = fuse_plan(ops)
         x = rng.normal(size=(6, 32))
         y_ref = x
@@ -143,11 +172,11 @@ class TestFusePlan:
         assert np.array_equal(y_fused, y_ref)
 
     def test_softmax_never_folds(self):
-        fused = fuse_plan(compile_model_plan(bn_model()))
+        fused = fuse_plan(unfused(bn_model()))
         assert fused[-1].name == "softmax"
 
     def test_flatten_folds_into_pool(self):
-        fused = fuse_plan(compile_model_plan(conv_model()))
+        fused = fuse_plan(unfused(conv_model()))
         names = [op.name for op in fused]
         assert any(name.endswith("+flatten") for name in names)
         assert "flatten" not in names
@@ -157,7 +186,7 @@ class TestFusePlan:
         model = Sequential(
             Flatten(), Linear(12, 4, rng=m_rng), Softmax()
         ).eval()
-        fused = fuse_plan(compile_model_plan(model))
+        fused = fuse_plan(unfused(model))
         assert fused[0].name == "flatten"
         x = rng.normal(size=(3, 3, 4))
         x_copy = x.copy()
@@ -174,14 +203,12 @@ def _make_executor(kind):
 
 
 class TestArenaParity:
-    """Arena + fused path is bitwise-identical to the fresh unfused path."""
+    """Arena + fused path is bitwise-identical to the fresh unfused ops."""
 
     @pytest.mark.parametrize("precision", ["fp64", "fp32"])
     @pytest.mark.parametrize("kind", ["serial", "threaded"])
     def test_bitwise_matches_fresh_path(self, model, rng, precision, kind):
-        ref = InferenceSession.freeze(
-            model, precision=precision, arena=False, fuse=False
-        )
+        ref = unfused(model, precision)
         with InferenceSession.freeze(
             model, precision=precision, executor=_make_executor(kind)
         ) as session:
@@ -190,32 +217,33 @@ class TestArenaParity:
                 x = rng.normal(size=(batch, 96))
                 for _ in range(2):
                     assert np.array_equal(
-                        session.forward(x), ref.forward(x)
+                        session.forward(x), fresh_forward(ref, x, precision)
                     )
             x = rng.normal(size=(23, 96))
+            # the model ends in softmax: predict_proba adds nothing
             assert np.array_equal(
                 session.predict_proba(x, batch_size=7),
-                ref.predict_proba(x, batch_size=7),
+                fresh_forward(ref, x, precision, batch_size=7),
             )
 
     @pytest.mark.parametrize("precision", ["fp64", "fp32"])
     def test_conv_model_bitwise(self, rng, precision):
         model = conv_model()
-        ref = InferenceSession.freeze(
-            model, precision=precision, arena=False, fuse=False
-        )
+        ref = unfused(model, precision)
         session = InferenceSession.freeze(model, precision=precision)
         for batch in (1, 3, 8):
             x = rng.normal(size=(batch, 3, 8, 8))
             for _ in range(2):
-                assert np.array_equal(session.forward(x), ref.forward(x))
+                assert np.array_equal(
+                    session.forward(x), fresh_forward(ref, x, precision)
+                )
 
     def test_batch_beyond_largest_bucket(self, model, rng):
-        ref = InferenceSession.freeze(model, arena=False, fuse=False)
-        session = InferenceSession.freeze(model, batch_buckets=(1, 4))
-        x = rng.normal(size=(9, 96))
+        ref = unfused(model)
+        session = InferenceSession.freeze(model)
+        x = rng.normal(size=(DEFAULT_BATCH_BUCKETS[-1] + 44, 96))
         for _ in range(2):
-            assert np.array_equal(session.forward(x), ref.forward(x))
+            assert np.array_equal(session.forward(x), fresh_forward(ref, x))
 
     def test_results_stable_across_calls(self, model, rng):
         # The returned array must not alias arena buffers: a second
@@ -230,40 +258,44 @@ class TestArenaParity:
 
     def test_from_deployed_arena_bitwise(self, model, rng):
         deployed = DeployedModel.from_model(model)
-        ref = InferenceSession.from_deployed(
-            deployed, arena=False, fuse=False
-        )
+        ref = unfused(deployed)
         session = InferenceSession.from_deployed(deployed)
         x = rng.normal(size=(6, 96))
         for _ in range(2):
-            assert np.array_equal(session.forward(x), ref.forward(x))
+            assert np.array_equal(session.forward(x), fresh_forward(ref, x))
 
 
-class TestArenaKnobs:
-    def test_arena_off_reports_disabled(self, model):
-        session = InferenceSession.freeze(model, arena=False)
-        info = session.executor.arena_info()
-        assert info["enabled"] is False
+class TestResultNeverAliasesTheArena:
+    def test_unfused_plan_ending_in_a_view_of_a_slot(self, rng):
+        # flatten's output is a view of avgpool's arena slot; the
+        # executor must still hand back a private copy.
+        model = Sequential(
+            Conv2d(2, 3, 3, rng=np.random.default_rng(4)),
+            ReLU(),
+            AvgPool2d(2),
+            Flatten(),
+        ).eval()
+        ops = unfused(model)
+        assert [op.name.split("(")[0] for op in ops] == [
+            "conv", "relu", "avgpool", "flatten",
+        ]
+        executor = SerialExecutor().bind(ops)
+        a, b = rng.normal(size=(2, 2, 2, 6, 6))
+        first = executor.run(a)
+        want = fresh_forward(ops, a)
+        executor.run(b)
+        assert np.array_equal(first, want)
 
-    def test_arena_on_reports_buffers_after_use(self, model, rng):
+
+class TestArenaInfo:
+    def test_reports_buffers_after_use(self, model, rng):
         session = InferenceSession.freeze(model)
+        assert session.arena_buckets == DEFAULT_BATCH_BUCKETS
         session.forward(rng.normal(size=(4, 96)))
         info = session.executor.arena_info()
-        assert info["enabled"] is True
         assert info["buckets"] == DEFAULT_BATCH_BUCKETS
         assert info["workspaces"] >= 1
         assert info["buffers"] > 0 and info["nbytes"] > 0
-
-    def test_custom_buckets_flow_through(self, model, rng):
-        session = InferenceSession.freeze(model, batch_buckets=(1, 8))
-        session.forward(rng.normal(size=(3, 96)))
-        assert session.executor.arena_info()["buckets"] == (1, 8)
-
-    def test_fuse_off_keeps_plan_unfused(self, model):
-        fused = InferenceSession.freeze(conv_model())
-        unfused = InferenceSession.freeze(conv_model(), fuse=False)
-        assert len(unfused.ops) > len(fused.ops)
-        assert "flatten" in unfused.describe()
 
     def test_steady_state_allocates_no_new_workspace_buffers(
         self, model, rng
@@ -294,8 +326,7 @@ class TestSharedPoolIsolation:
     def test_two_routes_one_thread_pool(self, rng):
         model_a, model_b = self._models()
         pool = ThreadWorkerPool(threads=2)
-        ref_a = InferenceSession.freeze(model_a, arena=False, fuse=False)
-        ref_b = InferenceSession.freeze(model_b, arena=False, fuse=False)
+        ref_a, ref_b = unfused(model_a), unfused(model_b)
         sa = InferenceSession.freeze(
             model_a, executor=ThreadedExecutor(pool=pool)
         )
@@ -308,10 +339,10 @@ class TestSharedPoolIsolation:
                 pa = sa.predict_proba(x, batch_size=4)
                 pb = sb.predict_proba(x, batch_size=4)
                 assert np.array_equal(
-                    pa, ref_a.predict_proba(x, batch_size=4)
+                    pa, fresh_forward(ref_a, x, batch_size=4)
                 )
                 assert np.array_equal(
-                    pb, ref_b.predict_proba(x, batch_size=4)
+                    pb, fresh_forward(ref_b, x, batch_size=4)
                 )
         finally:
             sa.close()

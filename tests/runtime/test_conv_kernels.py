@@ -5,7 +5,8 @@ pooling.
 "Equal" here means what ``docs/engine.md`` says it means: a plan equals
 the training-time layer and the record interpreter to 1e-10 (fp64)
 whichever kernel it froze to; *bitwise* equality holds only between
-paths that run the same kernel (arena vs fresh, threaded vs serial).
+paths that run the same kernel (an op on an arena vs the same op called
+directly on fresh buffers, threaded vs serial).
 """
 
 from contextlib import contextmanager
@@ -27,8 +28,8 @@ from repro.runtime import (
     InferenceSession,
     ThreadedExecutor,
     Workspace,
-    compile_model_plan,
     compile_records_plan,
+    model_records,
 )
 from repro.runtime import plan
 from repro.runtime.plan import (
@@ -53,12 +54,17 @@ def forced_kernel(kind):
         yield
 
 
+def compile_model(model, precision="fp64"):
+    """The unfused plan ``InferenceSession.freeze`` builds for ``model``."""
+    return compile_records_plan(
+        model_records(model), policy=PrecisionPolicy.resolve(precision)
+    )
+
+
 def bc_op_from_layer(layer, precision, kernel):
-    """What ``compile_model_plan`` emits for ``layer``, kernel forced."""
+    """What freezing a live ``layer`` emits, kernel forced."""
     with forced_kernel(kernel):
-        (op,) = compile_model_plan(
-            Sequential(layer).eval(), policy=PrecisionPolicy.resolve(precision)
-        )
+        (op,) = compile_model(Sequential(layer).eval(), precision)
     return op
 
 
@@ -138,10 +144,10 @@ class TestBcConvKernelParity:
             )
             assert from_layer.name.endswith(f",{forced})")
             assert from_layer.name == from_record.name
-            fresh = from_layer.run(x_cast)
+            fresh = from_layer(x_cast)
             # plan == the training-time layer, == the record interpreter
             assert close(fresh, live, precision)
-            assert close(from_record.run(x_cast), interpreted, precision)
+            assert close(from_record(x_cast), interpreted, precision)
             by_kernel[forced] = fresh
 
             # arena == fresh bitwise, at the full batch and then at a
@@ -150,22 +156,15 @@ class TestBcConvKernelParity:
             ws = Workspace(BUCKETS)
             assert np.array_equal(from_layer.run(x_cast, ws), fresh)
             fewer = x_cast[: max(1, rows - 1)]
-            assert np.array_equal(
-                from_layer.run(fewer, ws), from_layer.run(fewer)
-            )
+            assert np.array_equal(from_layer.run(fewer, ws), from_layer(fewer))
             assert np.array_equal(from_layer.run(x_cast, ws), fresh)
             assert_zero_once_regions_zero(ws, c_in, padding)
 
             # threaded == serial bitwise at the same batch_size
             ops = [from_layer, _flatten_op()]
-            serial = InferenceSession(
-                ops, precision=precision, batch_buckets=BUCKETS
-            )
+            serial = InferenceSession(ops, precision=precision)
             with InferenceSession(
-                ops,
-                precision=precision,
-                batch_buckets=BUCKETS,
-                executor=ThreadedExecutor(threads=2),
+                ops, precision=precision, executor=ThreadedExecutor(threads=2)
             ) as threaded:
                 for batch_size in (None, 2, 3):
                     assert np.array_equal(
@@ -184,7 +183,7 @@ class TestBcConvKernelParity:
         ws = Workspace(BUCKETS)
         for rows in (4, 3, 4):
             x = rng.normal(size=(rows, 5, 6, 7))
-            assert np.array_equal(op.run(x, ws), op.run(x))
+            assert np.array_equal(op.run(x, ws), op(x))
         assert assert_zero_once_regions_zero(ws, 5, 1) == (
             2 if forced == "fft" else 1
         )
@@ -198,18 +197,6 @@ class TestBcConvKernelParity:
             bc_op_from_layer(layer, "fp32", "dense").expanded_nbytes
             == 9 * 5 * 6 * 4
         )
-
-    def test_conv_tile_always_streams_the_fft_kernel(self, rng):
-        model = Sequential(
-            BlockCirculantConv2d(16, 32, 3, 8, padding=1, rng=rng)
-        ).eval()
-        (untiled,) = compile_model_plan(model)
-        (tiled,) = compile_model_plan(model, conv_tile=4)
-        assert untiled.name == "bc_conv(16->32,k=3,b=8,dense)"
-        assert tiled.name == "bc_conv(16->32,k=3,b=8,fft,tile=4)"
-        assert tiled.ws_fn is None and tiled.expanded_nbytes == 0
-        x = rng.normal(size=(2, 16, 9, 9))
-        assert np.allclose(tiled.run(x), untiled.run(x), atol=1e-10)
 
 
 class TestConvOpParity:
@@ -232,16 +219,16 @@ class TestConvOpParity:
         x = rng.normal(size=(rows, c_in, height, width))
         x_cast = x.astype(policy.real_dtype)
 
-        (op,) = compile_model_plan(model, policy=policy)
-        fresh = op.run(x_cast)
+        (op,) = compile_model(model, precision)
+        fresh = op(x_cast)
         assert close(fresh, model(x).data, precision)
         (from_record,) = compile_records_plan(deployed.records, policy=policy)
-        assert close(from_record.run(x_cast), deployed.forward(x), precision)
+        assert close(from_record(x_cast), deployed.forward(x), precision)
 
         ws = Workspace(BUCKETS)
         assert np.array_equal(op.run(x_cast, ws), fresh)
         fewer = x_cast[: max(1, rows - 1)]
-        assert np.array_equal(op.run(fewer, ws), op.run(fewer))
+        assert np.array_equal(op.run(fewer, ws), op(fewer))
         assert np.array_equal(op.run(x_cast, ws), fresh)
         # one image slot per batch bucket touched, none without padding
         assert bool(assert_zero_once_regions_zero(ws, c_in, padding)) == bool(padding)
@@ -268,21 +255,27 @@ class TestChannelAndGeometryChecks:
         yield conv
         for forced in KERNELS:
             yield bc_op_from_layer(layer, "fp64", forced)
-        (tiled,) = compile_model_plan(Sequential(layer).eval(), conv_tile=2)
-        yield tiled
+
+    @staticmethod
+    def runner(op, arena):
+        """``op`` on an arena, or called directly on fresh buffers."""
+        if not arena:
+            return op
+        ws = Workspace(BUCKETS)
+        return lambda x: op.run(x, ws)
 
     @pytest.mark.parametrize("arena", [False, True])
     def test_wrong_channel_count(self, rng, arena):
         for op in self.ops(rng):
-            ws = Workspace(BUCKETS) if arena else None
+            run = self.runner(op, arena)
             for shape in [(2, 4, 6, 6), (2, 8, 6, 6), (2, 5, 6)]:
                 with pytest.raises(
                     ValueError, match="expected input with 5 channels, got shape"
                 ):
-                    op.run(rng.normal(size=shape), ws)
+                    run(rng.normal(size=shape))
             # a rejected call leaves the op usable
             x = rng.normal(size=(2, 5, 6, 6))
-            assert np.array_equal(op.run(x, ws), op.run(x))
+            assert np.array_equal(run(x), op(x))
 
     @pytest.mark.parametrize("arena", [False, True])
     def test_kernel_does_not_fit_the_padded_image(self, rng, arena):
@@ -290,9 +283,8 @@ class TestChannelAndGeometryChecks:
         layer = BlockCirculantConv2d(5, 6, 5, 4, padding=1, rng=rng)
         ops = [conv] + [bc_op_from_layer(layer, "fp64", f) for f in KERNELS]
         for op in ops:
-            ws = Workspace(BUCKETS) if arena else None
             with pytest.raises(ValueError, match="does not fit"):
-                op.run(rng.normal(size=(1, 5, 2, 2)), ws)
+                self.runner(op, arena)(rng.normal(size=(1, 5, 2, 2)))
 
 
 class TestMaxpool:
@@ -306,7 +298,7 @@ class TestMaxpool:
         x = rng.normal(size=(3, 4, height, width)).astype(dtype)
         windows, out_h, out_w = pool_windows(x, kernel, kernel)
         want = windows.max(axis=-1).reshape(3, 4, out_h, out_w)
-        fresh = op.run(x)
+        fresh = op(x)
         assert fresh.dtype == dtype and fresh.shape == want.shape
         assert np.array_equal(fresh, want)
         ws = Workspace(BUCKETS)
@@ -338,7 +330,7 @@ class TestMaxpool:
         x = rng.normal(size=(2, 3, height, width))
         windows, out_h, out_w = real(x, kernel, stride)
         want = windows.max(axis=-1).reshape(2, 3, out_h, out_w)
-        assert np.array_equal(op.run(x), want)
+        assert np.array_equal(op(x), want)
         assert np.array_equal(op.run(x, Workspace(BUCKETS)), want)
         assert calls == [(kernel, stride)] * 2
 
@@ -347,7 +339,7 @@ class TestMaxpool:
             raise AssertionError("gather path taken")
 
         monkeypatch.setattr(plan, "pool_windows", boom)
-        _maxpool_op(2, 2).run(rng.normal(size=(1, 2, 4, 6)))
+        _maxpool_op(2, 2)(rng.normal(size=(1, 2, 4, 6)))
 
     def test_matches_the_training_time_layer(self, rng):
         model = Sequential(MaxPool2d(2)).eval()
@@ -405,7 +397,9 @@ class TestKernelSelection:
         assert "dense" in repr(session)
 
     def test_paper_arch3_keeps_the_fft_kernel(self):
-        ops = compile_model_plan(zoo.build_arch3(rng=np.random.default_rng(0)))
+        ops = InferenceSession.freeze(
+            zoo.build_arch3(rng=np.random.default_rng(0))
+        ).ops
         assert bc_conv_names(ops) == [
             "bc_conv(64->128,k=3,b=32,fft)+relu",
             "bc_conv(128->128,k=3,b=32,fft)+relu",
@@ -430,20 +424,22 @@ class TestKernelSelection:
     @pytest.mark.parametrize(
         "c_in,c_out,b", [(16, 32, 8), (5, 6, 4), (32, 32, 32), (64, 128, 32)]
     )
-    def test_model_and_record_compilers_choose_identically(
+    def test_model_and_artifact_choose_identically(
         self, rng, precision, c_in, c_out, b
     ):
         model = Sequential(
             BlockCirculantConv2d(c_in, c_out, 3, b, padding=1, rng=rng), ReLU()
         ).eval()
-        policy = PrecisionPolicy.resolve(precision)
-        from_model = compile_model_plan(model, policy=policy)
-        from_records = compile_records_plan(
-            DeployedModel.from_model(model).records, policy=policy
+        from_model = InferenceSession.freeze(model, precision=precision)
+        from_artifact = InferenceSession.from_deployed(
+            DeployedModel.from_model(model), precision=precision
         )
-        assert [op.name for op in from_model] == [op.name for op in from_records]
-        want = bc_conv_kernel(*grid(c_in, c_out, b), policy.real_dtype)
-        assert from_model[0].name.endswith(f",{want})+relu")
+        assert from_model.describe() == from_artifact.describe()
+        real_dtype = PrecisionPolicy.resolve(precision).real_dtype
+        want = bc_conv_kernel(*grid(c_in, c_out, b), real_dtype)
+        assert from_model.describe() == [
+            f"bc_conv({c_in}->{c_out},k=3,b={b},{want})+relu"
+        ]
 
 
 def small_conv_net(rng):
@@ -473,13 +469,11 @@ class TestKernelIsVisible:
         DeployedModel.from_model(small_conv_net(rng)).save(artifact)
         data = tmp_path / "x.npy"
         np.save(data, rng.normal(size=(2, 4, 6, 6)))
-        for extra, arena in (([], "reserved="), (["--no-arena"], "disabled")):
-            assert main(
-                ["predict", str(artifact), "--data", str(data), "--profile"]
-                + extra
-            ) == 0
-            err = capsys.readouterr().err
-            (line,) = [ln for ln in err.splitlines() if ln.startswith("arena:")]
-            assert arena in line
-            assert f"expanded_weights={9 * 4 * 8 * 8 / 1024:.1f} KiB" in line
-            assert "bc_conv " in err
+        assert main(
+            ["predict", str(artifact), "--data", str(data), "--profile"]
+        ) == 0
+        err = capsys.readouterr().err
+        (line,) = [ln for ln in err.splitlines() if ln.startswith("arena:")]
+        assert "reserved=" in line
+        assert f"expanded_weights={9 * 4 * 8 * 8 / 1024:.1f} KiB" in line
+        assert "bc_conv " in err

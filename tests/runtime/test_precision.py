@@ -89,12 +89,6 @@ class TestNoSilentUpcast:
         session = InferenceSession.freeze(cifar_model, precision="fp32")
         self._assert_all_float32(session, rng.normal(size=(2, 3, 32, 32)))
 
-    def test_tiled_conv_ops_stay_float32(self, cifar_model, rng):
-        session = InferenceSession.freeze(
-            cifar_model, precision="fp32", conv_tile=3
-        )
-        self._assert_all_float32(session, rng.normal(size=(2, 3, 32, 32)))
-
     def test_forward_output_dtype_matches_policy(self, mnist_model, rng):
         x = rng.normal(size=(2, 256))
         assert InferenceSession.freeze(mnist_model).forward(x).dtype == np.float64

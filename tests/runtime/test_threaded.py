@@ -117,21 +117,6 @@ class TestThreadedParityProperty:
 
 
 class TestThreadedRows:
-    def test_conv_tile_bitwise_equals_serial(self, rng):
-        # Tiled conv ops have no arena form; the threaded executor runs
-        # them like any other op, one batch or many chunks.
-        m = conv_model()
-        x = rng.normal(size=(8, 3, 8, 8))
-        serial = InferenceSession.freeze(m, conv_tile=3)
-        with InferenceSession.freeze(
-            m, conv_tile=3, executor=ThreadedExecutor(threads=2)
-        ) as threaded:
-            assert np.array_equal(threaded.forward(x), serial.forward(x))
-            assert np.array_equal(
-                threaded.predict_proba(x, batch_size=2),
-                serial.predict_proba(x, batch_size=2),
-            )
-
     def test_min_rows_gate_runs_serial_and_stays_correct(self, model, rng):
         x = rng.normal(size=(6, 96))
         serial = InferenceSession.freeze(model)

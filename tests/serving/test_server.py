@@ -542,7 +542,7 @@ class TestServerRobustness:
         assert info["batchers"]["default/fp64"]["batches"] == 1
         route = info["routes"]["default/fp64"]
         assert route["executor"] == "ThreadedExecutor(threads=2)"
-        assert route["ops"] and route["arena"]["enabled"] is True
+        assert route["ops"] and route["arena"]["buffers"] > 0
         engine.close()
 
     def test_info_health_capacity_fields_move_under_load(self, rng):
