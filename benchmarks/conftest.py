@@ -5,7 +5,7 @@ writes a human-readable comparison file into ``benchmarks/results/`` so
 the paper-vs-measured record survives pytest's output capture.  Heavy
 fixtures (trained models) are session-scoped: Arch. 1/2 train on the
 synthetic MNIST stand-in, the reduced Arch. 3 on the synthetic CIFAR-10
-stand-in (see DESIGN.md section 3 for the substitutions).
+stand-in (see :mod:`repro.data` for the substitutions).
 """
 
 from __future__ import annotations

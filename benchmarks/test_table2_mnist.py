@@ -5,7 +5,8 @@ per-image latency for every (platform, implementation) cell of Table II
 with the calibrated runtime simulator.  The pytest-benchmark measurement
 times the deployed FFT-domain engine on this host for reference.
 
-Shape expectations vs the paper (exact numbers in EXPERIMENTS.md):
+Shape expectations vs the paper (measured numbers in
+``benchmarks/results/table2_mnist.txt``):
 
 * accuracy: Arch. 1 > Arch. 2, both in the 90s (paper: 95.47 / 93.59),
 * runtime: C++ ~2.3-2.6x faster than Java; Honor 6X < XU3 < Nexus 5;

@@ -3,8 +3,8 @@
 The runtime columns are predicted for the *full-width* Arch. 3 (runtime
 depends only on the architecture, so no training is needed); the accuracy
 column comes from the width-reduced Arch. 3 trained on the synthetic
-CIFAR-10 stand-in (documented in DESIGN.md section 3 and the zoo
-docstrings).
+CIFAR-10 stand-in (documented in :mod:`repro.data.synthetic_cifar` and
+the zoo docstrings).
 """
 
 import numpy as np

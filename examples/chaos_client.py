@@ -1,7 +1,7 @@
 """Chaos smoke: shed, delay and drop served requests; verify parity anyway.
 
 Exercises the fault-tolerance stack (``docs/robustness.md``) against a
-real ``repro serve`` subprocess, the way the CI chaos-smoke job runs it:
+real ``repro serve`` subprocess, the way the CI examples-smoke job runs it:
 
 1. build Arch. 1, freeze it into a deployment artifact, and launch the
    CLI server with serving-layer faults armed via ``REPRO_FAULTS``:

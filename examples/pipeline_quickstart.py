@@ -16,7 +16,7 @@ format-v2 artifact serves through the engine unchanged:
    error recorded in the artifact metadata) of the *float* model the
    pipeline trained.
 
-The CI pipeline-smoke job runs exactly this script; a non-zero exit
+The CI examples-smoke job runs exactly this script; a non-zero exit
 means the build pipeline or the artifact format broke.
 
 Run:  PYTHONPATH=src python examples/pipeline_quickstart.py

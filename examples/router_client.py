@@ -20,7 +20,7 @@ Demonstrates (and asserts) the ``repro route`` front tier end to end:
 6. phase 4 — ``drain`` fans out to the surviving child and the router
    process exits 0 on its own.
 
-The CI router-smoke job runs exactly this script; a non-zero exit
+The CI examples-smoke job runs exactly this script; a non-zero exit
 means the router lost a request, broke parity, or misreported health.
 
 Usage::

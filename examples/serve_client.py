@@ -15,7 +15,7 @@ run it:
    and every client's rows still match the serial session,
 5. print the throughput/latency summary.
 
-The CI serving-smoke job runs exactly this script; a non-zero exit
+The CI examples-smoke job runs exactly this script; a non-zero exit
 means the server broke parity.
 
 Run:  PYTHONPATH=src python examples/serve_client.py

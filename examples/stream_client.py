@@ -22,7 +22,7 @@ would run it:
    ``stream_close`` still completes cleanly (released, not broken)
    and the process exits 0 on its own.
 
-The CI streaming-smoke job runs exactly this script; a non-zero exit
+The CI examples-smoke job runs exactly this script; a non-zero exit
 means streaming broke parity, leaked state, or failed to close
 cleanly.
 

@@ -17,7 +17,7 @@ claim directly on this package's kernels:
 
 The benchmark ``benchmarks/test_numerics.py`` turns these into the E13
 table; the measured trend (FFT error growing like log n vs direct error
-like sqrt(n)) is recorded in EXPERIMENTS.md.
+like sqrt(n)) is written to ``benchmarks/results/numerics_roundoff.txt``.
 """
 
 from __future__ import annotations

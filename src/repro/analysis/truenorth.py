@@ -4,9 +4,8 @@ The paper's Fig. 5 plots accuracy against per-image latency for its own
 MNIST / CIFAR-10 deployments and for IBM TrueNorth, whose numbers the
 paper quotes from Esser et al. [31] (2016, CIFAR-10) and [32] (2015,
 MNIST).  TrueNorth hardware is obviously not available; the published
-numbers are encoded here as data (see DESIGN.md section 3) together with
-helpers that assemble the full Fig. 5 point set from our measured
-results.
+numbers are encoded here as data together with helpers that assemble
+the full Fig. 5 point set from our measured results.
 """
 
 from __future__ import annotations

@@ -665,6 +665,27 @@ def _parse_model_registry(args) -> tuple[dict, str | None]:
     return models, order[0]
 
 
+def _arm_faults() -> bool:
+    """Arm the ``REPRO_FAULTS`` fault points, if set (chaos tests).
+
+    Returns False after printing the CLI error for a malformed spec.
+    Under ``route`` this arms the router-tier points (e.g.
+    ``router.backend_down``); the spawner strips ``REPRO_FAULTS`` from
+    child environments so the same spec does not also arm inside every
+    backend.
+    """
+    if not os.environ.get("REPRO_FAULTS"):
+        return True
+    from .testing import faults
+
+    try:
+        faults.arm_from_env()
+    except ValueError as exc:
+        print(f"error: bad REPRO_FAULTS: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_serve(args) -> int:
     # The first stdout line is the machine-readable `serving on
     # host:port` banner (scripts and the CI smoke job parse it); the
@@ -715,15 +736,8 @@ def _cmd_serve(args) -> int:
             flush=True,
         )
 
-    if os.environ.get("REPRO_FAULTS"):
-        # Deliberate fault injection for chaos tests.
-        from .testing import faults
-
-        try:
-            faults.arm_from_env()
-        except ValueError as exc:
-            print(f"error: bad REPRO_FAULTS: {exc}", file=sys.stderr)
-            return 2
+    if not _arm_faults():
+        return 2
 
     with Engine(config) as engine:
         try:
@@ -781,17 +795,8 @@ def _cmd_route(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if os.environ.get("REPRO_FAULTS"):
-        # Router-tier fault points (e.g. router.backend_down) arm here;
-        # the spawner strips REPRO_FAULTS from child environments so
-        # the same spec does not also arm inside every backend.
-        from .testing import faults
-
-        try:
-            faults.arm_from_env()
-        except ValueError as exc:
-            print(f"error: bad REPRO_FAULTS: {exc}", file=sys.stderr)
-            return 2
+    if not _arm_faults():
+        return 2
 
     def announce(router) -> None:
         fleet = ",".join(b.address for b in router.backends)

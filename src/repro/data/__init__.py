@@ -1,8 +1,8 @@
 """Datasets and transforms.
 
-Synthetic, offline-generatable substitutes for MNIST and CIFAR-10 (see
-DESIGN.md section 3), plus the bilinear resize the paper applies to MNIST
-and generic batching utilities.
+Synthetic, offline-generatable substitutes for MNIST and CIFAR-10 (each
+module's docstring records its substitution), plus the bilinear resize
+the paper applies to MNIST and generic batching utilities.
 """
 
 from .dataset import ArrayDataset, DataLoader, train_test_split

@@ -5,8 +5,7 @@ color images in [0, 1] across ten classes.  Each class pairs a base hue
 with a characteristic spatial structure (stripes, checkers, rings, blobs,
 gradients, ...), and every sample varies frequency, phase, orientation,
 color jitter, and noise — so a convolutional network must learn spatial
-feature detectors, exercising the same code paths as real CIFAR-10 (see
-DESIGN.md section 3 for the substitution rationale).
+feature detectors, exercising the same code paths as real CIFAR-10.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ labels 0-9.  Digits are rendered from seven-segment-style stroke skeletons
 (with per-digit styling), then individually perturbed with a random affine
 warp (rotation, scale, shear, translation), stroke-intensity jitter, and
 pixel noise — giving the intra-class variability a classifier must absorb,
-at MNIST's exact shape and value range.  DESIGN.md section 3 records the
-substitution; EXPERIMENTS.md reports accuracies measured on this data.
+at MNIST's exact shape and value range.  ``benchmarks/test_table2_mnist.py``
+reports the accuracies measured on this data.
 """
 
 from __future__ import annotations

@@ -23,9 +23,9 @@ half-size Arch. 2) while the CIFAR-10 network is throughput-dominated
 Calibration: the five free constants (two peak factors, the shared ramp,
 two platform IPC ratios in :mod:`repro.embedded.platform`) were fit by
 least squares to the 16 runtime measurements of paper Tables II and III;
-the residuals are all within 11% (recorded in EXPERIMENTS.md).  The
-battery penalty reproduces the section V-B observation: unplugged, Java
-degrades ~14% while C++ is unchanged.
+the residuals are all within 11%.  The battery penalty reproduces the
+section V-B observation: unplugged, Java degrades ~14% while C++ is
+unchanged.
 """
 
 from __future__ import annotations

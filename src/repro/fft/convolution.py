@@ -6,7 +6,8 @@ layer algebra: the paper's central identity (Eqn. 3)
     C(w) @ x = IFFT(FFT(w) o FFT(x))
 
 is exactly :func:`circular_convolve`, and the backward-pass identities
-(Eqn. 4 in FFT form, derived in DESIGN.md section 6) are
+(Eqn. 4 in FFT form, derived in
+:func:`repro.structured.circulant_gradients`) are
 :func:`circular_correlate`.  Direct O(n^2) reference implementations are
 included for testing and for the complexity benchmarks.
 

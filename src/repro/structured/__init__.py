@@ -12,9 +12,7 @@ from .block_circulant import BlockCirculantMatrix
 from .circulant import CirculantMatrix
 from .ops import (
     block_circulant_backward_batch,
-    block_circulant_backward_batch_einsum,
     block_circulant_forward_batch,
-    block_circulant_forward_batch_einsum,
     block_circulant_matvec,
     block_circulant_to_dense,
     block_circulant_transpose_matvec,
@@ -41,9 +39,7 @@ __all__ = [
     "block_circulant_matvec",
     "block_circulant_transpose_matvec",
     "block_circulant_forward_batch",
-    "block_circulant_forward_batch_einsum",
     "block_circulant_backward_batch",
-    "block_circulant_backward_batch_einsum",
     "block_circulant_to_dense",
     "nearest_circulant",
     "nearest_block_circulant",

@@ -6,7 +6,7 @@ with a (block-)circulant matrix is executed as
 and the gradients needed by the training algorithm (paper Eqn. 4,
 Algorithm 2) are circular correlations computed the same way.
 
-Conventions (also in DESIGN.md section 6):
+Conventions:
 
 * ``C(w)`` is the circulant matrix whose **first column** is ``w``;
   ``C(w) @ x == circular_convolve(w, x)``.
@@ -23,8 +23,9 @@ of section IV-A.
 The frequency-domain contractions are executed as frequency-major batched
 ``matmul`` — ``(f, p, q) @ (f, q, n)`` — so each frequency bin's block
 product runs as one complex GEMM and the whole contraction hits BLAS.
-The direct ``np.einsum`` forms are retained as ``*_einsum`` reference
-implementations; the equivalence tests pin the fast kernels to them.
+The direct ``np.einsum`` forms of both contractions live in
+``tests/structured/test_matmul_kernels.py`` as the reference the fast
+kernels are pinned to.
 
 **Precision.**  Every kernel follows the dtypes it is handed: complex64
 weight spectra plus float32 input blocks keep the whole
@@ -51,9 +52,7 @@ __all__ = [
     "block_circulant_matvec",
     "block_circulant_transpose_matvec",
     "block_circulant_forward_batch",
-    "block_circulant_forward_batch_einsum",
     "block_circulant_backward_batch",
-    "block_circulant_backward_batch_einsum",
     "block_circulant_to_dense",
 ]
 
@@ -237,22 +236,6 @@ def block_circulant_forward_batch(
     return irfft(y_spec, n=b, out=out)
 
 
-def block_circulant_forward_batch_einsum(
-    weight_spectra: np.ndarray, x_blocks: np.ndarray
-) -> np.ndarray:
-    """Reference einsum form of :func:`block_circulant_forward_batch`.
-
-    Kept as the readable specification of the contraction; the fast kernel
-    must match it to round-off (see ``tests/structured``).
-    """
-    weight_spectra = np.asarray(weight_spectra)
-    x_blocks = np.asarray(x_blocks)
-    b = x_blocks.shape[-1]
-    x_spec = rfft(x_blocks)  # (batch, q, nb)
-    y_spec = np.einsum("pqf,nqf->npf", weight_spectra, x_spec)
-    return irfft(y_spec, n=b)
-
-
 def block_circulant_backward_batch(
     weight_spectra: np.ndarray,
     x_blocks: np.ndarray,
@@ -277,23 +260,6 @@ def block_circulant_backward_batch(
     grad_w_spec = _contract_grad_w(x_spec, g_spec)
     # dL/dx[q] = sum_p correlate(w_pq, g_p): conj(W) * G in frequency.
     grad_x_spec = _contract_grad_x(weight_spectra, g_spec)
-    return irfft(grad_w_spec, n=b), irfft(grad_x_spec, n=b)
-
-
-def block_circulant_backward_batch_einsum(
-    weight_spectra: np.ndarray,
-    x_blocks: np.ndarray,
-    grad_blocks: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference einsum form of :func:`block_circulant_backward_batch`."""
-    weight_spectra = np.asarray(weight_spectra)
-    x_blocks = np.asarray(x_blocks)
-    grad_blocks = np.asarray(grad_blocks)
-    b = x_blocks.shape[-1]
-    x_spec = rfft(x_blocks)
-    g_spec = rfft(grad_blocks)
-    grad_w_spec = np.einsum("nqf,npf->pqf", np.conj(x_spec), g_spec)
-    grad_x_spec = np.einsum("pqf,npf->nqf", np.conj(weight_spectra), g_spec)
     return irfft(grad_w_spec, n=b), irfft(grad_x_spec, n=b)
 
 

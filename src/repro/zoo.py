@@ -103,7 +103,7 @@ def build_arch3(
     (the paper treats them as preprocessing, citing the TrueNorth paper);
     CONV 3-4 and the large FC layers are block-circulant.  2x2 max pooling
     after each CONV pair keeps the FC interface at the commonly used size
-    (the paper omits pooling details; see DESIGN.md).
+    (the paper omits pooling details).
     """
     rng = rng or np.random.default_rng()
     return Sequential(

@@ -53,7 +53,7 @@ class TestMatvecComparison:
     def test_fft_path_not_worse_at_scale(self):
         # At n = 4096 the FFT path's error is at or below the dense path's
         # (numpy's pairwise-summation dense product is already good, so
-        # the win is modest in float64 — see EXPERIMENTS.md E13).
+        # the win is modest in float64 — see benchmarks/test_numerics.py).
         dense_err, fft_err = matvec_roundoff_comparison(
             4096, np.random.default_rng(3)
         )

@@ -1,5 +1,6 @@
 """Tests for the TrueNorth reference data and Fig. 5 helpers."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -10,6 +11,8 @@ from repro.analysis import (
     fig5_points,
     speedup_vs_truenorth,
 )
+from repro.embedded import InferenceProfiler
+from repro.zoo import ARCH1_INPUT_SIDE, build_arch1, build_arch3
 
 
 class TestReferencePoints:
@@ -52,6 +55,19 @@ class TestFig5:
         assert speedup_vs_truenorth("MNIST", 101.0) == pytest.approx(9.9, rel=0.1)
         # Paper: ~10x slower on CIFAR-10 at ~8000+ us.
         assert speedup_vs_truenorth("CIFAR-10", 8244.0) < 0.2
+
+    def test_profiled_speedups_within_paper_bands(self):
+        # Fig. 5 from the profiler's best-device C++ runtimes (architecture
+        # only, no training): ~10x faster on MNIST, ~10x slower on CIFAR-10.
+        rng = np.random.default_rng(0)
+        mnist_us = InferenceProfiler(
+            build_arch1(rng=rng), (ARCH1_INPUT_SIDE**2,)
+        ).runtime_us("honor6x", "cpp")
+        cifar_us = InferenceProfiler(
+            build_arch3(rng=rng), (3, 32, 32)
+        ).runtime_us("honor6x", "cpp")
+        assert 5.0 < speedup_vs_truenorth("MNIST", mnist_us) < 20.0
+        assert 0.05 < speedup_vs_truenorth("CIFAR-10", cifar_us) < 0.2
 
     def test_unknown_dataset_raises(self):
         with pytest.raises(KeyError):

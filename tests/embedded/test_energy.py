@@ -17,6 +17,11 @@ def arch1_energy():
     return EnergyModel(build_arch1(rng=np.random.default_rng(0)), (256,))
 
 
+@pytest.fixture(scope="module")
+def arch3_energy():
+    return EnergyModel(build_arch3(rng=np.random.default_rng(0)), (3, 32, 32))
+
+
 class TestPowerProfiles:
     def test_all_platforms_covered(self):
         from repro.embedded import PLATFORMS
@@ -43,10 +48,12 @@ class TestEnergyModel:
         expected = POWER_PROFILES["xu3"].active_watts * estimate.runtime_us
         assert estimate.energy_uj == pytest.approx(expected)
 
-    def test_java_costs_more_energy(self, arch1_energy):
+    @pytest.mark.parametrize("energy", ["arch1_energy", "arch3_energy"])
+    def test_java_costs_more_energy(self, energy, request):
+        model = request.getfixturevalue(energy)
         for platform in POWER_PROFILES:
-            java = arch1_energy.estimate(platform, "java").energy_uj
-            cpp = arch1_energy.estimate(platform, "cpp").energy_uj
+            java = model.estimate(platform, "java").energy_uj
+            cpp = model.estimate(platform, "cpp").energy_uj
             assert java > 1.5 * cpp, platform
 
     def test_most_efficient_is_honor6x_cpp(self, arch1_energy):
@@ -79,10 +86,7 @@ class TestEnergyModel:
         with pytest.raises(KeyError):
             arch1_energy.estimate("pixel", "cpp")
 
-    def test_cifar_costs_more_than_mnist(self, arch1_energy):
-        arch3_energy = EnergyModel(
-            build_arch3(rng=np.random.default_rng(0)), (3, 32, 32)
-        )
+    def test_cifar_costs_more_than_mnist(self, arch1_energy, arch3_energy):
         mnist = arch1_energy.estimate("honor6x", "cpp").energy_uj
         cifar = arch3_energy.estimate("honor6x", "cpp").energy_uj
         assert cifar > 20 * mnist

@@ -5,6 +5,17 @@ import pytest
 from repro.embedded import PLATFORMS, CpuCluster, PlatformSpec, get_platform
 
 
+#: Paper Table I, verbatim.
+PAPER_TABLE1 = [
+    ("LG Nexus 5", "6 (Marshmallow)", "4 x 2.3GHz Krait 400", "-",
+     "ARMv7-A", "Adreno 330", "2"),
+    ("Odroid XU3", "7 (Nougat)", "4 x 2.1GHz Cortex-A15",
+     "4 x 1.5GHz Cortex-A7", "ARMv7-A", "Mali T628", "2"),
+    ("Huawei Honor 6X", "7 (Nougat)", "4 x 2.1GHz Cortex-A53",
+     "4 x 1.7GHz Cortex-A53", "ARMv8-A", "Mali T830", "3"),
+]
+
+
 class TestTableI:
     def test_all_three_devices_present(self):
         assert set(PLATFORMS) == {"nexus5", "xu3", "honor6x"}
@@ -35,6 +46,10 @@ class TestTableI:
     def test_table_rows_have_seven_columns(self):
         for spec in PLATFORMS.values():
             assert len(spec.table_row()) == 7
+
+    def test_registry_reproduces_paper_table(self):
+        rows = [spec.table_row() for spec in PLATFORMS.values()]
+        assert sorted(rows) == sorted(PAPER_TABLE1)
 
     def test_device_speed_ordering(self):
         # The paper's measured ordering: Honor 6X fastest, Nexus 5 slowest.

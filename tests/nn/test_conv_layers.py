@@ -120,7 +120,10 @@ class TestConv2d:
 
 class TestBlockCirculantConv2d:
     @pytest.mark.parametrize(
-        "in_c,out_c,block", [(4, 6, 2), (3, 8, 4), (6, 6, 3), (2, 2, 2), (5, 7, 3)]
+        "in_c,out_c,block",
+        # (16, 16, 8): the channels and block of the paper's Fig. 3 table
+        # (benchmarks/test_conv_reformulation.py).
+        [(4, 6, 2), (3, 8, 4), (6, 6, 3), (2, 2, 2), (5, 7, 3), (16, 16, 8)],
     )
     def test_matches_dense_expansion(self, rng, in_c, out_c, block):
         bcc = BlockCirculantConv2d(in_c, out_c, 3, block_size=block, rng=rng)

@@ -45,11 +45,14 @@ class TestFlushTriggers:
         async def scenario():
             batcher = MicroBatcher(runner, max_batch=1000, max_wait_ms=10)
             rows = rng.normal(size=(2, 3))
-            start = asyncio.get_running_loop().time()
-            out = await asyncio.wait_for(batcher.submit(rows), timeout=5)
-            waited = asyncio.get_running_loop().time() - start
+            submitted = asyncio.get_running_loop().time()
+            future = asyncio.ensure_future(batcher.submit(rows))
+            await asyncio.sleep(0)
+            # Queued behind the max_wait timer, not flushed at once.
+            assert runner.batches == []
+            assert batcher._timer_at >= submitted + 0.010
+            out = await asyncio.wait_for(future, timeout=5)
             assert np.array_equal(out, rows * 2.0)
-            assert waited >= 0.005  # sat in the queue until the timer fired
 
         run(scenario())
         assert len(runner.batches) == 1
@@ -253,13 +256,15 @@ class TestDeadlines:
             # pull the flush early enough for the request to make it.
             batcher = MicroBatcher(runner, max_batch=1000, max_wait_ms=60_000)
             rows = rng.normal(size=(2, 3))
-            start = asyncio.get_running_loop().time()
-            out = await asyncio.wait_for(
-                batcher.submit(rows, deadline_ms=500), timeout=5
+            future = asyncio.ensure_future(
+                batcher.submit(rows, deadline_ms=500)
             )
-            waited = asyncio.get_running_loop().time() - start
+            await asyncio.sleep(0)
+            # The timer sits at the deadline's midpoint, not at max_wait.
+            now = asyncio.get_running_loop().time()
+            assert batcher._timer_at - now <= 0.25
+            out = await asyncio.wait_for(future, timeout=5)
             assert np.array_equal(out, rows * 2.0)
-            assert waited < 0.5  # flushed around the deadline midpoint
 
         run(scenario())
         assert len(runner.batches) == 1  # it ran — nothing expired

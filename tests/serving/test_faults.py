@@ -204,7 +204,12 @@ class TestBatcherShedding:
             await batcher.drain()
             await first
             # Budget released after the future resolved: admits again.
-            await batcher.submit(rng.normal(size=(8, 4)))
+            again = asyncio.ensure_future(
+                batcher.submit(rng.normal(size=(8, 4)))
+            )
+            await asyncio.sleep(0)
+            await batcher.drain()  # flush now, not after the 10 s window
+            await again
             await batcher.aclose()
 
         asyncio.run(main())
@@ -326,6 +331,8 @@ class TestServerFaults:
                 await asyncio.sleep(0.05)  # ensure it is queued
                 with pytest.raises(Overloaded):
                     await b.predict_proba(x1)
+                # The drain op flushes the pending window at once.
+                await b.drain()
                 out = await big
             finally:
                 await a.close()

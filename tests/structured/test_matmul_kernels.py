@@ -3,16 +3,37 @@
 import numpy as np
 import pytest
 
-from repro.fft import rfft
+from repro.fft import irfft, rfft
 from repro.structured import (
     block_circulant_backward_batch,
-    block_circulant_backward_batch_einsum,
     block_circulant_forward_batch,
-    block_circulant_forward_batch_einsum,
     block_circulant_matvec,
     block_circulant_to_dense,
     block_circulant_transpose_matvec,
 )
+
+
+def block_circulant_forward_batch_einsum(weight_spectra, x_blocks):
+    """Reference einsum form of :func:`block_circulant_forward_batch`.
+
+    The readable specification of the contraction; the fast kernel must
+    match it to round-off.
+    """
+    b = x_blocks.shape[-1]
+    x_spec = rfft(x_blocks)  # (batch, q, nb)
+    y_spec = np.einsum("pqf,nqf->npf", weight_spectra, x_spec)
+    return irfft(y_spec, n=b)
+
+
+def block_circulant_backward_batch_einsum(weight_spectra, x_blocks, grad_blocks):
+    """Reference einsum form of :func:`block_circulant_backward_batch`."""
+    b = x_blocks.shape[-1]
+    x_spec = rfft(x_blocks)
+    g_spec = rfft(grad_blocks)
+    grad_w_spec = np.einsum("nqf,npf->pqf", np.conj(x_spec), g_spec)
+    grad_x_spec = np.einsum("pqf,npf->nqf", np.conj(weight_spectra), g_spec)
+    return irfft(grad_w_spec, n=b), irfft(grad_x_spec, n=b)
+
 
 GRIDS = [
     (1, 1, 4),

@@ -372,9 +372,14 @@ class TestServeFaultSurface:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_bad_fault_spec_exits_2(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "m.npz"], ["route", "--backend", "127.0.0.1:1"]],
+        ids=["serve", "route"],
+    )
+    def test_bad_fault_spec_exits_2(self, argv, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FAULTS", "*3")
-        assert main(["serve", "m.npz"]) == 2
+        assert main(argv) == 2
         assert "bad REPRO_FAULTS" in capsys.readouterr().err
 
     def test_fault_spec_armed_before_engine(self, monkeypatch):
