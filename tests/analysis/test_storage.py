@@ -12,7 +12,7 @@ from repro.nn import (
     ReLU,
     Sequential,
 )
-from repro.zoo import build_arch1
+from repro.zoo import build_arch1, build_arch2, build_arch3
 
 
 class TestStorageReport:
@@ -61,6 +61,26 @@ class TestStorageReport:
         # Two BC layers dominate; total compression must be substantial.
         assert report.compression > 5.0
         assert report.deployed_bytes < report.dense_bytes
+
+    @pytest.mark.parametrize(
+        "builder", (build_arch1, build_arch2, build_arch3),
+        ids=("arch1", "arch2", "arch3"),
+    )
+    def test_paper_architectures_compress(self, rng, builder):
+        # Section IV-A: every paper network stores > 3x fewer parameters.
+        assert storage_report(builder(rng=rng)).compression > 3.0
+
+    def test_block_size_sweep_is_the_compression_knob(self):
+        # Bigger blocks store strictly fewer Arch. 1 parameters, up to the
+        # whole-circulant extreme (block 128).
+        reports = [
+            storage_report(build_arch1(block_size=b, rng=np.random.default_rng(0)))
+            for b in (8, 16, 32, 64, 128)
+        ]
+        stored = [r.stored_params for r in reports]
+        compression = [r.compression for r in reports]
+        assert all(a > b for a, b in zip(stored, stored[1:]))
+        assert all(a < b for a, b in zip(compression, compression[1:]))
 
     def test_stored_params_match_model(self, rng):
         model = build_arch1(rng=rng)

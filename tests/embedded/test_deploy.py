@@ -17,6 +17,7 @@ from repro.nn import (
     Softmax,
     Tensor,
 )
+from repro.zoo import build_arch1, build_arch2, build_arch3_reduced
 
 
 @pytest.fixture
@@ -45,6 +46,25 @@ class TestParityWithTrainingModel:
         x = rng.normal(size=(2, 3, 8, 8))
         expected = conv_model(Tensor(x)).data
         deployed = DeployedModel.from_model(conv_model)
+        assert np.allclose(deployed.forward(x), expected, atol=1e-4)
+
+    @pytest.mark.parametrize(
+        "builder,kwargs,sample_shape",
+        [
+            (build_arch1, {"block_size": 16}, (256,)),
+            (build_arch1, {"block_size": 64}, (256,)),
+            (build_arch2, {}, (121,)),
+            (build_arch3_reduced, {"width": 12, "block_size": 4}, (3, 32, 32)),
+        ],
+        ids=("arch1-b16", "arch1-b64", "arch2", "arch3_reduced"),
+    )
+    def test_zoo_model_parity(self, rng, builder, kwargs, sample_shape):
+        # The networks the Table II/III benchmarks export and time.
+        model = builder(rng=rng, **kwargs)
+        model.eval()
+        x = rng.uniform(size=(2, *sample_shape))
+        expected = model(Tensor(x)).data
+        deployed = DeployedModel.from_model(model)
         assert np.allclose(deployed.forward(x), expected, atol=1e-4)
 
     def test_predictions_match(self, rng, fc_model):

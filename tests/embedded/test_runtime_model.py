@@ -59,6 +59,19 @@ class TestShapeClaims:
                 # Paper: C++ 60-160% faster; ratio in (1.6, 3.0).
                 assert 1.6 < ratio < 3.0, (arch, platform, ratio)
 
+    @pytest.mark.parametrize(
+        "arch,platform,low,high",
+        [(a, p, 1.8, 3.2) for a in ("arch1", "arch2")
+         for p in ("nexus5", "xu3", "honor6x")]
+        + [("arch3", p, 2.0, 2.9) for p in ("xu3", "honor6x")],
+    )
+    def test_java_cpp_ratio_in_paper_band(self, profilers, arch, platform,
+                                          low, high):
+        # Table II: C++ 1.8-3.2x faster per cell; Table III: 2.0-2.9x.
+        java = profilers[arch].runtime_us(platform, "java")
+        cpp = profilers[arch].runtime_us(platform, "cpp")
+        assert low < java / cpp < high
+
     def test_device_ordering(self, profilers):
         # Honor 6X < XU3 < Nexus 5 in latency (paper Tables II).
         for arch in ("arch1", "arch2"):
@@ -91,6 +104,16 @@ class TestShapeClaims:
         assert p.runtime_us("nexus5", "cpp", battery=True) == pytest.approx(
             p.runtime_us("nexus5", "cpp")
         )
+
+    @pytest.mark.parametrize("platform", ("nexus5", "xu3", "honor6x"))
+    @pytest.mark.parametrize("impl,penalty", (("java", 0.14), ("cpp", 0.0)))
+    @pytest.mark.parametrize("arch", ("arch1", "arch2"))
+    def test_battery_penalty_every_cell(self, profilers, arch, impl, penalty,
+                                        platform):
+        # Section V-B, every MNIST cell: Java +14% on battery, C++ unchanged.
+        plugged = profilers[arch].runtime_us(platform, impl)
+        battery = profilers[arch].runtime_us(platform, impl, battery=True)
+        assert battery / plugged - 1.0 == pytest.approx(penalty, abs=1e-9)
 
 
 class TestProfilerApi:

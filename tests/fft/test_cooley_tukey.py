@@ -9,7 +9,7 @@ from repro.fft import fft_mixed_radix, fft_radix2, ifft_radix2
 
 
 class TestRadix2:
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64, 256])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64, 256, 1024, 4096])
     def test_matches_numpy(self, rng, n):
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert np.allclose(fft_radix2(x), np.fft.fft(x))

@@ -116,6 +116,27 @@ class TestBackendParity:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+class TestBenchmarkSizes:
+    """The calls ``benchmarks/test_fft_backends.py`` times, checked off the clock."""
+
+    @pytest.mark.parametrize("n", (128, 121, 1024))
+    def test_fft_matches_numpy(self, rng, backend, n):
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        reference = np.fft.fft(x)
+        with use_backend(backend):
+            error = np.abs(fft(x) - reference).max()
+        assert error < 1e-9 * max(1.0, np.abs(reference).max())
+
+    def test_rfft_block128_grid(self, rng, backend):
+        # The deployed kernel's hot call: rfft over a (p, q, 128) grid.
+        grid = rng.normal(size=(2, 2, 128))
+        with use_backend(backend):
+            spectra = rfft(grid)
+        assert spectra.shape == (2, 2, 65)
+        assert np.allclose(spectra, np.fft.rfft(grid, axis=-1), atol=1e-9)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestDestinationBuffers:
     """rfft/irfft out=: bitwise-identical results written in place."""
 

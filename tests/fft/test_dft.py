@@ -32,6 +32,12 @@ class TestNaiveDft:
             x = rng.normal(size=n) + 1j * rng.normal(size=n)
             assert np.allclose(naive_dft(x), np.fft.fft(x))
 
+    @pytest.mark.parametrize("n", (64, 256, 1024))
+    def test_matches_numpy_at_fig1_sizes(self, rng, n):
+        # The sizes the Fig. 1 benchmark times against the radix-2 kernel.
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert np.allclose(naive_dft(x), np.fft.fft(x))
+
     def test_round_trip(self, rng):
         x = rng.normal(size=11) + 1j * rng.normal(size=11)
         assert np.allclose(naive_idft(naive_dft(x)), x)

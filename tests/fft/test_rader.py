@@ -75,3 +75,19 @@ class TestFftRader:
         local = np.random.default_rng(seed)
         x = local.normal(size=p) + 1j * local.normal(size=p)
         assert np.allclose(fft_rader(x), np.fft.fft(x))
+
+
+class TestPrimeKernelsAtBenchmarkSizes:
+    """The primes ``benchmarks/test_prime_kernels.py`` times, off the clock."""
+
+    @pytest.mark.parametrize("p", (101, 1009))
+    @pytest.mark.parametrize("kernel", (fft_rader, fft_bluestein),
+                             ids=("rader", "bluestein"))
+    def test_matches_numpy(self, rng, kernel, p):
+        x = rng.normal(size=p) + 1j * rng.normal(size=p)
+        assert np.allclose(kernel(x), np.fft.fft(x))
+
+    @pytest.mark.parametrize("p", (11, 101, 257, 1009))
+    def test_rader_agrees_with_bluestein(self, rng, p):
+        x = rng.normal(size=p) + 1j * rng.normal(size=p)
+        assert np.abs(fft_rader(x) - fft_bluestein(x)).max() < 1e-9

@@ -171,6 +171,41 @@ class TestBlockCirculantLinearBackward:
         assert loss_value() < before
 
 
+class TestTrainingStepAtBenchmarkSizes:
+    """One Algorithm-2 step at the sizes benchmarks/test_training_step.py times.
+
+    The loss is quadratic in the parameters, so a step of ``lr`` along the
+    computed gradient ``g`` lowers it by ``lr * |g|^2`` up to an
+    ``O(lr^2)`` term: a wrong FFT-domain gradient cannot pass.
+    """
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [("bc", 256), ("bc", 1024), ("bc", 4096), ("dense", 256), ("dense", 1024)],
+    )
+    def test_step_descends_along_the_gradient(self, rng, kind, n):
+        from repro.nn import SGD
+
+        if kind == "bc":
+            layer = BlockCirculantLinear(n, n, n // 4, rng=rng)
+        else:
+            layer = Linear(n, n, rng=rng)
+        x = rng.normal(size=(8, n))
+        target = rng.normal(size=(8, n))
+
+        def loss_value():
+            return float(((layer(Tensor(x)).data - target) ** 2).mean())
+
+        lr = 1e-4
+        optimizer = SGD(layer.parameters(), lr=lr)
+        before = loss_value()
+        optimizer.zero_grad()
+        ((layer(Tensor(x)) - Tensor(target)) ** 2).mean().backward()
+        squared_norm = sum(float(np.sum(p.grad**2)) for p in layer.parameters())
+        optimizer.step()
+        assert before - loss_value() == pytest.approx(lr * squared_norm, rel=0.05)
+
+
 class TestFromDense:
     def test_projection_round_trip_exact(self, rng):
         source = BlockCirculantLinear(8, 12, 4, rng=rng)

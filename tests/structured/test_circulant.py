@@ -55,11 +55,20 @@ class TestConstruction:
 
 
 class TestProducts:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 64, 256, 1024])
     def test_matvec_matches_dense(self, rng, n):
         c = random_circulant(rng, n)
         x = rng.normal(size=n)
         assert np.allclose(c.matvec(x), c.to_dense() @ x)
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_matvec_matches_direct_circular_convolution(self, rng, n):
+        # The Eqn. 3 sizes benchmarks/test_circulant_matvec.py times; the
+        # O(n^2) reference never materialises the dense matrix.
+        w = rng.normal(size=n)
+        x = rng.normal(size=n)
+        direct = np.convolve(w, np.concatenate([x, x]))[n:2 * n]
+        assert np.allclose(CirculantMatrix(w).matvec(x), direct)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_rmatvec_matches_dense(self, rng, n):
