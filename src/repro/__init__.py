@@ -36,65 +36,38 @@ Subpackages:
   format-v2 artifact the engine consumes,
 * :mod:`repro.zoo` — the paper's Arch. 1 / Arch. 2 / Arch. 3 builders,
   name-keyed via :func:`repro.zoo.get` / :func:`repro.zoo.names`.
+
+Every package namespace is lazy (:func:`repro._lazy.attach`): a module
+loads the first time one of its names is used, so ``import repro``
+loads no numpy and each process imports only what it runs.
 """
 
 __version__ = "1.1.0"
 
-from . import (
-    analysis,
-    data,
-    embedded,
-    engine,
-    fft,
-    io,
-    nn,
-    pipeline,
-    quantize,
-    runtime,
-    structured,
-    zoo,
-)
-from .engine import Engine, EngineConfig, InferenceRequest, InferenceResult
-from .pipeline import Pipeline, PipelineConfig
-from .precision import FP32, FP64, PrecisionPolicy
-from .exceptions import (
-    BackendError,
-    ConfigurationError,
-    DeploymentError,
-    ParseError,
-    PipelineError,
-    ReproError,
-    ShapeError,
-)
+from ._lazy import attach
 
-__all__ = [
-    "fft",
-    "structured",
-    "nn",
-    "data",
-    "io",
-    "embedded",
-    "analysis",
-    "quantize",
-    "runtime",
-    "engine",
-    "pipeline",
-    "zoo",
-    "Engine",
-    "EngineConfig",
-    "InferenceRequest",
-    "InferenceResult",
-    "Pipeline",
-    "PipelineConfig",
-    "PrecisionPolicy",
-    "FP32",
-    "FP64",
-    "ReproError",
-    "ShapeError",
-    "BackendError",
-    "ParseError",
-    "DeploymentError",
-    "ConfigurationError",
-    "PipelineError",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".analysis": ["analysis"],
+        ".data": ["data"],
+        ".embedded": ["embedded"],
+        ".engine": [
+            "engine", "Engine", "EngineConfig", "InferenceRequest",
+            "InferenceResult",
+        ],
+        ".fft": ["fft"],
+        ".io": ["io"],
+        ".nn": ["nn"],
+        ".pipeline": ["pipeline", "Pipeline", "PipelineConfig"],
+        ".quantize": ["quantize"],
+        ".runtime": ["runtime"],
+        ".structured": ["structured"],
+        ".zoo": ["zoo"],
+        ".precision": ["FP32", "FP64", "PrecisionPolicy"],
+        ".exceptions": [
+            "BackendError", "ConfigurationError", "DeploymentError",
+            "ParseError", "PipelineError", "ReproError", "ShapeError",
+        ],
+    },
+)

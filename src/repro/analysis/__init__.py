@@ -1,49 +1,23 @@
 """Complexity, storage, and comparison analysis (paper claims E5-E8, Fig. 5)."""
 
-from .complexity import (
-    bc_conv_ops,
-    bc_fc_ops,
-    conv_speedup,
-    crossover_block_size,
-    dense_conv_ops,
-    dense_fc_ops,
-    fc_speedup,
-)
-from .numerics import (
-    dft_roundoff_error,
-    fft_roundoff_error,
-    matvec_roundoff_comparison,
-)
-from .storage import StorageReport, StorageRow, storage_report
-from .truenorth import (
-    ARM_CORES,
-    TRUENORTH_CIFAR10,
-    TRUENORTH_MNIST,
-    TRUENORTH_REFERENCES,
-    ComparisonPoint,
-    fig5_points,
-    speedup_vs_truenorth,
-)
+from .._lazy import attach
 
-__all__ = [
-    "dense_fc_ops",
-    "bc_fc_ops",
-    "dense_conv_ops",
-    "bc_conv_ops",
-    "fc_speedup",
-    "conv_speedup",
-    "crossover_block_size",
-    "StorageRow",
-    "StorageReport",
-    "storage_report",
-    "fft_roundoff_error",
-    "dft_roundoff_error",
-    "matvec_roundoff_comparison",
-    "ComparisonPoint",
-    "TRUENORTH_MNIST",
-    "TRUENORTH_CIFAR10",
-    "TRUENORTH_REFERENCES",
-    "ARM_CORES",
-    "fig5_points",
-    "speedup_vs_truenorth",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".complexity": [
+            "bc_conv_ops", "bc_fc_ops", "conv_speedup", "crossover_block_size",
+            "dense_conv_ops", "dense_fc_ops", "fc_speedup",
+        ],
+        ".numerics": [
+            "dft_roundoff_error", "fft_roundoff_error",
+            "matvec_roundoff_comparison",
+        ],
+        ".storage": ["StorageReport", "StorageRow", "storage_report"],
+        ".truenorth": [
+            "ARM_CORES", "TRUENORTH_CIFAR10", "TRUENORTH_MNIST",
+            "TRUENORTH_REFERENCES", "ComparisonPoint", "fig5_points",
+            "speedup_vs_truenorth",
+        ],
+    },
+)

@@ -26,6 +26,12 @@ Mirrors the paper's Fig. 4 pipeline from a shell:
 * ``info``    — parameter/storage/compression report for an architecture.
 
 Usage: ``python -m repro <command> ...`` (see ``--help`` per command).
+
+Each command imports its own stack inside its ``_cmd_*`` function.
+Beside argparse and the stdlib this module loads only two numpy-free
+leaves (:mod:`repro.defaults`, :mod:`repro.exceptions`), so ``repro
+route`` never loads numpy and ``repro serve`` / ``predict`` never load
+the training and analysis code (``tests/test_imports.py``).
 """
 
 from __future__ import annotations
@@ -34,21 +40,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .analysis import storage_report
-from .data import ArrayDataset, DataLoader
-from .embedded import DeployedModel, EnergyModel, InferenceProfiler, PLATFORMS
-from .io import (
-    build_model_from_string,
-    load_inputs,
-    load_weights,
-    parse_architecture,
-    save_weights,
-)
-from .engine import DEFAULT_MODEL_NAME, Engine, EngineConfig
+from .defaults import DEFAULT_MODEL_NAME
 from .exceptions import ReproError
-from .nn import Adam, CrossEntropyLoss, Trainer
 
 __all__ = ["main", "build_parser"]
 
@@ -142,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("architecture", help="e.g. 256-128CFb64-128CFb64-10F")
     train.add_argument("--data", required=True, help=".npz with inputs+labels")
     train.add_argument("--out", required=True, help="checkpoint path (.npz)")
-    train.add_argument("--epochs", type=int, default=10)
-    train.add_argument("--batch-size", type=int, default=64)
+    train.add_argument("--epochs", type=_positive_int, default=10)
+    train.add_argument("--batch-size", type=_positive_int, default=64)
     train.add_argument("--lr", type=float, default=0.003)
     train.add_argument("--seed", type=int, default=0)
 
@@ -384,10 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_shape(architecture: str) -> tuple[int, ...]:
-    return parse_architecture(architecture).input_shape
-
-
 def _cmd_build(args) -> int:
     from . import zoo
     from .pipeline import Pipeline, PipelineConfig
@@ -533,6 +522,12 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    import numpy as np
+
+    from .data import ArrayDataset, DataLoader
+    from .io import build_model_from_string, load_inputs, save_weights
+    from .nn import Adam, CrossEntropyLoss, Trainer
+
     inputs, labels = load_inputs(args.data)
     if labels is None:
         print("error: training data must include labels", file=sys.stderr)
@@ -557,6 +552,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_deploy(args) -> int:
+    from .embedded import DeployedModel
+    from .io import build_model_from_string, load_weights
+
     model = build_model_from_string(args.architecture)
     load_weights(model, args.weights)
     model.eval()
@@ -602,6 +600,9 @@ def _print_arena_info(info: dict, expanded_nbytes: int) -> None:
 
 
 def _cmd_predict(args) -> int:
+    from .engine import Engine, EngineConfig
+    from .io import load_inputs
+
     # Declarative path: describe *what* to run as an EngineConfig, let
     # the Engine pool/freeze the session (precomputed spectra at the
     # chosen precision, fused ops) and stream the inputs through it in
@@ -634,35 +635,21 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _parse_model_registry(args) -> tuple[dict, str | None]:
-    """CLI model flags -> (registry mapping, default model name).
+def _parse_models(specs: list[str]) -> dict[str, str]:
+    """``--model`` flags -> registry mapping, in registration order.
 
-    The positional artifact and bare ``--model PATH`` entries register
-    as the default model; ``--model NAME=PATH`` entries register under
-    NAME.  The first registered name becomes the default.
+    ``NAME=PATH`` registers under NAME; a bare ``PATH`` registers as
+    the default model.
     """
     models: dict[str, str] = {}
-    order: list[str] = []
-
-    def add(name: str, path: str) -> None:
+    for spec in specs:
+        name, sep, path = spec.partition("=")
+        if not sep:
+            name, path = DEFAULT_MODEL_NAME, spec
         if name in models:
             raise ValueError(f"model {name!r} registered twice")
         models[name] = path
-        order.append(name)
-
-    if args.model is not None:
-        add(DEFAULT_MODEL_NAME, args.model)
-    for spec in args.models:
-        name, sep, path = spec.partition("=")
-        if sep:
-            add(name, path)
-        else:
-            add(DEFAULT_MODEL_NAME, spec)
-    if not models:
-        raise ValueError(
-            "no model given; pass an artifact path or --model name=path"
-        )
-    return models, order[0]
+    return models
 
 
 def _arm_faults() -> bool:
@@ -687,11 +674,21 @@ def _arm_faults() -> bool:
 
 
 def _cmd_serve(args) -> int:
+    from .engine import Engine, EngineConfig
+
     # The first stdout line is the machine-readable `serving on
     # host:port` banner (scripts and the CI smoke job parse it); the
     # config line follows via on_ready.
     try:
-        models, default_model = _parse_model_registry(args)
+        # The positional artifact registers first, as the default
+        # model; the first registered name becomes the default.
+        positional = [] if args.model is None else [args.model]
+        models = _parse_models(positional + args.models)
+        if not models:
+            raise ValueError(
+                "no model given; pass an artifact path or --model name=path"
+            )
+        default_model = next(iter(models))
         # The pool is exactly what the operator asked for: --precisions
         # when given (its first entry is the default unless --precision
         # overrides), else just the single default precision.
@@ -758,20 +755,13 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    # Same banner contract as `serve`: the first stdout line is the
-    # machine-readable `serving on host:port` line, then a config line.
     from .router import RouterConfig, RouterServer
     from .serving import DEFAULT_PORT
 
-    models: dict[str, str] = {}
+    # Same banner contract as `serve`: the first stdout line is the
+    # machine-readable `serving on host:port` line, then a config line.
     try:
-        for spec in args.models:
-            name, sep, path = spec.partition("=")
-            if not sep:
-                name, path = DEFAULT_MODEL_NAME, spec
-            if name in models:
-                raise ValueError(f"model {name!r} registered twice")
-            models[name] = path
+        models = _parse_models(args.models)
         precisions = None
         if args.precisions is not None:
             precisions = tuple(
@@ -820,8 +810,11 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .embedded import PLATFORMS, EnergyModel, InferenceProfiler
+    from .io import build_model_from_string, parse_architecture
+
     model = build_model_from_string(args.architecture)
-    shape = _input_shape(args.architecture)
+    shape = parse_architecture(args.architecture).input_shape
     profiler = InferenceProfiler(model, shape)
     energy = EnergyModel(model, shape)
     mode = " (battery)" if args.battery else ""
@@ -835,6 +828,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .analysis import storage_report
+    from .io import build_model_from_string
+
     model = build_model_from_string(args.architecture)
     report = storage_report(model)
     print(f"architecture: {args.architecture}")

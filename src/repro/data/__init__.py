@@ -5,46 +5,24 @@ module's docstring records its substitution), plus the bilinear resize
 the paper applies to MNIST and generic batching utilities.
 """
 
-from .dataset import ArrayDataset, DataLoader, train_test_split
-from .synthetic_cifar import (
-    CLASS_NAMES,
-    generate_cifar,
-    load_synthetic_cifar,
-)
-from .synthetic_mnist import (
-    digit_template,
-    generate_mnist,
-    load_synthetic_mnist,
-)
-from .synthetic_wave import (
-    generate_wave,
-    load_synthetic_wave,
-    quantize_wave,
-)
-from .transforms import (
-    Compose,
-    affine_warp,
-    bilinear_resize,
-    flatten_images,
-    normalize,
-)
+from .._lazy import attach
 
-__all__ = [
-    "ArrayDataset",
-    "DataLoader",
-    "train_test_split",
-    "generate_mnist",
-    "load_synthetic_mnist",
-    "digit_template",
-    "generate_cifar",
-    "load_synthetic_cifar",
-    "CLASS_NAMES",
-    "generate_wave",
-    "load_synthetic_wave",
-    "quantize_wave",
-    "bilinear_resize",
-    "affine_warp",
-    "normalize",
-    "flatten_images",
-    "Compose",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".dataset": ["ArrayDataset", "DataLoader", "train_test_split"],
+        ".synthetic_cifar": [
+            "CLASS_NAMES", "generate_cifar", "load_synthetic_cifar",
+        ],
+        ".synthetic_mnist": [
+            "digit_template", "generate_mnist", "load_synthetic_mnist",
+        ],
+        ".synthetic_wave": [
+            "generate_wave", "load_synthetic_wave", "quantize_wave",
+        ],
+        ".transforms": [
+            "Compose", "affine_warp", "bilinear_resize", "flatten_images",
+            "normalize",
+        ],
+    },
+)

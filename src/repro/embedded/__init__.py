@@ -7,49 +7,27 @@
 * :class:`DeployedModel` — the standalone FFT-domain inference engine.
 """
 
-from .cost_model import (
-    LayerCost,
-    ModelCost,
-    complex_fft_ops,
-    count_model,
-    real_fft_ops,
-)
-from .deploy import DeployedModel
-from .energy import POWER_PROFILES, EnergyEstimate, EnergyModel, PowerProfile
-from .memory import MemoryFootprint, estimate_memory, fits_on_platform
-from .platform import PLATFORMS, CpuCluster, PlatformSpec, get_platform
-from .profiler import InferenceProfiler, ProfileEntry
-from .runtime_model import (
-    CPP,
-    IMPLEMENTATIONS,
-    JAVA,
-    ImplementationProfile,
-    estimate_runtime_us,
-)
+from .._lazy import attach
 
-__all__ = [
-    "PLATFORMS",
-    "CpuCluster",
-    "PlatformSpec",
-    "get_platform",
-    "LayerCost",
-    "ModelCost",
-    "count_model",
-    "real_fft_ops",
-    "complex_fft_ops",
-    "ImplementationProfile",
-    "JAVA",
-    "CPP",
-    "IMPLEMENTATIONS",
-    "estimate_runtime_us",
-    "InferenceProfiler",
-    "ProfileEntry",
-    "DeployedModel",
-    "PowerProfile",
-    "POWER_PROFILES",
-    "EnergyEstimate",
-    "EnergyModel",
-    "MemoryFootprint",
-    "estimate_memory",
-    "fits_on_platform",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".cost_model": [
+            "LayerCost", "ModelCost", "complex_fft_ops", "count_model",
+            "real_fft_ops",
+        ],
+        ".deploy": ["DeployedModel"],
+        ".energy": [
+            "POWER_PROFILES", "EnergyEstimate", "EnergyModel", "PowerProfile",
+        ],
+        ".memory": ["MemoryFootprint", "estimate_memory", "fits_on_platform"],
+        ".platform": [
+            "PLATFORMS", "CpuCluster", "PlatformSpec", "get_platform",
+        ],
+        ".profiler": ["InferenceProfiler", "ProfileEntry"],
+        ".runtime_model": [
+            "CPP", "IMPLEMENTATIONS", "JAVA", "ImplementationProfile",
+            "estimate_runtime_us",
+        ],
+    },
+)

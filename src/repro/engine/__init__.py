@@ -18,16 +18,14 @@ One public API for everything the frozen runtime can do:
 points.
 """
 
-from .config import DEFAULT_MODEL_NAME, EngineConfig
-from .core import Engine
-from .pool import SessionPool
-from .types import InferenceRequest, InferenceResult
+from .._lazy import attach
 
-__all__ = [
-    "DEFAULT_MODEL_NAME",
-    "Engine",
-    "EngineConfig",
-    "InferenceRequest",
-    "InferenceResult",
-    "SessionPool",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".config": ["DEFAULT_MODEL_NAME", "EngineConfig"],
+        ".core": ["Engine"],
+        ".pool": ["SessionPool"],
+        ".types": ["InferenceRequest", "InferenceResult"],
+    },
+)

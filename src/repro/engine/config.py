@@ -30,15 +30,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+from ..defaults import DEFAULT_MODEL_NAME
 from ..exceptions import ConfigurationError
 from ..precision import PrecisionPolicy
 from ..runtime.executors import effective_cpu_count
 from ..runtime.session import InferenceSession
 
 __all__ = ["EngineConfig", "DEFAULT_MODEL_NAME"]
-
-#: Registry key used when a single anonymous model source is configured.
-DEFAULT_MODEL_NAME = "default"
 
 _EXECUTORS = ("auto", "serial", "threaded")
 

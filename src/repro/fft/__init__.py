@@ -12,64 +12,29 @@ Public surface:
 * backend selection (:func:`set_backend`, :func:`use_backend`).
 """
 
-from .backend import available_backends, get_backend, set_backend, use_backend
-from .bluestein import fft_bluestein
-from .convolution import (
-    circular_convolve,
-    circular_convolve_direct,
-    circular_correlate,
-    circular_correlate_direct,
-    convolve2d,
-    convolve2d_direct,
-    linear_convolve,
-    linear_convolve_direct,
-    overlap_add_convolve,
-)
-from .cooley_tukey import fft_mixed_radix, fft_radix2, ifft_radix2
-from .core import fft, ifft, irfft, rfft
-from .dft import dft_matrix, naive_dft, naive_idft
-from .fft2 import fft2, ifft2
-from .rader import fft_rader, primitive_root
-from .twiddle import (
-    bit_reversal_permutation,
-    is_power_of_two,
-    next_power_of_two,
-    smallest_prime_factor,
-    twiddle_factors,
-)
+from .._lazy import attach
 
-__all__ = [
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-    "fft",
-    "ifft",
-    "rfft",
-    "irfft",
-    "fft2",
-    "ifft2",
-    "fft_radix2",
-    "ifft_radix2",
-    "fft_mixed_radix",
-    "fft_bluestein",
-    "fft_rader",
-    "primitive_root",
-    "dft_matrix",
-    "naive_dft",
-    "naive_idft",
-    "circular_convolve",
-    "circular_convolve_direct",
-    "circular_correlate",
-    "circular_correlate_direct",
-    "linear_convolve",
-    "linear_convolve_direct",
-    "overlap_add_convolve",
-    "convolve2d",
-    "convolve2d_direct",
-    "bit_reversal_permutation",
-    "is_power_of_two",
-    "next_power_of_two",
-    "smallest_prime_factor",
-    "twiddle_factors",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".backend": [
+            "available_backends", "get_backend", "set_backend", "use_backend",
+        ],
+        ".bluestein": ["fft_bluestein"],
+        ".convolution": [
+            "circular_convolve", "circular_convolve_direct",
+            "circular_correlate", "circular_correlate_direct", "convolve2d",
+            "convolve2d_direct", "linear_convolve", "linear_convolve_direct",
+            "overlap_add_convolve",
+        ],
+        ".cooley_tukey": ["fft_mixed_radix", "fft_radix2", "ifft_radix2"],
+        ".core": ["fft", "ifft", "irfft", "rfft"],
+        ".dft": ["dft_matrix", "naive_dft", "naive_idft"],
+        ".fft2d": ["fft2", "ifft2"],
+        ".rader": ["fft_rader", "primitive_root"],
+        ".twiddle": [
+            "bit_reversal_permutation", "is_power_of_two", "next_power_of_two",
+            "smallest_prime_factor", "twiddle_factors",
+        ],
+    },
+)

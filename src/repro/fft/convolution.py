@@ -168,7 +168,7 @@ def convolve2d(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     Matches the paper's CONV-layer definition (Eqn. 2): the kernel is slid
     without flipping, output size ``(H - r + 1, W - r + 1)``.
     """
-    from .fft2 import fft2, ifft2
+    from .fft2d import fft2, ifft2
 
     image = np.asarray(image, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)

@@ -7,33 +7,20 @@
 * inputs parser (:func:`load_inputs`, :func:`validate_inputs`).
 """
 
-from .arch_parser import (
-    ArchitectureSpec,
-    LayerSpec,
-    format_architecture,
-    parse_architecture,
-)
-from .inputs import load_inputs, save_inputs, validate_inputs
-from .model_builder import build_model, build_model_from_string
-from .params import (
-    export_fft_weights,
-    import_fft_weights,
-    load_weights,
-    save_weights,
-)
+from .._lazy import attach
 
-__all__ = [
-    "ArchitectureSpec",
-    "LayerSpec",
-    "parse_architecture",
-    "format_architecture",
-    "build_model",
-    "build_model_from_string",
-    "save_weights",
-    "load_weights",
-    "export_fft_weights",
-    "import_fft_weights",
-    "load_inputs",
-    "save_inputs",
-    "validate_inputs",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".arch_parser": [
+            "ArchitectureSpec", "LayerSpec", "format_architecture",
+            "parse_architecture",
+        ],
+        ".inputs": ["load_inputs", "save_inputs", "validate_inputs"],
+        ".model_builder": ["build_model", "build_model_from_string"],
+        ".params": [
+            "export_fft_weights", "import_fft_weights", "load_weights",
+            "save_weights",
+        ],
+    },
+)

@@ -7,77 +7,29 @@
 * losses, optimizers, metrics, :class:`Trainer`.
 """
 
-from . import functional
-from .callbacks import BestWeightsKeeper, EarlyStopping, clip_grad_norm
-from .convert import ConversionRow, conversion_report, convert_to_block_circulant
-from .layers import (
-    AvgPool2d,
-    BatchNorm1d,
-    BatchNorm2d,
-    BlockCirculantConv2d,
-    BlockCirculantLinear,
-    Conv2d,
-    Dropout,
-    FFTLayer1d,
-    Flatten,
-    LeakyReLU,
-    Linear,
-    Pointwise1d,
-    MaxPool2d,
-    ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
-)
-from .losses import CrossEntropyLoss, MSELoss, NLLLoss
-from .metrics import accuracy, confusion_matrix, top_k_accuracy
-from .module import Module, Parameter, Sequential
-from .optim import SGD, Adam, ExponentialLR, StepLR
-from .tensor import Tensor, as_tensor
-from .trainer import EpochStats, Trainer, TrainingHistory, predict_in_batches
+from .._lazy import attach
 
-__all__ = [
-    "functional",
-    "Tensor",
-    "as_tensor",
-    "Module",
-    "Parameter",
-    "Sequential",
-    "Linear",
-    "BlockCirculantLinear",
-    "Conv2d",
-    "BlockCirculantConv2d",
-    "FFTLayer1d",
-    "Pointwise1d",
-    "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Softmax",
-    "Dropout",
-    "Flatten",
-    "MaxPool2d",
-    "AvgPool2d",
-    "BatchNorm1d",
-    "BatchNorm2d",
-    "CrossEntropyLoss",
-    "MSELoss",
-    "NLLLoss",
-    "SGD",
-    "Adam",
-    "StepLR",
-    "ExponentialLR",
-    "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
-    "EpochStats",
-    "Trainer",
-    "TrainingHistory",
-    "predict_in_batches",
-    "EarlyStopping",
-    "BestWeightsKeeper",
-    "clip_grad_norm",
-    "convert_to_block_circulant",
-    "conversion_report",
-    "ConversionRow",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".functional": ["functional"],
+        ".callbacks": ["BestWeightsKeeper", "EarlyStopping", "clip_grad_norm"],
+        ".convert": [
+            "ConversionRow", "conversion_report", "convert_to_block_circulant",
+        ],
+        ".layers": [
+            "AvgPool2d", "BatchNorm1d", "BatchNorm2d", "BlockCirculantConv2d",
+            "BlockCirculantLinear", "Conv2d", "Dropout", "FFTLayer1d",
+            "Flatten", "LeakyReLU", "Linear", "Pointwise1d", "MaxPool2d",
+            "ReLU", "Sigmoid", "Softmax", "Tanh",
+        ],
+        ".losses": ["CrossEntropyLoss", "MSELoss", "NLLLoss"],
+        ".metrics": ["accuracy", "confusion_matrix", "top_k_accuracy"],
+        ".module": ["Module", "Parameter", "Sequential"],
+        ".optim": ["SGD", "Adam", "ExponentialLR", "StepLR"],
+        ".tensor": ["Tensor", "as_tensor"],
+        ".trainer": [
+            "EpochStats", "Trainer", "TrainingHistory", "predict_in_batches",
+        ],
+    },
+)

@@ -5,42 +5,22 @@ form the dense baseline and the supporting cast (activations, pooling,
 normalization, dropout).
 """
 
-from .batchnorm import BatchNorm1d, BatchNorm2d
-from .block_circulant_conv2d import BlockCirculantConv2d
-from .block_circulant_linear import BlockCirculantLinear
-from .common import (
-    AvgPool2d,
-    Dropout,
-    Flatten,
-    LeakyReLU,
-    MaxPool2d,
-    ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
-)
-from .conv2d import Conv2d
-from .fftnet1d import FFTLayer1d, Pointwise1d, seq_matmul, shift_right
-from .linear import Linear
+from ..._lazy import attach
 
-__all__ = [
-    "Linear",
-    "FFTLayer1d",
-    "Pointwise1d",
-    "seq_matmul",
-    "shift_right",
-    "BlockCirculantLinear",
-    "Conv2d",
-    "BlockCirculantConv2d",
-    "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Softmax",
-    "Dropout",
-    "Flatten",
-    "MaxPool2d",
-    "AvgPool2d",
-    "BatchNorm1d",
-    "BatchNorm2d",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".batchnorm": ["BatchNorm1d", "BatchNorm2d"],
+        ".block_circulant_conv2d": ["BlockCirculantConv2d"],
+        ".block_circulant_linear": ["BlockCirculantLinear"],
+        ".common": [
+            "AvgPool2d", "Dropout", "Flatten", "LeakyReLU", "MaxPool2d",
+            "ReLU", "Sigmoid", "Softmax", "Tanh",
+        ],
+        ".conv2d": ["Conv2d"],
+        ".fftnet1d": [
+            "FFTLayer1d", "Pointwise1d", "seq_matmul", "shift_right",
+        ],
+        ".linear": ["Linear"],
+    },
+)

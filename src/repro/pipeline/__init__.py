@@ -11,22 +11,16 @@ See ``docs/pipeline.md`` for the config schema, stage lifecycle, and
 the artifact v2 layout.
 """
 
-from .config import PipelineConfig
-from .core import Pipeline
-from .types import (
-    CompressResult,
-    PackageResult,
-    PipelineResult,
-    QuantizeResult,
-    TrainResult,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Pipeline",
-    "PipelineConfig",
-    "PipelineResult",
-    "TrainResult",
-    "CompressResult",
-    "QuantizeResult",
-    "PackageResult",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".config": ["PipelineConfig"],
+        ".core": ["Pipeline"],
+        ".types": [
+            "CompressResult", "PackageResult", "PipelineResult",
+            "QuantizeResult", "TrainResult",
+        ],
+    },
+)

@@ -1,23 +1,14 @@
 """Fixed-point quantization extension (paper related work [14])."""
 
-from .fixed_point import (
-    QFormat,
-    choose_qformat,
-    dequantize_ints,
-    quantization_error,
-    quantize_array,
-    quantize_model,
-    quantize_to_ints,
-    storage_dtype,
-)
+from .._lazy import attach
 
-__all__ = [
-    "QFormat",
-    "choose_qformat",
-    "dequantize_ints",
-    "quantize_array",
-    "quantization_error",
-    "quantize_model",
-    "quantize_to_ints",
-    "storage_dtype",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".fixed_point": [
+            "QFormat", "choose_qformat", "dequantize_ints",
+            "quantization_error", "quantize_array", "quantize_model",
+            "quantize_to_ints", "storage_dtype",
+        ],
+    },
+)

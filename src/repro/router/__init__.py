@@ -26,22 +26,15 @@ See ``docs/router.md`` for topology, placement, failover semantics,
 and the drain runbook.
 """
 
-from .backend import DOWN, DRAINING, HEALTHY, BackendHandle
-from .config import RouterConfig, parse_address
-from .placement import PlacementPolicy
-from .server import RouterServer
-from .spawn import SpawnedBackend, build_serve_command, spawn_backends
+from .._lazy import attach
 
-__all__ = [
-    "RouterServer",
-    "RouterConfig",
-    "BackendHandle",
-    "PlacementPolicy",
-    "SpawnedBackend",
-    "spawn_backends",
-    "build_serve_command",
-    "parse_address",
-    "HEALTHY",
-    "DRAINING",
-    "DOWN",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".backend": ["DOWN", "DRAINING", "HEALTHY", "BackendHandle"],
+        ".config": ["RouterConfig", "parse_address"],
+        ".placement": ["PlacementPolicy"],
+        ".server": ["RouterServer"],
+        ".spawn": ["SpawnedBackend", "build_serve_command", "spawn_backends"],
+    },
+)

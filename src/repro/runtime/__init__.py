@@ -28,37 +28,21 @@ layer object.  The runtime strips all three, split across four modules:
   ``predict``.
 """
 
-from ..precision import PrecisionPolicy
-from .executors import (
-    PlanExecutor,
-    SerialExecutor,
-    ThreadWorkerPool,
-    ThreadedExecutor,
-    effective_cpu_count,
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "..precision": ["PrecisionPolicy"],
+        ".executors": [
+            "PlanExecutor", "SerialExecutor", "ThreadWorkerPool",
+            "ThreadedExecutor", "effective_cpu_count",
+        ],
+        ".plan": [
+            "PlanOp", "compile_records_plan", "fuse_plan", "model_records",
+        ],
+        ".session": ["InferenceSession"],
+        "..streaming": ["StreamPlan", "StreamState", "compile_stream_plan"],
+        ".workspace": ["DEFAULT_BATCH_BUCKETS", "Workspace"],
+    },
 )
-from .plan import PlanOp, compile_records_plan, fuse_plan, model_records
-from .session import InferenceSession
-
-# Imported after .plan so repro.streaming can reuse the batch plan's
-# layer walker and activation table without a cycle.
-from ..streaming import StreamPlan, StreamState, compile_stream_plan
-from .workspace import DEFAULT_BATCH_BUCKETS, Workspace
-
-__all__ = [
-    "DEFAULT_BATCH_BUCKETS",
-    "InferenceSession",
-    "PlanOp",
-    "PlanExecutor",
-    "PrecisionPolicy",
-    "SerialExecutor",
-    "StreamPlan",
-    "StreamState",
-    "ThreadWorkerPool",
-    "ThreadedExecutor",
-    "Workspace",
-    "compile_records_plan",
-    "compile_stream_plan",
-    "effective_cpu_count",
-    "fuse_plan",
-    "model_records",
-]

@@ -44,30 +44,21 @@ server (as the tests and benchmarks do).  Fault-tolerance behavior
 ``docs/robustness.md``.
 """
 
-from ..exceptions import (
-    DeadlineExpired,
-    Overloaded,
-    ServerUnavailable,
-    StreamBroken,
-)
-from .batcher import MicroBatcher
-from .client import AsyncServeClient, AsyncStream, ServeClient, Stream
-from .protocol import DEFAULT_PORT
-from .resilience import QueueLimits, TokenBucket
-from .server import InferenceServer
+from .._lazy import attach
 
-__all__ = [
-    "AsyncServeClient",
-    "AsyncStream",
-    "DEFAULT_PORT",
-    "DeadlineExpired",
-    "InferenceServer",
-    "MicroBatcher",
-    "Overloaded",
-    "QueueLimits",
-    "ServeClient",
-    "ServerUnavailable",
-    "Stream",
-    "StreamBroken",
-    "TokenBucket",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "..exceptions": [
+            "DeadlineExpired", "Overloaded", "ServerUnavailable",
+            "StreamBroken",
+        ],
+        ".batcher": ["MicroBatcher"],
+        ".client": [
+            "AsyncServeClient", "AsyncStream", "ServeClient", "Stream",
+        ],
+        ".protocol": ["DEFAULT_PORT"],
+        ".resilience": ["QueueLimits", "TokenBucket"],
+        ".server": ["InferenceServer"],
+    },
+)

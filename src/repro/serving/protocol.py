@@ -36,6 +36,12 @@ an array as ``[npy header bytes, memoryview of the array's own data]``
 so the result buffer streams straight into the socket writer — no
 intermediate serialized copy on the response hot path (the wire bytes
 are identical to :func:`pack_array`).
+
+**No numpy below the codec.**  Only the ``.npy`` codec
+(:func:`pack_array`, :func:`pack_array_views`, :func:`unpack_array`)
+imports numpy, inside each function.  Frames, headers, banners and
+error frames are numpy-free, so the router, which relays payloads as
+opaque bytes, never loads numpy (``tests/test_imports.py``).
 """
 
 from __future__ import annotations
@@ -46,8 +52,6 @@ import json
 import re
 import socket
 import struct
-
-import numpy as np
 
 from ..exceptions import (
     ConfigurationError,
@@ -117,6 +121,8 @@ def parse_banner(line: str) -> tuple[str, int] | None:
 
 def pack_array(arr: np.ndarray) -> bytes:
     """Serialize one array as ``.npy`` bytes (no pickle)."""
+    import numpy as np
+
     buf = io.BytesIO()
     np.save(buf, np.ascontiguousarray(arr), allow_pickle=False)
     return buf.getvalue()
@@ -131,6 +137,8 @@ def pack_array_views(arr: np.ndarray) -> list:
     :func:`pack_array` without materializing them.  A non-contiguous
     input is compacted first (the one case a copy is unavoidable).
     """
+    import numpy as np
+
     arr = np.ascontiguousarray(arr)
     buf = io.BytesIO()
     np.lib.format.write_array_header_1_0(
@@ -150,6 +158,8 @@ def _payload_nbytes(payload) -> int:
 
 def unpack_array(data: bytes) -> np.ndarray:
     """Inverse of :func:`pack_array`; rejects pickled payloads."""
+    import numpy as np
+
     try:
         return np.load(io.BytesIO(data), allow_pickle=False)
     except Exception as exc:

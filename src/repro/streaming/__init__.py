@@ -21,7 +21,12 @@ server's micro-batcher drives: many streams' pending chunks, one fused
 GEMM step, per-stream rows scattered back out — bitwise unchanged.
 """
 
-from .plan import StreamPlan, compile_stream_plan
-from .state import StreamState
+from .._lazy import attach
 
-__all__ = ["StreamPlan", "StreamState", "compile_stream_plan"]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".plan": ["StreamPlan", "compile_stream_plan"],
+        ".state": ["StreamState"],
+    },
+)

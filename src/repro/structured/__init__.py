@@ -8,40 +8,24 @@
 * least-squares projections from dense matrices.
 """
 
-from .block_circulant import BlockCirculantMatrix
-from .circulant import CirculantMatrix
-from .ops import (
-    block_circulant_backward_batch,
-    block_circulant_forward_batch,
-    block_circulant_matvec,
-    block_circulant_to_dense,
-    block_circulant_transpose_matvec,
-    blockify,
-    circulant_gradients,
-    circulant_matvec,
-    circulant_transpose_matvec,
-    unblockify,
-)
-from .projection import nearest_block_circulant, nearest_circulant, projection_error
-from .spectral import SpectrumCache
-from .toeplitz import ToeplitzMatrix
+from .._lazy import attach
 
-__all__ = [
-    "CirculantMatrix",
-    "BlockCirculantMatrix",
-    "SpectrumCache",
-    "ToeplitzMatrix",
-    "blockify",
-    "unblockify",
-    "circulant_matvec",
-    "circulant_transpose_matvec",
-    "circulant_gradients",
-    "block_circulant_matvec",
-    "block_circulant_transpose_matvec",
-    "block_circulant_forward_batch",
-    "block_circulant_backward_batch",
-    "block_circulant_to_dense",
-    "nearest_circulant",
-    "nearest_block_circulant",
-    "projection_error",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".block_circulant": ["BlockCirculantMatrix"],
+        ".circulant": ["CirculantMatrix"],
+        ".ops": [
+            "block_circulant_backward_batch", "block_circulant_forward_batch",
+            "block_circulant_matvec", "block_circulant_to_dense",
+            "block_circulant_transpose_matvec", "blockify",
+            "circulant_gradients", "circulant_matvec",
+            "circulant_transpose_matvec", "unblockify",
+        ],
+        ".projection": [
+            "nearest_block_circulant", "nearest_circulant", "projection_error",
+        ],
+        ".spectral": ["SpectrumCache"],
+        ".toeplitz": ["ToeplitzMatrix"],
+    },
+)

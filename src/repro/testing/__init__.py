@@ -6,6 +6,11 @@ for the catalogue of injectable faults and the arming API.  Nothing in
 here runs unless a test (or an operator via ``REPRO_FAULTS``) arms it.
 """
 
-from . import faults
+from .._lazy import attach
 
-__all__ = ["faults"]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        ".faults": ["faults"],
+    },
+)

@@ -86,6 +86,23 @@ class TestTrain:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--epochs", "0"), ("--epochs", "-1"),
+         ("--batch-size", "0"), ("--batch-size", "-3")],
+    )
+    def test_non_positive_counts_exit_2(self, data_files, tmp_path, flag,
+                                        value, capsys):
+        _, train_path, _ = data_files
+        out = tmp_path / "ckpt.npz"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", ARCH, "--data", str(train_path),
+                  "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "must be >= 1" in err
+        assert not out.exists()
+
 
 class TestDeployPredict:
     def test_deploy_then_predict(self, data_files, trained_checkpoint, capsys):
@@ -215,23 +232,19 @@ class TestServeEngineFlags:
         assert "no model" in capsys.readouterr().err
 
     def test_registry_parsing(self):
-        from types import SimpleNamespace
+        from repro.cli import _parse_models
+        from repro.engine import DEFAULT_MODEL_NAME
 
-        from repro.cli import _parse_model_registry
-
-        args = SimpleNamespace(model=None,
-                               models=["a=x.npz", "b=y.npz"])
-        models, default = _parse_model_registry(args)
-        assert models == {"a": "x.npz", "b": "y.npz"}
-        assert default == "a"
+        models = _parse_models(["a=x.npz", "b=y.npz"])
+        assert list(models.items()) == [("a", "x.npz"), ("b", "y.npz")]
         # A bare --model PATH registers as the default name.
-        args = SimpleNamespace(model=None, models=["plain.npz"])
-        models, default = _parse_model_registry(args)
-        assert default in models and models[default] == "plain.npz"
-        # Duplicates are rejected.
-        args = SimpleNamespace(model="pos.npz", models=["lone.npz"])
+        assert _parse_models(["plain.npz"]) == {
+            DEFAULT_MODEL_NAME: "plain.npz"
+        }
+        # Duplicates are rejected (a positional artifact and a bare
+        # --model PATH both claim the default name).
         with pytest.raises(ValueError, match="twice"):
-            _parse_model_registry(args)
+            _parse_models(["pos.npz", "lone.npz"])
 
     def test_multi_model_serve_end_to_end(self, data_files,
                                           trained_checkpoint, tmp_path):
