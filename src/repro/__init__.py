@@ -71,3 +71,4 @@ __getattr__, __dir__, __all__ = attach(
         ],
     },
 )
+__all__ = [*__all__, "__version__"]

@@ -246,6 +246,43 @@ class TestServeEngineFlags:
         with pytest.raises(ValueError, match="twice"):
             _parse_models(["pos.npz", "lone.npz"])
 
+    def test_first_registered_model_is_the_default(self, monkeypatch):
+        captured = {}
+
+        from repro.engine import Engine
+
+        def fake_serve(self, host="127.0.0.1", port=None, on_ready=None):
+            captured["models"] = list(self.config.models.items())
+            captured["default_model"] = self.config.default_model
+
+        monkeypatch.setattr(Engine, "serve", fake_serve)
+        monkeypatch.setattr(Engine, "load_sources", lambda self: self)
+        assert main(["serve", "--model", "a=x.npz", "--model", "b=y.npz"]) == 0
+        assert captured["models"] == [("a", "x.npz"), ("b", "y.npz")]
+        assert captured["default_model"] == "a"
+
+    def test_positional_artifact_registers_first(self, monkeypatch):
+        captured = {}
+
+        from repro.engine import DEFAULT_MODEL_NAME, Engine
+
+        def fake_serve(self, host="127.0.0.1", port=None, on_ready=None):
+            captured["models"] = list(self.config.models.items())
+            captured["default_model"] = self.config.default_model
+
+        monkeypatch.setattr(Engine, "serve", fake_serve)
+        monkeypatch.setattr(Engine, "load_sources", lambda self: self)
+        assert main(["serve", "pos.npz", "--model", "b=y.npz"]) == 0
+        assert captured["models"] == [
+            (DEFAULT_MODEL_NAME, "pos.npz"), ("b", "y.npz"),
+        ]
+        assert captured["default_model"] == DEFAULT_MODEL_NAME
+
+    def test_positional_and_bare_model_flag_clash(self, capsys):
+        assert main(["serve", "pos.npz", "--model", "lone.npz"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "twice" in err
+
     def test_multi_model_serve_end_to_end(self, data_files,
                                           trained_checkpoint, tmp_path):
         # Two names backed by the same artifact, served from one port,

@@ -119,12 +119,22 @@ def test_every_exported_name_resolves_to_its_table_entry():
         "        continue\n"
         "    for name in pkg.__all__:\n"
         "        try:\n"
-        "            if getattr(pkg, name) is not pkg.__getattr__(name):\n"
-        "                result.append(f'{pkg.__name__}.{name} is shadowed')\n"
+        "            value = getattr(pkg, name)\n"
         "        except AttributeError as exc:\n"
-        "            result.append(f'{pkg.__name__}.{name}: {exc}')"
+        "            result.append(f'{pkg.__name__}.{name}: {exc}')\n"
+        "            continue\n"
+        "        if name == '__version__':\n"
+        "            continue  # a literal in repro/__init__.py, not lazy\n"
+        "        if value is not pkg.__getattr__(name):\n"
+        "            result.append(f'{pkg.__name__}.{name} is shadowed')"
     )
     assert failures == []
+
+
+def test_star_import_exports_the_version():
+    assert run_fresh("from repro import *\nresult = __version__") == (
+        repro.__version__
+    )
 
 
 def test_dir_lists_lazy_names_before_they_load():
