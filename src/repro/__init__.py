@@ -26,9 +26,9 @@ Subpackages:
   and embedded,
 * :mod:`repro.engine` — the declarative inference facade
   (:class:`~repro.engine.Engine` over a validated
-  :class:`~repro.engine.EngineConfig`): multi-model registry, a
-  lazily-frozen per-precision session pool, typed
-  request/result API, and the single entry point to serving,
+  :class:`~repro.engine.EngineConfig`): multi-model registry, one
+  route table of lazily-frozen per-precision sessions and stream
+  plans, and the single entry point to serving,
 * :mod:`repro.pipeline` — the declarative build pipeline
   (:class:`~repro.pipeline.Pipeline` over a validated
   :class:`~repro.pipeline.PipelineConfig`): train → compress →
@@ -52,10 +52,7 @@ __getattr__, __dir__, __all__ = attach(
         ".analysis": ["analysis"],
         ".data": ["data"],
         ".embedded": ["embedded"],
-        ".engine": [
-            "engine", "Engine", "EngineConfig", "InferenceRequest",
-            "InferenceResult",
-        ],
+        ".engine": ["engine", "Engine", "EngineConfig"],
         ".fft": ["fft"],
         ".io": ["io"],
         ".nn": ["nn"],

@@ -5,12 +5,10 @@ One public API for everything the frozen runtime can do:
 * :class:`EngineConfig` — *what to run*: a validated, declarative
   description (model registry, pooled precisions, executor policy,
   batching limits, priority classes),
-* :class:`Engine` — *how it runs*: a per-precision
-  :class:`~repro.engine.pool.SessionPool` of lazily-frozen
-  :class:`~repro.runtime.session.InferenceSession`\\ s behind a
-  multi-model registry, with typed
-  :class:`InferenceRequest` / :class:`InferenceResult` calls, direct
-  ``predict`` / ``predict_proba`` convenience, and a blocking
+* :class:`Engine` — *how it runs*: one route table of lazily-built
+  frozen :class:`~repro.runtime.session.InferenceSession`\\ s and
+  stream plans, keyed by (model, precision), behind direct
+  ``predict`` / ``predict_proba`` calls and a blocking
   :meth:`~Engine.serve` that exposes the whole registry over TCP with
   per-request model/precision routing, priorities and deadlines.
 
@@ -25,7 +23,5 @@ __getattr__, __dir__, __all__ = attach(
     {
         ".config": ["DEFAULT_MODEL_NAME", "EngineConfig"],
         ".core": ["Engine"],
-        ".pool": ["SessionPool"],
-        ".types": ["InferenceRequest", "InferenceResult"],
     },
 )

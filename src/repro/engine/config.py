@@ -2,7 +2,7 @@
 
 An :class:`EngineConfig` says *what to run* — which models, at which
 precisions, under which executor and batching policy — while the
-:class:`~repro.engine.core.Engine` decides *how* (pooled sessions,
+:class:`~repro.engine.core.Engine` decides *how* (one route table,
 lazy freezing, per-request routing).  Every field is validated at
 construction, so a typo'd precision or an unknown executor fails at
 config time instead of on the first request.
@@ -10,9 +10,10 @@ config time instead of on the first request.
 Model sources are deliberately permissive: a registry value may be
 
 * a path (``str`` / :class:`~pathlib.Path`) to a deployment artifact —
-  ``repro deploy`` (format v1) or ``repro build`` (format v2, possibly
-  quantized with fixed-point weight storage; see ``docs/pipeline.md``)
-  — loaded lazily, once, and shared across all precisions,
+  format v2 as ``repro deploy`` and ``repro build`` write it (possibly
+  quantized with fixed-point weight storage; see ``docs/pipeline.md``),
+  or a legacy v1 file — loaded lazily, once, and shared across all
+  precisions,
 * a :class:`~repro.embedded.deploy.DeployedModel` instance,
 * a live (trained) :class:`~repro.nn.module.Sequential` — frozen
   directly, sharing the layers' dtype-keyed spectrum caches across the
@@ -34,7 +35,6 @@ from ..defaults import DEFAULT_MODEL_NAME
 from ..exceptions import ConfigurationError
 from ..precision import PrecisionPolicy
 from ..runtime.executors import effective_cpu_count
-from ..runtime.session import InferenceSession
 
 __all__ = ["EngineConfig", "DEFAULT_MODEL_NAME"]
 
@@ -58,9 +58,8 @@ def _resolve_precision_name(spec) -> str:
 
 
 def _is_model_source(source) -> bool:
-    """A path, a records-holder (DeployedModel), a live Sequential, or an
-    already-bound session (adopted as-is, at its own precision)."""
-    if isinstance(source, (str, Path, InferenceSession)):
+    """A path, a records-holder (DeployedModel), or a live Sequential."""
+    if isinstance(source, (str, Path)):
         return True
     if hasattr(source, "records"):  # DeployedModel duck type
         return True
@@ -85,7 +84,7 @@ class EngineConfig:
         registered model, or ``"default"`` when several are registered
         and one is named that.
     precisions:
-        Precision names the session pool may freeze (``"fp64"`` /
+        Precision names the engine may freeze (``"fp64"`` /
         ``"fp32"``).  One session per (model, precision) pair exists at
         most; requests asking for a precision outside this tuple are
         rejected.
@@ -97,12 +96,12 @@ class EngineConfig:
         (whole ``predict`` chunks fanned across an in-process thread
         pool — the GIL-releasing numpy kernels overlap on real cores
         with zero serialization), or ``"auto"`` (threaded on
-        multi-core hosts, serial on single-core, and serial below a
-        small row threshold).  ``None`` (the default) reads the
-        ``REPRO_EXECUTOR`` environment variable, falling back to
-        ``"serial"``.  **One shared thread pool serves every (model,
-        precision) route**, so an engine with M models × P precisions
-        still holds ``threads`` threads, not ``M * P`` pools.  See
+        multi-core hosts, serial on single-core).  ``None`` (the
+        default) reads the ``REPRO_EXECUTOR`` environment variable,
+        falling back to ``"serial"``.  **One shared thread pool serves
+        every (model, precision) route**, so an engine with M models ×
+        P precisions still holds ``threads`` threads, not ``M * P``
+        pools.  See
         ``docs/performance.md`` for the selection guide.
     threads:
         Thread count for ``executor="threaded"``/``"auto"``; ``None``

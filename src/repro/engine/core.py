@@ -6,12 +6,9 @@ session factory on the deployment artifact, and the ``InferenceServer``
 constructor), each single-model, single-session, and configured by its
 own kwargs.  The engine separates *what to run* (a declarative
 :class:`~repro.engine.config.EngineConfig`: model registry, pooled
-precisions, executor and batching policy) from
-*how it runs* (a lazily-frozen per-precision
-:class:`~repro.engine.pool.SessionPool`), and gives every consumer —
-direct calls, the serving front-end, the CLI — the same typed
-:class:`~repro.engine.types.InferenceRequest` /
-:class:`~repro.engine.types.InferenceResult` API.
+precisions, executor and batching policy) from *how it runs*: one
+route table of lazily-built frozen sessions and stream plans, which
+every consumer — direct calls, the serving front-end, the CLI — reads.
 
 Quickstart::
 
@@ -29,28 +26,24 @@ points.
 from __future__ import annotations
 
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..runtime.executors import (
-    AUTO_MIN_ROWS,
     SerialExecutor,
     ThreadWorkerPool,
     ThreadedExecutor,
 )
 from ..runtime.session import InferenceSession
 from .config import EngineConfig
-from .pool import SessionPool
-from .types import InferenceRequest, InferenceResult
 
 __all__ = ["Engine"]
 
 
 class Engine:
-    """Multi-model, multi-precision inference facade over pooled sessions.
+    """Multi-model, multi-precision inference facade over one route table.
 
     Construct from a config, or from config fields directly::
 
@@ -59,10 +52,19 @@ class Engine:
         Engine(models={"mnist": "arch1.npz", "cifar": "arch3.npz"},
                default_model="mnist", executor="threaded", threads=4)
 
-    Sessions freeze lazily on first use, one per (model, precision)
-    pair, and are reused for every later call (see
-    :class:`~repro.engine.pool.SessionPool`).  ``close`` releases every
-    pooled session (idempotent); the engine is a context manager.
+    The route table maps ``(kind, model, precision)`` to a frozen
+    :class:`~repro.runtime.session.InferenceSession` (kind
+    ``"session"``) or a :class:`~repro.streaming.StreamPlan` (kind
+    ``"stream"``).  Routes are built lazily on first use and reused for
+    every later call; freezing the same model at a second precision
+    shares the already-computed weight spectra (a live model's
+    dtype-keyed spectrum cache, or an artifact loaded from disk once).
+
+    Double-checked locking: the dict lock is held for microseconds, so
+    introspection (the serving ``info`` op) never waits out a compile;
+    the build lock serialises every compile and every artifact load.
+    ``close`` releases every session and the shared thread pool
+    (idempotent); the engine is a context manager.
     """
 
     def __init__(self, config: EngineConfig | None = None, **fields):
@@ -71,12 +73,12 @@ class Engine:
                 "pass either an EngineConfig or config fields, not both"
             )
         self.config = config if config is not None else EngineConfig(**fields)
-        self._pool = SessionPool(self._freeze)
-        self._artifacts: dict[str, object] = {}
-        self._stream_plans: dict[tuple[str, str], object] = {}
-        self._stream_lock = threading.Lock()
+        self._routes: dict[tuple[str, str, str], object] = {}
+        self._artifacts: dict[str, object] = {}  # guarded by _build_lock
+        self._lock = threading.Lock()
+        self._build_lock = threading.Lock()
         self._closed = False
-        # One shared thread pool for the whole route grid: every pooled
+        # One shared thread pool for the whole route grid: every
         # session's executor submits its chunks here, so M models × P
         # precisions share `threads` threads instead of holding a pool
         # each.  Construction is cheap — no thread starts until the
@@ -86,84 +88,75 @@ class Engine:
             if self.config.resolve_executor() == "threaded"
             else None
         )
-        # Pre-adopt sources that are already-frozen sessions: the pool
-        # serves them, their owner closes them.
-        for name, source in self.config.models.items():
-            if isinstance(source, InferenceSession):
-                self._adopt(name, source)
 
-    def _check_adoptable(self, name: str, session: InferenceSession) -> None:
-        """The one adoption rule: the session's precision must be pooled
-        (anything else would be unreachable at every route)."""
-        if session.precision not in self.config.precisions:
-            raise ConfigurationError(
-                f"adopted session for {name!r} is {session.precision}; "
-                f"pooled precisions are {self.config.precisions}"
+    # ------------------------------------------------------------------
+    # Route table
+    # ------------------------------------------------------------------
+    def _lookup(self, key: tuple[str, str, str]):
+        with self._lock:
+            if self._closed:
+                raise ConfigurationError("engine is closed")
+            return self._routes.get(key)
+
+    def _route(self, kind: str, model, precision):
+        """The built route for ``(kind, model, precision)``, built on miss."""
+        key = (
+            kind,
+            self.config.resolve_model(model),
+            self.config.resolve_precision(precision),
+        )
+        route = self._lookup(key)
+        if route is not None:
+            return route
+        with self._build_lock:
+            route = self._lookup(key)
+            if route is not None:  # another thread built it meanwhile
+                return route
+            route = self._build(*key)
+            with self._lock:
+                if not self._closed:
+                    if kind == "session":
+                        # Only constructs the shared pool's executor
+                        # (threads spawn on first submit), so it fits
+                        # under the dict lock, where close() cannot
+                        # shut the pool before it.
+                        route.warm_up()
+                    self._routes[key] = route
+                    return route
+        # The engine closed mid-build: release what nobody will serve.
+        if kind == "session":
+            route.close()
+        raise ConfigurationError("engine is closed")
+
+    def _build(self, kind: str, model: str, precision: str):
+        """Compile one route; the caller holds the build lock."""
+        source = self._source(model)
+        if kind == "stream":
+            from ..precision import PrecisionPolicy
+            from ..streaming import compile_stream_plan
+
+            return compile_stream_plan(
+                source, PrecisionPolicy.resolve(precision)
             )
-
-    def _adopt(self, name: str, session: InferenceSession) -> None:
-        """Seed the pool with an externally-owned session, validated."""
-        self._check_adoptable(name, session)
-        self._pool.adopt(name, session.precision, session)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_session(
-        cls, session: InferenceSession, name: str = "default"
-    ) -> "Engine":
-        """Wrap one externally-owned bound session as a single-route engine.
-
-        The caller keeps ownership of the session (``engine.close()``
-        will not close it).
-        """
-        return cls(
-            models={name: session},
-            precisions=(session.precision,),
-        )
-
-    def register(self, name: str, source) -> "Engine":
-        """Add a model to the registry after construction.
-
-        ``source`` is anything :class:`EngineConfig` accepts (path,
-        artifact, live model, or bound session).  Returns ``self`` for
-        chaining.
-        """
-        merged = dict(self.config.models)
-        if name in merged:
-            raise ConfigurationError(f"model {name!r} is already registered")
-        merged[name] = source
-        from dataclasses import replace
-
-        # Validate before committing anything: a rejected session must
-        # enter neither the registry nor the pool.
-        if isinstance(source, InferenceSession):
-            self._check_adoptable(name, source)
-        self.config = replace(
-            self.config,
-            models=merged,
-            default_model=self.config.default_model or name,
-        )
-        if isinstance(source, InferenceSession):
-            self._adopt(name, source)
-        return self
-
-    # ------------------------------------------------------------------
-    # Session pool
-    # ------------------------------------------------------------------
-    def _make_executor(self):
-        """A fresh per-route executor attached to the shared pool."""
         if self._workpool is not None:
-            return ThreadedExecutor(
-                pool=self._workpool,
-                min_rows=AUTO_MIN_ROWS if self.config.executor == "auto" else 0,
-                profile=self.config.profile,
+            executor = ThreadedExecutor(
+                pool=self._workpool, profile=self.config.profile
             )
-        return SerialExecutor(profile=self.config.profile)
+        else:
+            executor = SerialExecutor(profile=self.config.profile)
+        if hasattr(source, "records"):  # DeployedModel artifact
+            return InferenceSession.from_deployed(
+                source, precision=precision, executor=executor
+            )
+        return InferenceSession.freeze(
+            source, precision=precision, executor=executor
+        )
 
     def _source(self, name: str):
-        """The registry source for ``name``; artifact paths load once."""
+        """The registry source for ``name``; artifact paths load once.
+
+        The caller holds the build lock.
+        """
         source = self.config.models[name]
         if isinstance(source, (str, Path)):
             artifact = self._artifacts.get(name)
@@ -175,87 +168,53 @@ class Engine:
             return artifact
         return source
 
-    def _freeze(self, name: str, precision: str) -> InferenceSession:
-        """Pool factory: freeze one (model, precision) session."""
-        source = self._source(name)
-        if isinstance(source, InferenceSession):
-            raise ConfigurationError(
-                f"model {name!r} is an adopted {source.precision} session; "
-                f"it cannot be re-frozen at {precision}"
-            )
-        executor = self._make_executor()
-        if hasattr(source, "records"):  # DeployedModel artifact
-            return InferenceSession.from_deployed(
-                source, precision=precision, executor=executor
-            )
-        return InferenceSession.freeze(
-            source, precision=precision, executor=executor
-        )
+    def _snapshot(self, kind: str) -> dict:
+        """``{(model, precision): route}`` of one kind, copied under the
+        dict lock — a concurrent build or ``close()`` cannot tear it."""
+        with self._lock:
+            return {
+                (model, precision): route
+                for (k, model, precision), route in self._routes.items()
+                if k == kind
+            }
 
     def session(
         self, model: str | None = None, precision=None
     ) -> InferenceSession:
-        """The pooled session for a route (frozen + warmed on first use).
+        """The route's frozen session (frozen + warmed on first use).
 
         The engine retains ownership — do not close the returned
         session; close the engine.
         """
-        if self._closed:
-            raise ConfigurationError("engine is closed")
-        return self._pool.get(
-            self.config.resolve_model(model),
-            self.config.resolve_precision(precision),
-        )
+        return self._route("session", model, precision)
 
     def stream_plan(self, model: str | None = None, precision=None):
-        """The pooled :class:`~repro.streaming.StreamPlan` for a route.
+        """The route's :class:`~repro.streaming.StreamPlan`.
 
-        Compiled lazily from the same registry source the batch session
-        pool uses, one plan per (model, precision) pair, shared by every
-        stream on the route (the plan is immutable; all per-stream state
-        lives in the :class:`~repro.streaming.StreamState` objects it
-        opens).  Raises :class:`~repro.exceptions.DeploymentError` when
-        the model's layers are not streamable and
-        :class:`~repro.exceptions.ConfigurationError` for adopted bare
-        sessions (a frozen batch plan cannot be re-derived into an
-        incremental one).
+        Compiled lazily from the same registry source the batch
+        sessions use, one plan per (model, precision) pair, shared by
+        every stream on the route (the plan is immutable; all
+        per-stream state lives in the
+        :class:`~repro.streaming.StreamState` objects it opens).  Raises
+        :class:`~repro.exceptions.DeploymentError` when the model's
+        layers are not streamable.
         """
-        if self._closed:
-            raise ConfigurationError("engine is closed")
-        model = self.config.resolve_model(model)
-        precision = self.config.resolve_precision(precision)
-        key = (model, precision)
-        with self._stream_lock:
-            plan = self._stream_plans.get(key)
-            if plan is None:
-                from ..precision import PrecisionPolicy
-                from ..streaming import compile_stream_plan
-
-                source = self._source(model)
-                if isinstance(source, InferenceSession):
-                    raise ConfigurationError(
-                        f"model {model!r} is an adopted frozen session; "
-                        "streaming needs the model or its artifact records"
-                    )
-                plan = compile_stream_plan(
-                    source, PrecisionPolicy.resolve(precision)
-                )
-                self._stream_plans[key] = plan
-        return plan
+        return self._route("stream", model, precision)
 
     def load_sources(self) -> "Engine":
         """Resolve every registered source now; fail fast on bad paths.
 
-        Artifact paths are loaded from disk (and cached, so the pooled
-        sessions share the arrays); in-memory sources are no-ops.
-        Session *freezing* stays lazy — this only front-loads the I/O
-        and its errors.  The serving front-end calls this before
-        announcing readiness, so a typo'd artifact path kills the
-        server at startup instead of leaving a healthy-looking port
-        that answers every request with an error frame.
+        Artifact paths are loaded from disk (and cached, so the routes
+        share the arrays); in-memory sources are no-ops.  Session
+        *freezing* stays lazy — this only front-loads the I/O and its
+        errors.  The serving front-end calls this before announcing
+        readiness, so a typo'd artifact path kills the server at
+        startup instead of leaving a healthy-looking port that answers
+        every request with an error frame.
         """
-        for name in self.config.models:
-            self._source(name)
+        with self._build_lock:
+            for name in self.config.models:
+                self._source(name)
         return self
 
     def warm_up(self, model: str | None = None, precision=None) -> "Engine":
@@ -264,71 +223,19 @@ class Engine:
         With no arguments warms the full grid (every registered model ×
         every pooled precision).
         """
-        models = (
-            [self.config.resolve_model(model)]
-            if model is not None
-            else list(self.config.models)
-        )
+        models = [model] if model is not None else list(self.config.models)
         precisions = (
-            [self.config.resolve_precision(precision)]
+            [precision]
             if precision is not None
             else list(self.config.precisions)
         )
         for name in models:
-            source = self.config.models.get(name)
             for prec in precisions:
-                if isinstance(source, InferenceSession):
-                    # Adopted sessions exist at exactly one precision.
-                    if prec == source.precision:
-                        source.warm_up()
-                    continue
-                self._pool.get(name, prec)
+                self.session(name, prec)
         return self
 
     # ------------------------------------------------------------------
-    # Typed request API
-    # ------------------------------------------------------------------
-    def submit(self, request: InferenceRequest) -> InferenceResult:
-        """Run one typed request synchronously through its pooled session.
-
-        Routing fields are resolved against the config (unknown models /
-        precisions / priorities raise
-        :class:`~repro.exceptions.ConfigurationError`).  ``deadline_ms``
-        is advisory on this direct path — the call runs immediately;
-        ``result.extra["deadline_exceeded"]`` reports whether it made
-        it.  Under the serving front-end the same field is enforced by
-        the micro-batcher (expired requests error instead of running).
-        """
-        model = self.config.resolve_model(request.model)
-        precision = self.config.resolve_precision(request.precision)
-        priority = self.config.resolve_priority(request.priority)
-        session = self.session(model, precision)
-        start = time.perf_counter()
-        if request.proba:
-            output = session.predict_proba(
-                request.rows, batch_size=request.batch_size
-            )
-        else:
-            output = session.predict(
-                request.rows, batch_size=request.batch_size
-            )
-        latency_ms = (time.perf_counter() - start) * 1e3
-        extra = {}
-        if request.deadline_ms is not None:
-            extra["deadline_exceeded"] = latency_ms > request.deadline_ms
-        return InferenceResult(
-            output=output,
-            model=model,
-            precision=precision,
-            priority=priority,
-            rows=int(request.rows.shape[0]),
-            latency_ms=latency_ms,
-            proba=request.proba,
-            extra=extra,
-        )
-
-    # ------------------------------------------------------------------
-    # Convenience calls (thin wrappers over submit's routing)
+    # Convenience calls
     # ------------------------------------------------------------------
     def predict_proba(
         self,
@@ -337,7 +244,7 @@ class Engine:
         precision=None,
         batch_size: int | None = None,
     ) -> np.ndarray:
-        """Class probabilities via the pooled session for the route."""
+        """Class probabilities via the route's session."""
         return self.session(model, precision).predict_proba(
             rows, batch_size=batch_size
         )
@@ -349,7 +256,7 @@ class Engine:
         precision=None,
         batch_size: int | None = None,
     ) -> np.ndarray:
-        """Predicted labels via the pooled session for the route."""
+        """Predicted labels via the route's session."""
         return self.session(model, precision).predict(
             rows, batch_size=batch_size
         )
@@ -361,15 +268,13 @@ class Engine:
         self,
         host: str = "127.0.0.1",
         port: int | None = None,
-        max_batch: int | None = None,
-        max_wait_ms: float | None = None,
         on_ready=None,
     ) -> None:
         """Serve this engine as a micro-batching TCP service (blocking).
 
         Every registered model × pooled precision is reachable
         per-request (header ``model`` / ``precision`` fields); batching
-        limits default to the config's.  The first stdout line is the
+        limits are the config's.  The first stdout line is the
         machine-readable ``serving on host:port`` banner;
         ``on_ready(server)`` fires right after it.  Runs until
         interrupted; the engine stays open afterwards (close it
@@ -384,22 +289,22 @@ class Engine:
         from ..serving import DEFAULT_PORT, InferenceServer
 
         InferenceServer(
-            self,
-            host=host,
-            port=DEFAULT_PORT if port is None else port,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
+            self, host=host, port=DEFAULT_PORT if port is None else port
         ).run(on_ready)
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close every pooled session and the shared pool; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.close()
+        """Close every session and the shared pool; idempotent."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            routes, self._routes = self._routes, {}
+        for (kind, _, _), route in routes.items():
+            if kind == "session":
+                route.close()
         if self._workpool is not None:
             self._workpool.close()
 
@@ -414,30 +319,24 @@ class Engine:
         self.close()
 
     def describe(self) -> dict:
-        """Config plus live pool state (JSON-able; the server's ``info``)."""
+        """Config plus the frozen sessions (JSON-able; feeds ``info``)."""
         return {
             "config": self.config.describe(),
             "pooled": [
                 {"model": m, "precision": p}
-                for m, p in sorted(self._pool.snapshot())
+                for m, p in sorted(self._snapshot("session"))
             ],
             "closed": self._closed,
         }
-
-    def health(self) -> dict:
-        """The shared thread pool's summary (JSON-able): ``pool`` is its
-        kind, size and started flag, or ``None`` on a serial engine.
-        The serving ``info`` op embeds this."""
-        pool = self._workpool
-        return {"pool": pool.describe() if pool is not None else None}
 
     def executor_info(self) -> dict:
         """What's actually executing: kind, parallelism, shared pool.
 
         ``requested`` is the config's executor field (``"auto"`` stays
-        ``"auto"``); ``kind`` is what it resolved to on this host.  The
-        serving banner and the ``info`` op surface this — before it,
-        you couldn't tell what was serving.
+        ``"auto"``); ``kind`` is what it resolved to on this host;
+        ``shared_pool`` is the pool's kind, size and started flag, or
+        ``None`` on a serial engine.  The serving banner and the
+        ``info`` op surface this.
         """
         pool = self._workpool
         return {
@@ -449,16 +348,16 @@ class Engine:
         }
 
     def describe_routes(self) -> dict:
-        """Per pooled route: plan ops, executor, arena, and the bytes of
-        weights expanded at freeze (JSON-able).
+        """Per frozen session: plan ops, executor, arena, and the bytes
+        of weights expanded at freeze (JSON-able).
 
-        Snapshots the pool under its lock, so racing a concurrent
-        ``close()`` yields a consistent (possibly empty) view instead
-        of an error — the serving ``info`` op relies on this.
+        Reads a snapshot of the route table, so racing a build or a
+        ``close()`` yields a consistent (possibly empty) view instead of
+        an error or a wait — the serving ``info`` op relies on this.
         """
         routes: dict = {}
         for (model, precision), session in sorted(
-            self._pool.snapshot().items()
+            self._snapshot("session").items()
         ):
             route = {
                 "ops": session.describe(),
@@ -466,7 +365,7 @@ class Engine:
                 "arena": session.executor.arena_info(),
                 "expanded_weight_nbytes": session.expanded_weight_nbytes,
             }
-            if getattr(session.executor, "profile", False):
+            if session.executor.profile:
                 route["op_stats"] = session.executor.op_stats()
             routes[f"{model}/{precision}"] = route
         return routes
@@ -475,5 +374,5 @@ class Engine:
         return (
             f"Engine(models={sorted(self.config.models)}, "
             f"precisions={self.config.precisions}, "
-            f"pooled={len(self._pool)}, closed={self._closed})"
+            f"pooled={len(self._snapshot('session'))}, closed={self._closed})"
         )

@@ -61,11 +61,6 @@ __all__ = [
     "effective_cpu_count",
 ]
 
-#: Row threshold the engine's ``executor="auto"`` policy hands to
-#: :class:`ThreadedExecutor`: calls with fewer total rows than this run
-#: serial (thread-dispatch overhead beats the win on tiny inputs).
-AUTO_MIN_ROWS = 2
-
 
 def effective_cpu_count() -> int:
     """Cores this process may actually run on.
@@ -320,10 +315,6 @@ class ThreadedExecutor(PlanExecutor):
         shared pool's size when ``pool`` is given).
     pool:
         A shared :class:`ThreadWorkerPool`; omit for a private pool.
-    min_rows:
-        Calls with fewer total rows run serial (thread-dispatch
-        overhead is not free); ``0`` (default) disables the gate.  The
-        engine's ``executor="auto"`` policy sets a small threshold.
     profile:
         Arm per-op-kind timing (see :meth:`PlanExecutor.op_stats`).
 
@@ -338,12 +329,9 @@ class ThreadedExecutor(PlanExecutor):
         self,
         threads: int | None = None,
         pool: ThreadWorkerPool | None = None,
-        min_rows: int = 0,
         profile: bool = False,
     ):
         super().__init__(profile=profile)
-        if min_rows < 0:
-            raise ValueError(f"min_rows must be >= 0, got {min_rows}")
         if pool is None:
             pool = ThreadWorkerPool(threads=threads)
             self._owns_pool = True
@@ -355,7 +343,6 @@ class ThreadedExecutor(PlanExecutor):
                 )
             self._owns_pool = False
         self.pool = pool
-        self.min_rows = min_rows
 
     @property
     def threads(self) -> int:
@@ -380,11 +367,9 @@ class ThreadedExecutor(PlanExecutor):
         Each thread runs the whole plan on whole chunks — the exact
         chunks the serial streaming path would process — so the
         concatenated result is bitwise identical to serial execution.
-        A single chunk, or fewer than ``min_rows`` rows in total, stays
-        on the calling thread.
+        A single chunk stays on the calling thread.
         """
-        total_rows = sum(chunk.shape[0] for chunk in chunks)
-        if len(chunks) < 2 or total_rows < self.min_rows:
+        if len(chunks) < 2:
             return [self._run_ops(chunk) for chunk in chunks]
         futures = [self.pool.submit(self._run_ops, chunk) for chunk in chunks]
         return [future.result() for future in futures]

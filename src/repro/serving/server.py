@@ -71,26 +71,17 @@ class InferenceServer(FrameServer):
     host, port:
         Listen address; ``port=0`` binds an ephemeral port, readable
         from :attr:`port` after :meth:`start`.
-    max_batch, max_wait_ms:
-        Micro-batching knobs (``None`` = the engine config's values);
-        see :class:`~repro.serving.batcher.MicroBatcher`.
-    chunk_size:
-        Streaming chunk size passed to ``predict_proba``; the default
-        ``None`` picks ``ceil(rows / workers)`` for a threaded executor
-        (so the chunks fan across its pool) and one-shot otherwise.
-    max_payload:
-        Per-frame payload bound (``None`` = the engine config's value).
+
+    The micro-batching limits (``max_batch``, ``max_wait_ms``; see
+    :class:`~repro.serving.batcher.MicroBatcher`), the per-frame
+    payload bound and every admission limit are the engine config's.
+    A fused batch runs one-shot on a serial executor and in
+    ``ceil(rows / workers)``-row chunks on a threaded one, so the
+    chunks fan across its pool.
     """
 
     def __init__(
-        self,
-        engine,
-        host: str = "127.0.0.1",
-        port: int = DEFAULT_PORT,
-        max_batch: int | None = None,
-        max_wait_ms: float | None = None,
-        chunk_size: int | None = None,
-        max_payload: int | None = None,
+        self, engine, host: str = "127.0.0.1", port: int = DEFAULT_PORT
     ):
         from ..engine import Engine
 
@@ -102,16 +93,7 @@ class InferenceServer(FrameServer):
             )
         self.engine = engine
         config = engine.config
-        super().__init__(
-            host,
-            port,
-            config.max_payload if max_payload is None else max_payload,
-        )
-        self.max_batch = config.max_batch if max_batch is None else max_batch
-        self.max_wait_ms = (
-            config.max_wait_ms if max_wait_ms is None else max_wait_ms
-        )
-        self.chunk_size = chunk_size
+        super().__init__(host, port, config.max_payload)
         self._batchers: dict[tuple[str, str], MicroBatcher] = {}
         self._route_sessions: dict[tuple[str, str], object] = {}
         self._infer_thread: ThreadPoolExecutor | None = None
@@ -149,8 +131,6 @@ class InferenceServer(FrameServer):
     # Inference (runs on the single inference thread)
     # ------------------------------------------------------------------
     def _auto_chunk(self, session, rows: int) -> int | None:
-        if self.chunk_size is not None:
-            return self.chunk_size
         executor = session.executor
         if isinstance(executor, ThreadedExecutor) and executor.workers > 1:
             if rows >= 2 * executor.workers:
@@ -183,10 +163,11 @@ class InferenceServer(FrameServer):
                 plan = self.engine.stream_plan(model, precision)
                 return plan.push_many(states, chunks, proba=True)
 
+            config = self.engine.config
             batcher = MicroBatcher(
                 run_batch,
-                max_batch=self.max_batch,
-                max_wait_ms=self.max_wait_ms,
+                max_batch=config.max_batch,
+                max_wait_ms=config.max_wait_ms,
                 executor=self._infer_thread,
                 limits=self._limits,
                 stream_runner=run_streams,
@@ -353,6 +334,7 @@ class InferenceServer(FrameServer):
             self.begin_drain()
             return {"status": "ok", "op": "drain", "draining": True}, b""
         if op == "info":
+            executor = self.engine.executor_info()
             info = {
                 "status": "ok",
                 "op": "info",
@@ -360,18 +342,18 @@ class InferenceServer(FrameServer):
                 "models": sorted(self.engine.config.models),
                 "precisions": list(self.engine.config.precisions),
                 "precision": self.engine.config.precision,
-                "max_batch": self.max_batch,
-                "max_wait_ms": self.max_wait_ms,
+                "max_batch": self.engine.config.max_batch,
+                "max_wait_ms": self.engine.config.max_wait_ms,
                 "stats": dict(self.stats),
                 "batchers": {
                     f"{model}/{precision}": dict(batcher.stats)
                     for (model, precision), batcher in self._batchers.items()
                 },
                 "routes": self.engine.describe_routes(),
-                "executor": self.engine.executor_info(),
+                "executor": executor,
                 "health": {
                     "draining": self._draining,
-                    "pool": self.engine.health()["pool"],
+                    "pool": executor["shared_pool"],
                     "inflight_requests": self._inflight,
                     "queues": {
                         f"{model}/{precision}": batcher.queue_depth()
@@ -619,6 +601,5 @@ class InferenceServer(FrameServer):
     def __repr__(self) -> str:
         return (
             f"InferenceServer({self.host}:{self.port}, "
-            f"engine={self.engine!r}, max_batch={self.max_batch}, "
-            f"max_wait_ms={self.max_wait_ms})"
+            f"engine={self.engine!r})"
         )

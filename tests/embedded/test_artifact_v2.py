@@ -234,8 +234,8 @@ class TestQuantizedParityBound:
         x = rng.normal(size=(12, 16))
 
         async def scenario():
-            engine = Engine(model=str(path))
-            server = InferenceServer(engine, port=0, max_batch=8)
+            engine = Engine(model=str(path), max_batch=8)
+            server = InferenceServer(engine, port=0)
             try:
                 async with server:
                     client = await AsyncServeClient.connect(port=server.port)

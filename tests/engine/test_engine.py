@@ -1,17 +1,23 @@
-"""Engine facade: pool lifecycle, routing, typed requests, registry."""
+"""Engine facade: route table, lifecycle, routing, registry."""
 
 import asyncio
+import importlib
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import repro
+import repro.engine
+import repro.runtime.executors as executors_mod
 from repro.embedded import DeployedModel
-from repro.engine import Engine, EngineConfig, InferenceRequest
+from repro.engine import Engine
 from repro.exceptions import ConfigurationError
 from repro.nn import BlockCirculantLinear, Linear, ReLU, Sequential
-from repro.runtime import InferenceSession
+from repro.runtime import InferenceSession, ThreadedExecutor
 from repro.serving import AsyncServeClient, InferenceServer
-from repro.zoo import build_arch1
+from repro.zoo import build_arch1, build_fftnet
 
 
 def small_model(seed=0):
@@ -23,7 +29,7 @@ def small_model(seed=0):
     ).eval()
 
 
-class TestSessionPool:
+class TestRouteTable:
     def test_sessions_freeze_lazily_and_pool_reuses(self, rng):
         engine = Engine(model=small_model(), precisions=("fp64", "fp32"))
         assert engine.describe()["pooled"] == []  # nothing frozen yet
@@ -76,6 +82,16 @@ class TestSessionPool:
         assert len(engine.describe()["pooled"]) == 4
         engine.close()
 
+    def test_batch_size_streams_identically(self, rng):
+        engine = Engine(model=small_model())
+        x = rng.normal(size=(10, 96))
+        one_shot = engine.predict_proba(x)
+        streamed = engine.predict_proba(x, batch_size=3)
+        # Different GEMM batch shapes may round differently in the last
+        # ulp; bitwise identity is only promised for identical chunking.
+        assert np.allclose(one_shot, streamed, atol=1e-12)
+        engine.close()
+
 
 class TestLifecycle:
     def test_double_close_is_idempotent(self):
@@ -106,13 +122,13 @@ class TestLifecycle:
         # A server draining while requests are still queued: the engine
         # context exits only after the server drained its batchers, and
         # every in-flight request still got a real answer.
-        engine = Engine(model=small_model())
+        engine = Engine(model=small_model(), max_wait_ms=50.0)
         serial = InferenceSession.freeze(small_model())
         x = rng.normal(size=(3, 96))
 
         async def scenario():
             with engine:
-                server = InferenceServer(engine, port=0, max_wait_ms=50.0)
+                server = InferenceServer(engine, port=0)
                 await server.start()
                 client = await AsyncServeClient.connect(port=server.port)
                 # Submit and stop the server while the request is still
@@ -129,40 +145,8 @@ class TestLifecycle:
         assert np.array_equal(result, serial.predict_proba(x))
         assert engine.closed
 
-    def test_adopted_session_stays_open_after_engine_close(self):
-        session = InferenceSession.freeze(small_model())
-        engine = Engine.from_session(session)
-        assert engine.session() is session
-        engine.close()
-        # The engine never owned it: still usable.
-        out = session.forward(np.zeros((1, 96)))
-        assert out.shape == (1, 10)
-        session.close()
-
 
 class TestRegistry:
-    def test_register_after_construction(self, rng):
-        engine = Engine(models={"a": small_model(0)})
-        engine.register("b", small_model(1))
-        xa = rng.normal(size=(2, 96))
-        assert engine.predict_proba(xa, model="b").shape == (2, 10)
-        with pytest.raises(ConfigurationError, match="already registered"):
-            engine.register("b", small_model(2))
-        engine.close()
-
-    def test_register_rejects_session_outside_precision_pool(self):
-        # An adopted session at an unpooled precision would be
-        # unreachable at every route; register must refuse it whole
-        # (no registry entry, no pool entry) just like __init__ does.
-        engine = Engine(models={"a": small_model(0)})  # fp64-only pool
-        fp32_session = InferenceSession.freeze(small_model(1),
-                                               precision="fp32")
-        with pytest.raises(ConfigurationError, match="pooled precisions"):
-            engine.register("m2", fp32_session)
-        assert "m2" not in engine.config.models
-        engine.close()
-        fp32_session.close()
-
     def test_unknown_model_rejected(self, rng):
         engine = Engine(model=small_model())
         with pytest.raises(ConfigurationError, match="unknown model"):
@@ -190,50 +174,185 @@ class TestRegistry:
         engine.close()
 
 
-class TestTypedRequests:
-    def test_submit_resolves_routing_and_echoes_it(self, rng):
-        engine = Engine(model=small_model(), precisions=("fp64", "fp32"))
-        x = rng.normal(size=(4, 96))
-        result = engine.submit(
-            InferenceRequest(rows=x, precision="fp32",
-                             priority="interactive")
-        )
-        assert result.model == "default"
-        assert result.precision == "fp32"
-        assert result.priority == 2
-        assert result.rows == 4
-        assert result.proba and result.output.shape == (4, 10)
-        assert result.latency_ms >= 0
-        labels = engine.submit(InferenceRequest(rows=x, proba=False))
-        assert labels.output.shape == (4,)
-        assert np.array_equal(labels.output, labels.argmax())
+
+
+@pytest.fixture
+def fftnet_path(tmp_path):
+    """A streamable model saved as an artifact, so routes load from disk."""
+    model = build_fftnet(
+        channels=8, depth=3, classes=5, rng=np.random.default_rng(0)
+    )
+    path = tmp_path / "fftnet.npz"
+    DeployedModel.from_model(model).save(path)
+    return str(path)
+
+
+def returns_within(fn, timeout=5.0):
+    """``fn()`` from another thread; fail instead of hanging if it blocks."""
+    out = {}
+    worker = threading.Thread(target=lambda: out.update(value=fn()))
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"{fn.__name__} blocked behind a build"
+    return out["value"]
+
+
+class TestRouteTableConcurrency:
+    """One dict lock held for microseconds, one lock for every build."""
+
+    @pytest.fixture
+    def gated_load(self, monkeypatch):
+        """Hold every ``DeployedModel.load`` until ``release`` is set;
+        ``entered`` fires once a build is inside the load."""
+        original = DeployedModel.load.__func__
+        gate = {
+            "entered": threading.Event(),
+            "release": threading.Event(),
+            "loads": 0,
+        }
+
+        def load(cls, path):
+            gate["loads"] += 1
+            gate["entered"].set()
+            assert gate["release"].wait(10)
+            return original(cls, path)
+
+        monkeypatch.setattr(DeployedModel, "load", classmethod(load))
+        yield gate
+        gate["release"].set()
+
+    def test_concurrent_session_and_stream_plan_load_artifact_once(
+        self, fftnet_path, monkeypatch
+    ):
+        original = DeployedModel.load.__func__
+        loads = []
+
+        def slow_load(cls, path):
+            loads.append(path)
+            time.sleep(0.05)  # widen the race window
+            return original(cls, path)
+
+        monkeypatch.setattr(DeployedModel, "load", classmethod(slow_load))
+        engine = Engine(model=fftnet_path)
+        start = threading.Barrier(2)
+        built = {}
+
+        def build(kind, fn):
+            start.wait()
+            built[kind] = fn()
+
+        threads = [
+            threading.Thread(target=build, args=("session", engine.session)),
+            threading.Thread(
+                target=build, args=("stream", engine.stream_plan)
+            ),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert loads == [fftnet_path]
+        assert built["session"] is engine.session()
+        assert built["stream"] is engine.stream_plan()
         engine.close()
 
-    def test_single_row_promotes_and_deadline_is_advisory(self, rng):
-        engine = Engine(model=small_model())
-        result = engine.submit(
-            InferenceRequest(rows=rng.normal(size=96), deadline_ms=10_000)
-        )
-        assert result.rows == 1
-        assert result.extra["deadline_exceeded"] is False
+    def test_introspection_returns_while_a_build_is_in_flight(
+        self, fftnet_path, gated_load
+    ):
+        engine = Engine(model=fftnet_path)
+        build_thread = threading.Thread(target=engine.session)
+        build_thread.start()
+        assert gated_load["entered"].wait(5)
+        try:
+            assert returns_within(engine.describe_routes) == {}
+            assert returns_within(engine.describe)["pooled"] == []
+        finally:
+            gated_load["release"].set()
+            build_thread.join(10)
+        assert list(engine.describe_routes()) == ["default/fp64"]
         engine.close()
 
-    def test_request_validation(self, rng):
-        with pytest.raises(ConfigurationError, match="at least one row"):
-            InferenceRequest(rows=np.empty((0, 4)))
-        with pytest.raises(ConfigurationError, match="deadline_ms"):
-            InferenceRequest(rows=np.zeros((1, 4)), deadline_ms=-1)
-        with pytest.raises(ConfigurationError, match="batch_size"):
-            InferenceRequest(rows=np.zeros((1, 4)), batch_size=0)
+    def test_close_during_build_closes_the_session_and_refuses(
+        self, fftnet_path, gated_load, monkeypatch
+    ):
+        closed = []
+        original_close = InferenceSession.close
 
-    def test_batch_size_streams_identically(self, rng):
-        engine = Engine(model=small_model())
-        x = rng.normal(size=(10, 96))
-        one_shot = engine.submit(InferenceRequest(rows=x)).output
-        streamed = engine.submit(
-            InferenceRequest(rows=x, batch_size=3)
-        ).output
-        # Different GEMM batch shapes may round differently in the last
-        # ulp; bitwise identity is only promised for identical chunking.
-        assert np.allclose(one_shot, streamed, atol=1e-12)
-        engine.close()
+        def spy_close(session):
+            closed.append(session)
+            original_close(session)
+
+        monkeypatch.setattr(InferenceSession, "close", spy_close)
+        engine = Engine(model=fftnet_path)
+        outcome = {}
+
+        def build():
+            try:
+                outcome["session"] = engine.session()
+            except ConfigurationError as exc:
+                outcome["error"] = exc
+
+        build_thread = threading.Thread(target=build)
+        build_thread.start()
+        assert gated_load["entered"].wait(5)
+        try:
+            returns_within(engine.close)  # never waits out the build
+        finally:
+            gated_load["release"].set()
+            build_thread.join(10)
+        assert "session" not in outcome
+        assert "closed" in str(outcome["error"])
+        # The session built for nobody was closed on the way out.
+        assert len(closed) == 1
+        assert engine.describe()["pooled"] == []
+
+
+class TestRemovedEngineSurface:
+    """The single-route shims, the typed request API and the per-call
+    serving overrides are gone; every old spelling is refused."""
+
+    @pytest.mark.parametrize(
+        "name", ["submit", "from_session", "register", "health"]
+    )
+    def test_engine_methods_removed(self, name):
+        assert not hasattr(Engine, name)
+
+    @pytest.mark.parametrize("name", ["InferenceRequest", "InferenceResult"])
+    def test_typed_request_dataclasses_removed(self, name):
+        for namespace in (repro, repro.engine):
+            with pytest.raises(AttributeError):
+                getattr(namespace, name)
+            assert name not in namespace.__all__
+
+    @pytest.mark.parametrize("module", ["pool", "types"])
+    def test_pool_and_types_modules_removed(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.engine.{module}")
+
+    def test_bound_session_is_not_a_registry_source(self):
+        session = InferenceSession.freeze(small_model())
+        with pytest.raises(ConfigurationError, match="InferenceSession"):
+            Engine(model=session)
+        session.close()
+
+    @pytest.mark.parametrize(
+        "kwarg", ["max_batch", "max_wait_ms", "chunk_size", "max_payload"]
+    )
+    def test_server_override_kwargs_removed(self, kwarg):
+        with Engine(model=small_model()) as engine:
+            with pytest.raises(TypeError, match=kwarg):
+                InferenceServer(engine, port=0, **{kwarg: 8})
+
+    @pytest.mark.parametrize("kwarg", ["max_batch", "max_wait_ms"])
+    def test_serve_override_kwargs_removed(self, kwarg):
+        with Engine(model=small_model()) as engine:
+            with pytest.raises(TypeError, match=kwarg):
+                engine.serve(port=0, **{kwarg: 8})
+
+    def test_threaded_min_rows_removed(self):
+        with pytest.raises(TypeError, match="min_rows"):
+            ThreadedExecutor(threads=2, min_rows=2)
+        executor = ThreadedExecutor(threads=2)
+        assert not hasattr(executor, "min_rows")
+        executor.close()
+        assert not hasattr(executors_mod, "AUTO_MIN_ROWS")

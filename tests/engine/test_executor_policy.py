@@ -153,14 +153,13 @@ class TestEngineSharedPool:
             model=small_model(), executor="threaded", threads=2
         ) as engine:
             engine.session()
-            health = engine.health()
-            assert health["pool"]["kind"] == "thread"
-            assert health["pool"]["workers"] == 2
+            pool = engine.executor_info()["shared_pool"]
+            assert pool["kind"] == "thread"
+            assert pool["workers"] == 2
 
     def test_serial_engine_has_no_pool(self):
         with Engine(model=small_model(), executor="serial") as engine:
             assert engine._workpool is None
-            assert engine.health()["pool"] is None
             info = engine.executor_info()
             assert info["kind"] == "serial"
             assert info["workers"] == 1

@@ -153,14 +153,16 @@ def make_sticky(router, address, model=None, precision=None):
 
 
 class TestRouterE2E:
-    def test_parity_two_real_backends_bitwise(self, rng):
+    def test_parity_two_real_backends_bitwise(self, rng, served_reference):
         model = small_model()
-        expected_session = InferenceSession.freeze(model)
+        engine = Engine(model=model)
         x = rng.normal(size=(12, 96))
-        expected = expected_session.predict_proba(x)
+        # What each backend must answer: the serial plan at the chunk
+        # boundaries its executor splits a 12-row batch into.
+        expected = served_reference(engine, InferenceSession.freeze(model), x)
 
         async def main():
-            async with InferenceServer(Engine(model=model), port=0) as s1, \
+            async with InferenceServer(engine, port=0) as s1, \
                     InferenceServer(Engine(model=model), port=0) as s2:
                 router = await start_router(
                     [f"127.0.0.1:{s1.port}", f"127.0.0.1:{s2.port}"]

@@ -116,21 +116,6 @@ class TestThreadedParityProperty:
             )
 
 
-class TestThreadedRows:
-    def test_min_rows_gate_runs_serial_and_stays_correct(self, model, rng):
-        x = rng.normal(size=(6, 96))
-        serial = InferenceSession.freeze(model)
-        with InferenceSession.freeze(
-            model, executor=ThreadedExecutor(threads=3, min_rows=64)
-        ) as gated:
-            # Below the gate nothing fans out, but results still match.
-            assert np.array_equal(
-                gated.predict_proba(x, batch_size=2),
-                serial.predict_proba(x, batch_size=2),
-            )
-            assert not gated.executor.pool.started
-
-
 class TestThreadedBatches:
     @pytest.mark.parametrize("precision", ["fp64", "fp32"])
     @pytest.mark.parametrize("batch_size", [4, 7, None])
@@ -196,8 +181,6 @@ class TestThreadedLifecycle:
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError, match="threads must be >= 1"):
             ThreadedExecutor(threads=0)
-        with pytest.raises(ValueError, match="min_rows"):
-            ThreadedExecutor(min_rows=-1)
 
     def test_rebinding_rejected(self, model):
         # A second session must never silently repoint the first

@@ -41,9 +41,9 @@ def small_model():
     ).eval()
 
 
-def serve(engine, scenario, **server_kwargs):
+def serve(engine, scenario):
     async def main():
-        server = InferenceServer(engine, port=0, **server_kwargs)
+        server = InferenceServer(engine, port=0)
         async with server:
             return await scenario(server)
 
@@ -319,7 +319,12 @@ class TestServerFaults:
     def test_queue_exhaustion_sheds_not_hangs(self, rng, served_reference):
         # A route bounded at 8 rows with a huge flush window: the first
         # request occupies the queue, the second is shed immediately.
-        engine = Engine(model=small_model(), max_queue_rows=8)
+        engine = Engine(
+            model=small_model(),
+            max_queue_rows=8,
+            max_batch=64,
+            max_wait_ms=10_000.0,
+        )
         x8 = rng.normal(size=(8, 96))
         x1 = rng.normal(size=(1, 96))
 
@@ -339,7 +344,7 @@ class TestServerFaults:
                 await b.close()
             return out
 
-        out = serve(engine, scenario, max_batch=64, max_wait_ms=10_000.0)
+        out = serve(engine, scenario)
         ref = served_reference(
             engine, InferenceSession.freeze(small_model()), x8
         )
@@ -463,7 +468,9 @@ class TestServerFaults:
         self, rng, served_reference
 
     ):
-        engine = Engine(model=small_model())
+        engine = Engine(
+            model=small_model(), max_batch=64, max_wait_ms=10_000.0
+        )
         x = rng.normal(size=(6, 96))
 
         async def scenario(server):
@@ -491,7 +498,7 @@ class TestServerFaults:
                 await b.close()
             return out
 
-        out = serve(engine, scenario, max_batch=64, max_wait_ms=10_000.0)
+        out = serve(engine, scenario)
         ref = served_reference(
             engine, InferenceSession.freeze(small_model()), x
         )
@@ -565,7 +572,7 @@ class TestClientResilience:
         assert np.array_equal(result["out"], ref)
 
     def test_deadline_expired_is_never_retried(self, rng):
-        engine = Engine(model=small_model())
+        engine = Engine(model=small_model(), max_wait_ms=30.0)
         x = rng.normal(size=(2, 96))
 
         async def scenario(server):
@@ -578,7 +585,7 @@ class TestClientResilience:
             # Exactly one request reached the server: no retry happened.
             assert info["stats"]["expired"] == 1
 
-        serve(engine, scenario, max_wait_ms=30.0)
+        serve(engine, scenario)
 
     def test_retry_policy_honors_server_hint(self):
         from repro.serving.client import _RetryPolicy

@@ -42,11 +42,11 @@ def small_engine(**config):
     return Engine(model=small_model(), **config)
 
 
-def serve(engine, scenario, **server_kwargs):
+def serve(engine, scenario):
     """Run an async scenario against an in-process server."""
 
     async def main():
-        server = InferenceServer(engine, port=0, **server_kwargs)
+        server = InferenceServer(engine, port=0)
         async with server:
             return await scenario(server)
 
@@ -288,7 +288,7 @@ class TestServerE2E:
 
     def test_concurrent_clients_micro_batch_and_match_serial(self, rng):
         model = small_model()
-        engine = Engine(model=model)
+        engine = Engine(model=model, max_batch=12, max_wait_ms=20.0)
         serial = InferenceSession.freeze(model)
 
         async def scenario(server):
@@ -301,9 +301,7 @@ class TestServerE2E:
 
             return await asyncio.gather(*[one_client(s) for s in range(8)])
 
-        results = serve(
-            engine, scenario, max_batch=12, max_wait_ms=20.0
-        )
+        results = serve(engine, scenario)
         for rows, served in results:
             assert np.allclose(served, serial.predict_proba(rows), atol=1e-9)
         engine.close()
@@ -445,7 +443,7 @@ class TestRouting:
         engine.close()
 
     def test_expired_deadline_answers_typed_error_frame(self, rng):
-        engine = small_engine()
+        engine = small_engine(max_wait_ms=1.0)
         x = rng.normal(size=(2, 96))
 
         async def scenario(server):
@@ -461,7 +459,7 @@ class TestRouting:
                 info = await client.info()
             return ok, info
 
-        ok, info = serve(engine, scenario, max_wait_ms=1.0)
+        ok, info = serve(engine, scenario)
         assert ok.shape == (2, 10)
         assert info["stats"]["expired"] == 1
         engine.close()

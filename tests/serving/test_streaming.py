@@ -48,11 +48,9 @@ def stream_engine(**config):
     )
 
 
-def serve(engine, scenario, **server_kwargs):
+def serve(engine, scenario):
     async def main():
-        server = InferenceServer(
-            engine, port=0, max_wait_ms=2.0, **server_kwargs
-        )
+        server = InferenceServer(engine, port=0)
         async with server:
             return await scenario(server)
 

@@ -20,11 +20,11 @@ def small_model():
     ).eval()
 
 
-def serve(engine, scenario, **server_kwargs):
+def serve(engine, scenario):
     """Run an async scenario against an in-process server."""
 
     async def main():
-        server = InferenceServer(engine, port=0, **server_kwargs)
+        server = InferenceServer(engine, port=0)
         async with server:
             return await scenario(server)
 

@@ -59,8 +59,8 @@ def endpoint(request):
     def run(scenario, max_payload=None):
         async def main():
             bound = {} if max_payload is None else {"max_payload": max_payload}
-            with Engine(model=small_model()) as engine:
-                async with InferenceServer(engine, port=0, **bound) as server:
+            with Engine(model=small_model(), **bound) as engine:
+                async with InferenceServer(engine, port=0) as server:
                     if request.param == "server":
                         return await scenario(server.port)
                     config = RouterConfig(

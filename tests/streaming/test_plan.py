@@ -276,12 +276,6 @@ class TestEngineStreamPlan:
         engine = Engine(model=fftnet())
         assert engine.stream_plan() is engine.stream_plan()
 
-    def test_adopted_session_not_streamable(self):
-        session = InferenceSession.freeze(fftnet())
-        engine = Engine.from_session(session)
-        with pytest.raises(ConfigurationError, match="frozen session"):
-            engine.stream_plan()
-
     def test_stream_plan_matches_engine_session(self, rng):
         engine = Engine(model=fftnet())
         full = rng.standard_normal((19, 1))
