@@ -19,9 +19,9 @@ Model sources are deliberately permissive: a registry value may be
   directly, sharing the layers' dtype-keyed spectrum caches across the
   per-precision sessions.
 
-``priority_classes`` names the request priority levels from lowest to
-highest; requests may carry either a class name or its integer index
-(see :meth:`EngineConfig.resolve_priority`).
+Admission is one row bound per route (``max_queue_rows``) plus one
+budget for open streams (``max_streams``, ``max_stream_state_bytes``);
+requests are served in arrival order.
 """
 
 from __future__ import annotations
@@ -113,22 +113,12 @@ class EngineConfig:
         (``routes[...]["op_stats"]``) and ``repro predict --profile``.
     max_batch, max_wait_ms:
         Micro-batching limits for the serving front-end.
-    priority_classes:
-        Request priority levels, lowest first.  Requests carry a class
-        name or integer index; higher classes flush first.
-    default_priority:
-        Class applied to requests that name none.
     max_payload:
         Per-request wire payload bound for the serving front-end.
     max_queue_rows:
         Admission bound: total rows a route may hold in flight (queued
         plus running) before further requests are shed with a typed
         ``overloaded`` error.
-    queue_class_caps:
-        Optional per-priority-class row caps (class name -> rows), each
-        tighter than ``max_queue_rows``; keeps a low-priority flood from
-        occupying the whole queue.  Keys must name ``priority_classes``
-        members.
     max_streams:
         Open-stream cap for the serving front-end: ``stream_open``
         beyond it is shed with a typed ``overloaded`` error.  Unlike a
@@ -141,11 +131,6 @@ class EngineConfig:
         per-stream state size is fixed at compile time, so admission is
         exact — no stream is ever admitted that could later exceed the
         budget.
-    rate_limit_rps:
-        Optional global requests-per-second admission limit for the
-        serving front-end (token bucket; ``None`` = unlimited).
-    rate_burst:
-        Token-bucket burst capacity (``None`` = ``max(1, rate)``).
     """
 
     model: object | None = None
@@ -158,15 +143,10 @@ class EngineConfig:
     profile: bool = False
     max_batch: int = 32
     max_wait_ms: float = 2.0
-    priority_classes: tuple[str, ...] = ("batch", "normal", "interactive")
-    default_priority: str = "normal"
     max_payload: int = 1 << 28
     max_queue_rows: int = 1024
-    queue_class_caps: Mapping[str, int] = field(default_factory=dict)
     max_streams: int = 64
     max_stream_state_bytes: int | None = None
-    rate_limit_rps: float | None = None
-    rate_burst: int | None = None
 
     def __post_init__(self):
         # --- model registry -------------------------------------------
@@ -243,7 +223,7 @@ class EngineConfig:
                 f"threads must be >= 1, got {self.threads}"
             )
 
-        # --- batching + priorities ------------------------------------
+        # --- batching -------------------------------------------------
         if self.max_batch < 1:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {self.max_batch}"
@@ -256,38 +236,12 @@ class EngineConfig:
             raise ConfigurationError(
                 f"max_payload must be >= 1, got {self.max_payload}"
             )
-        classes = tuple(self.priority_classes)
-        if not classes or len(set(classes)) != len(classes):
-            raise ConfigurationError(
-                f"priority_classes must be distinct and non-empty, "
-                f"got {classes}"
-            )
-        object.__setattr__(self, "priority_classes", classes)
-        self.resolve_priority(self.default_priority)
 
         # --- admission policy -----------------------------------------
         if self.max_queue_rows < 1:
             raise ConfigurationError(
                 f"max_queue_rows must be >= 1, got {self.max_queue_rows}"
             )
-        caps = dict(self.queue_class_caps)
-        for name, cap in caps.items():
-            if name not in classes:
-                raise ConfigurationError(
-                    f"queue_class_caps names unknown priority class "
-                    f"{name!r}; expected one of {classes}"
-                )
-            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-                raise ConfigurationError(
-                    f"queue_class_caps[{name!r}] must be a positive "
-                    f"integer, got {cap!r}"
-                )
-            if cap > self.max_queue_rows:
-                raise ConfigurationError(
-                    f"queue_class_caps[{name!r}]={cap} exceeds "
-                    f"max_queue_rows={self.max_queue_rows}"
-                )
-        object.__setattr__(self, "queue_class_caps", caps)
         if self.max_streams < 1:
             raise ConfigurationError(
                 f"max_streams must be >= 1, got {self.max_streams}"
@@ -300,19 +254,6 @@ class EngineConfig:
                 f"max_stream_state_bytes must be >= 1 or None, "
                 f"got {self.max_stream_state_bytes}"
             )
-        if self.rate_limit_rps is not None and self.rate_limit_rps <= 0:
-            raise ConfigurationError(
-                f"rate_limit_rps must be positive, got {self.rate_limit_rps}"
-            )
-        if self.rate_burst is not None:
-            if self.rate_limit_rps is None:
-                raise ConfigurationError(
-                    "rate_burst requires rate_limit_rps to be set"
-                )
-            if self.rate_burst < 1:
-                raise ConfigurationError(
-                    f"rate_burst must be >= 1, got {self.rate_burst}"
-                )
 
     # ------------------------------------------------------------------
     # Resolution helpers (the single place request fields are validated)
@@ -360,33 +301,6 @@ class EngineConfig:
             )
         return name
 
-    def resolve_priority(self, spec) -> int:
-        """Normalize a priority class name or index to an integer level."""
-        if spec is None:
-            spec = self.default_priority
-        if isinstance(spec, str):
-            try:
-                return self.priority_classes.index(spec)
-            except ValueError:
-                raise ConfigurationError(
-                    f"unknown priority class {spec!r}; "
-                    f"expected one of {self.priority_classes} "
-                    f"or an index 0..{len(self.priority_classes) - 1}"
-                ) from None
-        try:
-            level = int(spec)
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"priority must be a class name or integer index, "
-                f"got {spec!r}"
-            ) from None
-        if not 0 <= level < len(self.priority_classes):
-            raise ConfigurationError(
-                f"priority index {level} out of range "
-                f"0..{len(self.priority_classes) - 1}"
-            )
-        return level
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -410,13 +324,8 @@ class EngineConfig:
             "profile": self.profile,
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_ms,
-            "priority_classes": list(self.priority_classes),
-            "default_priority": self.default_priority,
             "max_payload": self.max_payload,
             "max_queue_rows": self.max_queue_rows,
-            "queue_class_caps": dict(self.queue_class_caps),
             "max_streams": self.max_streams,
             "max_stream_state_bytes": self.max_stream_state_bytes,
-            "rate_limit_rps": self.rate_limit_rps,
-            "rate_burst": self.rate_burst,
         }

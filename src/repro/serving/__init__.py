@@ -14,22 +14,20 @@ this package gives it a front door:
   and :class:`~repro.router.RouterServer`,
 * :mod:`repro.serving.batcher` — :class:`MicroBatcher`, aggregating
   concurrent requests into fused batches (flushes at ``max_batch``
-  rows or after ``max_wait_ms``), priority-ordered with deadline
-  expiry (:class:`DeadlineExpired`),
+  rows or after ``max_wait_ms``) in arrival order, with deadline
+  expiry (:class:`DeadlineExpired`) and the route's row bound
+  (``max_queue_rows``): over-bound requests are shed with the typed
+  :class:`~repro.exceptions.Overloaded` error carrying a
+  ``retry_after_ms`` hint,
 * :mod:`repro.serving.server` — :class:`InferenceServer`, the asyncio
   TCP server over a :class:`~repro.engine.Engine`: one batcher per
   (model, precision) route, all fused batches on a dedicated
-  inference thread, responses streamed zero-copy,
-* :mod:`repro.serving.resilience` — admission control policy:
-  :class:`TokenBucket` (global request-rate limit) and
-  :class:`QueueLimits` (per-route and per-priority-class row bounds);
-  over-limit requests are shed with the typed
-  :class:`~repro.exceptions.Overloaded` error carrying a
-  ``retry_after_ms`` hint,
+  inference thread, responses streamed zero-copy, open streams held
+  to ``max_streams`` / ``max_stream_state_bytes``,
 * :mod:`repro.serving.client` — :class:`ServeClient` (blocking) and
   :class:`AsyncServeClient` (asyncio), two I/O flavors of one core that
   holds every retry, idempotency and stream rule; optional per-request
-  ``model`` / ``precision`` / ``priority`` / ``deadline_ms`` fields,
+  ``model`` / ``precision`` / ``deadline_ms`` fields,
   connect/read timeouts, and bounded retry with exponential backoff
   honoring the server's ``retry_after_ms``; the ``stream()`` methods
   return :class:`Stream` / :class:`AsyncStream` handles for stateful
@@ -58,7 +56,6 @@ __getattr__, __dir__, __all__ = attach(
             "AsyncServeClient", "AsyncStream", "ServeClient", "Stream",
         ],
         ".protocol": ["DEFAULT_PORT"],
-        ".resilience": ["QueueLimits", "TokenBucket"],
         ".server": ["InferenceServer"],
     },
 )

@@ -8,19 +8,13 @@ either ``max_batch`` rows are pending or the oldest request has waited
 ``max_wait_ms``, then the whole group runs as one concatenated batch
 and each caller gets back exactly its own rows.
 
-Requests carry two scheduling fields beyond their rows:
-
-* ``priority`` (higher = more urgent): at flush time the pending group
-  is ordered by priority before fusing, so under saturation the
-  highest-priority requests land in the earliest fused batches — a
-  low-priority bulk scan cannot starve an interactive request that
-  arrived in the same window.
-* ``deadline_ms``: a request whose deadline has already passed when its
-  flush runs gets an error immediately instead of occupying fused-batch
-  rows (its caller stopped listening; spending engine time on it only
-  delays live requests).  A pending deadline also pulls the flush timer
-  earlier than ``max_wait_ms`` would fire, giving tight-deadline
-  requests a chance to run in time.
+Requests fuse in arrival order.  A request may carry a
+``deadline_ms``: if that deadline has already passed when its flush
+runs, it gets an error immediately instead of occupying fused-batch
+rows (its caller stopped listening; spending engine time on it only
+delays live requests).  A pending deadline also pulls the flush timer
+earlier than ``max_wait_ms`` would fire, giving tight-deadline
+requests a chance to run in time.
 
 The batcher is single-loop asyncio code: ``submit`` must be awaited on
 the event loop, flushing happens via ``call_later``, and the actual
@@ -30,14 +24,13 @@ deterministic for tests) or on a caller-supplied
 single-thread pool, which keeps the event loop responsive *and*
 serializes access to the inference session.
 
-Admission control: with ``limits``
-(:class:`~repro.serving.resilience.QueueLimits`), ``submit`` counts the
+Admission control: with ``max_queue_rows``, ``submit`` counts the
 route's *in-flight* rows — queued plus running, released only when a
 request's future resolves — and sheds with
 :class:`~repro.exceptions.Overloaded` when admitting a request would
-exceed the route cap or its priority class's cap.  The attached
-``retry_after_ms`` estimates when the backlog will have drained, from
-an exponential moving average of recent fused-batch latencies.
+exceed that bound.  The attached ``retry_after_ms`` estimates when the
+backlog will have drained, from an exponential moving average of
+recent fused-batch latencies.
 
 Row-wise parity: every plan op is row-independent, so the rows a
 request gets back from a fused batch are the same rows a dedicated
@@ -48,6 +41,7 @@ bitwise at fp64) is asserted by the serving tests.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -55,7 +49,6 @@ from typing import Callable
 import numpy as np
 
 from ..exceptions import DeadlineExpired, Overloaded, ServingError
-from .resilience import QueueLimits
 
 __all__ = ["MicroBatcher", "DeadlineExpired"]
 
@@ -69,18 +62,13 @@ class _Pending:
     call) and a :class:`~repro.streaming.StreamState` for a stream push
     (rows are that stream's new samples; the group runs as one
     ``push_many`` fused step).  The two kinds share the queue, the
-    flush window, priority ordering, and admission limits, but never
-    fuse with each other.
+    flush window and the row bound, but never fuse with each other.
     """
 
     rows: np.ndarray
     future: asyncio.Future
-    priority: int = 0
     deadline: float | None = None  # absolute loop time, None = no deadline
-    seq: int = 0  # arrival order; tie-break within a priority level
     state: object | None = None  # StreamState for stream pushes
-
-    sort_key = property(lambda self: (-self.priority, self.seq))
 
 
 class MicroBatcher:
@@ -104,18 +92,18 @@ class MicroBatcher:
         loop (fine for tests and tiny models); otherwise a
         :class:`concurrent.futures.Executor` (the server uses a
         single-thread pool).
-    limits:
-        Optional :class:`~repro.serving.resilience.QueueLimits`;
+    max_queue_rows:
+        Optional bound on the rows in flight (queued plus running);
         ``submit`` sheds with :class:`~repro.exceptions.Overloaded`
-        when admitting the request would exceed them.  ``None`` (the
-        default) admits everything, exactly as before.
+        when admitting the request would exceed it.  ``None`` (the
+        default) admits everything.
     stream_runner:
         ``(states, chunks) -> outputs`` callable for fused stream
         pushes (the route's
         :meth:`~repro.streaming.StreamPlan.push_many`); required before
         the first :meth:`submit_stream`.  Stream pushes wait in the
-        same pending window as predicts and obey the same limits, but
-        flush as their own fused call.
+        same pending window as predicts and count against the same row
+        bound, but flush as their own fused call.
     """
 
     def __init__(
@@ -124,25 +112,27 @@ class MicroBatcher:
         max_batch: int = 32,
         max_wait_ms: float = 2.0,
         executor=None,
-        limits: QueueLimits | None = None,
+        max_queue_rows: int | None = None,
         stream_runner: Callable | None = None,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
+        if max_queue_rows is not None and max_queue_rows < 1:
+            raise ValueError(
+                f"max_queue_rows must be >= 1 or None, got {max_queue_rows}"
+            )
         self._runner = runner
         self._stream_runner = stream_runner
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self._executor = executor
-        self.limits = limits
+        self.max_queue_rows = max_queue_rows
         self._pending: list[_Pending] = []
         self._pending_rows = 0
         self._inflight_rows = 0  # queued + running, until futures resolve
-        self._inflight_by_level: dict[int, int] = {}
         self._batch_ms_ema: float | None = None  # recent fused-batch latency
-        self._seq = 0
         self._timer: asyncio.TimerHandle | None = None
         self._timer_at: float | None = None
         self._tasks: set[asyncio.Task] = set()
@@ -163,34 +153,31 @@ class MicroBatcher:
     async def submit(
         self,
         rows: np.ndarray,
-        priority: int = 0,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         """Queue ``rows`` and return their outputs once their batch ran.
 
-        ``priority`` orders requests within a flush (higher first);
         ``deadline_ms`` is measured from this call — if the deadline has
         passed when the flush runs, the request fails with
         :class:`DeadlineExpired` instead of running.  With
-        :attr:`limits` set, a request that would overflow the route's
-        row budget (or its priority class's) is shed immediately with
+        :attr:`max_queue_rows` set, a request that would overflow the
+        route's row bound is shed immediately with
         :class:`~repro.exceptions.Overloaded` instead of queueing.
         """
-        return await self._enqueue(rows, priority, deadline_ms, state=None)
+        return await self._enqueue(rows, deadline_ms, state=None)
 
     async def submit_stream(
         self,
         state,
         rows: np.ndarray,
-        priority: int = 0,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         """Queue a stream push and return its new output rows.
 
         ``state`` is the stream's
         :class:`~repro.streaming.StreamState`; ``rows`` are its new
-        samples.  Scheduling (flush windows, priority, deadlines) and
-        admission limits are exactly :meth:`submit`'s; at flush time
+        samples.  Scheduling (flush windows, deadlines) and the row
+        bound are exactly :meth:`submit`'s; at flush time
         every pending push in the window runs as *one* fused
         ``stream_runner`` call across all its streams.  A shed or
         deadline-expired push never touches the stream's state — the
@@ -200,32 +187,30 @@ class MicroBatcher:
         """
         if self._stream_runner is None:
             raise ServingError("batcher has no stream_runner configured")
-        return await self._enqueue(rows, priority, deadline_ms, state=state)
+        return await self._enqueue(rows, deadline_ms, state=state)
 
     async def _enqueue(
-        self,
-        rows: np.ndarray,
-        priority: int,
-        deadline_ms: float | None,
-        state,
+        self, rows: np.ndarray, deadline_ms: float | None, state
     ) -> np.ndarray:
         if self._closed:
             raise ServingError("batcher is closed")
         if rows.ndim < 1 or rows.shape[0] < 1:
             raise ServingError(f"expected at least one row, got shape {rows.shape}")
-        if deadline_ms is not None and deadline_ms < 0:
-            raise ServingError(f"deadline_ms must be >= 0, got {deadline_ms}")
+        if deadline_ms is not None and not (
+            math.isfinite(deadline_ms) and deadline_ms >= 0
+        ):
+            raise ServingError(
+                f"deadline_ms must be a finite number >= 0, got {deadline_ms}"
+            )
         n_rows = int(rows.shape[0])
-        if self.limits is not None and not self.limits.admits(
-            n_rows,
-            priority,
-            self._inflight_rows,
-            self._inflight_by_level.get(priority, 0),
+        if (
+            self.max_queue_rows is not None
+            and self._inflight_rows + n_rows > self.max_queue_rows
         ):
             self.stats["shed"] += 1
             raise Overloaded(
                 f"queue full: {self._inflight_rows} rows in flight "
-                f"(limit {self.limits.max_rows})",
+                f"(limit {self.max_queue_rows})",
                 retry_after_ms=self.retry_after_ms(),
             )
         loop = asyncio.get_running_loop()
@@ -236,20 +221,14 @@ class MicroBatcher:
         pending = _Pending(
             rows=rows,
             future=loop.create_future(),
-            priority=priority,
             deadline=deadline,
-            seq=self._seq,
             state=state,
         )
-        self._seq += 1
         self._pending.append(pending)
         self._pending_rows += rows.shape[0]
         self._inflight_rows += n_rows
-        self._inflight_by_level[priority] = (
-            self._inflight_by_level.get(priority, 0) + n_rows
-        )
         pending.future.add_done_callback(
-            lambda _f, n=n_rows, level=priority: self._release(n, level)
+            lambda _f, n=n_rows: self._release(n)
         )
         self.stats["requests"] += 1
         if self._pending_rows >= self.max_batch:
@@ -258,14 +237,9 @@ class MicroBatcher:
             self._schedule_flush(pending)
         return await pending.future
 
-    def _release(self, n_rows: int, level: int) -> None:
+    def _release(self, n_rows: int) -> None:
         """Return a resolved request's rows to the admission budget."""
         self._inflight_rows = max(0, self._inflight_rows - n_rows)
-        left = self._inflight_by_level.get(level, 0) - n_rows
-        if left > 0:
-            self._inflight_by_level[level] = left
-        else:
-            self._inflight_by_level.pop(level, None)
 
     def retry_after_ms(self) -> float:
         """Estimated ms until the current backlog has drained.
@@ -301,7 +275,6 @@ class MicroBatcher:
         return {
             "pending_rows": self._pending_rows,
             "inflight_rows": self._inflight_rows,
-            "by_level": dict(self._inflight_by_level),
             "batch_ms_ema": self.batch_ms_ema,
             "retry_after_ms": self.retry_after_ms(),
         }
@@ -358,8 +331,6 @@ class MicroBatcher:
                 live.append(pending)
         if not live:
             return
-        # Priority order: higher classes fuse into the earlier batches.
-        live.sort(key=lambda p: p.sort_key)
         task = self._loop.create_task(self._run_group(live))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
@@ -369,9 +340,8 @@ class MicroBatcher:
         # would silently upcast one client's rows (different results
         # than a dedicated batch), and mixed widths would fail the whole
         # group.  Requests that landed in the same flush window but
-        # differ run as their own fused batch.  Bucket insertion order
-        # follows the priority sort, so the bucket containing the
-        # highest-priority request runs first.
+        # differ run as their own fused batch, in order of each
+        # bucket's first arrival.
         # Stream pushes bucket separately from predicts (first key
         # element): their rows are per-stream suffixes fused via
         # push_many, not batch rows fused via concatenation.

@@ -98,7 +98,7 @@ IDEMPOTENT_OPS = frozenset(
 )
 
 
-def _predict_header(op: str, model, precision, priority, deadline_ms) -> dict:
+def _predict_header(op: str, model, precision, deadline_ms) -> dict:
     """Request header with only the routing fields the caller set.
 
     Omitted fields are omitted from the wire too — an old server (or a
@@ -109,8 +109,6 @@ def _predict_header(op: str, model, precision, priority, deadline_ms) -> dict:
         header["model"] = model
     if precision is not None:
         header["precision"] = str(precision)
-    if priority is not None:
-        header["priority"] = priority
     if deadline_ms is not None:
         header["deadline_ms"] = deadline_ms
     return header
@@ -201,16 +199,16 @@ class _ClientCore:
             yield (self._sleep, self._policy.delay_s(attempt, hint))
             attempt += 1
 
-    def _predict(self, op, rows, model, precision, priority, deadline_ms):
+    def _predict(self, op, rows, model, precision, deadline_ms):
         _, payload = yield from self._request(
-            _predict_header(op, model, precision, priority, deadline_ms),
+            _predict_header(op, model, precision, deadline_ms),
             pack_array(np.asarray(rows)),
         )
         return unpack_array(payload)
 
-    def _stream(self, kind, model, precision, priority):
+    def _stream(self, kind, model, precision):
         header, _ = yield from self._request(
-            _predict_header("stream_open", model, precision, priority, None)
+            _predict_header("stream_open", model, precision, None)
         )
         return kind(self, header)
 
@@ -401,11 +399,10 @@ class ServeClient(_ClientCore):
         rows: np.ndarray,
         model: str | None = None,
         precision=None,
-        priority=None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         return self._run(self._predict(
-            "predict_proba", rows, model, precision, priority, deadline_ms
+            "predict_proba", rows, model, precision, deadline_ms
         ))
 
     def predict(
@@ -413,18 +410,16 @@ class ServeClient(_ClientCore):
         rows: np.ndarray,
         model: str | None = None,
         precision=None,
-        priority=None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         return self._run(self._predict(
-            "predict", rows, model, precision, priority, deadline_ms
+            "predict", rows, model, precision, deadline_ms
         ))
 
     def stream(
         self,
         model: str | None = None,
         precision=None,
-        priority=None,
     ) -> "Stream":
         """Open a server-side stream; returns a :class:`Stream`.
 
@@ -439,7 +434,7 @@ class ServeClient(_ClientCore):
         subsequent :meth:`Stream.push` is pinned to this connection and
         never replayed.
         """
-        return self._run(self._stream(Stream, model, precision, priority))
+        return self._run(self._stream(Stream, model, precision))
 
     def close(self) -> None:
         if self._sock is not None:
@@ -569,11 +564,10 @@ class AsyncServeClient(_ClientCore):
         rows: np.ndarray,
         model: str | None = None,
         precision=None,
-        priority=None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         return await self._run(self._predict(
-            "predict_proba", rows, model, precision, priority, deadline_ms
+            "predict_proba", rows, model, precision, deadline_ms
         ))
 
     async def predict(
@@ -581,18 +575,16 @@ class AsyncServeClient(_ClientCore):
         rows: np.ndarray,
         model: str | None = None,
         precision=None,
-        priority=None,
         deadline_ms: float | None = None,
     ) -> np.ndarray:
         return await self._run(self._predict(
-            "predict", rows, model, precision, priority, deadline_ms
+            "predict", rows, model, precision, deadline_ms
         ))
 
     async def stream(
         self,
         model: str | None = None,
         precision=None,
-        priority=None,
     ) -> "AsyncStream":
         """Open a server-side stream; returns an :class:`AsyncStream`.
 
@@ -602,7 +594,7 @@ class AsyncServeClient(_ClientCore):
                 proba = await s.push(chunk)
         """
         return await self._run(
-            self._stream(AsyncStream, model, precision, priority)
+            self._stream(AsyncStream, model, precision)
         )
 
     async def close(self) -> None:

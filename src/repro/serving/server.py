@@ -5,9 +5,8 @@
 every pooled precision, served from one TCP port.  Per connection it
 speaks the length-prefixed frame protocol of
 :mod:`repro.serving.protocol`; per request it reads the optional
-routing fields (``model``, ``precision``, ``priority``,
-``deadline_ms`` — all backward compatible: a frame without them gets
-the engine's defaults and today's behavior) and funnels the rows
+routing fields (``model``, ``precision``, ``deadline_ms`` — a frame
+without them gets the engine's defaults) and funnels the rows
 through the route's :class:`~repro.serving.batcher.MicroBatcher`, so
 concurrent clients of the same (model, precision) pair amortize the
 engine's per-call cost while requests for different routes never fuse.
@@ -31,12 +30,14 @@ router); this module is the op table on top of it.
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..exceptions import (
+    ConfigurationError,
     DeadlineExpired,
     DeploymentError,
     Overloaded,
@@ -53,7 +54,6 @@ from .protocol import (
     string_field,
     unpack_array,
 )
-from .resilience import QueueLimits, TokenBucket
 
 __all__ = ["InferenceServer"]
 
@@ -74,7 +74,9 @@ class InferenceServer(FrameServer):
 
     The micro-batching limits (``max_batch``, ``max_wait_ms``; see
     :class:`~repro.serving.batcher.MicroBatcher`), the per-frame
-    payload bound and every admission limit are the engine config's.
+    payload bound, the per-route row bound (``max_queue_rows``) and the
+    open-stream budget (``max_streams``, ``max_stream_state_bytes``)
+    are the engine config's.
     A fused batch runs one-shot on a serial executor and in
     ``ceil(rows / workers)``-row chunks on a threaded one, so the
     chunks fan across its pool.
@@ -97,12 +99,6 @@ class InferenceServer(FrameServer):
         self._batchers: dict[tuple[str, str], MicroBatcher] = {}
         self._route_sessions: dict[tuple[str, str], object] = {}
         self._infer_thread: ThreadPoolExecutor | None = None
-        self._limits = QueueLimits.from_config(config)
-        self._bucket = (
-            None
-            if config.rate_limit_rps is None
-            else TokenBucket(config.rate_limit_rps, config.rate_burst)
-        )
         # Stream accounting, aggregated over every connection's registry
         # (the registries themselves are per-connection, so an abrupt
         # disconnect frees its streams by construction — these totals
@@ -119,6 +115,7 @@ class InferenceServer(FrameServer):
             "errors": 0,
             "expired": 0,
             "shed": 0,
+            # Always 0; kept because benchmarks/e2e/ladder.py reads it.
             "rate_limited": 0,
             "disconnects": 0,
             "stream_opens": 0,
@@ -169,7 +166,7 @@ class InferenceServer(FrameServer):
                 max_batch=config.max_batch,
                 max_wait_ms=config.max_wait_ms,
                 executor=self._infer_thread,
-                limits=self._limits,
+                max_queue_rows=config.max_queue_rows,
                 stream_runner=run_streams,
             )
             self._batchers[key] = batcher
@@ -244,8 +241,8 @@ class InferenceServer(FrameServer):
         # True: hang up instead of responding.
         return faults.take("server.drop_connection") is not None
 
-    def _resolve_route(self, header: dict) -> tuple[str, str, int]:
-        """Header routing fields -> (model, precision, priority level).
+    def _resolve_route(self, header: dict) -> tuple[str, str]:
+        """Header routing fields -> (model, precision).
 
         Every field is optional; a pre-engine frame (none of them set)
         resolves to the engine's defaults.  Unknown values raise
@@ -257,7 +254,6 @@ class InferenceServer(FrameServer):
         return (
             config.resolve_model(string_field(header, "model")),
             config.resolve_precision(string_field(header, "precision")),
-            config.resolve_priority(header.get("priority")),
         )
 
     def _free_stream(self, entry: dict) -> None:
@@ -281,9 +277,8 @@ class InferenceServer(FrameServer):
         return self._push_rate
 
     def _admit(self) -> None:
-        """Admission, cheapest checks first: an injected shed, then the
-        global rate bucket; the per-route queue bounds are enforced by
-        the batcher at submit."""
+        """Raise an injected ``admission.shed``; the route's row bound
+        is enforced by the batcher at submit."""
         if faults.enabled:
             shed = faults.take("admission.shed", retry_after_ms=50.0)
             if shed is not None:
@@ -291,27 +286,20 @@ class InferenceServer(FrameServer):
                     "request shed by injected fault",
                     retry_after_ms=float(shed["retry_after_ms"]),
                 )
-        if self._bucket is not None:
-            wait_s = self._bucket.try_acquire()
-            if wait_s > 0.0:
-                self.stats["rate_limited"] += 1
-                raise Overloaded(
-                    f"rate limit exceeded "
-                    f"({self._bucket.rate:g} requests/s)",
-                    retry_after_ms=wait_s * 1e3,
-                )
 
     def _deadline_ms(self, header: dict):
         deadline_ms = header.get("deadline_ms")
         if deadline_ms is not None and (
             isinstance(deadline_ms, bool)
             or not isinstance(deadline_ms, (int, float))
-            or deadline_ms < 0
+            or not 0 <= deadline_ms <= sys.float_info.max
         ):
             # Type-check before comparing: a JSON string here must
-            # be a clean protocol error, not an "internal error".
+            # be a clean protocol error, not an "internal error".  The
+            # range test also refuses the NaN and Infinity that JSON
+            # parses, and integers too large for a float.
             raise ServingError(
-                f"deadline_ms must be a non-negative number, "
+                f"deadline_ms must be a finite non-negative number, "
                 f"got {deadline_ms!r}"
             )
         return deadline_ms
@@ -320,6 +308,11 @@ class InferenceServer(FrameServer):
         self, header: dict, payload: bytes, streams: dict
     ) -> tuple[dict, object]:
         op = header.get("op")
+        if "priority" in header:
+            raise ConfigurationError(
+                "the priority field is not supported; requests are "
+                "served in arrival order"
+            )
         if (
             faults.enabled
             and payload
@@ -371,9 +364,8 @@ class InferenceServer(FrameServer):
                         (b.batch_ms_ema for b in self._batchers.values()),
                         default=0.0,
                     ),
-                    "max_queue_rows": self._limits.max_rows,
+                    "max_queue_rows": self.engine.config.max_queue_rows,
                     "shed": self.stats["shed"],
-                    "rate_limited": self.stats["rate_limited"],
                     # The streaming posture: how many conversations are
                     # resident, how much history they hold, and how hot
                     # the push path is.  A router aggregates this block
@@ -381,9 +373,9 @@ class InferenceServer(FrameServer):
                     "streams": {
                         "open": self._streams_open,
                         "state_bytes": self._stream_state_bytes,
-                        "max_streams": self._limits.max_streams,
+                        "max_streams": self.engine.config.max_streams,
                         "max_state_bytes": (
-                            self._limits.max_stream_state_bytes
+                            self.engine.config.max_stream_state_bytes
                         ),
                         "opened": self.stats["stream_opens"],
                         "closed": self.stats["stream_closes"],
@@ -399,13 +391,12 @@ class InferenceServer(FrameServer):
                 raise ServerUnavailable(
                     "server is draining and accepts no new streams"
                 )
-            model, precision, priority = self._resolve_route(header)
-            if not self._limits.admits_stream(
-                self._streams_open, self._stream_state_bytes, 0
-            ):
+            model, precision = self._resolve_route(header)
+            config = self.engine.config
+            if self._streams_open >= config.max_streams:
                 raise Overloaded(
                     f"stream capacity exhausted: {self._streams_open} "
-                    f"streams open (limit {self._limits.max_streams})"
+                    f"streams open (limit {config.max_streams})"
                 )
             # Plan compilation happens on the inference thread (like
             # session freezing); a non-streamable model answers with a
@@ -419,13 +410,17 @@ class InferenceServer(FrameServer):
                 )
             except DeploymentError as exc:
                 raise ServingError(str(exc)) from exc
-            if not self._limits.admits_stream(
-                self._streams_open, self._stream_state_bytes, plan.state_bytes
+            # Re-checked after the compile: other connections may have
+            # opened streams while this one waited on the thread.
+            budget = config.max_stream_state_bytes
+            if self._streams_open >= config.max_streams or (
+                budget is not None
+                and self._stream_state_bytes + plan.state_bytes > budget
             ):
                 raise Overloaded(
-                    f"stream state budget exhausted: "
-                    f"{self._stream_state_bytes} bytes resident "
-                    f"(limit {self._limits.max_stream_state_bytes})"
+                    f"stream budget exhausted: {self._streams_open} "
+                    f"streams, {self._stream_state_bytes} bytes resident "
+                    f"(limits {config.max_streams} streams, {budget} bytes)"
                 )
             self._stream_seq += 1
             handle = f"s{self._stream_seq}"
@@ -434,7 +429,6 @@ class InferenceServer(FrameServer):
                 "state": plan.open(),
                 "model": model,
                 "precision": precision,
-                "priority": priority,
                 "busy": False,
             }
             self._streams_open += 1
@@ -493,11 +487,6 @@ class InferenceServer(FrameServer):
             # Same front-door cast as predict: any input dtype fuses
             # into the same stream bucket with identical results.
             chunk = np.asarray(chunk, dtype=plan.policy.real_dtype)
-            priority = (
-                entry["priority"]
-                if header.get("priority") is None
-                else self.engine.config.resolve_priority(header["priority"])
-            )
             start = time.perf_counter()
             entry["busy"] = True
             try:
@@ -506,7 +495,6 @@ class InferenceServer(FrameServer):
                 ).submit_stream(
                     entry["state"],
                     chunk,
-                    priority=priority,
                     deadline_ms=deadline_ms,
                 )
             finally:
@@ -553,7 +541,7 @@ class InferenceServer(FrameServer):
             if not payload:
                 raise ServingError(f"{op} requires an array payload")
             self._admit()
-            model, precision, priority = self._resolve_route(header)
+            model, precision = self._resolve_route(header)
             deadline_ms = self._deadline_ms(header)
             rows = unpack_array(payload)
             if rows.ndim == 1:
@@ -578,7 +566,7 @@ class InferenceServer(FrameServer):
             self.stats["requests"] += 1
             start = time.perf_counter()
             proba = await self._batcher_for(model, precision).submit(
-                rows, priority=priority, deadline_ms=deadline_ms
+                rows, deadline_ms=deadline_ms
             )
             latency_ms = (time.perf_counter() - start) * 1e3
             out = proba.argmax(axis=-1) if op == "predict" else proba
@@ -588,7 +576,6 @@ class InferenceServer(FrameServer):
                     "op": op,
                     "model": model,
                     "precision": precision,
-                    "priority": priority,
                     "rows": int(rows.shape[0]),
                     "latency_ms": latency_ms,
                 },

@@ -100,34 +100,9 @@ class TestExecutorPolicy:
         with pytest.raises(ConfigurationError, match="max_wait_ms"):
             EngineConfig(model=model, max_wait_ms=-1)
 
-
-class TestPriorities:
-    def test_default_classes_resolve_by_name_and_index(self, model):
-        config = EngineConfig(model=model)
-        assert config.resolve_priority(None) == 1  # "normal"
-        assert config.resolve_priority("interactive") == 2
-        assert config.resolve_priority("batch") == 0
-        assert config.resolve_priority(2) == 2
-
-    def test_unknown_class_and_out_of_range_index_rejected(self, model):
-        config = EngineConfig(model=model)
-        with pytest.raises(ConfigurationError, match="unknown priority"):
-            config.resolve_priority("ludicrous")
-        with pytest.raises(ConfigurationError, match="out of range"):
-            config.resolve_priority(17)
-
-    def test_custom_classes(self, model):
-        config = EngineConfig(
-            model=model,
-            priority_classes=("bulk", "rt"),
-            default_priority="rt",
-        )
-        assert config.resolve_priority(None) == 1
-        assert config.resolve_priority("bulk") == 0
-
-    def test_default_priority_must_be_a_class(self, model):
-        with pytest.raises(ConfigurationError, match="unknown priority"):
-            EngineConfig(model=model, default_priority="warp")
+    def test_row_bound_validated(self, model):
+        with pytest.raises(ConfigurationError, match="max_queue_rows"):
+            EngineConfig(model=model, max_queue_rows=0)
 
 
 class TestDescribe:

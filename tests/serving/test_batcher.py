@@ -1,4 +1,4 @@
-"""MicroBatcher: flush triggers, splitting, priorities, deadlines, errors."""
+"""MicroBatcher: flush triggers, splitting, arrival order, deadlines, errors."""
 
 import asyncio
 
@@ -155,65 +155,41 @@ class TestBucketing:
         assert runner.batches[0].shape == (5, 3)
 
 
-class TestPriorities:
-    def test_priority_orders_rows_within_fused_batch(self):
+class TestArrivalOrder:
+    def test_rows_fuse_in_arrival_order(self):
         runner = RecordingRunner()
 
         async def scenario():
             batcher = MicroBatcher(runner, max_batch=100, max_wait_ms=5)
-            low = np.full((1, 3), 0.0)
-            high = np.full((1, 3), 2.0)
-            mid = np.full((1, 3), 1.0)
-            outs = await asyncio.gather(
-                batcher.submit(low, priority=0),
-                batcher.submit(high, priority=2),
-                batcher.submit(mid, priority=1),
-            )
+            rows = [np.full((1, 3), v) for v in (0.0, 2.0, 1.0)]
+            outs = await asyncio.gather(*[batcher.submit(r) for r in rows])
             # Every request still gets exactly its own rows back.
-            assert np.array_equal(outs[0], low * 2.0)
-            assert np.array_equal(outs[1], high * 2.0)
-            assert np.array_equal(outs[2], mid * 2.0)
+            for r, out in zip(rows, outs):
+                assert np.array_equal(out, r * 2.0)
 
         run(scenario())
-        # One fused batch, rows ordered high -> mid -> low.
+        # One fused batch, rows in the order the requests arrived.
         assert len(runner.batches) == 1
-        assert runner.batches[0][:, 0].tolist() == [2.0, 1.0, 0.0]
+        assert runner.batches[0][:, 0].tolist() == [0.0, 2.0, 1.0]
 
-    def test_priority_ties_keep_arrival_order(self, rng):
-        runner = RecordingRunner()
-
-        async def scenario():
-            batcher = MicroBatcher(runner, max_batch=100, max_wait_ms=5)
-            first = np.full((1, 3), 10.0)
-            second = np.full((1, 3), 20.0)
-            await asyncio.gather(
-                batcher.submit(first, priority=1),
-                batcher.submit(second, priority=1),
-            )
-
-        run(scenario())
-        assert runner.batches[0][:, 0].tolist() == [10.0, 20.0]
-
-    def test_priority_orders_buckets_under_saturated_window(self):
-        # Incompatible widths cannot fuse; the bucket holding the
-        # highest-priority request must run first even though its
-        # request arrived last in the saturated flush window.
+    def test_buckets_run_in_order_of_first_arrival(self):
+        # Incompatible widths cannot fuse; each bucket runs as its own
+        # batch, in the order its first request arrived.
         runner = RecordingRunner()
 
         async def scenario():
             batcher = MicroBatcher(runner, max_batch=100, max_wait_ms=10)
-            bulk = [np.full((2, 3), float(i)) for i in range(3)]
-            interactive = np.full((1, 7), 99.0)
+            wide = np.full((1, 7), 99.0)
+            narrow = [np.full((2, 3), float(i)) for i in range(3)]
             await asyncio.gather(
-                *[batcher.submit(b, priority=0) for b in bulk],
-                batcher.submit(interactive, priority=2),
+                batcher.submit(narrow[0]),
+                batcher.submit(wide),
+                *[batcher.submit(b) for b in narrow[1:]],
             )
 
         run(scenario())
-        assert len(runner.batches) == 2
-        # The interactive bucket (width 7) ran before the bulk fuse.
-        assert runner.batches[0].shape == (1, 7)
-        assert runner.batches[1].shape == (6, 3)
+        assert [b.shape for b in runner.batches] == [(6, 3), (1, 7)]
+        assert runner.batches[0][::2, 0].tolist() == [0.0, 1.0, 2.0]
 
 
 class TestDeadlines:
@@ -276,6 +252,21 @@ class TestDeadlines:
                 await batcher.submit(rng.normal(size=(1, 3)), deadline_ms=-5)
 
         run(scenario())
+
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf")])
+    def test_non_finite_deadline_rejected(self, rng, deadline_ms):
+        runner = RecordingRunner()
+
+        async def scenario():
+            batcher = MicroBatcher(runner, max_batch=4, max_wait_ms=5)
+            with pytest.raises(ServingError, match="finite"):
+                await batcher.submit(
+                    rng.normal(size=(1, 3)), deadline_ms=deadline_ms
+                )
+            assert batcher.stats["requests"] == 0
+
+        run(scenario())
+        assert runner.batches == []
 
 
 class TestErrors:

@@ -3,13 +3,15 @@ result (after a client retry) or a typed error frame — never a hang or
 a silent drop."""
 
 import asyncio
+import importlib
 import socket
 import struct
 
 import numpy as np
 import pytest
 
-from repro.engine import Engine
+import repro.serving
+from repro.engine import Engine, EngineConfig
 from repro.exceptions import Overloaded, ServerUnavailable, ServingError
 from repro.nn import BlockCirculantLinear, Linear, ReLU, Sequential
 from repro.runtime import InferenceSession
@@ -17,11 +19,10 @@ from repro.serving import (
     AsyncServeClient,
     InferenceServer,
     MicroBatcher,
-    QueueLimits,
     ServeClient,
-    TokenBucket,
 )
 from repro.serving.batcher import DeadlineExpired
+from repro.serving.protocol import pack_array, read_frame, send_frame
 from repro.testing import faults
 
 
@@ -111,70 +112,6 @@ class TestHarness:
 
 
 # ----------------------------------------------------------------------
-# Admission primitives
-# ----------------------------------------------------------------------
-class TestTokenBucket:
-    def test_burst_then_refill(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=10.0, burst=2, clock=lambda: now[0])
-        assert bucket.try_acquire() == 0.0
-        assert bucket.try_acquire() == 0.0
-        wait = bucket.try_acquire()
-        assert wait == pytest.approx(0.1)
-        now[0] += 0.1  # one token accrues
-        assert bucket.try_acquire() == 0.0
-        assert bucket.try_acquire() > 0.0
-
-    def test_tokens_cap_at_burst(self):
-        now = [0.0]
-        bucket = TokenBucket(rate=100.0, burst=3, clock=lambda: now[0])
-        now[0] += 60.0
-        assert bucket.available == 3.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0)
-        with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, burst=0)
-
-
-class TestQueueLimits:
-    def test_total_and_class_caps(self):
-        limits = QueueLimits(max_rows=10, class_caps={0: 4})
-        assert limits.admits(10, 1, queued=0, queued_at_level=0)
-        assert not limits.admits(11, 1, queued=0, queued_at_level=0)
-        assert not limits.admits(2, 1, queued=9, queued_at_level=0)
-        assert limits.admits(4, 0, queued=0, queued_at_level=0)
-        assert not limits.admits(5, 0, queued=0, queued_at_level=0)
-        assert not limits.admits(1, 0, queued=0, queued_at_level=4)
-
-    def test_from_config_resolves_class_names(self):
-        engine = Engine(
-            model=small_model(),
-            max_queue_rows=64,
-            queue_class_caps={"batch": 8},
-        )
-        limits = QueueLimits.from_config(engine.config)
-        level = engine.config.resolve_priority("batch")
-        assert limits.max_rows == 64
-        assert limits.class_caps == {level: 8}
-
-    def test_config_rejects_bad_caps(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            Engine(model=small_model(), queue_class_caps={"nope": 4})
-        with pytest.raises(ConfigurationError):
-            Engine(
-                model=small_model(),
-                max_queue_rows=8,
-                queue_class_caps={"batch": 99},
-            )
-        with pytest.raises(ConfigurationError):
-            Engine(model=small_model(), rate_burst=4)  # no rate_limit_rps
-
-
-# ----------------------------------------------------------------------
 # Batcher admission
 # ----------------------------------------------------------------------
 class TestBatcherShedding:
@@ -189,7 +126,7 @@ class TestBatcherShedding:
                 runner,
                 max_batch=64,
                 max_wait_ms=10_000.0,
-                limits=QueueLimits(max_rows=8),
+                max_queue_rows=8,
             )
             first = asyncio.ensure_future(
                 batcher.submit(rng.normal(size=(8, 4)))
@@ -214,30 +151,35 @@ class TestBatcherShedding:
 
         asyncio.run(main())
 
-    def test_class_cap_sheds_low_priority_only(self, rng):
+    def test_bound_admits_exactly_max_queue_rows(self, rng):
         async def main():
             batcher = MicroBatcher(
                 lambda b: b,
                 max_batch=64,
                 max_wait_ms=10_000.0,
-                limits=QueueLimits(max_rows=32, class_caps={0: 4}),
+                max_queue_rows=8,
             )
-            low = asyncio.ensure_future(
-                batcher.submit(rng.normal(size=(4, 4)), priority=0)
-            )
+            admitted = [
+                asyncio.ensure_future(batcher.submit(rng.normal(size=(n, 4))))
+                for n in (3, 5)
+            ]
             await asyncio.sleep(0)
+            # 8 rows in flight is the bound itself: admitted.
+            assert batcher.queue_depth()["inflight_rows"] == 8
+            assert batcher.stats["shed"] == 0
+            # The 9th row is shed.
             with pytest.raises(Overloaded):
-                await batcher.submit(rng.normal(size=(1, 4)), priority=0)
-            # The higher class is bounded only by max_rows.
-            high = asyncio.ensure_future(
-                batcher.submit(rng.normal(size=(8, 4)), priority=2)
-            )
-            await asyncio.sleep(0)
+                await batcher.submit(rng.normal(size=(1, 4)))
+            assert batcher.stats["shed"] == 1
             await batcher.drain()
-            await asyncio.gather(low, high)
+            await asyncio.gather(*admitted)
             await batcher.aclose()
 
         asyncio.run(main())
+
+    def test_bound_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_queue_rows"):
+            MicroBatcher(lambda b: b, max_queue_rows=0)
 
 
 # ----------------------------------------------------------------------
@@ -291,30 +233,6 @@ class TestServerFaults:
             engine, InferenceSession.freeze(small_model()), x
         )
         assert np.array_equal(out, ref)
-
-    def test_rate_limit_sheds_with_retry_after(self, rng, served_reference):
-        engine = Engine(
-            model=small_model(), rate_limit_rps=0.5, rate_burst=1
-        )
-        x = rng.normal(size=(2, 96))
-
-        async def scenario(server):
-            async with await AsyncServeClient.connect(
-                port=server.port, retries=0
-            ) as client:
-                first = await client.predict_proba(x)
-                with pytest.raises(Overloaded) as excinfo:
-                    await client.predict_proba(x)
-                info = await client.info()
-            return first, excinfo.value, info
-
-        first, exc, info = serve(engine, scenario)
-        ref = served_reference(
-            engine, InferenceSession.freeze(small_model()), x
-        )
-        assert np.array_equal(first, ref)
-        assert exc.retry_after_ms is not None and exc.retry_after_ms > 0
-        assert info["stats"]["rate_limited"] == 1
 
     def test_queue_exhaustion_sheds_not_hangs(self, rng, served_reference):
         # A route bounded at 8 rows with a huge flush window: the first
@@ -613,3 +531,125 @@ class TestClientResilience:
                 read_frame_sync(client)
         finally:
             client.close()
+
+
+# ----------------------------------------------------------------------
+# Removed admission surface
+# ----------------------------------------------------------------------
+class TestRemovedAdmissionSurface:
+    """Priority classes, per-class caps and the token bucket are gone;
+    every old spelling is refused, not ignored."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("priority_classes", ("batch", "interactive")),
+            ("default_priority", "batch"),
+            ("queue_class_caps", {"batch": 4}),
+            ("rate_limit_rps", 10.0),
+            ("rate_burst", 2),
+        ],
+    )
+    def test_config_fields_removed(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            EngineConfig(model=small_model(), **{field: value})
+
+    def test_config_has_no_priority_resolver(self):
+        assert not hasattr(EngineConfig, "resolve_priority")
+
+    @pytest.mark.parametrize("name", ["QueueLimits", "TokenBucket"])
+    def test_policy_classes_removed(self, name):
+        with pytest.raises(AttributeError):
+            getattr(repro.serving, name)
+        assert name not in repro.serving.__all__
+
+    def test_resilience_module_removed(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.serving.resilience")
+
+    def test_batcher_submit_takes_no_priority(self, rng):
+        async def main():
+            batcher = MicroBatcher(lambda b: b)
+            with pytest.raises(TypeError, match="priority"):
+                await batcher.submit(rng.normal(size=(1, 4)), priority=1)
+            await batcher.aclose()
+
+        asyncio.run(main())
+
+    def test_clients_take_no_priority(self, rng):
+        engine = Engine(model=small_model())
+        x = rng.normal(size=(2, 96))
+
+        async def scenario(server):
+            client = ServeClient(port=server.port, retries=0)
+            try:
+                for call in (client.predict, client.predict_proba):
+                    with pytest.raises(TypeError, match="priority"):
+                        call(x, priority=1)
+                with pytest.raises(TypeError, match="priority"):
+                    client.stream(priority=1)
+            finally:
+                client.close()
+            async with await AsyncServeClient.connect(
+                port=server.port, retries=0
+            ) as aclient:
+                for call in (aclient.predict, aclient.predict_proba):
+                    with pytest.raises(TypeError, match="priority"):
+                        await call(x, priority=1)
+                with pytest.raises(TypeError, match="priority"):
+                    await aclient.stream(priority=1)
+
+        serve(engine, scenario)
+        engine.close()
+
+    def test_priority_header_is_a_typed_error_frame(self):
+        from repro.zoo import build_fftnet
+
+        engine = Engine(
+            model=build_fftnet(
+                channels=8, depth=3, classes=6, rng=np.random.default_rng(7)
+            )
+        )
+        chunk = pack_array(np.zeros((4, 1)))
+        clip = pack_array(np.zeros((1, 16, 1)))
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+
+            async def ask(header, payload=b""):
+                await send_frame(writer, header, payload)
+                return (await read_frame(reader))[0]
+
+            try:
+                refused = [
+                    await ask({"op": "predict", "priority": 1}, clip),
+                    await ask({"op": "stream_open", "priority": "batch"}),
+                ]
+                opened = await ask({"op": "stream_open"})
+                handle = opened["stream"]
+                refused.append(await ask(
+                    {"op": "stream_push", "stream": handle, "priority": 2},
+                    chunk,
+                ))
+                # The connection and the stream are still usable, and
+                # the refused push did not advance the stream.
+                pushed = await ask(
+                    {"op": "stream_push", "stream": handle}, chunk
+                )
+                served = await ask({"op": "predict"}, clip)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return refused, pushed, served
+
+        refused, pushed, served = serve(engine, scenario)
+        for reply in refused:
+            assert reply["status"] == "error"
+            assert "code" not in reply  # ConfigurationError, not a shed
+            assert "priority" in reply["message"]
+            assert "internal error" not in reply["message"]
+        assert pushed["status"] == "ok" and pushed["samples"] == 4
+        assert served["status"] == "ok" and "priority" not in served
+        engine.close()

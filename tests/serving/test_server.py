@@ -427,19 +427,19 @@ class TestRouting:
             bad_deadline, _ = await read_frame(reader)
             await send_frame(
                 writer,
-                {"op": "predict", "priority": [1]},
+                {"op": "predict", "precision": ["fp64"]},
                 pack_array(x),
             )
-            bad_priority, _ = await read_frame(reader)
+            bad_precision, _ = await read_frame(reader)
             writer.close()
-            return bad_deadline, bad_priority
+            return bad_deadline, bad_precision
 
-        bad_deadline, bad_priority = serve(engine, scenario)
-        for response in (bad_deadline, bad_priority):
+        bad_deadline, bad_precision = serve(engine, scenario)
+        for response in (bad_deadline, bad_precision):
             assert response["status"] == "error"
             assert "internal error" not in response["message"]
         assert "deadline_ms" in bad_deadline["message"]
-        assert "priority" in bad_priority["message"]
+        assert "precision" in bad_precision["message"]
         engine.close()
 
     def test_expired_deadline_answers_typed_error_frame(self, rng):

@@ -20,7 +20,6 @@ from repro.serving import (
     DeadlineExpired,
     InferenceServer,
     MicroBatcher,
-    QueueLimits,
     ServeClient,
 )
 from repro.serving.client import IDEMPOTENT_OPS
@@ -60,36 +59,6 @@ def serve(engine, scenario):
 def in_thread(fn, *args):
     """Run blocking client code off the server's event loop."""
     return asyncio.get_running_loop().run_in_executor(None, fn, *args)
-
-
-class TestQueueLimitsStreams:
-    def test_admits_stream_counts(self):
-        limits = QueueLimits(10, max_streams=2)
-        assert limits.admits_stream(0, 0, 100)
-        assert limits.admits_stream(1, 100, 100)
-        assert not limits.admits_stream(2, 0, 0)
-
-    def test_admits_stream_byte_budget(self):
-        limits = QueueLimits(10, max_streams=100, max_stream_state_bytes=256)
-        assert limits.admits_stream(0, 0, 256)
-        assert not limits.admits_stream(0, 1, 256)
-        assert limits.admits_stream(50, 255, 1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QueueLimits(10, max_streams=0)
-        with pytest.raises(ValueError):
-            QueueLimits(10, max_stream_state_bytes=0)
-
-    def test_from_config_reads_stream_fields(self):
-        config = EngineConfig(
-            models={"m": fftnet()},
-            max_streams=3,
-            max_stream_state_bytes=4096,
-        )
-        limits = QueueLimits.from_config(config)
-        assert limits.max_streams == 3
-        assert limits.max_stream_state_bytes == 4096
 
 
 class TestBatcherStreamFusion:
@@ -186,7 +155,7 @@ class TestBatcherStreamFusion:
             batcher = MicroBatcher(
                 lambda b: b, max_batch=16, max_wait_ms=5,
                 stream_runner=lambda s, c: plan.push_many(s, c, proba=True),
-                limits=QueueLimits(4),
+                max_queue_rows=4,
             )
             state = plan.open()
             with pytest.raises(Overloaded):
@@ -333,6 +302,30 @@ class TestServerStreaming:
             await in_thread(go)
 
         serve(engine, scenario)
+
+    def test_state_byte_budget_admits_exactly_two_streams(self):
+        plan = compile_stream_plan(fftnet())
+        engine = stream_engine(max_stream_state_bytes=2 * plan.state_bytes)
+
+        async def scenario(server):
+            def go():
+                client = ServeClient(port=server.port, retries=0)
+                # Two streams fill the budget exactly: both admitted.
+                streams = [client.stream(), client.stream()]
+                with pytest.raises(Overloaded, match="budget exhausted"):
+                    client.stream()
+                info = client.info()["health"]["streams"]
+                for s in streams:
+                    s.close()
+                client.close()
+                return info
+
+            return await in_thread(go)
+
+        info = serve(engine, scenario)
+        assert info["open"] == 2
+        assert info["state_bytes"] == 2 * plan.state_bytes
+        assert info["max_state_bytes"] == 2 * plan.state_bytes
 
     def test_non_streamable_model_is_typed_error(self):
         from repro.nn import Linear, ReLU, Sequential

@@ -149,6 +149,35 @@ class TestConnectionSurvives:
         assert "code" not in reply
         assert alive
 
+    @pytest.mark.parametrize(
+        "deadline_ms", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    def test_non_finite_deadline_is_a_clean_error(
+        self, endpoint, deadline_ms, rng
+    ):
+        # JSON parses NaN and Infinity; neither is a deadline.
+        x = rng.normal(size=(2, 96))
+
+        async def scenario(port):
+            async with Raw(port) as raw:
+                reply, _ = await raw.ask(
+                    {"op": "predict_proba", "deadline_ms": deadline_ms},
+                    pack_array(x),
+                )
+                ok, payload = await raw.ask(
+                    {"op": "predict_proba"}, pack_array(x)
+                )
+                return reply, ok, payload
+
+        reply, ok, payload = endpoint(scenario)
+        assert reply == {
+            "status": "error",
+            "message": "deadline_ms must be a finite non-negative number, "
+            f"got {deadline_ms!r}",
+        }
+        assert ok["status"] == "ok"
+        assert unpack_array(payload).shape == (2, 10)
+
     def test_id_echoed_on_ok_and_error_replies(self, endpoint, rng):
         async def scenario(port):
             async with Raw(port) as raw:
