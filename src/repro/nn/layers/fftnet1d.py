@@ -18,17 +18,18 @@ sequence into a single row-major GEMM.
 Row-stable matmul
 -----------------
 
-Streaming inference (``repro.streaming``) recomputes *suffixes* of the
-same sequence in chunks of arbitrary size and promises bitwise-identical
-results to the full-sequence batch plan.  BLAS GEMMs do not offer that:
+Streaming inference (``repro.streaming``) runs the batch plan's own ops
+on *suffixes* of the same sequence, in chunks of arbitrary size, and
+promises results bitwise-identical to the full-sequence batch plan at
+the same precision.  BLAS GEMMs do not offer that:
 ``(A @ W)[i]`` changes in the last bits with the number of rows in ``A``
 (gemv dispatch at M=1, kernel blocking elsewhere).  :func:`seq_matmul`
 is the shared kernel that does offer it — a non-optimized ``np.einsum``
 whose per-row accumulation order depends only on the reduction length,
 so any row-chunking of the input produces identical bits.  Every
 consumer that participates in the streaming parity contract (this
-module's forwards, the batch plan ops, the incremental stream plan) must
-go through it.
+module's forwards, the plan's ``fft1d`` / ``pointwise1d`` ops that both
+sessions and stream pushes run) must go through it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def seq_matmul(x: np.ndarray, weight_t: np.ndarray, out=None) -> np.ndarray:
 
 
 def shift_right(x: np.ndarray, shift: int) -> np.ndarray:
-    """Shift a time-major ``(batch, T, C)`` array right by ``shift``.
+    """Shift a time-major ``(..., T, C)`` array right by ``shift`` rows.
 
     Rows ``t < shift`` become zero — the causal zero-padding the dilated
     left tap reads before the sequence starts.
@@ -65,8 +66,8 @@ def shift_right(x: np.ndarray, shift: int) -> np.ndarray:
     if shift == 0:
         return x
     shifted = np.zeros_like(x)
-    if x.shape[1] > shift:
-        shifted[:, shift:] = x[:, :-shift]
+    if x.shape[-2] > shift:
+        shifted[..., shift:, :] = x[..., :-shift, :]
     return shifted
 
 

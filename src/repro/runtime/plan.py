@@ -58,7 +58,12 @@ bias/activation, zero-once pad buffers) so steady-state inference stops
 paying the allocator.  Calling an op directly, ``op(x)``, runs that same
 body against a fresh-allocating stand-in for the arena — the same
 floating-point operations in the same order, only into new memory —
-which is what tests use as the reference.
+which is what tests use as the reference.  A
+:class:`~repro.streaming.plan.StreamPlan` runs the same fused ops on
+``(rows, channels)`` suffix chunks; the one stateful op, ``fft1d``,
+asks its memory for its dilated left-tap rows (``ws.left_taps``),
+which a workspace answers with the causal zero history and a stream
+push answers from each stream's history buffer.
 """
 
 from __future__ import annotations
@@ -237,7 +242,9 @@ class PlanOp:
     is a view of its *input*, which the op does not own.
     ``expanded_nbytes`` is the RAM the op holds in weights expanded
     beyond what the artifact stores (a dense-kernel ``bc_conv``); zero
-    for every other op.
+    for every other op.  ``state_shape`` is the history a stream keeps
+    for the op between pushes — ``(dilation, in_channels)`` on
+    ``fft1d``, ``None`` on every stateless op.
     """
 
     __slots__ = (
@@ -248,6 +255,7 @@ class PlanOp:
         "inplace_fn",
         "fresh_out",
         "expanded_nbytes",
+        "state_shape",
     )
 
     def __init__(
@@ -266,6 +274,7 @@ class PlanOp:
         self.inplace_fn = inplace_fn
         self.fresh_out = fresh_out
         self.expanded_nbytes = 0
+        self.state_shape: tuple[int, int] | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.run(x, _FRESH)
@@ -299,6 +308,7 @@ class PlanOp:
             fresh_out=self.fresh_out or op.fresh_out,
         )
         folded.expanded_nbytes = self.expanded_nbytes + op.expanded_nbytes
+        folded.state_shape = self.state_shape
         return folded
 
     def __repr__(self) -> str:
@@ -342,6 +352,8 @@ class _FreshBuffers:
     :class:`~repro.runtime.workspace.Workspace` slot interface; run with
     this stand-in they allocate everything fresh — the same
     floating-point operations in the same order, only into new memory.
+    Like a workspace, it answers ``left_taps`` with the causal zero
+    history of a whole sequence.
     """
 
     @staticmethod
@@ -355,6 +367,10 @@ class _FreshBuffers:
     @staticmethod
     def zeros(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         return np.zeros(shape, dtype=dtype)
+
+    @staticmethod
+    def left_taps(x: np.ndarray, dilation: int) -> np.ndarray:
+        return shift_right(x, dilation)
 
 
 _FRESH = _FreshBuffers()
@@ -492,31 +508,39 @@ def _fft1d_op(
     dilation: int,
     policy: PrecisionPolicy = FP64,
 ) -> PlanOp:
-    """Two-tap causal dilated sequence layer on time-major input.
+    """Two-tap causal dilated sequence layer, the plan's one stateful op.
 
-    ``y[t] = W_r x[t] + W_l x[t-d] + b`` over ``(batch, T, C)``.  Both
-    GEMMs go through :func:`~repro.nn.layers.fftnet1d.seq_matmul` — the
-    row-count-stable kernel — and the adds are elementwise, so any
-    row-chunking of the timeline (the incremental stream plan pushing K
-    samples at a time) reproduces this op's outputs bitwise.  It
-    allocates its output fresh and ignores the workspace.
+    ``y[t] = W_r x[t] + W_l x[t-d] + b`` over ``(batch, T, C)`` or
+    ``(rows, C)``.  The body asks its memory for the left-tap rows
+    ``x[t-d]``: a session's workspace (or ``op(x)``'s fresh stand-in)
+    answers with the causal zero history, and a
+    :class:`~repro.streaming.plan.StreamPlan` push answers from each
+    stream's history buffer (``state_shape`` rows of it).  Both GEMMs go
+    through :func:`~repro.nn.layers.fftnet1d.seq_matmul` — the
+    row-count-stable kernel — and the adds are elementwise, so a push of
+    any ``K`` new rows reproduces this op's batch outputs bitwise at
+    the same precision.  It allocates its output fresh.
     """
     rdtype = policy.real_dtype
     wl_t = np.ascontiguousarray(np.asarray(weight_l, dtype=rdtype).T)
     wr_t = np.ascontiguousarray(np.asarray(weight_r, dtype=rdtype).T)
     bias = None if bias is None else np.asarray(bias, dtype=rdtype)
     in_c, out_c = wr_t.shape
+    dilation = int(dilation)
+    if dilation < 1:
+        raise DeploymentError(f"dilation must be >= 1, got {dilation}")
 
     def run(x: np.ndarray, ws) -> np.ndarray:
-        batch, steps, _ = x.shape
-        xl = shift_right(x, dilation)
+        xl = ws.left_taps(x, dilation)
         out = seq_matmul(x.reshape(-1, in_c), wr_t)
         out += seq_matmul(xl.reshape(-1, in_c), wl_t)
         if bias is not None:
             out += bias
-        return out.reshape(batch, steps, out_c)
+        return out.reshape(*x.shape[:-1], out_c)
 
-    return PlanOp(f"fft1d({in_c}->{out_c},d={dilation})", run, fusable=True)
+    op = PlanOp(f"fft1d({in_c}->{out_c},d={dilation})", run, fusable=True)
+    op.state_shape = (dilation, in_c)
+    return op
 
 
 def _pointwise1d_op(
@@ -524,10 +548,9 @@ def _pointwise1d_op(
     bias: np.ndarray | None,
     policy: PrecisionPolicy = FP64,
 ) -> PlanOp:
-    """Per-timestep projection on time-major input (1x1 conv).
-
-    Shares :func:`seq_matmul` with the stream plan for bitwise
-    row-chunking stability (see :func:`_fft1d_op`).
+    """Per-timestep projection (1x1 conv) over ``(batch, T, C)`` or
+    ``(rows, C)``: stateless, and row-stable through :func:`seq_matmul`
+    like :func:`_fft1d_op`, so stream pushes run this same op.
     """
     rdtype = policy.real_dtype
     weight_t = np.ascontiguousarray(np.asarray(weight, dtype=rdtype).T)
@@ -535,11 +558,10 @@ def _pointwise1d_op(
     in_c, out_c = weight_t.shape
 
     def run(x: np.ndarray, ws) -> np.ndarray:
-        batch, steps, _ = x.shape
         out = seq_matmul(x.reshape(-1, in_c), weight_t)
         if bias is not None:
             out += bias
-        return out.reshape(batch, steps, out_c)
+        return out.reshape(*x.shape[:-1], out_c)
 
     return PlanOp(f"pointwise1d({in_c}->{out_c})", run, fusable=True)
 

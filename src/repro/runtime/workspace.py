@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn.layers import shift_right
+
 __all__ = ["DEFAULT_BATCH_BUCKETS", "Workspace"]
 
 #: Batch sizes the arena preallocates for.  Requests round *up* to the
@@ -90,6 +92,12 @@ class Workspace:
         if buf is None:
             buf = self._buffers[key] = np.zeros(shape, dtype=dtype)
         return buf
+
+    def left_taps(self, x: np.ndarray, dilation: int) -> np.ndarray:
+        """The rows ``x[t - dilation]`` a causal two-tap op reads: a
+        session runs whole sequences, so the history before ``t = 0``
+        is zeros (a stream push answers from its state instead)."""
+        return shift_right(x, dilation)
 
     def stats(self) -> dict:
         """Buffer count and resident bytes, for profiling output."""

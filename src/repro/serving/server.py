@@ -58,6 +58,23 @@ from .protocol import (
 __all__ = ["InferenceServer"]
 
 
+def _real_rows(rows: np.ndarray, dtype) -> np.ndarray:
+    """The front-door cast of a ``predict`` or ``stream_push`` payload.
+
+    Any real dtype (bool, int, uint, float) casts to the route's
+    ``dtype``, so requests fuse into one micro-batch bucket with
+    identical results.  Every other kind is refused: a cast would drop
+    a complex payload's imaginary part, parse strings as numbers and
+    read datetimes as day counts.
+    """
+    if rows.dtype.kind not in "biuf":
+        raise ServingError(
+            f"array payload must be real-valued (bool, int, uint or "
+            f"float), got dtype {rows.dtype}"
+        )
+    return np.asarray(rows, dtype=dtype)
+
+
 class InferenceServer(FrameServer):
     """Serve an engine's model registry over TCP with micro-batching.
 
@@ -484,9 +501,7 @@ class InferenceServer(FrameServer):
                 )
             if chunk.shape[0] < 1:
                 raise ServingError("stream_push needs at least one sample")
-            # Same front-door cast as predict: any input dtype fuses
-            # into the same stream bucket with identical results.
-            chunk = np.asarray(chunk, dtype=plan.policy.real_dtype)
+            chunk = _real_rows(chunk, plan.policy.real_dtype)
             start = time.perf_counter()
             entry["busy"] = True
             try:
@@ -559,10 +574,9 @@ class InferenceServer(FrameServer):
                     self._infer_thread, self.engine.session, model, precision
                 )
                 self._route_sessions[(model, precision)] = session
-            # Cast once at the front door — the same cast the session
-            # applies at its boundary — so requests of any input dtype
-            # fuse into one micro-batch bucket with identical results.
-            rows = np.asarray(rows, dtype=session.policy.real_dtype)
+            # Cast once at the front door, the same cast the session
+            # applies at its boundary.
+            rows = _real_rows(rows, session.policy.real_dtype)
             self.stats["requests"] += 1
             start = time.perf_counter()
             proba = await self._batcher_for(model, precision).submit(

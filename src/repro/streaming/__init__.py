@@ -7,18 +7,19 @@ recomputing the whole prefix would blow the budget.  This package is
 the model-side half of that story (the wire protocol, server stream
 registry and client API live in :mod:`repro.serving`):
 
-* :class:`StreamPlan` / :func:`compile_stream_plan` — the incremental
-  twin of the batch plan compiler: push suffix chunks, get exactly the
-  new output rows, **bitwise identical** to the batch plan over the
-  concatenated sequence (see :mod:`repro.streaming.plan` for why parity
-  is structural, not approximate),
+* :class:`StreamPlan` / :func:`compile_stream_plan` — the batch plan's
+  own fused ops, run on suffix chunks: push ``K`` samples, get exactly
+  the new output rows, **bitwise identical** to the batch plan over the
+  concatenated sequence at the same precision (see
+  :mod:`repro.streaming.plan` for why parity is structural),
 * :class:`StreamState` — the per-conversation carry: one
-  ``(dilation, channels)`` history buffer per two-tap layer, with exact
+  ``(dilation, channels)`` history buffer per ``fft1d`` op, with exact
   byte accounting the server budgets against.
 
 ``StreamPlan.push_many`` is the cross-stream fusion primitive the
-server's micro-batcher drives: many streams' pending chunks, one fused
-GEMM step, per-stream rows scattered back out — bitwise unchanged.
+server's micro-batcher drives: many streams' pending chunks, one run of
+each op, per-stream rows scattered back out — bitwise unchanged at the
+same precision, because ``seq_matmul`` is row-stable.
 """
 
 from .._lazy import attach

@@ -1,170 +1,125 @@
-"""The incremental stream plan: suffix pushes, bitwise batch parity.
+"""The incremental stream plan: the batch plan's own ops, pushed in suffixes.
 
 :func:`compile_stream_plan` freezes a sequence model (a live
 :class:`~repro.nn.module.Sequential` or a deployment artifact's records)
-into a :class:`StreamPlan` — the streaming twin of
-:func:`~repro.runtime.plan.compile_records_plan`.  Where the batch plan
-consumes a whole ``(batch, T, channels)`` timeline at once, the stream
-plan consumes it in arbitrary suffix chunks: push ``K`` new samples and
-get exactly the ``K`` new output rows, with all cross-sample memory held
-in a per-conversation :class:`~repro.streaming.state.StreamState`.
+into a :class:`StreamPlan` whose op list *is* the frozen batch plan —
+``fuse_plan(compile_records_plan(records, policy))``, the ops an
+:class:`~repro.runtime.session.InferenceSession` runs.  Where a session
+feeds those ops a whole ``(batch, T, channels)`` timeline, a push feeds
+them ``(rows, channels)`` suffix chunks: push ``K`` new samples and get
+exactly the ``K`` new output rows, with all cross-sample memory held in
+a per-conversation :class:`~repro.streaming.state.StreamState`.
 
-Parity is the contract, and it is structural rather than approximate.
-Every weight application in both plans routes through
-:func:`~repro.nn.layers.fftnet1d.seq_matmul`, whose per-row results are
-independent of how many rows share the call, and every step replicates
-the batch op's exact accumulation order (right tap, ``+=`` left tap,
-``+=`` bias, activation — all elementwise past the GEMMs).  A timestep's
-output therefore depends only on that timestep's row values, never on
-its neighbours in the call, so any chunking of the timeline — one
-sample at a time, ragged pushes, or many streams' chunks fused into a
-single call by the server's micro-batcher — is bitwise identical to the
-batch plan over the concatenated sequence (fp64 and fp32 alike).
+Parity is structural: a stream plan runs the batch plan's own ops.  The
+one stateful op, ``fft1d``, asks the memory it runs against for its
+dilated left-tap rows — a session's workspace answers with the causal
+zero history, a push answers from the streams' history buffers — and
+the rest of its body, like every other op, is shared code.  The answer
+is bitwise rather than close because every weight application goes
+through :func:`~repro.nn.layers.fftnet1d.seq_matmul`, whose per-row
+results do not depend on how many rows share the call, and everything
+past the GEMMs is elementwise.  So at the same precision (fp64 or fp32)
+any chunking of the timeline — one sample at a time, ragged pushes, or
+many streams' chunks fused into a single call by the server's
+micro-batcher — is bitwise identical to the batch plan over the
+concatenated sequence.
 
 Fusion across streams falls out of the same property:
 :meth:`StreamPlan.push_many` stacks all streams' new rows into one
-matrix per step, runs each GEMM once, and scatters the rows back, so
-``N`` concurrent single-sample pushes cost one fused step instead of
-``N`` tiny ones — without perturbing a single bit of any stream.
+matrix, runs each op once, and scatters the rows back, so ``N``
+concurrent single-sample pushes cost one fused step instead of ``N``
+tiny ones — without perturbing a single bit of any stream.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import DeploymentError, ShapeError
-from ..nn.layers import seq_matmul
 from ..nn.module import Sequential
 from ..precision import FP64, PrecisionPolicy
-from ..runtime.plan import _ACTIVATIONS, model_records, softmax
+from ..runtime.plan import (
+    PlanOp,
+    compile_records_plan,
+    fuse_plan,
+    model_records,
+    softmax,
+)
 from .state import StreamState
 
 __all__ = ["StreamPlan", "compile_stream_plan"]
 
+#: Record kinds whose ops are row-wise over ``(rows, channels)``: the
+#: two sequence layers and the elementwise activations.
+_STREAMABLE = frozenset(
+    {"fft1d", "pointwise1d", "relu", "leaky_relu", "sigmoid", "tanh", "softmax"}
+)
 
-class _TapStep:
-    """One two-tap causal layer ``y[t] = W_r x[t] + W_l x[t-d] + b``.
 
-    Holds ``dilation`` rows of per-stream input history (in the
-    :class:`StreamState`, not here); the step itself is shared and
-    immutable apart from the foldable ``activation`` slot filled during
-    compilation.
+class _PushMemory:
+    """The memory a push runs the plan's ops against.
+
+    Streamable ops ask it for one thing, ``fft1d``'s left-tap rows; it
+    answers from each stream's history buffer for plan op ``step`` (set
+    by the push loop) and rolls that buffer on to the newest
+    ``dilation`` input rows.
     """
 
-    __slots__ = ("name", "wl_t", "wr_t", "bias", "dilation", "in_c", "out_c", "activation")
+    __slots__ = ("states", "bounds", "step")
 
-    def __init__(self, weight_l, weight_r, bias, dilation, rdtype):
-        self.wl_t = np.ascontiguousarray(np.asarray(weight_l, dtype=rdtype).T)
-        self.wr_t = np.ascontiguousarray(np.asarray(weight_r, dtype=rdtype).T)
-        self.bias = None if bias is None else np.asarray(bias, dtype=rdtype)
-        self.dilation = int(dilation)
-        self.in_c, self.out_c = self.wr_t.shape
-        self.activation: Callable[[np.ndarray], np.ndarray] | None = None
-        self.name = f"fft1d({self.in_c}->{self.out_c},d={self.dilation})"
-        if self.dilation < 1:
-            raise DeploymentError(f"dilation must be >= 1, got {dilation}")
+    def __init__(self, states: Sequence[StreamState], bounds: list):
+        self.states = states
+        self.bounds = bounds
+        self.step = 0
 
-    @property
-    def state_shape(self) -> tuple[int, int]:
-        return (self.dilation, self.in_c)
-
-    def run(self, x, states, offsets, index):
+    def left_taps(self, x: np.ndarray, dilation: int) -> np.ndarray:
+        step = self.step
         lefts = []
-        for i, state in enumerate(states):
-            new = x[offsets[i] : offsets[i + 1]]
-            ctx = np.concatenate([state.buffers[index], new], axis=0)
+        for state, (start, stop) in zip(self.states, self.bounds):
+            ctx = np.concatenate([state.buffers[step], x[start:stop]])
             # ctx is the last ``dilation`` inputs followed by the new
-            # rows: ctx[k] is x[t - dilation] for the k-th new position.
-            lefts.append(ctx[: new.shape[0]])
-            state.buffers[index] = ctx[ctx.shape[0] - self.dilation :].copy()
-        xl = lefts[0] if len(lefts) == 1 else np.concatenate(lefts, axis=0)
-        out = seq_matmul(x, self.wr_t)
-        out += seq_matmul(xl, self.wl_t)
-        if self.bias is not None:
-            out += self.bias
-        if self.activation is not None:
-            out = self.activation(out)
-        return out
-
-
-class _DenseStep:
-    """Per-timestep projection (``Pointwise1d``): stateless."""
-
-    __slots__ = ("name", "weight_t", "bias", "in_c", "out_c", "activation")
-
-    def __init__(self, weight, bias, rdtype):
-        self.weight_t = np.ascontiguousarray(np.asarray(weight, dtype=rdtype).T)
-        self.bias = None if bias is None else np.asarray(bias, dtype=rdtype)
-        self.in_c, self.out_c = self.weight_t.shape
-        self.activation: Callable[[np.ndarray], np.ndarray] | None = None
-        self.name = f"pointwise1d({self.in_c}->{self.out_c})"
-
-    state_shape = None
-
-    def run(self, x, states, offsets, index):
-        out = seq_matmul(x, self.weight_t)
-        if self.bias is not None:
-            out += self.bias
-        if self.activation is not None:
-            out = self.activation(out)
-        return out
-
-
-class _ElementwiseStep:
-    """A bare per-row function (softmax, or an unfoldable activation)."""
-
-    __slots__ = ("name", "fn")
-
-    def __init__(self, name, fn):
-        self.name = name
-        self.fn = fn
-
-    state_shape = None
-
-    def run(self, x, states, offsets, index):
-        return self.fn(x)
+            # rows: ctx[k] is x[t - dilation] for the k-th new row.
+            lefts.append(ctx[: stop - start])
+            state.buffers[step] = ctx[ctx.shape[0] - dilation :].copy()
+        return lefts[0] if len(lefts) == 1 else np.concatenate(lefts)
 
 
 class StreamPlan:
-    """A frozen incremental plan: shared weights, per-stream state.
+    """A frozen incremental plan: shared ops, per-stream state.
 
+    ``ops`` is the fused batch plan of the same records.
     Thread-compatibility contract: the plan itself is immutable after
     compilation and may be shared freely; a :class:`StreamState` is
     mutated by pushes and must not appear in two concurrent calls (the
     server enforces this with a per-stream busy flag).
     """
 
-    def __init__(self, steps: Sequence, policy: PrecisionPolicy):
-        steps = list(steps)
-        matmuls = [s for s in steps if isinstance(s, (_TapStep, _DenseStep))]
-        if not matmuls:
-            raise DeploymentError(
-                "model has no streamable weight layers (FFTLayer1d / Pointwise1d)"
-            )
-        self.steps = steps
+    def __init__(
+        self,
+        ops: Sequence[PlanOp],
+        policy: PrecisionPolicy,
+        in_channels: int,
+        out_channels: int,
+    ):
+        self.ops = list(ops)
         self.policy = policy
-        self.in_channels = matmuls[0].in_c
-        self.out_channels = matmuls[-1].out_c
-        #: one entry per step: ``(dilation, in_channels)`` or ``None``.
-        self.state_shapes = tuple(s.state_shape for s in steps)
-        self.ends_with_softmax = bool(steps) and steps[-1].name == "softmax"
+        self.in_channels = int(in_channels)
+        self.out_channels = int(out_channels)
+        #: one entry per op: ``(dilation, in_channels)`` or ``None``.
+        self.state_shapes = tuple(op.state_shape for op in self.ops)
+        self.ends_with_softmax = self.ops[-1].name == "softmax"
+        shapes = [shape for shape in self.state_shapes if shape is not None]
         #: output of sample ``t`` depends on inputs ``t-rf+1 .. t``.
-        self.receptive_field = 1 + sum(
-            s.dilation for s in steps if isinstance(s, _TapStep)
-        )
+        self.receptive_field = 1 + sum(dilation for dilation, _ in shapes)
         itemsize = np.dtype(policy.real_dtype).itemsize
         #: history bytes per stream — fixed, known before any data.
-        self.state_bytes = sum(
-            shape[0] * shape[1] * itemsize
-            for shape in self.state_shapes
-            if shape is not None
-        )
+        self.state_bytes = sum(rows * cols * itemsize for rows, cols in shapes)
 
     def describe(self) -> list[str]:
-        """Step names, mirroring the batch plan's fused op names."""
-        return [s.name for s in self.steps]
+        """Op names, in the session's format (fused ops show as ``a+b``)."""
+        return [op.name for op in self.ops]
 
     def open(self) -> StreamState:
         """A fresh stream positioned at sample zero."""
@@ -185,10 +140,11 @@ class StreamPlan:
         ``chunks[i]`` is stream ``i``'s suffix — ``(K_i, in_channels)``
         (or ``(K_i,)`` when ``in_channels == 1``); the return value is
         the matching ``(K_i, out_channels)`` output rows per stream,
-        bitwise equal to what the batch plan produces for those
-        positions of the full sequence.  With ``proba=True`` the rows
-        are passed through softmax unless the plan already ends in one
-        (the :meth:`~repro.runtime.session.InferenceSession.predict_proba`
+        bitwise equal to what the batch plan produces at the same
+        precision for those positions of the full sequence.  With
+        ``proba=True`` the rows are passed through softmax unless the
+        plan already ends in one (the
+        :meth:`~repro.runtime.session.InferenceSession.predict_proba`
         convention).  All streams advance atomically from the caller's
         view: validation happens before any state is touched.
         """
@@ -207,7 +163,8 @@ class StreamPlan:
             seen.add(id(state))
         rdtype = self.policy.real_dtype
         rows: list[np.ndarray] = []
-        sizes: list[int] = []
+        bounds: list[tuple[int, int]] = []
+        start = 0
         for chunk in chunks:
             arr = np.asarray(chunk, dtype=rdtype)
             if arr.ndim == 1 and self.in_channels == 1:
@@ -218,74 +175,26 @@ class StreamPlan:
                     f"got shape {np.asarray(chunk).shape}"
                 )
             rows.append(arr)
-            sizes.append(arr.shape[0])
-        x = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        for index, step in enumerate(self.steps):
-            x = step.run(x, states, offsets, index)
+            bounds.append((start, start + arr.shape[0]))
+            start += arr.shape[0]
+        x = rows[0] if len(rows) == 1 else np.concatenate(rows)
+        memory = _PushMemory(states, bounds)
+        for memory.step, op in enumerate(self.ops):
+            x = op.run(x, memory)
         if proba and not self.ends_with_softmax:
             x = softmax(x)
-        for state, size in zip(states, sizes):
-            state.samples += size
+        for state, (start, stop) in zip(states, bounds):
+            state.samples += stop - start
             state.pushes += 1
         if len(states) == 1:
             return [x]
-        return [
-            np.ascontiguousarray(x[offsets[i] : offsets[i + 1]])
-            for i in range(len(states))
-        ]
+        return [np.ascontiguousarray(x[start:stop]) for start, stop in bounds]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"StreamPlan({len(self.steps)} steps, rf={self.receptive_field}, "
+            f"StreamPlan({len(self.ops)} ops, rf={self.receptive_field}, "
             f"state_bytes={self.state_bytes})"
         )
-
-
-def _attach_activation(steps: list, name: str, fn) -> None:
-    """Fold an activation into the producing step (batch-plan fusion twin)."""
-    if (
-        steps
-        and isinstance(steps[-1], (_TapStep, _DenseStep))
-        and steps[-1].activation is None
-        and name != "softmax"
-    ):
-        steps[-1].activation = fn
-        steps[-1].name += f"+{name}"
-    else:
-        steps.append(_ElementwiseStep(name, fn))
-
-
-def _steps_from_records(records: Sequence[dict], rdtype) -> list:
-    steps: list = []
-    for record in records:
-        kind = record["kind"]
-        if kind == "fft1d":
-            stacked = np.asarray(record["weight"])
-            steps.append(
-                _TapStep(
-                    stacked[0], stacked[1], record["bias"], record["dilation"], rdtype
-                )
-            )
-        elif kind == "pointwise1d":
-            steps.append(_DenseStep(record["weight"], record["bias"], rdtype))
-        elif kind in ("relu", "sigmoid", "tanh"):
-            _attach_activation(steps, kind, _ACTIVATIONS[kind])
-        elif kind == "leaky_relu":
-            slope = record["slope"]
-            _attach_activation(
-                steps,
-                "leaky_relu",
-                lambda x, s=slope: np.where(x > 0.0, x, s * x),
-            )
-        elif kind == "softmax":
-            steps.append(_ElementwiseStep("softmax", softmax))
-        else:
-            raise DeploymentError(
-                f"record kind {kind!r} is not streamable; stream plans "
-                "support fft1d / pointwise1d plus elementwise activations"
-            )
-    return steps
 
 
 def compile_stream_plan(
@@ -298,10 +207,22 @@ def compile_stream_plan(
     plan's own walker), a :class:`~repro.embedded.deploy.DeployedModel`,
     or its raw record list — so any model or artifact the engine can
     serve in batch mode can also be served incrementally if its layers
-    are streamable.
+    are streamable.  The plan's ops are the batch compiler's, fused.
     """
     if isinstance(source, Sequential):
         records = model_records(source)
     else:
         records = getattr(source, "records", source)
-    return StreamPlan(_steps_from_records(records, policy.real_dtype), policy)
+    for record in records:
+        if record["kind"] not in _STREAMABLE:
+            raise DeploymentError(
+                f"record kind {record['kind']!r} is not streamable; stream "
+                "plans support fft1d / pointwise1d plus elementwise activations"
+            )
+    weights = [np.shape(record["weight"]) for record in records if "weight" in record]
+    if not weights:
+        raise DeploymentError(
+            "model has no streamable weight layers (FFTLayer1d / Pointwise1d)"
+        )
+    ops = fuse_plan(compile_records_plan(records, policy))
+    return StreamPlan(ops, policy, weights[0][-1], weights[-1][-2])

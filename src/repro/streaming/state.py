@@ -1,14 +1,15 @@
-"""Per-stream state: the ring of past activations each causal tap needs.
+"""Per-stream state: the history each causal tap needs between pushes.
 
 A :class:`~repro.streaming.plan.StreamPlan` is stateless and shared; all
 per-conversation memory lives in a :class:`StreamState` — one small
-``(dilation, channels)`` history buffer per two-tap layer, holding the
-last ``dilation`` *inputs* that layer saw.  That is the entire carry: a
-causal two-tap layer ``y[t] = W_r x[t] + W_l x[t-d] + b`` needs exactly
-the previous ``d`` samples to extend its output, and pointwise /
-elementwise steps need nothing.  ``state_bytes`` is therefore fixed per
-plan and known before any data arrives, which is what lets the server
-admit or shed ``stream_open`` against a hard memory budget up front.
+``(dilation, channels)`` history buffer per ``fft1d`` op of the plan,
+holding the last ``dilation`` *inputs* that op saw.  That is the entire
+carry: a causal two-tap layer ``y[t] = W_r x[t] + W_l x[t-d] + b``
+needs exactly the previous ``d`` samples to extend its output, and
+pointwise / elementwise ops need nothing.  ``state_bytes`` is therefore
+fixed per plan and known before any data arrives, which is what lets
+the server admit or shed ``stream_open`` against a hard memory budget
+up front.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ __all__ = ["StreamState"]
 class StreamState:
     """The mutable per-stream carry for one :class:`StreamPlan`.
 
-    ``buffers[i]`` is the history buffer for plan step ``i`` — a
-    ``(dilation, in_channels)`` array of that step's last inputs for
-    two-tap steps, ``None`` for stateless steps.  Buffers start zeroed,
+    ``buffers[i]`` is the history buffer for plan op ``i`` — a
+    ``(dilation, in_channels)`` array of that op's last inputs for
+    ``fft1d`` ops, ``None`` for stateless ops.  Buffers start zeroed,
     matching the batch plan's causal zero padding (``x[t] = 0`` for
     ``t < 0``), so a fresh stream reproduces the batch plan from sample
     zero.  ``samples`` counts pushed samples; ``pushes`` counts push

@@ -378,6 +378,46 @@ class TestServerStreaming:
 
         serve(engine, scenario)
 
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            np.full((2, 1), 1.5 + 2.0j),
+            np.full((2, 1), "1.5"),
+            np.zeros((2, 1), dtype="datetime64[D]"),
+        ],
+        ids=["complex128", "str", "datetime64"],
+    )
+    def test_non_real_push_is_refused_and_stream_survives(self, chunk, rng):
+        engine = stream_engine()
+        model = fftnet()
+        full = rng.standard_normal((5, 1))
+
+        async def scenario(server):
+            def go():
+                raw = socket.create_connection(
+                    ("127.0.0.1", server.port), timeout=5
+                )
+                send_frame_sync(raw, {"op": "stream_open"})
+                opened, _ = read_frame_sync(raw)
+                push = {"op": "stream_push", "stream": opened["stream"]}
+                send_frame_sync(raw, push, pack_array(chunk))
+                refused, _ = read_frame_sync(raw)
+                send_frame_sync(raw, push, pack_array(full))
+                ok, payload = read_frame_sync(raw)
+                raw.close()
+                return refused, ok, payload
+
+            return await in_thread(go)
+
+        refused, ok, payload = serve(engine, scenario)
+        assert refused["status"] == "error"
+        assert "real-valued" in refused["message"]
+        # The refused push never touched the stream: the next push
+        # starts at sample zero and matches the offline batch session.
+        assert ok["status"] == "ok" and ok["samples"] == 5
+        want = Engine(model=model).session().predict_proba(full[None])[0]
+        assert np.array_equal(unpack_array(payload), want)
+
     def test_draining_refuses_streams(self):
         engine = stream_engine()
 

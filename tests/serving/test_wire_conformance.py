@@ -178,6 +178,33 @@ class TestConnectionSurvives:
         assert ok["status"] == "ok"
         assert unpack_array(payload).shape == (2, 10)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.full((2, 96), 1.5 + 2.0j),
+            np.full((2, 96), "1.5"),
+            np.zeros((2, 96), dtype="datetime64[D]"),
+        ],
+        ids=["complex128", "str", "datetime64"],
+    )
+    def test_non_real_payload_is_a_clean_error(self, endpoint, rows, rng):
+        # A cast would drop the imaginary part, parse the strings and
+        # read the dates as day counts: refused, not computed on.
+        async def scenario(port):
+            async with Raw(port) as raw:
+                reply, _ = await raw.ask({"op": "predict"}, pack_array(rows))
+                ok, payload = await raw.ask(
+                    {"op": "predict"}, pack_array(rng.normal(size=(2, 96)))
+                )
+                return reply, ok, payload
+
+        reply, ok, payload = endpoint(scenario)
+        assert is_clean_error(reply)
+        assert "real-valued" in reply["message"]
+        assert str(rows.dtype) in reply["message"]
+        assert ok["status"] == "ok"
+        assert unpack_array(payload).shape == (2,)
+
     def test_id_echoed_on_ok_and_error_replies(self, endpoint, rng):
         async def scenario(port):
             async with Raw(port) as raw:

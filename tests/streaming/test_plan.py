@@ -11,7 +11,9 @@ from repro.exceptions import (
     ShapeError,
 )
 from repro.nn import (
+    BatchNorm1d,
     FFTLayer1d,
+    Flatten,
     LeakyReLU,
     Linear,
     Pointwise1d,
@@ -32,6 +34,17 @@ def fftnet(depth=3, channels=8, classes=5, in_channels=1, seed=0):
         classes=classes,
         in_channels=in_channels,
         rng=np.random.default_rng(seed),
+    )
+
+
+def leaky_softmax_model():
+    rng0 = np.random.default_rng(2)
+    return Sequential(
+        FFTLayer1d(1, 6, 4, rng=rng0),
+        LeakyReLU(0.1),
+        FFTLayer1d(6, 6, 1, rng=rng0),
+        Pointwise1d(6, 4, rng=rng0),
+        Softmax(),
     )
 
 
@@ -112,14 +125,7 @@ class TestIncrementalParity:
         assert np.array_equal(inc, batch_reference(model, full))
 
     def test_leaky_relu_and_explicit_softmax(self, rng):
-        rng0 = np.random.default_rng(2)
-        model = Sequential(
-            FFTLayer1d(1, 6, 4, rng=rng0),
-            LeakyReLU(0.1),
-            FFTLayer1d(6, 6, 1, rng=rng0),
-            Pointwise1d(6, 4, rng=rng0),
-            Softmax(),
-        )
+        model = leaky_softmax_model()
         full = rng.standard_normal((17, 1))
         plan = compile_stream_plan(model)
         assert plan.ends_with_softmax
@@ -196,25 +202,51 @@ class TestFusedMultiStream:
 
 
 class TestSources:
-    def test_compile_from_artifact_records(self, rng, tmp_path):
+    @pytest.mark.parametrize("quantize_bits", [None, 12])
+    def test_compile_from_artifact_records(self, rng, tmp_path, quantize_bits):
         model = fftnet()
         full = rng.standard_normal((25, 1))
-        deployed = DeployedModel.from_model(model)
+        deployed = DeployedModel.from_model(model, quantize_bits=quantize_bits)
         path = tmp_path / "fftnet.npz"
         deployed.save(path)
         loaded = DeployedModel.load(path)
+        assert loaded.quantized == (quantize_bits is not None)
         plan = compile_stream_plan(loaded)
         inc, _ = push_all(plan, full, [6, 19])
-        # Artifacts persist weights at fp32, so the parity reference is
-        # the artifact's own frozen session, not the original model.
+        # Artifacts persist weights at fp32 (or as fixed-point codes),
+        # so the parity reference is the artifact's own frozen session,
+        # not the original model.
         ref = Engine(model=loaded).session().predict_proba(full[None])[0]
         assert np.array_equal(inc, ref)
 
-    def test_non_streamable_model_rejected(self):
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            lambda rng0: Linear(8, 8, rng=rng0),
+            lambda rng0: BatchNorm1d(8),  # an ``affine`` record
+            lambda rng0: Flatten(),
+        ],
+        ids=["linear", "batchnorm1d", "flatten"],
+    )
+    def test_non_streamable_model_rejected(self, layer):
         rng0 = np.random.default_rng(0)
-        dense = Sequential(Linear(8, 4, rng=rng0), ReLU())
+        model = Sequential(Pointwise1d(1, 8, rng=rng0), ReLU(), layer(rng0))
         with pytest.raises(DeploymentError, match="not streamable"):
-            compile_stream_plan(dense)
+            compile_stream_plan(model)
+
+    @pytest.mark.parametrize("source", ["zoo", "leaky_softmax", "artifact"])
+    def test_describe_is_the_session_format(self, source, tmp_path):
+        model = leaky_softmax_model() if source == "leaky_softmax" else fftnet()
+        if source == "artifact":
+            path = tmp_path / "fftnet.npz"
+            DeployedModel.from_model(model).save(path)
+            loaded = DeployedModel.load(path)
+            plan = compile_stream_plan(loaded)
+            session = Engine(model=loaded).session()
+        else:
+            plan = compile_stream_plan(model)
+            session = InferenceSession.freeze(model)
+        assert plan.describe() == session.describe()
 
     def test_describe_and_geometry(self):
         plan = compile_stream_plan(fftnet(depth=3, channels=8, classes=5))
