@@ -68,7 +68,6 @@ def launch_server(artifact: Path, args) -> tuple[subprocess.Popen, str, int]:
             sys.executable, "-m", "repro", "serve", str(artifact),
             "--port", "0",
             "--max-streams", str(args.streams + 2),
-            "--max-wait-ms", "2",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,

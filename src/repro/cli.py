@@ -255,13 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=_positive_int,
         default=32,
-        help="flush a micro-batch once this many rows are pending",
-    )
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="flush a partial micro-batch after this many milliseconds",
+        help="most rows fused into one micro-batch",
     )
     serve.add_argument(
         "--max-streams",
@@ -710,7 +704,6 @@ def _cmd_serve(args) -> int:
             executor=args.executor,
             threads=args.threads,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             max_streams=args.max_streams,
         )
     except ValueError as exc:  # covers ConfigurationError
@@ -729,7 +722,7 @@ def _cmd_serve(args) -> int:
             f"default={default_model}:{default_precision} "
             f"executor={info['kind']} workers={info['workers']} "
             f"shared_pool={pool_desc} "
-            f"max_batch={args.max_batch} max_wait_ms={args.max_wait_ms}",
+            f"max_batch={args.max_batch}",
             flush=True,
         )
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ..defaults import DEFAULT_MODEL_NAME
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, require_count
 from ..precision import PrecisionPolicy
 from ..runtime.executors import effective_cpu_count
 
@@ -111,8 +111,8 @@ class EngineConfig:
         Arm per-op-kind timing on every route's executor; cumulative
         per-kind nanoseconds surface via the serving ``info`` op
         (``routes[...]["op_stats"]``) and ``repro predict --profile``.
-    max_batch, max_wait_ms:
-        Micro-batching limits for the serving front-end.
+    max_batch:
+        Most rows the serving front-end fuses into one micro-batch.
     max_payload:
         Per-request wire payload bound for the serving front-end.
     max_queue_rows:
@@ -142,7 +142,6 @@ class EngineConfig:
     threads: int | None = None
     profile: bool = False
     max_batch: int = 32
-    max_wait_ms: float = 2.0
     max_payload: int = 1 << 28
     max_queue_rows: int = 1024
     max_streams: int = 64
@@ -218,42 +217,14 @@ class EngineConfig:
                 f"executor must be one of {_EXECUTORS}, got {executor!r}"
             )
         object.__setattr__(self, "executor", executor)
-        if self.threads is not None and self.threads < 1:
-            raise ConfigurationError(
-                f"threads must be >= 1, got {self.threads}"
-            )
 
-        # --- batching -------------------------------------------------
-        if self.max_batch < 1:
-            raise ConfigurationError(
-                f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        if self.max_wait_ms < 0:
-            raise ConfigurationError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
-        if self.max_payload < 1:
-            raise ConfigurationError(
-                f"max_payload must be >= 1, got {self.max_payload}"
-            )
-
-        # --- admission policy -----------------------------------------
-        if self.max_queue_rows < 1:
-            raise ConfigurationError(
-                f"max_queue_rows must be >= 1, got {self.max_queue_rows}"
-            )
-        if self.max_streams < 1:
-            raise ConfigurationError(
-                f"max_streams must be >= 1, got {self.max_streams}"
-            )
-        if (
-            self.max_stream_state_bytes is not None
-            and self.max_stream_state_bytes < 1
-        ):
-            raise ConfigurationError(
-                f"max_stream_state_bytes must be >= 1 or None, "
-                f"got {self.max_stream_state_bytes}"
-            )
+        # --- counts: threads, batching and admission limits ------------
+        for name in ("max_batch", "max_payload", "max_queue_rows", "max_streams"):
+            require_count(name, getattr(self, name))
+        # None: the effective core count / no byte budget.
+        for name in ("threads", "max_stream_state_bytes"):
+            if getattr(self, name) is not None:
+                require_count(name, getattr(self, name))
 
     # ------------------------------------------------------------------
     # Resolution helpers (the single place request fields are validated)
@@ -323,7 +294,6 @@ class EngineConfig:
             "threads": self.threads,
             "profile": self.profile,
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
             "max_payload": self.max_payload,
             "max_queue_rows": self.max_queue_rows,
             "max_streams": self.max_streams,

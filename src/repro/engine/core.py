@@ -281,7 +281,7 @@ class Engine:
         yourself, or use the engine as a context manager).
 
         ``SIGTERM`` and ``SIGINT`` trigger a *drain*: the server stops
-        admitting work, flushes every in-flight micro-batch and sends
+        admitting work, runs every in-flight micro-batch and sends
         its responses, then exits cleanly (see
         :meth:`~repro.serving.connection.FrameServer.run`) — so an
         orchestrator's stop signal never discards accepted requests.

@@ -84,3 +84,19 @@ class StreamBroken(ServingError):
 
 class PipelineError(ReproError, RuntimeError):
     """A build-pipeline stage failed or was run out of order."""
+
+
+def require_count(name: str, value):
+    """Return ``value`` if it is an ``int`` (not a ``bool``) ``>= 1``.
+
+    The one check behind every count-valued limit (batch, queue,
+    stream, payload and thread bounds).  A comparison alone lets NaN,
+    floats and ``True`` through, and a NaN bound compares false both
+    ways, silently disabling it.  Raises :class:`ConfigurationError`,
+    which is also a :class:`ValueError`.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(
+            f"{name} must be >= 1 (an int, not a bool), got {value!r}"
+        )
+    return value

@@ -13,12 +13,12 @@ this package gives it a front door:
   drain and signal-to-exit lifecycle shared by :class:`InferenceServer`
   and :class:`~repro.router.RouterServer`,
 * :mod:`repro.serving.batcher` — :class:`MicroBatcher`, aggregating
-  concurrent requests into fused batches (flushes at ``max_batch``
-  rows or after ``max_wait_ms``) in arrival order, with deadline
-  expiry (:class:`DeadlineExpired`) and the route's row bound
-  (``max_queue_rows``): over-bound requests are shed with the typed
-  :class:`~repro.exceptions.Overloaded` error carrying a
-  ``retry_after_ms`` hint,
+  concurrent requests into fused batches with no timer (whatever
+  queued while the last batch ran, up to ``max_batch`` rows) in
+  arrival order, with deadline expiry (:class:`DeadlineExpired`) and
+  the route's row bound (``max_queue_rows``): over-bound requests are
+  shed with the typed :class:`~repro.exceptions.Overloaded` error
+  carrying a ``retry_after_ms`` hint,
 * :mod:`repro.serving.server` — :class:`InferenceServer`, the asyncio
   TCP server over a :class:`~repro.engine.Engine`: one batcher per
   (model, precision) route, all fused batches on a dedicated

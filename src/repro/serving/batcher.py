@@ -3,26 +3,25 @@
 Concurrent clients each send small row batches; running every request
 through the session alone wastes the engine's batch efficiency (the
 frequency-domain GEMMs amortize the per-call FFT and dispatch cost over
-rows).  :class:`MicroBatcher` closes the gap: requests accumulate until
-either ``max_batch`` rows are pending or the oldest request has waited
-``max_wait_ms``, then the whole group runs as one concatenated batch
-and each caller gets back exactly its own rows.
+rows).  :class:`MicroBatcher` closes the gap without a timer: it is
+work-conserving.  A submit that finds the batcher idle starts its one
+worker task; the worker takes the queued requests in arrival order, up
+to ``max_batch`` rows, runs them as one concatenated batch, and hands
+each caller exactly its own rows.  Whatever arrives while a batch runs
+becomes the next batch, so fusion grows with load and a lone request
+never waits for company.
 
-Requests fuse in arrival order.  A request may carry a
-``deadline_ms``: if that deadline has already passed when its flush
-runs, it gets an error immediately instead of occupying fused-batch
-rows (its caller stopped listening; spending engine time on it only
-delays live requests).  A pending deadline also pulls the flush timer
-earlier than ``max_wait_ms`` would fire, giving tight-deadline
-requests a chance to run in time.
+A request may carry a ``deadline_ms``: if that deadline has already
+passed when the worker takes it, it gets an error immediately instead
+of occupying fused-batch rows (its caller stopped listening; spending
+engine time on it only delays live requests).
 
 The batcher is single-loop asyncio code: ``submit`` must be awaited on
-the event loop, flushing happens via ``call_later``, and the actual
-inference runs either inline (``executor=None``; simple and
-deterministic for tests) or on a caller-supplied
-:class:`concurrent.futures.Executor` — the server passes a
-single-thread pool, which keeps the event loop responsive *and*
-serializes access to the inference session.
+the event loop, and the actual inference runs either inline
+(``executor=None``; simple and deterministic for tests) or on a
+caller-supplied :class:`concurrent.futures.Executor` — the server
+passes a single-thread pool, which keeps the event loop responsive
+*and* serializes access to the inference session.
 
 Admission control: with ``max_queue_rows``, ``submit`` counts the
 route's *in-flight* rows — queued plus running, released only when a
@@ -33,9 +32,10 @@ backlog will have drained, from an exponential moving average of
 recent fused-batch latencies.
 
 Row-wise parity: every plan op is row-independent, so the rows a
-request gets back from a fused batch are the same rows a dedicated
-batch would produce; the e2e guarantee (server == serial executor,
-bitwise at fp64) is asserted by the serving tests.
+request gets back from a fused batch are the rows a dedicated batch
+would produce — bitwise when the runner is row-stable at the request's
+precision (a row's last bit may otherwise depend on the BLAS kernel
+its batch shape picks); the serving tests assert it.
 """
 
 from __future__ import annotations
@@ -43,12 +43,18 @@ from __future__ import annotations
 import asyncio
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..exceptions import DeadlineExpired, Overloaded, ServingError
+from ..exceptions import (
+    DeadlineExpired,
+    Overloaded,
+    ServingError,
+    require_count,
+)
 
 __all__ = ["MicroBatcher", "DeadlineExpired"]
 
@@ -61,8 +67,8 @@ class _Pending:
     ``None`` for a stateless predict (rows concatenate into one batch
     call) and a :class:`~repro.streaming.StreamState` for a stream push
     (rows are that stream's new samples; the group runs as one
-    ``push_many`` fused step).  The two kinds share the queue, the
-    flush window and the row bound, but never fuse with each other.
+    ``push_many`` fused step).  The two kinds share the queue and the
+    row bound, but never fuse with each other.
     """
 
     rows: np.ndarray
@@ -81,12 +87,8 @@ class MicroBatcher:
         row-wise aligned with its input (row ``i`` of the output belongs
         to row ``i`` of the input).
     max_batch:
-        Flush as soon as this many rows are pending.
-    max_wait_ms:
-        Flush this many milliseconds after the first pending request
-        arrived, even if the batch is not full — bounds the latency a
-        lone request pays for batching.  A pending request's deadline
-        can pull the flush earlier (never later).
+        Most rows the worker takes into one batch.  It always takes at
+        least one request, so a larger request still runs whole.
     executor:
         Where ``runner`` runs: ``None`` executes inline on the event
         loop (fine for tests and tiny models); otherwise a
@@ -101,42 +103,34 @@ class MicroBatcher:
         ``(states, chunks) -> outputs`` callable for fused stream
         pushes (the route's
         :meth:`~repro.streaming.StreamPlan.push_many`); required before
-        the first :meth:`submit_stream`.  Stream pushes wait in the
-        same pending window as predicts and count against the same row
-        bound, but flush as their own fused call.
+        the first :meth:`submit_stream`.  Stream pushes share the queue
+        and the row bound with predicts, but run as their own fused
+        call.
+
+    ``max_wait_ms`` is accepted and ignored: there is no batch window.
     """
 
     def __init__(
         self,
         runner: Callable[[np.ndarray], np.ndarray],
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
+        max_wait_ms=None,
         executor=None,
         max_queue_rows: int | None = None,
         stream_runner: Callable | None = None,
     ):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if max_queue_rows is not None and max_queue_rows < 1:
-            raise ValueError(
-                f"max_queue_rows must be >= 1 or None, got {max_queue_rows}"
-            )
+        self.max_batch = require_count("max_batch", max_batch)
+        if max_queue_rows is not None:
+            require_count("max_queue_rows", max_queue_rows)
         self._runner = runner
         self._stream_runner = stream_runner
-        self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self._executor = executor
         self.max_queue_rows = max_queue_rows
-        self._pending: list[_Pending] = []
+        self._pending: deque[_Pending] = deque()
         self._pending_rows = 0
         self._inflight_rows = 0  # queued + running, until futures resolve
         self._batch_ms_ema: float | None = None  # recent fused-batch latency
-        self._timer: asyncio.TimerHandle | None = None
-        self._timer_at: float | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
+        self._worker: asyncio.Task | None = None
         self._closed = False
         self.stats = {
             "requests": 0,
@@ -158,7 +152,7 @@ class MicroBatcher:
         """Queue ``rows`` and return their outputs once their batch ran.
 
         ``deadline_ms`` is measured from this call — if the deadline has
-        passed when the flush runs, the request fails with
+        passed when the worker takes the request, it fails with
         :class:`DeadlineExpired` instead of running.  With
         :attr:`max_queue_rows` set, a request that would overflow the
         route's row bound is shed immediately with
@@ -176,14 +170,14 @@ class MicroBatcher:
 
         ``state`` is the stream's
         :class:`~repro.streaming.StreamState`; ``rows`` are its new
-        samples.  Scheduling (flush windows, deadlines) and the row
-        bound are exactly :meth:`submit`'s; at flush time
-        every pending push in the window runs as *one* fused
-        ``stream_runner`` call across all its streams.  A shed or
-        deadline-expired push never touches the stream's state — the
-        caller may safely resend the same samples.  The caller must not
-        submit the same stream concurrently (the server's per-stream
-        busy flag and per-connection sequencing enforce this).
+        samples.  Scheduling (arrival order, deadlines) and the row
+        bound are exactly :meth:`submit`'s; every push the worker takes
+        into one batch runs as *one* fused ``stream_runner`` call
+        across all its streams.  A shed or deadline-expired push never
+        touches the stream's state — the caller may safely resend the
+        same samples.  The caller must not submit the same stream
+        concurrently (the server's per-stream busy flag and
+        per-connection sequencing enforce this).
         """
         if self._stream_runner is None:
             raise ServingError("batcher has no stream_runner configured")
@@ -214,7 +208,6 @@ class MicroBatcher:
                 retry_after_ms=self.retry_after_ms(),
             )
         loop = asyncio.get_running_loop()
-        self._loop = loop
         deadline = (
             None if deadline_ms is None else loop.time() + deadline_ms / 1000.0
         )
@@ -225,16 +218,16 @@ class MicroBatcher:
             state=state,
         )
         self._pending.append(pending)
-        self._pending_rows += rows.shape[0]
+        self._pending_rows += n_rows
         self._inflight_rows += n_rows
         pending.future.add_done_callback(
             lambda _f, n=n_rows: self._release(n)
         )
         self.stats["requests"] += 1
-        if self._pending_rows >= self.max_batch:
-            self._flush()
-        else:
-            self._schedule_flush(pending)
+        if self._worker is None:
+            # A task, not an inline call: requests submitted in this
+            # same loop tick queue before the worker's first take.
+            self._worker = loop.create_task(self._work())
         return await pending.future
 
     def _release(self, n_rows: int) -> None:
@@ -244,14 +237,12 @@ class MicroBatcher:
     def retry_after_ms(self) -> float:
         """Estimated ms until the current backlog has drained.
 
-        The flush wait plus one average fused-batch latency per
-        ``max_batch`` rows in flight.  Before any batch has run the
-        estimate is just the flush wait (clamped to at least 1 ms so
-        clients always get a positive hint).
+        One average fused-batch latency per ``max_batch`` rows in
+        flight, clamped to at least 1 ms so clients always get a
+        positive hint (also before any batch has run).
         """
         batch_ms = self._batch_ms_ema or 0.0
-        backlog = (self._inflight_rows / self.max_batch) * batch_ms
-        return max(1.0, self.max_wait_ms + backlog)
+        return max(1.0, self._inflight_rows / self.max_batch * batch_ms)
 
     @property
     def batch_ms_ema(self) -> float:
@@ -268,9 +259,9 @@ class MicroBatcher:
         """Backlog snapshot for the server's ``info`` health block.
 
         ``pending_rows`` / ``inflight_rows`` are the queued-row depth
-        (pre-flush and admitted-but-unresolved); ``batch_ms_ema`` is
-        the fused-batch latency estimate — together they are the
-        capacity signal a front-tier router steers by.
+        (not yet taken by the worker, and admitted-but-unresolved);
+        ``batch_ms_ema`` is the fused-batch latency estimate — together
+        they are the capacity signal a front-tier router steers by.
         """
         return {
             "pending_rows": self._pending_rows,
@@ -279,45 +270,33 @@ class MicroBatcher:
             "retry_after_ms": self.retry_after_ms(),
         }
 
-    def _schedule_flush(self, newcomer: _Pending) -> None:
-        """(Re)arm the flush timer; deadlines pull it earlier.
+    async def _work(self) -> None:
+        """Run batches until the queue is empty, then retire."""
+        try:
+            while self._pending:
+                group = self._take()
+                if group:
+                    await self._run_group(group)
+        finally:
+            self._worker = None
 
-        The timer fires at the earliest of: first-arrival +
-        ``max_wait_ms`` (the classic bound), or halfway to the
-        newcomer's deadline — flushing *before* the deadline passes, so
-        a tight-deadline request still runs in time instead of arriving
-        at its flush already expired.
+    def _take(self) -> list[_Pending]:
+        """The next batch: queued requests in arrival order, up to
+        ``max_batch`` rows and at least one request.
+
+        Deadline hygiene: a request already past its deadline gets its
+        error here and never occupies fused-batch rows.
         """
-        loop = self._loop
-        fire_at = (
-            loop.time() + self.max_wait_ms / 1000.0
-            if self._timer is None
-            else self._timer_at
-        )
-        if newcomer.deadline is not None:
-            head_start = (newcomer.deadline - loop.time()) / 2.0
-            fire_at = min(fire_at, loop.time() + max(0.0, head_start))
-        if self._timer is not None:
-            if fire_at >= self._timer_at:
-                return  # existing timer is already soon enough
-            self._timer.cancel()
-        self._timer_at = fire_at
-        self._timer = loop.call_at(fire_at, self._flush)
-
-    def _flush(self) -> None:
-        """Move the pending group into a running batch task."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-            self._timer_at = None
-        if not self._pending:
-            return
-        group, self._pending, self._pending_rows = self._pending, [], 0
-        now = self._loop.time()
-        # Deadline hygiene: a request already past its deadline gets its
-        # error now and never occupies fused-batch rows.
-        live = []
-        for pending in group:
+        now = asyncio.get_running_loop().time()
+        group: list[_Pending] = []
+        rows = 0
+        while self._pending:
+            pending = self._pending[0]
+            n_rows = pending.rows.shape[0]
+            if group and rows + n_rows > self.max_batch:
+                break
+            self._pending.popleft()
+            self._pending_rows -= n_rows
             if pending.deadline is not None and now >= pending.deadline:
                 self.stats["expired"] += 1
                 if not pending.future.done():
@@ -327,21 +306,17 @@ class MicroBatcher:
                             "before the batch ran"
                         )
                     )
-            else:
-                live.append(pending)
-        if not live:
-            return
-        task = self._loop.create_task(self._run_group(live))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+                continue
+            group.append(pending)
+            rows += n_rows
+        return group
 
     async def _run_group(self, group: list[_Pending]) -> None:
         # Fuse only compatible requests: concatenating mixed dtypes
         # would silently upcast one client's rows (different results
         # than a dedicated batch), and mixed widths would fail the whole
-        # group.  Requests that landed in the same flush window but
-        # differ run as their own fused batch, in order of each
-        # bucket's first arrival.
+        # group.  Requests taken together but differing run as their
+        # own fused batch, in order of each bucket's first arrival.
         # Stream pushes bucket separately from predicts (first key
         # element): their rows are per-stream suffixes fused via
         # push_many, not batch rows fused via concatenation.
@@ -358,6 +333,14 @@ class MicroBatcher:
                 await self._run_stream_bucket(bucket)
             else:
                 await self._run_bucket(bucket)
+
+    def _record_batch_ms(self, started: float) -> None:
+        batch_ms = (time.perf_counter() - started) * 1e3
+        self._batch_ms_ema = (
+            batch_ms
+            if self._batch_ms_ema is None
+            else 0.8 * self._batch_ms_ema + 0.2 * batch_ms
+        )
 
     async def _run_bucket(self, bucket: list[_Pending]) -> None:
         started = time.perf_counter()
@@ -379,12 +362,7 @@ class MicroBatcher:
                         ServingError(f"batch inference failed: {exc}")
                     )
             return
-        batch_ms = (time.perf_counter() - started) * 1e3
-        self._batch_ms_ema = (
-            batch_ms
-            if self._batch_ms_ema is None
-            else 0.8 * self._batch_ms_ema + 0.2 * batch_ms
-        )
+        self._record_batch_ms(started)
         self.stats["batches"] += 1
         self.stats["rows"] += batch.shape[0]
         self.stats["max_batch_rows"] = max(
@@ -416,12 +394,7 @@ class MicroBatcher:
                         ServingError(f"stream inference failed: {exc}")
                     )
             return
-        batch_ms = (time.perf_counter() - started) * 1e3
-        self._batch_ms_ema = (
-            batch_ms
-            if self._batch_ms_ema is None
-            else 0.8 * self._batch_ms_ema + 0.2 * batch_ms
-        )
+        self._record_batch_ms(started)
         fused_rows = sum(chunk.shape[0] for chunk in chunks)
         self.stats["batches"] += 1
         self.stats["stream_batches"] += 1
@@ -435,10 +408,9 @@ class MicroBatcher:
                 pending.future.set_result(out)
 
     async def drain(self) -> None:
-        """Flush the pending group and wait for all running batches."""
-        self._flush()
-        if self._tasks:
-            await asyncio.gather(*tuple(self._tasks), return_exceptions=True)
+        """Wait until the worker has run everything queued."""
+        if self._worker is not None:
+            await asyncio.wait({self._worker})
 
     async def aclose(self) -> None:
         """Refuse new work, then drain; idempotent."""
@@ -450,5 +422,5 @@ class MicroBatcher:
     def __repr__(self) -> str:
         return (
             f"MicroBatcher(max_batch={self.max_batch}, "
-            f"max_wait_ms={self.max_wait_ms}, pending={self._pending_rows})"
+            f"pending={self._pending_rows})"
         )

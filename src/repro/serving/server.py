@@ -89,7 +89,7 @@ class InferenceServer(FrameServer):
         Listen address; ``port=0`` binds an ephemeral port, readable
         from :attr:`port` after :meth:`start`.
 
-    The micro-batching limits (``max_batch``, ``max_wait_ms``; see
+    The micro-batch bound (``max_batch``; see
     :class:`~repro.serving.batcher.MicroBatcher`), the per-frame
     payload bound, the per-route row bound (``max_queue_rows``) and the
     open-stream budget (``max_streams``, ``max_stream_state_bytes``)
@@ -181,7 +181,6 @@ class InferenceServer(FrameServer):
             batcher = MicroBatcher(
                 run_batch,
                 max_batch=config.max_batch,
-                max_wait_ms=config.max_wait_ms,
                 executor=self._infer_thread,
                 max_queue_rows=config.max_queue_rows,
                 stream_runner=run_streams,
@@ -206,16 +205,10 @@ class InferenceServer(FrameServer):
         return self
 
     async def _drain(self) -> None:
-        # Flush inside the wait loop: a request sitting in a batcher's
-        # pending window would otherwise hold drain hostage for the
-        # full max_wait_ms timer.  Draining mode blocks new admissions,
-        # so the loop strictly empties.
+        # Every batcher works until its queue is empty and draining
+        # mode blocks new admissions, so the loop strictly empties.
         while self._inflight > 0:
-            for batcher in tuple(self._batchers.values()):
-                await batcher.drain()
             await asyncio.sleep(0.005)
-        for batcher in tuple(self._batchers.values()):
-            await batcher.drain()
         if self._server is not None:
             self._server.close()
 
@@ -353,7 +346,6 @@ class InferenceServer(FrameServer):
                 "precisions": list(self.engine.config.precisions),
                 "precision": self.engine.config.precision,
                 "max_batch": self.engine.config.max_batch,
-                "max_wait_ms": self.engine.config.max_wait_ms,
                 "stats": dict(self.stats),
                 "batchers": {
                     f"{model}/{precision}": dict(batcher.stats)
@@ -564,10 +556,9 @@ class InferenceServer(FrameServer):
             # First request for a route freezes its session — on the
             # inference thread, so plan compilation never stalls the
             # event loop.  The resolved session is cached per route:
-            # later requests must enter the batcher's pending window
-            # without a hop through the (possibly busy) inference
-            # thread, or batch N+1 could not accumulate while batch N
-            # computes.
+            # later requests must enter the batcher's queue without a
+            # hop through the (possibly busy) inference thread, or
+            # batch N+1 could not accumulate while batch N computes.
             session = self._route_sessions.get((model, precision))
             if session is None:
                 session = await asyncio.get_running_loop().run_in_executor(

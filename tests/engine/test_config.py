@@ -94,11 +94,21 @@ class TestExecutorPolicy:
         with pytest.raises(ConfigurationError, match="threads"):
             EngineConfig(model=model, threads=0)
 
-    def test_batching_limits_validated(self, model):
-        with pytest.raises(ConfigurationError, match="max_batch"):
-            EngineConfig(model=model, max_batch=0)
-        with pytest.raises(ConfigurationError, match="max_wait_ms"):
-            EngineConfig(model=model, max_wait_ms=-1)
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "max_batch", "max_queue_rows", "max_streams",
+            "max_stream_state_bytes", "max_payload", "threads",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "value", [0, -1, float("nan"), float("inf"), 2.5, True, "8"], ids=repr
+    )
+    def test_batching_limits_validated(self, model, field, value):
+        # A NaN bound compares false both ways and would silently turn
+        # the limit off; floats, bools and strings are refused too.
+        with pytest.raises(ConfigurationError, match=field):
+            EngineConfig(model=model, **{field: value})
 
     def test_row_bound_validated(self, model):
         with pytest.raises(ConfigurationError, match="max_queue_rows"):

@@ -4,6 +4,8 @@ import asyncio
 import importlib
 import threading
 import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,12 +13,13 @@ import pytest
 import repro
 import repro.engine
 import repro.runtime.executors as executors_mod
+from repro.cli import main
 from repro.embedded import DeployedModel
-from repro.engine import Engine
+from repro.engine import Engine, EngineConfig
 from repro.exceptions import ConfigurationError
 from repro.nn import BlockCirculantLinear, Linear, ReLU, Sequential
 from repro.runtime import InferenceSession, ThreadedExecutor
-from repro.serving import AsyncServeClient, InferenceServer
+from repro.serving import AsyncServeClient, InferenceServer, MicroBatcher
 from repro.zoo import build_arch1, build_fftnet
 
 
@@ -118,11 +121,11 @@ class TestLifecycle:
         session.close()  # idempotent with the engine's close
         assert executor is session.executor
 
-    def test_context_manager_exit_under_in_flight_requests(self, rng):
-        # A server draining while requests are still queued: the engine
-        # context exits only after the server drained its batchers, and
-        # every in-flight request still got a real answer.
-        engine = Engine(model=small_model(), max_wait_ms=50.0)
+    def test_context_manager_exit_under_in_flight_requests(self, rng, gate):
+        # A server stopping while a request is still in flight: the
+        # engine context exits only after the server drained its
+        # batchers, and every in-flight request still got a real answer.
+        engine = Engine(model=small_model())
         serial = InferenceSession.freeze(small_model())
         x = rng.normal(size=(3, 96))
 
@@ -131,12 +134,20 @@ class TestLifecycle:
                 server = InferenceServer(engine, port=0)
                 await server.start()
                 client = await AsyncServeClient.connect(port=server.port)
-                # Submit and stop the server while the request is still
-                # waiting in the batcher's flush window.
+                await client.predict_proba(x)  # freezes the route's session
+                (batcher,) = server._batchers.values()
+                # Stop the server while the request's batch is held on
+                # the inference thread.
+                held = gate(server._infer_thread)
                 pending = asyncio.create_task(client.predict_proba(x))
-                await asyncio.sleep(0)  # request reaches the server
+                await held.until(
+                    lambda: batcher.queue_depth()["inflight_rows"] == 3
+                )
+                stopping = asyncio.create_task(server.stop())
                 await asyncio.sleep(0.005)
-                await server.stop()  # drains pending batches
+                assert not stopping.done()  # stop drains the batch first
+                held.release()
+                await stopping
                 result = await pending
                 await client.close()
             return result
@@ -356,3 +367,39 @@ class TestRemovedEngineSurface:
         assert not hasattr(executor, "min_rows")
         executor.close()
         assert not hasattr(executors_mod, "AUTO_MIN_ROWS")
+
+    def test_batch_window_removed(self):
+        # There is no flush timer, so nothing takes max_wait_ms.
+        with pytest.raises(TypeError, match="max_wait_ms"):
+            EngineConfig(model=small_model(), max_wait_ms=2.0)
+        with pytest.raises(TypeError, match="max_wait_ms"):
+            Engine(model=small_model(), max_wait_ms=2.0)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "model.npz", "--max-wait-ms", "2"])
+        assert excinfo.value.code == 2
+
+    def test_info_has_no_max_wait_ms(self, rng):
+        async def scenario(engine):
+            async with InferenceServer(engine, port=0) as server:
+                async with await AsyncServeClient.connect(
+                    port=server.port
+                ) as client:
+                    return await client.info()
+
+        with Engine(model=small_model()) as engine:
+            info = asyncio.run(scenario(engine))
+        assert "max_wait_ms" not in info
+        assert "max_wait_ms" not in info["engine"]["config"]
+
+    def test_batcher_still_accepts_and_ignores_max_wait_ms(self):
+        # benchmarks/e2e/ladder.py builds its batcher this way.
+        with ThreadPoolExecutor(max_workers=1) as infer_thread:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batcher = MicroBatcher(
+                    lambda b: b, max_batch=32, max_wait_ms=2.0,
+                    executor=infer_thread,
+                )
+            assert not hasattr(batcher, "max_wait_ms")
+            rows = np.ones((2, 3))
+            assert np.array_equal(asyncio.run(batcher.submit(rows)), rows)

@@ -40,7 +40,6 @@ def backend_server(max_streams=8):
         models={"fftnet": MODEL},
         default_model="fftnet",
         max_streams=max_streams,
-        max_wait_ms=2.0,
     )
     return InferenceServer(Engine(config=config), port=0)
 

@@ -1,9 +1,14 @@
-"""MicroBatcher: flush triggers, splitting, arrival order, deadlines, errors."""
+"""MicroBatcher: work-conserving takes, splitting, arrival order,
+deadlines, errors, fusion parity."""
 
 import asyncio
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ServingError
 from repro.serving import DeadlineExpired, MicroBatcher
@@ -24,44 +29,82 @@ def run(coro):
     return asyncio.run(coro)
 
 
+async def ticks(n: int) -> None:
+    """Let the event loop run ``n`` iterations."""
+    for _ in range(n):
+        await asyncio.sleep(0)
+
+
 class TestFlushTriggers:
-    def test_full_batch_flushes_without_waiting(self, rng):
+    """No timer: an idle batcher runs whatever is queued at once, and
+    whatever arrives meanwhile becomes the next batch."""
+
+    @pytest.mark.parametrize("n_rows", [4, 10])  # full, and larger
+    def test_full_batch_flushes_without_waiting(self, rng, n_rows):
         runner = RecordingRunner()
 
         async def scenario():
-            # max_wait far beyond the test budget: only the row-count
-            # trigger can flush.
-            batcher = MicroBatcher(runner, max_batch=4, max_wait_ms=60_000)
-            rows = rng.normal(size=(4, 3))
+            batcher = MicroBatcher(runner, max_batch=4)
+            rows = rng.normal(size=(n_rows, 3))
             out = await asyncio.wait_for(batcher.submit(rows), timeout=5)
             assert np.array_equal(out, rows * 2.0)
 
         run(scenario())
-        assert len(runner.batches) == 1
+        # A request larger than max_batch still runs whole.
+        assert [batch.shape for batch in runner.batches] == [(n_rows, 3)]
 
-    def test_partial_batch_flushes_on_max_wait(self, rng):
+    def test_lone_submit_runs_without_the_clock_advancing(self, rng):
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=1000, max_wait_ms=10)
-            rows = rng.normal(size=(2, 3))
-            submitted = asyncio.get_running_loop().time()
-            future = asyncio.ensure_future(batcher.submit(rows))
-            await asyncio.sleep(0)
-            # Queued behind the max_wait timer, not flushed at once.
-            assert runner.batches == []
-            assert batcher._timer_at >= submitted + 0.010
-            out = await asyncio.wait_for(future, timeout=5)
+            loop = asyncio.get_running_loop()
+            frozen = loop.time()
+            loop.time = lambda: frozen  # no timer can ever fire
+            try:
+                batcher = MicroBatcher(runner, max_batch=1000)
+                rows = rng.normal(size=(2, 3))
+                future = asyncio.ensure_future(batcher.submit(rows))
+                await ticks(2)
+                assert len(runner.batches) == 1
+                out = await asyncio.wait_for(future, timeout=5)
+            finally:
+                del loop.time
             assert np.array_equal(out, rows * 2.0)
 
         run(scenario())
-        assert len(runner.batches) == 1
+
+    def test_arrivals_during_a_batch_become_the_next_batch(self, gate):
+        runner = RecordingRunner()
+        held = gate()
+
+        async def scenario():
+            batcher = MicroBatcher(
+                runner, max_batch=100, executor=held.executor
+            )
+            a, b, c = (np.full((2, 3), float(v)) for v in (1, 2, 3))
+            first = asyncio.ensure_future(batcher.submit(a))
+            await ticks(2)
+            # A was taken at once and waits on the held executor.
+            assert batcher.queue_depth()["pending_rows"] == 0
+            later = [asyncio.ensure_future(batcher.submit(r)) for r in (b, c)]
+            await ticks(2)
+            assert batcher.queue_depth()["pending_rows"] == 4
+            held.release()
+            outs = await asyncio.gather(first, *later)
+            for rows, out in zip((a, b, c), outs):
+                assert np.array_equal(out, rows * 2.0)
+
+        run(scenario())
+        assert [batch[:, 0].tolist() for batch in runner.batches] == [
+            [1.0, 1.0],
+            [2.0, 2.0, 3.0, 3.0],
+        ]
 
     def test_concurrent_submissions_fuse_into_one_batch(self, rng):
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=6, max_wait_ms=1000)
+            batcher = MicroBatcher(runner, max_batch=6)
             a, b, c = (rng.normal(size=(2, 3)) for _ in range(3))
             outs = await asyncio.gather(
                 batcher.submit(a), batcher.submit(b), batcher.submit(c)
@@ -74,13 +117,37 @@ class TestFlushTriggers:
         assert len(runner.batches) == 1
         assert runner.batches[0].shape == (6, 3)
 
+    def test_retry_after_ms_is_backlog_times_batch_ema(self, gate):
+        held = gate()
+
+        def slow(batch):
+            time.sleep(0.02)
+            return batch
+
+        async def scenario():
+            batcher = MicroBatcher(slow, max_batch=4, executor=held.executor)
+            assert batcher.retry_after_ms() == 1.0  # no batch has run
+            held.release()
+            await batcher.submit(np.zeros((1, 3)))
+            ema = batcher.batch_ms_ema
+            assert ema >= 20.0
+            again = gate(held.executor)
+            queued = asyncio.ensure_future(batcher.submit(np.zeros((10, 3))))
+            await ticks(2)
+            # 10 rows in flight at 4 rows per batch of `ema` ms.
+            assert batcher.retry_after_ms() == max(1.0, 10 / 4 * ema)
+            again.release()
+            await queued
+
+        run(scenario())
+
 
 class TestSplitting:
     def test_each_request_gets_exactly_its_rows(self, rng):
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=100, max_wait_ms=5)
+            batcher = MicroBatcher(runner, max_batch=100)
             sizes = (1, 3, 2, 5)
             arrays = [rng.normal(size=(n, 4)) for n in sizes]
             outs = await asyncio.gather(*[batcher.submit(a) for a in arrays])
@@ -94,7 +161,7 @@ class TestSplitting:
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=4, max_wait_ms=1000)
+            batcher = MicroBatcher(runner, max_batch=4)
             await asyncio.gather(
                 batcher.submit(rng.normal(size=(2, 3))),
                 batcher.submit(rng.normal(size=(2, 3))),
@@ -112,7 +179,7 @@ class TestBucketing:
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=100, max_wait_ms=5)
+            batcher = MicroBatcher(runner, max_batch=100)
             narrow = rng.normal(size=(2, 3))
             wide = rng.normal(size=(2, 7))
             out_narrow, out_wide = await asyncio.gather(
@@ -129,7 +196,7 @@ class TestBucketing:
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=100, max_wait_ms=5)
+            batcher = MicroBatcher(runner, max_batch=100)
             f32 = rng.normal(size=(2, 3)).astype(np.float32)
             f64 = rng.normal(size=(2, 3))
             out32, out64 = await asyncio.gather(
@@ -146,7 +213,7 @@ class TestBucketing:
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=100, max_wait_ms=5)
+            batcher = MicroBatcher(runner, max_batch=100)
             a, b = rng.normal(size=(2, 3)), rng.normal(size=(3, 3))
             await asyncio.gather(batcher.submit(a), batcher.submit(b))
 
@@ -160,7 +227,7 @@ class TestArrivalOrder:
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=100, max_wait_ms=5)
+            batcher = MicroBatcher(runner, max_batch=100)
             rows = [np.full((1, 3), v) for v in (0.0, 2.0, 1.0)]
             outs = await asyncio.gather(*[batcher.submit(r) for r in rows])
             # Every request still gets exactly its own rows back.
@@ -178,7 +245,7 @@ class TestArrivalOrder:
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=100, max_wait_ms=10)
+            batcher = MicroBatcher(runner, max_batch=100)
             wide = np.full((1, 7), 99.0)
             narrow = [np.full((2, 3), float(i)) for i in range(3)]
             await asyncio.gather(
@@ -197,7 +264,7 @@ class TestDeadlines:
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=100, max_wait_ms=5)
+            batcher = MicroBatcher(runner, max_batch=100)
             live_rows = rng.normal(size=(2, 3))
             live = batcher.submit(live_rows)
             doomed = batcher.submit(rng.normal(size=(4, 3)), deadline_ms=0)
@@ -217,33 +284,12 @@ class TestDeadlines:
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=100, max_wait_ms=5)
+            batcher = MicroBatcher(runner, max_batch=100)
             with pytest.raises(DeadlineExpired):
                 await batcher.submit(rng.normal(size=(2, 3)), deadline_ms=0)
 
         run(scenario())
         assert runner.batches == []
-
-    def test_tight_deadline_pulls_flush_before_max_wait(self, rng):
-        runner = RecordingRunner()
-
-        async def scenario():
-            # max_wait alone would sit for a minute; the deadline must
-            # pull the flush early enough for the request to make it.
-            batcher = MicroBatcher(runner, max_batch=1000, max_wait_ms=60_000)
-            rows = rng.normal(size=(2, 3))
-            future = asyncio.ensure_future(
-                batcher.submit(rows, deadline_ms=500)
-            )
-            await asyncio.sleep(0)
-            # The timer sits at the deadline's midpoint, not at max_wait.
-            now = asyncio.get_running_loop().time()
-            assert batcher._timer_at - now <= 0.25
-            out = await asyncio.wait_for(future, timeout=5)
-            assert np.array_equal(out, rows * 2.0)
-
-        run(scenario())
-        assert len(runner.batches) == 1  # it ran — nothing expired
 
     def test_negative_deadline_rejected(self, rng):
         async def scenario():
@@ -258,7 +304,7 @@ class TestDeadlines:
         runner = RecordingRunner()
 
         async def scenario():
-            batcher = MicroBatcher(runner, max_batch=4, max_wait_ms=5)
+            batcher = MicroBatcher(runner, max_batch=4)
             with pytest.raises(ServingError, match="finite"):
                 await batcher.submit(
                     rng.normal(size=(1, 3)), deadline_ms=deadline_ms
@@ -275,7 +321,7 @@ class TestErrors:
             raise RuntimeError("engine on fire")
 
         async def scenario():
-            batcher = MicroBatcher(broken, max_batch=4, max_wait_ms=1000)
+            batcher = MicroBatcher(broken, max_batch=4)
             results = await asyncio.gather(
                 batcher.submit(rng.normal(size=(2, 3))),
                 batcher.submit(rng.normal(size=(2, 3))),
@@ -303,8 +349,123 @@ class TestErrors:
 
         run(scenario())
 
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda b: b, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda b: b, max_wait_ms=-1)
+    @pytest.mark.parametrize("field", ["max_batch", "max_queue_rows"])
+    @pytest.mark.parametrize(
+        "value", [0, -1, float("nan"), float("inf"), 2.5, True, "8"], ids=repr
+    )
+    def test_invalid_construction_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MicroBatcher(lambda b: b, **{field: value})
+
+
+class RunningSum:
+    """A stand-in stream state: each channel's running sum."""
+
+    def __init__(self, channels: int):
+        self.total = np.zeros(channels)
+
+
+def push_running_sums(states, chunks):
+    """Row-stable, stateful ``stream_runner``: cumulative sums."""
+    outs = []
+    for state, chunk in zip(states, chunks):
+        out = state.total + np.cumsum(chunk, axis=0)
+        state.total = out[-1]
+        outs.append(out)
+    return outs
+
+
+class TestFusionParity:
+    """Fusion with neighbours never changes a caller's rows, whatever
+    the request sizes, the mix of predicts and stream pushes, and the
+    moments the inference thread frees up."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        # One `gate` fixture serves every example; each example's
+        # gates are all released before its pool shuts down.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        max_batch=st.integers(1, 16),
+        requests=st.lists(
+            st.tuples(
+                st.sampled_from(["predict", "stream"]),
+                st.integers(1, 12),  # rows
+                st.booleans(),  # free the inference thread first
+                st.integers(0, 2),  # loop ticks before submitting
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fused_rows_equal_dedicated_runs(
+        self, gate, max_batch, requests, seed
+    ):
+        rng = np.random.default_rng(seed)
+        batches = []  # (kind, request id of every row), in run order
+
+        def predict(batch):
+            return np.sin(batch) * 3.0 + batch[:, :1]
+
+        def runner(batch):
+            batches.append(("predict", batch[:, 0].tolist()))
+            return predict(batch)
+
+        def stream_runner(states, chunks):
+            ids = np.concatenate([chunk[:, 0] for chunk in chunks])
+            batches.append(("stream", ids.tolist()))
+            return push_running_sums(states, chunks)
+
+        # Column 0 carries the request id; the rest is payload.
+        payloads = []
+        for i, (_, n_rows, _, _) in enumerate(requests):
+            rows = rng.normal(size=(n_rows, 3))
+            rows[:, 0] = i
+            payloads.append(rows)
+
+        async def scenario(pool):
+            held = gate(pool)
+            batcher = MicroBatcher(
+                runner,
+                max_batch=max_batch,
+                executor=pool,
+                stream_runner=stream_runner,
+            )
+            futures = []
+            for (kind, _, release, pause), rows in zip(requests, payloads):
+                if release:
+                    held.release()
+                    held = gate(pool)
+                await ticks(pause)
+                submit = (
+                    batcher.submit(rows)
+                    if kind == "predict"
+                    else batcher.submit_stream(RunningSum(3), rows)
+                )
+                futures.append(asyncio.ensure_future(submit))
+            held.release()
+            return await asyncio.gather(*futures)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            outs = run(scenario(pool))
+
+        for (kind, _, _, _), rows, out in zip(requests, payloads, outs):
+            if kind == "predict":
+                alone = predict(rows)
+            else:
+                alone = push_running_sums([RunningSum(3)], [rows])[0]
+            assert np.array_equal(out, alone)
+        for kind in ("predict", "stream"):
+            # Every request ran exactly once, in arrival order.
+            ran = [i for k, ids in batches if k == kind for i in ids]
+            assert ran == [
+                i
+                for i, (k, n_rows, _, _) in enumerate(requests)
+                if k == kind
+                for _ in range(n_rows)
+            ]
+        for _, ids in batches:
+            assert len(ids) <= max_batch or len(set(ids)) == 1

@@ -115,17 +115,14 @@ class TestHarness:
 # Batcher admission
 # ----------------------------------------------------------------------
 class TestBatcherShedding:
-    def test_sheds_over_row_budget_with_retry_hint(self, rng):
+    def test_sheds_over_row_budget_with_retry_hint(self, rng, gate):
+        held = gate()
+
         async def main():
-            release = asyncio.Event()
-
-            def runner(batch):
-                return batch
-
             batcher = MicroBatcher(
-                runner,
+                lambda b: b,
                 max_batch=64,
-                max_wait_ms=10_000.0,
+                executor=held.executor,
                 max_queue_rows=8,
             )
             first = asyncio.ensure_future(
@@ -137,26 +134,23 @@ class TestBatcherShedding:
             assert excinfo.value.retry_after_ms >= 1.0
             assert batcher.stats["shed"] == 1
             assert batcher.queue_depth()["inflight_rows"] == 8
-            release.set()
+            held.release()
             await batcher.drain()
             await first
             # Budget released after the future resolved: admits again.
-            again = asyncio.ensure_future(
-                batcher.submit(rng.normal(size=(8, 4)))
-            )
-            await asyncio.sleep(0)
-            await batcher.drain()  # flush now, not after the 10 s window
-            await again
+            await batcher.submit(rng.normal(size=(8, 4)))
             await batcher.aclose()
 
         asyncio.run(main())
 
-    def test_bound_admits_exactly_max_queue_rows(self, rng):
+    def test_bound_admits_exactly_max_queue_rows(self, rng, gate):
+        held = gate()
+
         async def main():
             batcher = MicroBatcher(
                 lambda b: b,
                 max_batch=64,
-                max_wait_ms=10_000.0,
+                executor=held.executor,
                 max_queue_rows=8,
             )
             admitted = [
@@ -171,7 +165,7 @@ class TestBatcherShedding:
             with pytest.raises(Overloaded):
                 await batcher.submit(rng.normal(size=(1, 4)))
             assert batcher.stats["shed"] == 1
-            await batcher.drain()
+            held.release()
             await asyncio.gather(*admitted)
             await batcher.aclose()
 
@@ -234,15 +228,12 @@ class TestServerFaults:
         )
         assert np.array_equal(out, ref)
 
-    def test_queue_exhaustion_sheds_not_hangs(self, rng, served_reference):
-        # A route bounded at 8 rows with a huge flush window: the first
-        # request occupies the queue, the second is shed immediately.
-        engine = Engine(
-            model=small_model(),
-            max_queue_rows=8,
-            max_batch=64,
-            max_wait_ms=10_000.0,
-        )
+    def test_queue_exhaustion_sheds_not_hangs(
+        self, rng, served_reference, gate
+    ):
+        # A route bounded at 8 rows with its inference thread held: the
+        # first request occupies the queue, the second is shed at once.
+        engine = Engine(model=small_model(), max_queue_rows=8, max_batch=64)
         x8 = rng.normal(size=(8, 96))
         x1 = rng.normal(size=(1, 96))
 
@@ -250,12 +241,16 @@ class TestServerFaults:
             a = await AsyncServeClient.connect(port=server.port, retries=0)
             b = await AsyncServeClient.connect(port=server.port, retries=0)
             try:
+                await b.predict_proba(x1)  # freezes the route's session
+                (batcher,) = server._batchers.values()
+                held = gate(server._infer_thread)
                 big = asyncio.ensure_future(a.predict_proba(x8))
-                await asyncio.sleep(0.05)  # ensure it is queued
+                await held.until(
+                    lambda: batcher.queue_depth()["inflight_rows"] == 8
+                )
                 with pytest.raises(Overloaded):
                     await b.predict_proba(x1)
-                # The drain op flushes the pending window at once.
-                await b.drain()
+                held.release()
                 out = await big
             finally:
                 await a.close()
@@ -383,29 +378,36 @@ class TestServerFaults:
 
     def test_drain_flushes_inflight_bitwise_then_refuses(
 
-        self, rng, served_reference
+        self, rng, served_reference, gate
 
     ):
-        engine = Engine(
-            model=small_model(), max_batch=64, max_wait_ms=10_000.0
-        )
+        engine = Engine(model=small_model(), max_batch=64)
         x = rng.normal(size=(6, 96))
 
         async def scenario(server):
-            # Huge flush window: without drain the request would sit
-            # pending for 10 s.  Drain must flush it immediately.
+            # The inference thread is held: the request stays in
+            # flight until the test releases it, and drain must wait
+            # for its answer while refusing new work.
             a = await AsyncServeClient.connect(port=server.port)
             b = await AsyncServeClient.connect(port=server.port, retries=0)
             try:
+                await a.predict_proba(x)  # freezes the route's session
+                (batcher,) = server._batchers.values()
+                held = gate(server._infer_thread)
                 pending = asyncio.ensure_future(a.predict_proba(x))
-                await asyncio.sleep(0.05)
+                await held.until(
+                    lambda: batcher.queue_depth()["inflight_rows"] == 6
+                )
                 drain_resp = await b.drain()
                 assert drain_resp["draining"] is True
-                out = await asyncio.wait_for(pending, timeout=5.0)
                 with pytest.raises(ServerUnavailable):
                     await b.predict_proba(x)
                 info = await b.info()
                 assert info["health"]["draining"] is True
+                assert not pending.done()
+                assert not server._drain_task.done()
+                held.release()
+                out = await asyncio.wait_for(pending, timeout=5.0)
                 # Once in-flight work empties, drain closes the
                 # listener and serve_forever returns.
                 if server._drain_task is not None:
@@ -490,7 +492,7 @@ class TestClientResilience:
         assert np.array_equal(result["out"], ref)
 
     def test_deadline_expired_is_never_retried(self, rng):
-        engine = Engine(model=small_model(), max_wait_ms=30.0)
+        engine = Engine(model=small_model())
         x = rng.normal(size=(2, 96))
 
         async def scenario(server):

@@ -288,7 +288,7 @@ class TestServerE2E:
 
     def test_concurrent_clients_micro_batch_and_match_serial(self, rng):
         model = small_model()
-        engine = Engine(model=model, max_batch=12, max_wait_ms=20.0)
+        engine = Engine(model=model, max_batch=12)
         serial = InferenceSession.freeze(model)
 
         async def scenario(server):
@@ -443,7 +443,7 @@ class TestRouting:
         engine.close()
 
     def test_expired_deadline_answers_typed_error_frame(self, rng):
-        engine = small_engine(max_wait_ms=1.0)
+        engine = small_engine()
         x = rng.normal(size=(2, 96))
 
         async def scenario(server):

@@ -72,7 +72,7 @@ class TestBatcherStreamFusion:
 
         async def scenario():
             batcher = MicroBatcher(
-                lambda b: b, max_batch=64, max_wait_ms=1000,
+                lambda b: b, max_batch=64,
                 stream_runner=runner,
             )
             states = [plan.open() for _ in range(3)]
@@ -103,7 +103,7 @@ class TestBatcherStreamFusion:
 
         async def scenario():
             batcher = MicroBatcher(
-                run_batch, max_batch=64, max_wait_ms=1000,
+                run_batch, max_batch=64,
                 stream_runner=lambda s, c: plan.push_many(s, c, proba=True),
             )
             state = plan.open()
@@ -118,7 +118,7 @@ class TestBatcherStreamFusion:
 
     def test_submit_stream_without_runner_rejected(self, rng):
         async def scenario():
-            batcher = MicroBatcher(lambda b: b, max_batch=4, max_wait_ms=5)
+            batcher = MicroBatcher(lambda b: b, max_batch=4)
             with pytest.raises(ServingError, match="stream"):
                 await batcher.submit_stream(
                     object(), rng.standard_normal((2, 1))
@@ -131,7 +131,7 @@ class TestBatcherStreamFusion:
 
         async def scenario():
             batcher = MicroBatcher(
-                lambda b: b, max_batch=1000, max_wait_ms=20,
+                lambda b: b, max_batch=1000,
                 stream_runner=lambda s, c: plan.push_many(s, c, proba=True),
             )
             state = plan.open()
@@ -153,7 +153,7 @@ class TestBatcherStreamFusion:
 
         async def scenario():
             batcher = MicroBatcher(
-                lambda b: b, max_batch=16, max_wait_ms=5,
+                lambda b: b, max_batch=16,
                 stream_runner=lambda s, c: plan.push_many(s, c, proba=True),
                 max_queue_rows=4,
             )

@@ -63,7 +63,7 @@ class TestParser:
         assert args.executor == "threaded"
         assert args.threads == 2
         assert args.max_batch == 8
-        assert args.max_wait_ms == 2.0
+        assert not hasattr(args, "max_wait_ms")  # no batch window
 
     def test_serve_rejects_bad_executor(self):
         with pytest.raises(SystemExit):
