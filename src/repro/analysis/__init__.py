@@ -6,8 +6,9 @@ __getattr__, __dir__, __all__ = attach(
     __name__,
     {
         ".complexity": [
-            "bc_conv_ops", "bc_fc_ops", "conv_speedup", "crossover_block_size",
-            "dense_conv_ops", "dense_fc_ops", "fc_speedup",
+            "bc_conv_ops", "bc_fc_ops", "complex_fft_ops", "conv_speedup",
+            "crossover_block_size", "dense_conv_ops", "dense_fc_ops",
+            "fc_speedup", "real_fft_ops",
         ],
         ".numerics": [
             "dft_roundoff_error", "fft_roundoff_error",

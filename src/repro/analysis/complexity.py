@@ -1,12 +1,22 @@
 """Theoretical complexity formulas (paper sections IV-A and IV-B).
 
 Closed-form operation counts for dense vs block-circulant FC and CONV
-layers, used by the complexity benchmarks (E5/E6) and to check the
+layers — the one place the paper's Algorithm 1 arithmetic is written.
+The frozen plan's kernel choice (:func:`repro.runtime.plan.bc_conv_kernel`),
+the per-layer cost table (:mod:`repro.embedded.cost_model`) and the
+complexity benchmarks (E5/E6) all call these, and they check the
 paper's asymptotic claims:
 
 * FC: ``O(n^2)`` dense vs ``O(n log n)`` block-circulant (Eqn. 3),
 * CONV: ``O(W H r^2 C P)`` dense vs ``O(W H Q log Q)``,
   ``Q = max(r^2 C, P)`` (section IV-B).
+
+FFT cost conventions (standard split-radix estimates): a complex FFT of
+length ``n`` is ``5 n log2 n`` real operations, a real FFT (rfft/irfft)
+half that; a complex multiply is 6 real operations, a complex add 2.
+
+This module imports only :mod:`math`: it sits on the engine's import
+path through :mod:`repro.runtime.plan`.
 """
 
 from __future__ import annotations
@@ -14,6 +24,8 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "complex_fft_ops",
+    "real_fft_ops",
     "dense_fc_ops",
     "bc_fc_ops",
     "dense_conv_ops",
@@ -22,6 +34,20 @@ __all__ = [
     "conv_speedup",
     "crossover_block_size",
 ]
+
+
+def complex_fft_ops(n: int) -> float:
+    """Real-operation count of one complex FFT of length ``n``."""
+    if n <= 0:
+        raise ValueError(f"FFT length must be positive, got {n}")
+    if n == 1:
+        return 0.0
+    return 5.0 * n * math.log2(n)
+
+
+def real_fft_ops(n: int) -> float:
+    """Real-operation count of one real-input FFT (or inverse) of length n."""
+    return 0.5 * complex_fft_ops(n)
 
 
 def dense_fc_ops(out_features: int, in_features: int) -> float:
@@ -33,10 +59,11 @@ def dense_fc_ops(out_features: int, in_features: int) -> float:
 def bc_fc_ops(out_features: int, in_features: int, block_size: int) -> float:
     """Operation count of the FFT-based block-circulant FC layer.
 
-    ``q`` forward FFTs, ``p q`` spectrum products with accumulation, and
-    ``p`` inverse FFTs, with ``p = ceil(m/b)``, ``q = ceil(n/b)`` — the
-    ``O((m n / b) log b)`` of paper Eqn. 3 with explicit constants
-    (real-FFT cost ``2.5 b log2 b``).
+    ``q`` forward FFTs, ``p q`` spectrum products (weight spectra are
+    precomputed at deployment, section IV-A), ``p (q - 1)`` block
+    accumulations, and ``p`` inverse FFTs, with ``p = ceil(m/b)``,
+    ``q = ceil(n/b)`` — the ``O((m n / b) log b)`` of paper Eqn. 3 with
+    explicit constants.  Bias excluded.
     """
     _check_positive(
         out_features=out_features, in_features=in_features, block_size=block_size
@@ -44,7 +71,7 @@ def bc_fc_ops(out_features: int, in_features: int, block_size: int) -> float:
     p = -(-out_features // block_size)
     q = -(-in_features // block_size)
     bins = block_size // 2 + 1
-    fft_cost = 2.5 * block_size * math.log2(block_size) if block_size > 1 else 0.0
+    fft_cost = real_fft_ops(block_size)
     return (q + p) * fft_cost + p * q * 6.0 * bins + p * (q - 1) * 2.0 * bins
 
 
@@ -71,7 +98,12 @@ def bc_conv_ops(
     out_channels: int,
     block_size: int,
 ) -> float:
-    """Operation count of the block-circulant CONV layer (section IV-B)."""
+    """Operation count of the block-circulant CONV layer (section IV-B).
+
+    Per output position, the FC count over the block grid the layer
+    runs: each of the ``k*k`` kernel positions pads the channels to
+    ``ceil(C/b)`` blocks, so ``q = k^2 ceil(C/b)``.  Bias excluded.
+    """
     _check_positive(
         height=height,
         width=width,
@@ -81,8 +113,9 @@ def bc_conv_ops(
         block_size=block_size,
     )
     positions = (height - kernel + 1) * (width - kernel + 1)
+    channel_blocks = -(-in_channels // block_size)
     per_position = bc_fc_ops(
-        out_channels, in_channels * kernel * kernel, block_size
+        out_channels, kernel * kernel * channel_blocks * block_size, block_size
     )
     return positions * per_position
 

@@ -1,27 +1,21 @@
 """Model-storage analysis (the paper's O(n) weight-storage claim).
 
-Walks a model and reports, per weight layer and in total, the dense
-parameter count, the stored (structured) parameter count, the deployed
-FFT-domain bytes, and the compression ratio — the numbers behind the
-paper's "significant reduction in storage requirement" conclusion and the
-E8 benchmark.
+Reports, per weight layer and in total, the dense parameter count, the
+stored (structured) parameter count, the deployed FFT-domain bytes, and
+the compression ratio — the numbers behind the paper's "significant
+reduction in storage requirement" conclusion and the E8 benchmark.  The
+rows are a view over the per-record table of
+:mod:`repro.embedded.cost_model`, so a live model and its
+:class:`~repro.embedded.DeployedModel` report the same numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..nn.layers import (
-    BlockCirculantConv2d,
-    BlockCirculantLinear,
-    Conv2d,
-    Linear,
-)
-from ..nn.module import Module, Sequential
+from ..embedded.cost_model import _FLOAT_BYTES, model_weights
 
 __all__ = ["StorageRow", "StorageReport", "storage_report"]
-
-_FLOAT_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -65,49 +59,11 @@ class StorageReport:
         return self.dense_params / self.stored_params
 
 
-def _row_for(layer: Module) -> StorageRow | None:
-    if isinstance(layer, BlockCirculantLinear):
-        dense = layer.in_features * layer.out_features
-        stored = layer.weight.size
-        bins = layer.block_size // 2 + 1
-        deployed = layer.block_rows * layer.block_cols * bins * 2 * _FLOAT_BYTES
-        if layer.bias is not None:
-            dense += layer.out_features
-            stored += layer.out_features
-            deployed += layer.out_features * _FLOAT_BYTES
-        return StorageRow(repr(layer), dense, stored, deployed)
-    if isinstance(layer, BlockCirculantConv2d):
-        dense = layer.out_channels * layer.in_channels * layer.kernel_size**2
-        stored = layer.weight.size
-        bins = layer.block_size // 2 + 1
-        deployed = layer.block_rows * layer.block_cols * bins * 2 * _FLOAT_BYTES
-        if layer.bias is not None:
-            dense += layer.out_channels
-            stored += layer.out_channels
-            deployed += layer.out_channels * _FLOAT_BYTES
-        return StorageRow(repr(layer), dense, stored, deployed)
-    if isinstance(layer, Linear):
-        params = layer.in_features * layer.out_features + (
-            layer.out_features if layer.bias is not None else 0
-        )
-        return StorageRow(repr(layer), params, params, params * _FLOAT_BYTES)
-    if isinstance(layer, Conv2d):
-        params = layer.out_channels * layer.in_channels * layer.kernel_size**2 + (
-            layer.out_channels if layer.bias is not None else 0
-        )
-        return StorageRow(repr(layer), params, params, params * _FLOAT_BYTES)
-    return None
-
-
-def storage_report(model: Sequential) -> StorageReport:
-    """Per-layer and total storage accounting for ``model``."""
-    if not isinstance(model, Sequential):
-        raise TypeError("storage_report requires a Sequential model")
-    rows = []
-    for layer in model:
-        row = _row_for(layer)
-        if row is not None:
-            rows.append(row)
+def storage_report(model) -> StorageReport:
+    """Per-layer and total storage accounting for ``model`` (a
+    :class:`~repro.nn.module.Sequential` or a
+    :class:`~repro.embedded.DeployedModel`)."""
+    rows = [StorageRow(*row) for row in model_weights(model)]
     if not rows:
         raise ValueError("model contains no weight layers")
     return StorageReport(rows)

@@ -1,4 +1,4 @@
-"""Per-inference operation counting for every layer type.
+"""Per-inference operation counts: one table over layer records.
 
 The runtime simulator needs, for each layer, how many arithmetic
 operations one forward pass costs and how many library calls it issues
@@ -6,57 +6,37 @@ operations one forward pass costs and how many library calls it issues
 to dominate at the paper's network sizes — see
 :mod:`repro.embedded.runtime_model`).
 
-FFT cost conventions (standard split-radix estimates):
-
-* complex FFT of length n: ``5 n log2 n`` real ops,
-* real FFT (rfft/irfft): half that, ``2.5 n log2 n``,
-* complex multiply: 6 real ops; complex add: 2.
-
-Block-circulant layers are costed per paper Algorithm 1: one rfft per
-input block, one spectrum product + accumulation per block pair (weight
-spectra are precomputed at deployment, section IV-A), one irfft per
-output block.
+The counts are read off layer *records* — the
+:func:`~repro.runtime.plan.model_records` walk of a live model (the one
+the frozen runtime compiles) or a :class:`~repro.embedded.DeployedModel`'s
+own records — by one table keyed by record kind, so an artifact is
+costed without its training model.  Every compute record is a matrix
+applied at one or more output positions, dense or block-circulant; its
+operation count is :func:`~repro.analysis.complexity.dense_fc_ops` or
+:func:`~repro.analysis.complexity.bc_fc_ops` (paper Algorithm 1, over
+the ``q = k^2 ceil(C/b)`` grid a conv runs) and its deployed bytes are
+the float32 weights or the complex64 ``rfft`` weight spectra (section
+IV-A).  :func:`count_model`, :func:`~repro.analysis.storage_report`,
+:func:`~repro.embedded.estimate_memory`, the profiler and the energy
+model are views over this table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from ..nn.layers import (
-    AvgPool2d,
-    BatchNorm1d,
-    BatchNorm2d,
-    BlockCirculantConv2d,
-    BlockCirculantLinear,
-    Conv2d,
-    Dropout,
-    Flatten,
-    LeakyReLU,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Sigmoid,
-    Softmax,
-    Tanh,
-)
-from ..nn.module import Module, Sequential
+from ..analysis.complexity import bc_fc_ops, dense_fc_ops
+from ..exceptions import DeploymentError, ShapeError
+from ..nn.functional import conv_output_size
+from ..nn.module import Sequential
+from ..runtime.plan import model_records
+from .deploy import DeployedModel
 
-__all__ = ["LayerCost", "ModelCost", "real_fft_ops", "complex_fft_ops", "count_model"]
+__all__ = ["LayerCost", "ModelCost", "count_model", "model_weights"]
 
-
-def complex_fft_ops(n: int) -> float:
-    """Real-operation count of one complex FFT of length ``n``."""
-    if n <= 0:
-        raise ValueError(f"FFT length must be positive, got {n}")
-    if n == 1:
-        return 0.0
-    return 5.0 * n * math.log2(n)
-
-
-def real_fft_ops(n: int) -> float:
-    """Real-operation count of one real-input FFT (or inverse) of length n."""
-    return 0.5 * complex_fft_ops(n)
+_FLOAT_BYTES = 4  # deployed weights are float32 (section V: OpenCV Mats)
 
 
 @dataclass
@@ -95,170 +75,189 @@ class ModelCost:
         return self.layers[-1].output_shape
 
 
-_FLOAT_BYTES = 4  # deployed weights are float32 (section V: OpenCV Mats)
+class _Matrix(NamedTuple):
+    """A compute record's weight matrix: ``out`` rows applied to ``inputs``
+    features (FC) or, at every output position, to an ``inputs``-channel
+    ``kernel x kernel`` patch (conv) — and what it costs."""
+
+    name: str
+    out: int
+    inputs: int
+    kernel: int
+    conv: bool
+    bias: int  # bias parameters: 0 or ``out``
+    dense_params: int
+    stored_params: int
+    nbytes: int  # deployed: float32 weights or complex64 spectra, + bias
+    ops: float  # per output position, bias excluded
+    calls: int  # per inference
 
 
-def _cost_linear(layer: Linear, shape: tuple[int, ...]) -> LayerCost:
-    (n,) = shape
-    m = layer.out_features
-    flops = 2.0 * m * n + (m if layer.bias is not None else 0)
-    return LayerCost(
-        name=repr(layer),
-        flops=flops,
-        library_calls=2,  # gemv + bias add
-        weight_bytes=(m * n + (m if layer.bias is not None else 0)) * _FLOAT_BYTES,
-        output_shape=(m,),
+def _matrix(record: dict) -> _Matrix | None:
+    kind = record["kind"]
+    if kind in ("linear", "conv"):
+        out, inputs, *kernel = record["weight"].shape
+        kernel, block = (kernel[0] if kernel else 1), 0
+    elif kind == "bc_linear":
+        out, inputs, kernel = record["out_features"], record["in_features"], 1
+        block = record["block_size"]
+    elif kind == "bc_conv":
+        out, inputs = record["out_channels"], record["in_channels"]
+        kernel, block = record["kernel_size"], record["block_size"]
+    else:
+        return None
+    conv = kind.endswith("conv")
+    bias = out if record["bias"] is not None else 0
+    dense = out * inputs * kernel * kernel + bias
+    if block:
+        # Block grid: no block straddles two kernel positions.  Calls:
+        # (im2col,) one FFT per input block, one fused multiply-
+        # accumulate pass and one inverse FFT per output block, bias add.
+        p, q = -(-out // block), kernel * kernel * -(-inputs // block)
+        stored = p * q * block + bias
+        nbytes = (p * q * (block // 2 + 1) * 2 + bias) * _FLOAT_BYTES
+        ops, calls = bc_fc_ops(out, q * block, block), conv + q + 2 * p + 1
+    else:  # (im2col,) gemm, bias add
+        stored, nbytes = dense, dense * _FLOAT_BYTES
+        ops, calls = dense_fc_ops(out, inputs * kernel * kernel), conv + 2
+    name = f"{kind}({inputs}->{out}"
+    if conv:
+        name += f",k={kernel}"
+    if block:
+        name += f",b={block}"
+    return _Matrix(name + ")", out, inputs, kernel, conv, bias, dense,
+                   stored, nbytes, ops, calls)
+
+
+def _name(record: dict) -> str:
+    matrix = _matrix(record)
+    return record["kind"] if matrix is None else matrix.name
+
+
+def _shape_error(index: int, record: dict, expected: str, shape) -> ShapeError:
+    return ShapeError(
+        f"layer {index} ({_name(record)}) expects input shape {expected}, "
+        f"got {tuple(shape)}"
     )
 
 
-def _cost_bc_linear(layer: BlockCirculantLinear, shape: tuple[int, ...]) -> LayerCost:
-    b = layer.block_size
-    p, q = layer.block_rows, layer.block_cols
-    bins = b // 2 + 1
-    flops = (
-        q * real_fft_ops(b)  # FFT(x_i)
-        + p * q * 6.0 * bins  # spectrum products
-        + p * (q - 1) * 2.0 * bins  # block accumulation
-        + p * real_fft_ops(b)  # IFFT per output block
-        + (layer.out_features if layer.bias is not None else 0)
-    )
-    # One FFT call per input block, one fused multiply-accumulate pass per
-    # output block, one inverse FFT per output block, plus the bias add.
-    calls = q + 2 * p + 1
-    # Deployed storage: the rfft spectra (complex64: 8 bytes/bin).
-    weight_bytes = p * q * bins * 2 * _FLOAT_BYTES + (
-        layer.out_features * _FLOAT_BYTES if layer.bias is not None else 0
-    )
-    return LayerCost(
-        name=repr(layer),
-        flops=flops,
-        library_calls=calls,
-        weight_bytes=weight_bytes,
-        output_shape=(layer.out_features,),
-    )
+def _compute(index, record, shape):
+    matrix = _matrix(record)
+    if matrix.conv:
+        if len(shape) != 3 or shape[0] != matrix.inputs:
+            expected = f"({matrix.inputs}, H, W)"
+            raise _shape_error(index, record, expected, shape)
+        out_shape = (matrix.out, *conv_output_size(
+            shape[1], shape[2], matrix.kernel, record["stride"],
+            record["padding"],
+        ))
+    elif tuple(shape) != (matrix.inputs,):
+        raise _shape_error(index, record, f"({matrix.inputs},)", shape)
+    else:
+        out_shape = (matrix.out,)
+    positions = math.prod(out_shape[1:])
+    flops = positions * matrix.ops + positions * matrix.bias
+    return flops, matrix.calls, matrix.nbytes, out_shape
 
 
-def _cost_conv(layer: Conv2d, shape: tuple[int, ...]) -> LayerCost:
-    channels, height, width = shape
-    out_c, out_h, out_w = layer.output_shape(height, width)
-    positions = out_h * out_w
-    k = layer.kernel_size
-    flops = 2.0 * positions * out_c * channels * k * k + (
-        positions * out_c if layer.bias is not None else 0
-    )
-    weights = out_c * channels * k * k + (out_c if layer.bias is not None else 0)
-    return LayerCost(
-        name=repr(layer),
-        flops=flops,
-        library_calls=3,  # im2col + gemm + bias
-        weight_bytes=weights * _FLOAT_BYTES,
-        output_shape=(out_c, out_h, out_w),
-    )
+def _elementwise(ops_per_element: float):
+    def cost(index, record, shape):
+        return ops_per_element * math.prod(shape), 1, 0, shape
+
+    return cost
 
 
-def _cost_bc_conv(layer: BlockCirculantConv2d, shape: tuple[int, ...]) -> LayerCost:
-    channels, height, width = shape
-    out_c, out_h, out_w = layer.output_shape(height, width)
-    positions = out_h * out_w
-    b = layer.block_size
-    p, q = layer.block_rows, layer.block_cols
-    bins = b // 2 + 1
-    per_position = (
-        q * real_fft_ops(b)
-        + p * q * 6.0 * bins
-        + p * (q - 1) * 2.0 * bins
-        + p * real_fft_ops(b)
-    )
-    flops = positions * per_position + (
-        positions * out_c if layer.bias is not None else 0
-    )
-    calls = 1 + q + 2 * p + 1  # im2col + batched FFT/MAC/IFFT passes + bias
-    weight_bytes = p * q * bins * 2 * _FLOAT_BYTES + (
-        out_c * _FLOAT_BYTES if layer.bias is not None else 0
-    )
-    return LayerCost(
-        name=repr(layer),
-        flops=flops,
-        library_calls=calls,
-        weight_bytes=weight_bytes,
-        output_shape=(out_c, out_h, out_w),
-    )
+def _affine(index, record, shape):
+    # Batch-norm folded to one scale and one shift per feature.
+    features = len(record["scale"])
+    if record["per_channel"]:
+        given, expected = shape[0], f"({features}, H, W)"
+    else:
+        given, expected = math.prod(shape), f"({features},)"
+    if given != features:
+        raise _shape_error(index, record, expected, shape)
+    return 2.0 * math.prod(shape), 1, 2 * features * _FLOAT_BYTES, shape
 
 
-def _elementwise_cost(
-    layer: Module, shape: tuple[int, ...], ops_per_element: float
-) -> LayerCost:
-    count = math.prod(shape)
-    return LayerCost(
-        name=repr(layer),
-        flops=ops_per_element * count,
-        library_calls=1,
-        weight_bytes=0,
-        output_shape=shape,
-    )
+def _pool(index, record, shape):
+    if len(shape) != 3:
+        raise _shape_error(index, record, "(C, H, W)", shape)
+    k = record["kernel"]
+    out_shape = (shape[0], *conv_output_size(
+        shape[1], shape[2], k, record["stride"]
+    ))
+    return float(math.prod(out_shape) * k * k), 1, 0, out_shape
 
 
-def _cost_pool(layer, shape: tuple[int, ...], ops_per_window_element: float) -> LayerCost:
-    channels, height, width = shape
-    k, s = layer.kernel_size, layer.stride
-    out_h = (height - k) // s + 1
-    out_w = (width - k) // s + 1
-    windows = channels * out_h * out_w
-    return LayerCost(
-        name=repr(layer),
-        flops=windows * k * k * ops_per_window_element,
-        library_calls=1,
-        weight_bytes=0,
-        output_shape=(channels, out_h, out_w),
-    )
+def _flatten(index, record, shape):
+    return 0.0, 0, 0, (math.prod(shape),)
 
 
-def _cost_layer(layer: Module, shape: tuple[int, ...]) -> LayerCost:
-    if isinstance(layer, BlockCirculantLinear):
-        return _cost_bc_linear(layer, shape)
-    if isinstance(layer, Linear):
-        return _cost_linear(layer, shape)
-    if isinstance(layer, BlockCirculantConv2d):
-        return _cost_bc_conv(layer, shape)
-    if isinstance(layer, Conv2d):
-        return _cost_conv(layer, shape)
-    if isinstance(layer, (ReLU, LeakyReLU)):
-        return _elementwise_cost(layer, shape, 1.0)
-    if isinstance(layer, (Sigmoid, Tanh)):
-        return _elementwise_cost(layer, shape, 4.0)
-    if isinstance(layer, Softmax):
-        return _elementwise_cost(layer, shape, 5.0)
-    if isinstance(layer, Dropout):
-        # Inference no-op: dropout disappears at deployment.
-        return LayerCost(repr(layer), 0.0, 0, 0, shape)
-    if isinstance(layer, Flatten):
-        return LayerCost(repr(layer), 0.0, 0, 0, (math.prod(shape),))
-    if isinstance(layer, MaxPool2d):
-        return _cost_pool(layer, shape, 1.0)
-    if isinstance(layer, AvgPool2d):
-        return _cost_pool(layer, shape, 1.0)
-    if isinstance(layer, (BatchNorm1d, BatchNorm2d)):
-        # Folded scale+shift at inference.
-        cost = _elementwise_cost(layer, shape, 2.0)
-        cost.weight_bytes = 2 * layer.num_features * _FLOAT_BYTES
-        return cost
-    raise TypeError(f"no cost model for layer type {type(layer).__name__}")
+#: kind -> cost(index, record, input shape)
+#:      -> (flops, library_calls, weight_bytes, output shape).
+_COSTS = {
+    "linear": _compute,
+    "bc_linear": _compute,
+    "conv": _compute,
+    "bc_conv": _compute,
+    "relu": _elementwise(1.0),
+    "leaky_relu": _elementwise(1.0),
+    "sigmoid": _elementwise(4.0),
+    "tanh": _elementwise(4.0),
+    "softmax": _elementwise(5.0),
+    "affine": _affine,
+    "maxpool": _pool,
+    "avgpool": _pool,
+    "flatten": _flatten,
+}
 
 
-def count_model(model: Module, input_shape: tuple[int, ...]) -> ModelCost:
+def _records(model: Sequential | DeployedModel) -> list[dict]:
+    if isinstance(model, DeployedModel):
+        return model.records
+    if not isinstance(model, Sequential):
+        raise TypeError(
+            "operation counts need a Sequential model or a DeployedModel; "
+            "wrap custom modules"
+        )
+    try:
+        return model_records(model)
+    except DeploymentError as exc:
+        raise TypeError(f"no cost model: {exc}") from exc
+
+
+def count_model(
+    model: Sequential | DeployedModel, input_shape: tuple[int, ...]
+) -> ModelCost:
     """Per-layer and total single-image inference cost of ``model``.
 
     ``input_shape`` excludes the batch axis: ``(features,)`` for FC models,
-    ``(channels, H, W)`` for CONV models.
+    ``(channels, H, W)`` for CONV models.  One row per inference-time
+    layer: dropout vanishes and batch-norm is its folded affine, as in the
+    deployed artifact.  Raises :class:`~repro.exceptions.ShapeError` when a
+    layer's input does not match its weights, and :class:`TypeError` for a
+    layer kind with no cost model.
     """
-    if not isinstance(model, Sequential):
-        raise TypeError(
-            "count_model requires a Sequential model; wrap custom modules"
-        )
     cost = ModelCost()
     shape = tuple(input_shape)
-    for layer in model:
-        layer_cost = _cost_layer(layer, shape)
-        cost.layers.append(layer_cost)
-        shape = layer_cost.output_shape
+    for index, record in enumerate(_records(model)):
+        kind = record["kind"]
+        if kind not in _COSTS:
+            raise TypeError(f"no cost model for layer kind {kind!r}")
+        *counts, shape = _COSTS[kind](index, record, shape)
+        cost.layers.append(LayerCost(_name(record), *counts, tuple(shape)))
     return cost
+
+
+def model_weights(
+    model: Sequential | DeployedModel,
+) -> list[tuple[str, int, int, int]]:
+    """``(name, dense_params, stored_params, deployed_bytes)`` per weight
+    layer (dense or block-circulant, FC or conv) of ``model``."""
+    rows = []
+    for record in _records(model):
+        matrix = _matrix(record)
+        if matrix is not None:
+            rows.append((matrix.name, matrix.dense_params,
+                         matrix.stored_params, matrix.nbytes))
+    return rows

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..nn.module import Sequential
-from .cost_model import count_model
 from .platform import PlatformSpec, get_platform
 from .profiler import InferenceProfiler
 from .runtime_model import IMPLEMENTATIONS, ImplementationProfile
@@ -85,7 +84,7 @@ class EnergyModel:
 
     def __init__(self, model: Sequential, input_shape: tuple[int, ...]):
         self.profiler = InferenceProfiler(model, input_shape)
-        self.cost = count_model(model, tuple(input_shape))
+        self.cost = self.profiler.cost
 
     def estimate(
         self,
@@ -112,7 +111,7 @@ class EnergyModel:
         energy_uj = power.active_watts * runtime_us  # W * us = uJ
         return EnergyEstimate(
             platform=platform_key,
-            implementation=impl_key if isinstance(implementation, str) else impl_key,
+            implementation=impl_key,
             runtime_us=runtime_us,
             energy_uj=energy_uj,
         )

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 from ..nn.module import Sequential
 from ..precision import PrecisionPolicy
-from .cost_model import count_model
+from .cost_model import _FLOAT_BYTES, count_model
 from .platform import PlatformSpec, get_platform
 
 __all__ = ["MemoryFootprint", "estimate_memory", "fits_on_platform"]
 
-_FLOAT_BYTES = 4
 #: Default Android per-app Java heap cap of the paper's device era (MB).
 DEFAULT_JAVA_HEAP_MB = 192.0
 
@@ -66,13 +65,14 @@ def estimate_memory(
     """Estimate the inference working set of ``model`` at ``precision``.
 
     Activation sizes are traced through the cost model's shape
-    propagation; the peak is the largest sum of two consecutive buffers
-    (input of a layer + its output), times ``batch_size``.  The cost
-    model prices weights at the artifact dtypes (complex64 spectra /
-    float32 dense); an fp64 session widens every resident buffer, so
-    ``precision="fp64"`` doubles both terms while the default fp32
-    numbers match the stored artifact — the complex64 spectra are half
-    the fp64 spectrum footprint.
+    propagation, which raises :class:`~repro.exceptions.ShapeError` when
+    a layer's input does not fit it; the peak is the largest sum of two
+    consecutive buffers (input of a layer + its output), times
+    ``batch_size``.  The cost model prices weights at the artifact
+    dtypes (complex64 spectra / float32 dense); an fp64 session widens
+    every resident buffer, so ``precision="fp64"`` doubles both terms
+    while the default fp32 numbers match the stored artifact — the
+    complex64 spectra are half the fp64 spectrum footprint.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")

@@ -72,6 +72,24 @@ class TestSpeedups:
             positions * bc_fc_ops(8, 8 * 9, 4)
         )
 
+    @pytest.mark.parametrize(
+        "channels, filters, kernel, block",
+        [(3, 16, 3, 8), (6, 8, 3, 4), (8, 8, 3, 4), (5, 12, 1, 4)],
+    )
+    def test_conv_counts_the_grid_the_layer_runs(
+        self, rng, channels, filters, kernel, block
+    ):
+        # Each kernel position pads C up to ceil(C/b) blocks, so the
+        # closed form must count q = k^2 ceil(C/b), as the layer does.
+        from repro.embedded import count_model
+        from repro.nn import BlockCirculantConv2d, Sequential
+
+        layer = BlockCirculantConv2d(
+            channels, filters, kernel, block_size=block, bias=False, rng=rng
+        )
+        counted = count_model(Sequential(layer), (channels, 12, 12)).flops
+        assert bc_conv_ops(12, 12, kernel, channels, filters, block) == counted
+
 
 class TestCrossover:
     def test_large_layer_has_crossover(self):

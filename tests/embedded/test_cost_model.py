@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.embedded import complex_fft_ops, count_model, real_fft_ops
+from repro.embedded import (
+    DeployedModel,
+    complex_fft_ops,
+    count_model,
+    estimate_memory,
+    real_fft_ops,
+)
+from repro.exceptions import ShapeError
 from repro.nn import (
     AvgPool2d,
     BatchNorm1d,
@@ -18,6 +25,7 @@ from repro.nn import (
     Sequential,
     Softmax,
 )
+from repro.zoo import build_arch1, build_arch3_reduced, build_fftnet
 
 
 class TestFftOps:
@@ -143,3 +151,56 @@ class TestAuxiliaryLayers:
 
         with pytest.raises(ValueError):
             ModelCost().output_shape
+
+
+class TestInputShapeChecks:
+    def test_linear_rejects_wrong_feature_count(self, rng):
+        with pytest.raises(ShapeError, match=r"layer 0 .*\(100,\).*\(10,\)"):
+            count_model(Sequential(Linear(100, 50, rng=rng)), (10,))
+
+    def test_conv_rejects_wrong_channel_count(self, rng):
+        model = Sequential(Conv2d(3, 8, 3, rng=rng))
+        with pytest.raises(ShapeError, match=r"layer 0 .*\(3, H, W\).*\(1, 10, 10\)"):
+            count_model(model, (1, 10, 10))
+
+    def test_bc_conv_rejects_flat_input(self, rng):
+        model = Sequential(BlockCirculantConv2d(8, 8, 3, block_size=4, rng=rng))
+        with pytest.raises(ShapeError, match="layer 0"):
+            count_model(model, (8 * 10 * 10,))
+
+    def test_names_the_failing_layer(self, rng):
+        model = Sequential(
+            Linear(12, 6, rng=rng), ReLU(),
+            BlockCirculantLinear(8, 8, 4, rng=rng),
+        )
+        with pytest.raises(ShapeError, match=r"layer 2 .*\(8,\).*\(6,\)"):
+            count_model(model, (12,))
+
+    def test_memory_estimate_checks_too(self, rng):
+        with pytest.raises(ShapeError, match="layer 0"):
+            estimate_memory(Sequential(Linear(100, 50, rng=rng)), (10,))
+
+
+class TestDeployedArtifacts:
+    @pytest.mark.parametrize("quantize_bits", [None, 12])
+    @pytest.mark.parametrize(
+        "builder, shape",
+        [(build_arch1, (256,)), (build_arch3_reduced, (3, 32, 32))],
+        ids=("arch1", "arch3_reduced"),
+    )
+    def test_artifact_costs_like_its_model(
+        self, tmp_path, builder, shape, quantize_bits
+    ):
+        model = builder(rng=np.random.default_rng(0))
+        deployed = DeployedModel.from_model(model, quantize_bits=quantize_bits)
+        path = tmp_path / "model.npz"
+        deployed.save(path)
+        live = count_model(model, shape)
+        for artifact in (deployed, DeployedModel.load(path)):
+            assert count_model(artifact, shape) == live
+
+    def test_unsupported_kind_raises_type_error(self):
+        model = build_fftnet(channels=4, depth=2, classes=3,
+                             rng=np.random.default_rng(0))
+        with pytest.raises(TypeError, match="fft1d"):
+            count_model(model, (16, 1))
