@@ -10,15 +10,19 @@ would run it:
 3. phase 1 — one sync :meth:`ServeClient.stream` pushes a sequence in
    ragged chunks; the concatenated incremental rows are checked
    **bitwise** against the offline batch session,
-4. phase 2 — ``--streams`` concurrent :class:`AsyncServeClient`
+4. phase 2 — the whole sequence goes to the stream's route as one
+   ``predict_proba``: it must equal the concatenated pushes bitwise,
+   and ``info`` must list that route once — predicts and pushes share
+   one frozen session,
+5. phase 3 — ``--streams`` concurrent :class:`AsyncServeClient`
    streams push interleaved chunks; the server fuses concurrent pushes
    into shared steps and every stream's rows still match its offline
    reference; afterwards ``info`` must report zero open streams and
    zero retained state bytes,
-5. phase 3 — a client opens a stream, pushes, and vanishes without
+6. phase 4 — a client opens a stream, pushes, and vanishes without
    ``stream_close``; the server must free the orphaned state (polled
    via ``info``) — abrupt disconnects leak nothing,
-6. phase 4 — with a stream mid-conversation the server drains:
+7. phase 5 — with a stream mid-conversation the server drains:
    ``stream_close`` still completes cleanly (released, not broken)
    and the process exits 0 on its own.
 
@@ -104,7 +108,7 @@ def stream_stats(client: ServeClient) -> dict:
 
 
 async def concurrent_streams(host, port, session, args) -> dict:
-    """Phase 2: many async streams pushing interleaved ragged chunks."""
+    """Phase 3: many async streams pushing interleaved ragged chunks."""
 
     async def one_stream(stream_id: int) -> tuple[int, list[float]]:
         rng = np.random.default_rng(2000 + stream_id)
@@ -148,7 +152,7 @@ async def concurrent_streams(host, port, session, args) -> dict:
 
 
 def abrupt_disconnect(host: str, port: int) -> None:
-    """Phase 3: open, push, vanish — the server must free the state."""
+    """Phase 4: open, push, vanish — the server must free the state."""
     raw = socket.create_connection((host, port), timeout=10)
     send_frame_sync(raw, {"op": "stream_open"})
     opened, _ = read_frame_sync(raw)
@@ -194,13 +198,25 @@ def main() -> int:
                     for rows in (1, 5, 2, 17, 3, 20):
                         outs.append(stream.push(full[i : i + rows]))
                         i += rows
-                assert np.array_equal(np.concatenate(outs), expected), \
+                pushed = np.concatenate(outs)
+                assert np.array_equal(pushed, expected), \
                     "incremental rows are not bitwise-identical to batch"
                 stats = stream_stats(client)
                 assert stats["open"] == 0 and stats["state_bytes"] == 0, stats
-            print("phase 1: ragged pushes bitwise-identical to batch — OK")
+                print("phase 1: ragged pushes bitwise-identical to batch — OK")
 
-            # Phase 2: concurrent streams, fused across connections.
+                # Phase 2: the same sequence as one predict on the route.
+                route = f"{stream.model}/{stream.precision}"
+                predicted = client.predict_proba(
+                    full[None], model=stream.model, precision=stream.precision
+                )[0]
+                assert np.array_equal(predicted, pushed), \
+                    "predict_proba on the stream's route deviates from its pushes"
+                routes = list(client.info()["routes"])
+                assert routes == [route], routes
+            print(f"phase 2: predict on {route} equals its pushes, one route — OK")
+
+            # Phase 3: concurrent streams, fused across connections.
             summary = asyncio.run(
                 concurrent_streams(host, port, session, args)
             )
@@ -210,13 +226,13 @@ def main() -> int:
                 assert stats["state_bytes"] == 0, stats
                 assert stats["opened"] >= args.streams + 1, stats
             print(
-                f"phase 2: {summary['streams']} concurrent streams — "
+                f"phase 3: {summary['streams']} concurrent streams — "
                 f"{summary['rows_per_s']:.0f} rows/s, push p50 "
                 f"{summary['p50_ms']:.1f} ms / p99 {summary['p99_ms']:.1f} "
                 f"ms, wall {summary['wall_s']:.2f} s — all rows match batch"
             )
 
-            # Phase 3: abrupt disconnect must leak nothing.
+            # Phase 4: abrupt disconnect must leak nothing.
             abrupt_disconnect(host, port)
             with ServeClient(host, port) as client:
                 deadline = time.monotonic() + 10
@@ -227,9 +243,9 @@ def main() -> int:
                     time.sleep(0.05)
                 assert stats["open"] == 0 and stats["state_bytes"] == 0, \
                     f"orphaned stream state leaked: {stats}"
-            print("phase 3: abrupt disconnect leaked no stream state — OK")
+            print("phase 4: abrupt disconnect leaked no stream state — OK")
 
-            # Phase 4: drain — new pushes are refused, but stream_close
+            # Phase 5: drain — new pushes are refused, but stream_close
             # stays clean (the handle is released, not broken) and the
             # server exits 0 on its own.
             client = ServeClient(host, port)
@@ -247,7 +263,7 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 raise AssertionError("server did not exit after drain")
             assert code == 0, f"server exited {code} after drain"
-            print("phase 4: clean stream_close on drain, server exited 0 — OK")
+            print("phase 5: clean stream_close on drain, server exited 0 — OK")
         finally:
             if proc.poll() is None:
                 proc.terminate()

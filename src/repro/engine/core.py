@@ -7,8 +7,8 @@ constructor), each single-model, single-session, and configured by its
 own kwargs.  The engine separates *what to run* (a declarative
 :class:`~repro.engine.config.EngineConfig`: model registry, pooled
 precisions, executor and batching policy) from *how it runs*: one
-route table of lazily-built frozen sessions and stream plans, which
-every consumer — direct calls, the serving front-end, the CLI — reads.
+route table of lazily-built frozen sessions, which every consumer —
+direct calls, stream pushes, the serving front-end, the CLI — reads.
 
 Quickstart::
 
@@ -52,11 +52,11 @@ class Engine:
         Engine(models={"mnist": "arch1.npz", "cifar": "arch3.npz"},
                default_model="mnist", executor="threaded", threads=4)
 
-    The route table maps ``(kind, model, precision)`` to a frozen
-    :class:`~repro.runtime.session.InferenceSession` (kind
-    ``"session"``) or a :class:`~repro.streaming.StreamPlan` (kind
-    ``"stream"``).  Routes are built lazily on first use and reused for
-    every later call; freezing the same model at a second precision
+    The route table maps ``(model, precision)`` to one frozen
+    :class:`~repro.runtime.session.InferenceSession`, which serves both
+    predicts and, on a streamable model, stream pushes.  Routes are
+    built lazily on first use and reused for every later call;
+    freezing the same model at a second precision
     shares the already-computed weight spectra (a live model's
     dtype-keyed spectrum cache, or an artifact loaded from disk once).
 
@@ -73,7 +73,7 @@ class Engine:
                 "pass either an EngineConfig or config fields, not both"
             )
         self.config = config if config is not None else EngineConfig(**fields)
-        self._routes: dict[tuple[str, str, str], object] = {}
+        self._routes: dict[tuple[str, str], InferenceSession] = {}
         self._artifacts: dict[str, object] = {}  # guarded by _build_lock
         self._lock = threading.Lock()
         self._build_lock = threading.Lock()
@@ -92,16 +92,15 @@ class Engine:
     # ------------------------------------------------------------------
     # Route table
     # ------------------------------------------------------------------
-    def _lookup(self, key: tuple[str, str, str]):
+    def _lookup(self, key: tuple[str, str]):
         with self._lock:
             if self._closed:
                 raise ConfigurationError("engine is closed")
             return self._routes.get(key)
 
-    def _route(self, kind: str, model, precision):
-        """The built route for ``(kind, model, precision)``, built on miss."""
+    def _route(self, model, precision) -> InferenceSession:
+        """The built route for ``(model, precision)``, built on miss."""
         key = (
-            kind,
             self.config.resolve_model(model),
             self.config.resolve_precision(precision),
         )
@@ -115,29 +114,20 @@ class Engine:
             route = self._build(*key)
             with self._lock:
                 if not self._closed:
-                    if kind == "session":
-                        # Only constructs the shared pool's executor
-                        # (threads spawn on first submit), so it fits
-                        # under the dict lock, where close() cannot
-                        # shut the pool before it.
-                        route.warm_up()
+                    # Only constructs the shared pool's executor
+                    # (threads spawn on first submit), so it fits
+                    # under the dict lock, where close() cannot
+                    # shut the pool before it.
+                    route.warm_up()
                     self._routes[key] = route
                     return route
         # The engine closed mid-build: release what nobody will serve.
-        if kind == "session":
-            route.close()
+        route.close()
         raise ConfigurationError("engine is closed")
 
-    def _build(self, kind: str, model: str, precision: str):
+    def _build(self, model: str, precision: str) -> InferenceSession:
         """Compile one route; the caller holds the build lock."""
         source = self._source(model)
-        if kind == "stream":
-            from ..precision import PrecisionPolicy
-            from ..streaming import compile_stream_plan
-
-            return compile_stream_plan(
-                source, PrecisionPolicy.resolve(precision)
-            )
         if self._workpool is not None:
             executor = ThreadedExecutor(
                 pool=self._workpool, profile=self.config.profile
@@ -168,38 +158,24 @@ class Engine:
             return artifact
         return source
 
-    def _snapshot(self, kind: str) -> dict:
-        """``{(model, precision): route}`` of one kind, copied under the
-        dict lock — a concurrent build or ``close()`` cannot tear it."""
+    def _snapshot(self) -> dict:
+        """``{(model, precision): session}``, copied under the dict lock
+        — a concurrent build or ``close()`` cannot tear it."""
         with self._lock:
-            return {
-                (model, precision): route
-                for (k, model, precision), route in self._routes.items()
-                if k == kind
-            }
+            return dict(self._routes)
 
     def session(
         self, model: str | None = None, precision=None
     ) -> InferenceSession:
         """The route's frozen session (frozen + warmed on first use).
 
+        The same session serves the route's predicts and its streams
+        (``session.open()`` / ``push``; all per-stream state lives in
+        the :class:`~repro.streaming.StreamState` objects it opens).
         The engine retains ownership — do not close the returned
         session; close the engine.
         """
-        return self._route("session", model, precision)
-
-    def stream_plan(self, model: str | None = None, precision=None):
-        """The route's :class:`~repro.streaming.StreamPlan`.
-
-        Compiled lazily from the same registry source the batch
-        sessions use, one plan per (model, precision) pair, shared by
-        every stream on the route (the plan is immutable; all
-        per-stream state lives in the
-        :class:`~repro.streaming.StreamState` objects it opens).  Raises
-        :class:`~repro.exceptions.DeploymentError` when the model's
-        layers are not streamable.
-        """
-        return self._route("stream", model, precision)
+        return self._route(model, precision)
 
     def load_sources(self) -> "Engine":
         """Resolve every registered source now; fail fast on bad paths.
@@ -302,9 +278,8 @@ class Engine:
                 return
             self._closed = True
             routes, self._routes = self._routes, {}
-        for (kind, _, _), route in routes.items():
-            if kind == "session":
-                route.close()
+        for route in routes.values():
+            route.close()
         if self._workpool is not None:
             self._workpool.close()
 
@@ -324,7 +299,7 @@ class Engine:
             "config": self.config.describe(),
             "pooled": [
                 {"model": m, "precision": p}
-                for m, p in sorted(self._snapshot("session"))
+                for m, p in sorted(self._snapshot())
             ],
             "closed": self._closed,
         }
@@ -356,9 +331,7 @@ class Engine:
         an error or a wait — the serving ``info`` op relies on this.
         """
         routes: dict = {}
-        for (model, precision), session in sorted(
-            self._snapshot("session").items()
-        ):
+        for (model, precision), session in sorted(self._snapshot().items()):
             route = {
                 "ops": session.describe(),
                 "executor": repr(session.executor),
@@ -374,5 +347,5 @@ class Engine:
         return (
             f"Engine(models={sorted(self.config.models)}, "
             f"precisions={self.config.precisions}, "
-            f"pooled={len(self._snapshot('session'))}, closed={self._closed})"
+            f"pooled={len(self._snapshot())}, closed={self._closed})"
         )

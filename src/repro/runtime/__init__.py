@@ -24,8 +24,11 @@ layer object.  The runtime strips all three, split across four modules:
   release the GIL) — the same compiled plan and bitwise-identical
   results at the same ``batch_size`` either way,
 * :mod:`repro.runtime.session` — :class:`InferenceSession`, the
-  user-facing façade binding one plan to one executor with streaming
-  ``predict``.
+  user-facing façade binding one plan to one executor with chunked
+  ``predict``, and serving live streams (``open`` / ``push`` /
+  ``push_many``) over the same ops when they are all row-wise;
+  :func:`compile_stream_plan` freezes such a session and refuses any
+  other.
 """
 
 from .._lazy import attach
@@ -41,8 +44,8 @@ __getattr__, __dir__, __all__ = attach(
         ".plan": [
             "PlanOp", "compile_records_plan", "fuse_plan", "model_records",
         ],
-        ".session": ["InferenceSession"],
-        "..streaming": ["StreamPlan", "StreamState", "compile_stream_plan"],
+        ".session": ["InferenceSession", "compile_stream_plan"],
+        "..streaming": ["StreamState"],
         ".workspace": ["DEFAULT_BATCH_BUCKETS", "Workspace"],
     },
 )

@@ -58,12 +58,12 @@ bias/activation, zero-once pad buffers) so steady-state inference stops
 paying the allocator.  Calling an op directly, ``op(x)``, runs that same
 body against a fresh-allocating stand-in for the arena — the same
 floating-point operations in the same order, only into new memory —
-which is what tests use as the reference.  A
-:class:`~repro.streaming.plan.StreamPlan` runs the same fused ops on
-``(rows, channels)`` suffix chunks; the one stateful op, ``fft1d``,
-asks its memory for its dilated left-tap rows (``ws.left_taps``),
-which a workspace answers with the causal zero history and a stream
-push answers from each stream's history buffer.
+which is what tests use as the reference.  A session's stream push
+(:meth:`~repro.runtime.session.InferenceSession.push_many`) runs the
+same fused ops on ``(rows, channels)`` suffix chunks; the one stateful
+op, ``fft1d``, asks its memory for its dilated left-tap rows
+(``ws.left_taps``), which a workspace answers with the causal zero
+history and a push answers from each stream's history buffer.
 """
 
 from __future__ import annotations
@@ -244,7 +244,10 @@ class PlanOp:
     beyond what the artifact stores (a dense-kernel ``bc_conv``); zero
     for every other op.  ``state_shape`` is the history a stream keeps
     for the op between pushes — ``(dilation, in_channels)`` on
-    ``fft1d``, ``None`` on every stateless op.
+    ``fft1d``, ``None`` on every stateless op.  ``kinds`` are the layer
+    record kinds the op runs, in order (a fused op lists its parts);
+    ``channels`` is ``(in_channels, out_channels)`` on the two sequence
+    ops, ``fft1d`` and ``pointwise1d``, and ``None`` on every other op.
     """
 
     __slots__ = (
@@ -256,6 +259,8 @@ class PlanOp:
         "fresh_out",
         "expanded_nbytes",
         "state_shape",
+        "kinds",
+        "channels",
     )
 
     def __init__(
@@ -275,6 +280,8 @@ class PlanOp:
         self.fresh_out = fresh_out
         self.expanded_nbytes = 0
         self.state_shape: tuple[int, int] | None = None
+        self.kinds: tuple[str, ...] = ()
+        self.channels: tuple[int, int] | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.run(x, _FRESH)
@@ -309,6 +316,8 @@ class PlanOp:
         )
         folded.expanded_nbytes = self.expanded_nbytes + op.expanded_nbytes
         folded.state_shape = self.state_shape
+        folded.kinds = self.kinds + op.kinds
+        folded.channels = self.channels
         return folded
 
     def __repr__(self) -> str:
@@ -513,9 +522,9 @@ def _fft1d_op(
     ``y[t] = W_r x[t] + W_l x[t-d] + b`` over ``(batch, T, C)`` or
     ``(rows, C)``.  The body asks its memory for the left-tap rows
     ``x[t-d]``: a session's workspace (or ``op(x)``'s fresh stand-in)
-    answers with the causal zero history, and a
-    :class:`~repro.streaming.plan.StreamPlan` push answers from each
-    stream's history buffer (``state_shape`` rows of it).  Both GEMMs go
+    answers with the causal zero history, and a session's stream push
+    answers from each stream's history buffer (``state_shape`` rows of
+    it).  Both GEMMs go
     through :func:`~repro.nn.layers.fftnet1d.seq_matmul` — the
     row-count-stable kernel — and the adds are elementwise, so a push of
     any ``K`` new rows reproduces this op's batch outputs bitwise at
@@ -540,6 +549,7 @@ def _fft1d_op(
 
     op = PlanOp(f"fft1d({in_c}->{out_c},d={dilation})", run, fusable=True)
     op.state_shape = (dilation, in_c)
+    op.channels = (in_c, out_c)
     return op
 
 
@@ -563,7 +573,9 @@ def _pointwise1d_op(
             out += bias
         return out.reshape(*x.shape[:-1], out_c)
 
-    return PlanOp(f"pointwise1d({in_c}->{out_c})", run, fusable=True)
+    op = PlanOp(f"pointwise1d({in_c}->{out_c})", run, fusable=True)
+    op.channels = (in_c, out_c)
+    return op
 
 
 def _check_channels(x: np.ndarray, in_channels: int) -> None:
@@ -1108,4 +1120,5 @@ def compile_records_plan(
             )
         else:
             raise DeploymentError(f"unknown layer kind {kind!r}")
+        ops[-1].kinds = (kind,)
     return ops

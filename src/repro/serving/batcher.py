@@ -29,7 +29,9 @@ request's future resolves — and sheds with
 :class:`~repro.exceptions.Overloaded` when admitting a request would
 exceed that bound.  The attached ``retry_after_ms`` estimates when the
 backlog will have drained, from an exponential moving average of
-recent fused-batch latencies.
+recent fused-batch latencies.  A request larger than the bound itself
+could never be admitted, so it is refused with a plain
+:class:`~repro.exceptions.ServingError` instead: not shed, not retried.
 
 Row-wise parity: every plan op is row-independent, so the rows a
 request gets back from a fused batch are the rows a dedicated batch
@@ -97,12 +99,14 @@ class MicroBatcher:
     max_queue_rows:
         Optional bound on the rows in flight (queued plus running);
         ``submit`` sheds with :class:`~repro.exceptions.Overloaded`
-        when admitting the request would exceed it.  ``None`` (the
+        when admitting the request would exceed it, and refuses a
+        request larger than the bound with
+        :class:`~repro.exceptions.ServingError`.  ``None`` (the
         default) admits everything.
     stream_runner:
         ``(states, chunks) -> outputs`` callable for fused stream
-        pushes (the route's
-        :meth:`~repro.streaming.StreamPlan.push_many`); required before
+        pushes (the route session's
+        :meth:`~repro.runtime.session.InferenceSession.push_many`); required before
         the first :meth:`submit_stream`.  Stream pushes share the queue
         and the row bound with predicts, but run as their own fused
         call.
@@ -156,7 +160,9 @@ class MicroBatcher:
         :class:`DeadlineExpired` instead of running.  With
         :attr:`max_queue_rows` set, a request that would overflow the
         route's row bound is shed immediately with
-        :class:`~repro.exceptions.Overloaded` instead of queueing.
+        :class:`~repro.exceptions.Overloaded` instead of queueing, and
+        one with more rows than the bound is refused with
+        :class:`~repro.exceptions.ServingError`.
         """
         return await self._enqueue(rows, deadline_ms, state=None)
 
@@ -197,10 +203,13 @@ class MicroBatcher:
                 f"deadline_ms must be a finite number >= 0, got {deadline_ms}"
             )
         n_rows = int(rows.shape[0])
-        if (
-            self.max_queue_rows is not None
-            and self._inflight_rows + n_rows > self.max_queue_rows
-        ):
+        bound = self.max_queue_rows
+        if bound is not None and n_rows > bound:
+            raise ServingError(
+                f"request of {n_rows} rows exceeds the route's bound of "
+                f"{bound} rows in flight"
+            )
+        if bound is not None and self._inflight_rows + n_rows > bound:
             self.stats["shed"] += 1
             raise Overloaded(
                 f"queue full: {self._inflight_rows} rows in flight "

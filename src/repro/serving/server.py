@@ -58,21 +58,19 @@ from .protocol import (
 __all__ = ["InferenceServer"]
 
 
-def _real_rows(rows: np.ndarray, dtype) -> np.ndarray:
+def _real_rows(session, rows: np.ndarray) -> np.ndarray:
     """The front-door cast of a ``predict`` or ``stream_push`` payload.
 
-    Any real dtype (bool, int, uint, float) casts to the route's
-    ``dtype``, so requests fuse into one micro-batch bucket with
-    identical results.  Every other kind is refused: a cast would drop
-    a complex payload's imaginary part, parse strings as numbers and
-    read datetimes as day counts.
+    The route session's own input rule
+    (:meth:`~repro.runtime.session.InferenceSession.cast`): any real
+    dtype casts to the session's, so requests fuse into one
+    micro-batch bucket with identical results; any other kind is
+    refused as a clean error frame.
     """
-    if rows.dtype.kind not in "biuf":
-        raise ServingError(
-            f"array payload must be real-valued (bool, int, uint or "
-            f"float), got dtype {rows.dtype}"
-        )
-    return np.asarray(rows, dtype=dtype)
+    try:
+        return session.cast(rows)
+    except TypeError as exc:
+        raise ServingError(str(exc)) from exc
 
 
 class InferenceServer(FrameServer):
@@ -151,8 +149,8 @@ class InferenceServer(FrameServer):
                 return -(-rows // executor.workers)  # ceil division
         return None
 
-    def _batcher_for(self, model: str, precision: str) -> MicroBatcher:
-        """The route's batcher, created on first use.
+    def _batcher_for(self, model: str, precision: str, session) -> MicroBatcher:
+        """The route's batcher over its ``session``, created on first use.
 
         One batcher per (model, precision) pair: requests for different
         routes must never fuse (they run different plans), but they all
@@ -164,18 +162,13 @@ class InferenceServer(FrameServer):
         if batcher is None:
 
             def run_batch(batch: np.ndarray) -> np.ndarray:
-                session = self.engine.session(model, precision)
                 return session.predict_proba(
                     batch, batch_size=self._auto_chunk(session, batch.shape[0])
                 )
 
             def run_streams(states, chunks):
-                # The plan is pooled by the engine; resolving it here
-                # (on the inference thread) keeps non-streamable routes
-                # from ever paying for — or failing on — stream
-                # compilation.  proba=True mirrors predict_proba.
-                plan = self.engine.stream_plan(model, precision)
-                return plan.push_many(states, chunks, proba=True)
+                # proba=True mirrors predict_proba.
+                return session.push_many(states, chunks, proba=True)
 
             config = self.engine.config
             batcher = MicroBatcher(
@@ -266,10 +259,27 @@ class InferenceServer(FrameServer):
             config.resolve_precision(string_field(header, "precision")),
         )
 
+    async def _session(self, model: str, precision: str):
+        """The route's session, cached per route for predicts and streams.
+
+        The first request for a route freezes its session — on the
+        inference thread, so plan compilation never stalls the event
+        loop.  Later requests must enter the batcher's queue without a
+        hop through the (possibly busy) inference thread, or batch N+1
+        could not accumulate while batch N computes.
+        """
+        session = self._route_sessions.get((model, precision))
+        if session is None:
+            session = await asyncio.get_running_loop().run_in_executor(
+                self._infer_thread, self.engine.session, model, precision
+            )
+            self._route_sessions[(model, precision)] = session
+        return session
+
     def _free_stream(self, entry: dict) -> None:
         """Return one stream's budget to the server totals."""
         self._streams_open -= 1
-        self._stream_state_bytes -= entry["plan"].state_bytes
+        self._stream_state_bytes -= entry["state"].session.state_bytes
 
     def _stream_push_rate(self) -> float:
         """Pushes/second since the last ``info`` call (lazy rate).
@@ -401,30 +411,25 @@ class InferenceServer(FrameServer):
                     "server is draining and accepts no new streams"
                 )
             model, precision = self._resolve_route(header)
-            config = self.engine.config
-            if self._streams_open >= config.max_streams:
-                raise Overloaded(
-                    f"stream capacity exhausted: {self._streams_open} "
-                    f"streams open (limit {config.max_streams})"
-                )
-            # Plan compilation happens on the inference thread (like
-            # session freezing); a non-streamable model answers with a
-            # typed error frame, the connection stays up.
+            session = await self._session(model, precision)
+            # A non-streamable model answers with a typed error frame;
+            # the connection stays up.
             try:
-                plan = await asyncio.get_running_loop().run_in_executor(
-                    self._infer_thread,
-                    self.engine.stream_plan,
-                    model,
-                    precision,
-                )
+                session.require_streamable()
             except DeploymentError as exc:
                 raise ServingError(str(exc)) from exc
-            # Re-checked after the compile: other connections may have
-            # opened streams while this one waited on the thread.
+            config = self.engine.config
             budget = config.max_stream_state_bytes
+            if budget is not None and session.state_bytes > budget:
+                # Not a shed: no amount of waiting admits it.
+                raise ServingError(
+                    f"a stream on {model}/{precision} holds "
+                    f"{session.state_bytes} bytes of state, over the "
+                    f"server's budget of {budget} bytes"
+                )
             if self._streams_open >= config.max_streams or (
                 budget is not None
-                and self._stream_state_bytes + plan.state_bytes > budget
+                and self._stream_state_bytes + session.state_bytes > budget
             ):
                 raise Overloaded(
                     f"stream budget exhausted: {self._streams_open} "
@@ -434,14 +439,13 @@ class InferenceServer(FrameServer):
             self._stream_seq += 1
             handle = f"s{self._stream_seq}"
             streams[handle] = {
-                "plan": plan,
-                "state": plan.open(),
+                "state": session.open(),
                 "model": model,
                 "precision": precision,
                 "busy": False,
             }
             self._streams_open += 1
-            self._stream_state_bytes += plan.state_bytes
+            self._stream_state_bytes += session.state_bytes
             self.stats["stream_opens"] += 1
             return (
                 {
@@ -450,10 +454,10 @@ class InferenceServer(FrameServer):
                     "stream": handle,
                     "model": model,
                     "precision": precision,
-                    "in_channels": plan.in_channels,
-                    "classes": plan.out_channels,
-                    "receptive_field": plan.receptive_field,
-                    "state_bytes": plan.state_bytes,
+                    "in_channels": session.in_channels,
+                    "classes": session.out_channels,
+                    "receptive_field": session.receptive_field,
+                    "state_bytes": session.state_bytes,
                 },
                 b"",
             )
@@ -482,23 +486,23 @@ class InferenceServer(FrameServer):
                 )
             self._admit()
             deadline_ms = self._deadline_ms(header)
-            plan = entry["plan"]
+            session = entry["state"].session
             chunk = unpack_array(payload)
-            if chunk.ndim == 1 and plan.in_channels == 1:
+            if chunk.ndim == 1 and session.in_channels == 1:
                 chunk = chunk[:, None]
-            if chunk.ndim != 2 or chunk.shape[1] != plan.in_channels:
+            if chunk.ndim != 2 or chunk.shape[1] != session.in_channels:
                 raise ServingError(
-                    f"stream chunk must be (samples, {plan.in_channels}), "
+                    f"stream chunk must be (samples, {session.in_channels}), "
                     f"got shape {chunk.shape}"
                 )
             if chunk.shape[0] < 1:
                 raise ServingError("stream_push needs at least one sample")
-            chunk = _real_rows(chunk, plan.policy.real_dtype)
+            chunk = _real_rows(session, chunk)
             start = time.perf_counter()
             entry["busy"] = True
             try:
                 out = await self._batcher_for(
-                    entry["model"], entry["precision"]
+                    entry["model"], entry["precision"], session
                 ).submit_stream(
                     entry["state"],
                     chunk,
@@ -553,24 +557,12 @@ class InferenceServer(FrameServer):
             rows = unpack_array(payload)
             if rows.ndim == 1:
                 rows = rows[None]
-            # First request for a route freezes its session — on the
-            # inference thread, so plan compilation never stalls the
-            # event loop.  The resolved session is cached per route:
-            # later requests must enter the batcher's queue without a
-            # hop through the (possibly busy) inference thread, or
-            # batch N+1 could not accumulate while batch N computes.
-            session = self._route_sessions.get((model, precision))
-            if session is None:
-                session = await asyncio.get_running_loop().run_in_executor(
-                    self._infer_thread, self.engine.session, model, precision
-                )
-                self._route_sessions[(model, precision)] = session
-            # Cast once at the front door, the same cast the session
-            # applies at its boundary.
-            rows = _real_rows(rows, session.policy.real_dtype)
+            session = await self._session(model, precision)
+            # Cast once at the front door, with the session's own rule.
+            rows = _real_rows(session, rows)
             self.stats["requests"] += 1
             start = time.perf_counter()
-            proba = await self._batcher_for(model, precision).submit(
+            proba = await self._batcher_for(model, precision, session).submit(
                 rows, deadline_ms=deadline_ms
             )
             latency_ms = (time.perf_counter() - start) * 1e3

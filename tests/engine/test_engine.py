@@ -255,7 +255,8 @@ class TestRouteTableConcurrency:
         threads = [
             threading.Thread(target=build, args=("session", engine.session)),
             threading.Thread(
-                target=build, args=("stream", engine.stream_plan)
+                target=build,
+                args=("stream", lambda: engine.session().open().session),
             ),
         ]
         for thread in threads:
@@ -264,7 +265,7 @@ class TestRouteTableConcurrency:
             thread.join()
         assert loads == [fftnet_path]
         assert built["session"] is engine.session()
-        assert built["stream"] is engine.stream_plan()
+        assert built["stream"] is engine.session()
         engine.close()
 
     def test_introspection_returns_while_a_build_is_in_flight(

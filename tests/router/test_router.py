@@ -353,6 +353,38 @@ class TestFailover:
         assert bad_predicts == 1
         assert good_predicts == 0
 
+    def test_request_over_the_row_bound_tried_on_one_backend(self, rng):
+        # A request no backend can ever admit is a plain error, not a
+        # fleet-wide shed: the router relays it from the first backend.
+        model = small_model()
+
+        async def main():
+            async with InferenceServer(
+                Engine(model=model, max_queue_rows=16), port=0
+            ) as s1, InferenceServer(
+                Engine(model=model, max_queue_rows=16), port=0
+            ) as s2:
+                router = await start_router(
+                    [f"127.0.0.1:{s1.port}", f"127.0.0.1:{s2.port}"]
+                )
+                try:
+                    client = await AsyncServeClient.connect(
+                        "127.0.0.1", router.port, retries=2, backoff_ms=1.0
+                    )
+                    try:
+                        with pytest.raises(ServingError, match="17 rows") as excinfo:
+                            await client.predict_proba(rng.normal(size=(17, 96)))
+                    finally:
+                        await client.close()
+                    return excinfo.value, [s1.stats, s2.stats]
+                finally:
+                    await router.stop()
+
+        error, stats = asyncio.run(main())
+        assert not isinstance(error, Overloaded)
+        assert sum(s["errors"] for s in stats) == 1
+        assert sum(s["shed"] for s in stats) == 0
+
     def test_unknown_model_yields_clean_error(self, rng):
         model = small_model()
 

@@ -117,6 +117,36 @@ class TestStreamingPredict:
         assert np.allclose(proba.sum(axis=-1), 1.0, atol=1e-12)
 
 
+def non_real(kind, shape):
+    """An input of a non-real dtype ``kind``."""
+    return {
+        "complex128": np.ones(shape) + 1j,
+        "str": np.full(shape, "1.5"),
+        "str-list": np.full(shape, "1").tolist(),
+        "datetime64": np.zeros(shape, dtype="datetime64[D]"),
+    }[kind]
+
+
+class TestInputRule:
+    @pytest.mark.parametrize(
+        "kind", ["complex128", "str", "str-list", "datetime64"]
+    )
+    def test_every_predict_path_refuses_non_real_inputs(self, fc_model, kind):
+        session = InferenceSession.freeze(fc_model)
+        x = non_real(kind, (2, 256))
+        for call in (session.forward, session.predict_proba, session.predict):
+            with pytest.raises(TypeError, match="real-valued"):
+                call(x)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int32, np.uint8, np.float32])
+    def test_real_kinds_cast_to_the_session_dtype(self, fc_model, rng, dtype):
+        session = InferenceSession.freeze(fc_model)
+        x = (rng.normal(size=(3, 256)) * 4).astype(dtype)
+        assert np.array_equal(
+            session.predict_proba(x), session.predict_proba(x.astype(np.float64))
+        )
+
+
 class TestSnapshotSemantics:
     def test_training_after_freeze_does_not_change_session(self, fc_model, rng):
         session = InferenceSession.freeze(fc_model)

@@ -175,6 +175,24 @@ class TestBatcherShedding:
         with pytest.raises(ValueError, match="max_queue_rows"):
             MicroBatcher(lambda b: b, max_queue_rows=0)
 
+    def test_request_over_the_bound_is_refused_not_shed(self, rng):
+        # An idle batcher: no backlog to wait out, so more rows than the
+        # bound can never be admitted.  A plain error names both sizes.
+        async def main():
+            batcher = MicroBatcher(lambda b: b, max_batch=64, max_queue_rows=8)
+            with pytest.raises(ServingError, match="9 rows.*bound of 8") as excinfo:
+                await batcher.submit(rng.normal(size=(9, 4)))
+            assert not isinstance(excinfo.value, Overloaded)
+            assert batcher.stats["shed"] == 0
+            assert batcher.stats["requests"] == 0
+            assert batcher.queue_depth()["inflight_rows"] == 0
+            # The bound itself is admitted.
+            out = await batcher.submit(rng.normal(size=(8, 4)))
+            assert out.shape == (8, 4)
+            await batcher.aclose()
+
+        asyncio.run(main())
+
 
 # ----------------------------------------------------------------------
 # Server-level faults (shed, corrupt, drop, disconnect, drain)
@@ -262,6 +280,28 @@ class TestServerFaults:
             engine, InferenceSession.freeze(small_model()), x8
         )
         assert np.array_equal(out, ref)
+
+    def test_predict_over_the_row_bound_is_refused_once(self, rng):
+        # 17 rows against a 16-row bound on an idle server: one plain
+        # error, no shed, and the retrying client does not retry it.
+        engine = Engine(model=small_model(), max_queue_rows=16)
+
+        async def scenario(server):
+            async with await AsyncServeClient.connect(
+                port=server.port, retries=2, backoff_ms=1.0
+            ) as client:
+                with pytest.raises(ServingError, match="17 rows") as excinfo:
+                    await client.predict_proba(rng.normal(size=(17, 96)))
+                out = await client.predict_proba(rng.normal(size=(16, 96)))
+                return excinfo.value, out, await client.info()
+
+        error, out, info = serve(engine, scenario)
+        assert not isinstance(error, Overloaded)
+        assert "16" in str(error)
+        assert out.shape == (16, 10)
+        assert info["stats"]["shed"] == 0
+        assert info["stats"]["errors"] == 1
+        assert info["stats"]["requests"] == 2
 
     def test_corrupt_payload_yields_typed_error_not_crash(
 

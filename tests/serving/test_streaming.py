@@ -2,6 +2,7 @@
 
 import asyncio
 import socket
+import sys
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.exceptions import (
     ServingError,
     StreamBroken,
 )
+import repro.runtime.plan as plan_module
 from repro.runtime import compile_stream_plan
 from repro.serving import (
     AsyncServeClient,
@@ -54,6 +56,24 @@ def serve(engine, scenario):
             return await scenario(server)
 
     return asyncio.run(main())
+
+
+def count_compiles(monkeypatch) -> list:
+    """Record every ``compile_records_plan`` call, under every name a
+    ``repro`` module imported it as."""
+    calls = []
+    original = plan_module.compile_records_plan
+
+    def counted(records, *args, **kwargs):
+        calls.append(len(records))
+        return original(records, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(
+            module, "compile_records_plan", None
+        ) is original:
+            monkeypatch.setattr(module, "compile_records_plan", counted)
+    return calls
 
 
 def in_thread(fn, *args):
@@ -148,21 +168,42 @@ class TestBatcherStreamFusion:
 
         asyncio.run(scenario())
 
-    def test_shed_push_never_touches_state(self, rng):
+    def test_shed_push_never_touches_state(self, rng, gate):
         plan = compile_stream_plan(fftnet())
+        held = gate()
 
         async def scenario():
             batcher = MicroBatcher(
                 lambda b: b, max_batch=16,
+                executor=held.executor,
                 stream_runner=lambda s, c: plan.push_many(s, c, proba=True),
                 max_queue_rows=4,
+            )
+            # An earlier push holds the whole bound in flight.
+            first = asyncio.ensure_future(batcher.submit_stream(
+                plan.open(), rng.standard_normal((4, 1))
+            ))
+            await held.until(
+                lambda: batcher.queue_depth()["inflight_rows"] == 4
             )
             state = plan.open()
             with pytest.raises(Overloaded):
                 await batcher.submit_stream(
-                    state, rng.standard_normal((5, 1))
+                    state, rng.standard_normal((1, 1))
                 )
             assert state.samples == 0
+            # A push larger than the bound can never be admitted: a
+            # plain error, not a retryable shed, and the state is
+            # untouched too.
+            with pytest.raises(ServingError, match="5 rows") as excinfo:
+                await batcher.submit_stream(
+                    state, rng.standard_normal((5, 1))
+                )
+            assert not isinstance(excinfo.value, Overloaded)
+            assert state.samples == 0 and state.pushes == 0
+            assert batcher.stats["shed"] == 1
+            held.release()
+            await first
 
         asyncio.run(scenario())
 
@@ -235,6 +276,33 @@ class TestServerStreaming:
 
         serve(engine, scenario)
 
+    def test_one_compile_serves_pushes_and_predicts(self, rng, monkeypatch):
+        engine = stream_engine()
+        compiles = count_compiles(monkeypatch)
+        full = rng.standard_normal((12, 1))
+
+        async def scenario(server):
+            def go():
+                client = ServeClient(port=server.port, retries=0)
+                with client.stream() as s:
+                    pushed = np.concatenate([s.push(full[:5]), s.push(full[5:])])
+                # After pushes alone the route is pooled and described.
+                info = client.info()
+                predicted = client.predict_proba(full[None])
+                client.close()
+                return pushed, predicted, info
+
+            return await in_thread(go)
+
+        pushed, predicted, info = serve(engine, scenario)
+        assert len(compiles) == 1
+        assert engine.describe()["pooled"] == [
+            {"model": "fftnet", "precision": "fp64"}
+        ]
+        assert list(info["routes"]) == ["fftnet/fp64"]
+        assert info["engine"]["pooled"] == engine.describe()["pooled"]
+        assert np.array_equal(pushed, predicted[0])
+
     def test_abrupt_disconnect_frees_all_state(self, rng):
         engine = stream_engine()
 
@@ -302,6 +370,52 @@ class TestServerStreaming:
             await in_thread(go)
 
         serve(engine, scenario)
+
+    def test_stream_over_the_whole_budget_is_refused_not_shed(self):
+        plan = compile_stream_plan(fftnet())
+        engine = stream_engine(max_stream_state_bytes=plan.state_bytes - 1)
+
+        async def scenario(server):
+            def go():
+                client = ServeClient(port=server.port, retries=2)
+                with pytest.raises(ServingError, match="budget") as excinfo:
+                    client.stream()
+                stats = client.info()["stats"]
+                client.close()
+                return excinfo.value, stats
+
+            return await in_thread(go)
+
+        error, stats = serve(engine, scenario)
+        # Named with its size and the bound, and never retried.
+        assert not isinstance(error, Overloaded)
+        assert str(plan.state_bytes) in str(error)
+        assert str(plan.state_bytes - 1) in str(error)
+        assert stats["shed"] == 0 and stats["errors"] == 1
+        assert stats["stream_opens"] == 0
+
+    def test_push_over_the_row_bound_is_refused_not_shed(self, rng):
+        engine = stream_engine(max_queue_rows=4)
+
+        async def scenario(server):
+            def go():
+                client = ServeClient(port=server.port, retries=2)
+                with client.stream() as s:
+                    with pytest.raises(ServingError, match="5 rows") as excinfo:
+                        s.push(rng.standard_normal((5, 1)))
+                    assert not isinstance(excinfo.value, Overloaded)
+                    # The stream is intact and still at sample zero.
+                    assert not s.broken and s.samples == 0
+                    s.push(rng.standard_normal((4, 1)))
+                    assert s.samples == 4
+                stats = client.info()["stats"]
+                client.close()
+                return stats
+
+            return await in_thread(go)
+
+        stats = serve(engine, scenario)
+        assert stats["shed"] == 0 and stats["errors"] == 1
 
     def test_state_byte_budget_admits_exactly_two_streams(self):
         plan = compile_stream_plan(fftnet())

@@ -1,4 +1,4 @@
-"""StreamPlan: incremental pushes bitwise-equal to the batch plan."""
+"""Session streams: incremental pushes bitwise-equal to the batch plan."""
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from repro.nn import (
 )
 from repro.precision import FP32, FP64
 from repro.runtime import InferenceSession, compile_stream_plan
-from repro.streaming import StreamPlan
 from repro.zoo import build_fftnet
 
 
@@ -295,6 +294,30 @@ class TestStreamState:
         out = plan.push(state, np.empty((0, 1)), proba=True)
         assert out.shape == (0, plan.out_channels)
 
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            np.full((3, 1), 1.5 + 2.0j),
+            np.full((3, 1), "1.5"),
+            np.zeros((3, 1), dtype="datetime64[D]"),
+        ],
+        ids=["complex128", "str", "datetime64"],
+    )
+    def test_non_real_chunk_refused_and_state_untouched(self, rng, chunk):
+        model = fftnet()
+        plan = compile_stream_plan(model)
+        state, other = plan.open(), plan.open()
+        with pytest.raises(TypeError, match="real-valued"):
+            plan.push(state, chunk)
+        # In a fused push, one bad chunk advances no stream.
+        with pytest.raises(TypeError, match="real-valued"):
+            plan.push_many([other, state], [rng.standard_normal((2, 1)), chunk])
+        assert state.samples == other.samples == 0
+        assert not any(b.any() for b in state.buffers + other.buffers if b is not None)
+        full = rng.standard_normal((6, 1))
+        out = plan.push(state, full, proba=True)
+        assert np.array_equal(out, batch_reference(model, full))
+
     def test_1d_chunk_promoted_for_single_channel(self, rng):
         model = fftnet()
         plan = compile_stream_plan(model)
@@ -306,12 +329,12 @@ class TestStreamState:
 class TestEngineStreamPlan:
     def test_plan_pooled_per_route(self):
         engine = Engine(model=fftnet())
-        assert engine.stream_plan() is engine.stream_plan()
+        assert engine.session() is engine.session()
 
     def test_stream_plan_matches_engine_session(self, rng):
         engine = Engine(model=fftnet())
         full = rng.standard_normal((19, 1))
-        plan = engine.stream_plan()
+        plan = engine.session()
         out = plan.push(plan.open(), full, proba=True)
         assert np.array_equal(
             out, engine.session().predict_proba(full[None])[0]

@@ -96,10 +96,10 @@ def test_engine_predict_and_stream_load_no_training_stack(tmp_path):
         f"models = {{'fc': {str(fc)!r}, 'wave': {str(wave)!r}}}\n"
         "with Engine(EngineConfig(models=models, default_model='fc')) as e:\n"
         "    e.predict(np.zeros((2, 256)))\n"
-        "    plan = e.stream_plan('wave')\n"
-        "    plan.push(plan.open(), np.zeros((4, 1)))"
+        "    wave = e.session('wave')\n"
+        "    wave.push(wave.open(), np.zeros((4, 1)))"
     )
-    assert "repro.streaming.plan" in loaded
+    assert "repro.streaming.state" in loaded
     assert sorted(set(NOT_ON_THE_ENGINE_PATH) & loaded) == []
 
 
