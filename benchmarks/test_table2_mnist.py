@@ -18,6 +18,7 @@ import pytest
 
 from .conftest import write_result
 from repro.embedded import DeployedModel, InferenceProfiler
+from repro.runtime import InferenceSession
 from repro.zoo import ARCH1_INPUT_SIDE, ARCH2_INPUT_SIDE
 
 #: Paper Table II: (arch, impl) -> (accuracy %, (nexus5, xu3, honor6x) us).
@@ -93,18 +94,18 @@ def test_table2_reproduction(table2, benchmark, trained_arch1):
 
 
 def test_bench_arch1_deployed_inference(benchmark, trained_arch1, mnist_data):
-    """Host-side per-image latency of the deployed Arch. 1 engine."""
+    """Host-side per-image latency of the frozen session serving Arch. 1."""
     model, _ = trained_arch1
     test_set = mnist_data[ARCH1_INPUT_SIDE][1]
-    deployed = DeployedModel.from_model(model)
+    session = InferenceSession.from_deployed(DeployedModel.from_model(model))
     image = test_set.inputs[:1]
-    benchmark(deployed.forward, image)
+    benchmark(session.forward, image)
 
 
 def test_bench_arch2_deployed_inference(benchmark, trained_arch2, mnist_data):
-    """Host-side per-image latency of the deployed Arch. 2 engine."""
+    """Host-side per-image latency of the frozen session serving Arch. 2."""
     model, _ = trained_arch2
     test_set = mnist_data[ARCH2_INPUT_SIDE][1]
-    deployed = DeployedModel.from_model(model)
+    session = InferenceSession.from_deployed(DeployedModel.from_model(model))
     image = test_set.inputs[:1]
-    benchmark(deployed.forward, image)
+    benchmark(session.forward, image)

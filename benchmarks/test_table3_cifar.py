@@ -12,6 +12,7 @@ import pytest
 
 from .conftest import write_result
 from repro.embedded import DeployedModel, InferenceProfiler
+from repro.runtime import InferenceSession
 from repro.zoo import build_arch3
 
 #: Paper Table III: impl -> (accuracy %, (xu3, honor6x) us).
@@ -67,17 +68,17 @@ def test_table3_reproduction(table3, benchmark, trained_arch3_reduced):
         assert 2.0 < ratio < 2.9, i
 
     model, _ = trained_arch3_reduced
-    deployed = DeployedModel.from_model(model)
+    session = InferenceSession.from_deployed(DeployedModel.from_model(model))
     image = np.random.default_rng(0).uniform(size=(1, 3, 32, 32))
-    benchmark(deployed.predict, image)
+    benchmark(session.predict, image)
 
 
 def test_bench_arch3_reduced_deployed_inference(
     benchmark, trained_arch3_reduced
 ):
-    """Host-side per-image latency of the deployed reduced Arch. 3."""
+    """Host-side per-image latency of the frozen session serving reduced Arch. 3."""
     model, _ = trained_arch3_reduced
-    deployed = DeployedModel.from_model(model)
+    session = InferenceSession.from_deployed(DeployedModel.from_model(model))
     rng = np.random.default_rng(0)
     image = rng.uniform(size=(1, 3, 32, 32))
-    benchmark(deployed.forward, image)
+    benchmark(session.forward, image)

@@ -107,7 +107,9 @@ def main() -> int:
 
         # The float twin of the built artifact (same trained model,
         # no quantization) anchors the parity bound.
-        float_deployed = DeployedModel.from_model(pipeline.model)
+        float_session = InferenceSession.from_deployed(
+            DeployedModel.from_model(pipeline.model)
+        )
         loaded = DeployedModel.load(artifact)
         assert loaded.quantized and loaded.source_version == 2
         local_session = InferenceSession.from_deployed(loaded)
@@ -124,7 +126,7 @@ def main() -> int:
                 "local session on the same artifact"
             )
             deviation = float(
-                np.abs(served - float_deployed.predict_proba(x)).max()
+                np.abs(served - float_session.predict_proba(x)).max()
             )
             assert deviation <= bound, (
                 f"served-vs-float deviation {deviation:.3g} exceeds the "

@@ -806,10 +806,14 @@ def _cmd_profile(args) -> int:
     from .embedded import PLATFORMS, EnergyModel, InferenceProfiler
     from .io import build_model_from_string, parse_architecture
 
-    model = build_model_from_string(args.architecture)
-    shape = parse_architecture(args.architecture).input_shape
-    profiler = InferenceProfiler(model, shape)
-    energy = EnergyModel(model, shape)
+    try:
+        model = build_model_from_string(args.architecture)
+        shape = parse_architecture(args.architecture).input_shape
+        profiler = InferenceProfiler(model, shape)
+        energy = EnergyModel(model, shape)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     mode = " (battery)" if args.battery else ""
     print(f"{'platform':12s} {'impl':5s} {'us/image':>10s} {'uJ/image':>10s}{mode}")
     for impl in ("java", "cpp"):
@@ -824,8 +828,11 @@ def _cmd_info(args) -> int:
     from .analysis import storage_report
     from .io import build_model_from_string
 
-    model = build_model_from_string(args.architecture)
-    report = storage_report(model)
+    try:
+        report = storage_report(build_model_from_string(args.architecture))
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"architecture: {args.architecture}")
     print(f"{'layer':55s} {'dense':>10s} {'stored':>10s} {'ratio':>7s}")
     for row in report.rows:

@@ -7,7 +7,8 @@
   :func:`~repro.analysis.storage_report` are views over,
 * :class:`InferenceProfiler` — predicted per-image latency per platform
   and implementation (Java / C++), calibrated against Tables II-III,
-* :class:`DeployedModel` — the standalone FFT-domain inference engine.
+* :class:`DeployedModel` — the FFT-domain deployment artifact (layer
+  records); :class:`~repro.runtime.InferenceSession` runs it.
 """
 
 from .._lazy import attach

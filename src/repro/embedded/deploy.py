@@ -1,4 +1,4 @@
-"""Deployment artifacts and the standalone inference engine (paper Fig. 4).
+"""Deployment artifacts (paper Fig. 4).
 
 The paper's deployment flow stores, for every block-circulant layer, the
 *FFT of the defining vectors* rather than the weights themselves
@@ -10,9 +10,6 @@ implements that flow:
   whose block-circulant weights are ``rfft`` half-spectra (complex64) —
   the records of :func:`~repro.runtime.plan.model_records`, the one
   layer walker the frozen runtime also compiles, cast to storage dtypes,
-* :meth:`DeployedModel.predict_proba` runs pure-numpy inference straight
-  from the spectra — no autograd, no weight reconstruction — which is the
-  engine whose op counts the runtime simulator prices,
 * :meth:`DeployedModel.save` / :meth:`DeployedModel.load` round-trip the
   artifact through a single ``.npz`` file (the "Parameters" file of
   Fig. 4).  The on-disk layout is **format v2**: alongside the layer
@@ -22,10 +19,14 @@ implements that flow:
   dequantized at load), and provenance (pipeline config hash, training
   summary) — see ``docs/pipeline.md``.  v2 is the one format written;
   version-1 files written by earlier releases still load bitwise,
-* fast/batched/served inference lives behind the
-  :class:`~repro.engine.Engine` facade now —
-  ``Engine(model=deployed, ...)`` pools frozen sessions per precision
-  and serves several named artifacts from one TCP port.
+* inference runs the records compiled into a frozen plan —
+  :meth:`InferenceSession.from_deployed
+  <repro.runtime.session.InferenceSession.from_deployed>`, straight from
+  the spectra on the same spectral kernel training uses, or the
+  :class:`~repro.engine.Engine` facade, which pools such sessions per
+  precision and serves several named artifacts from one TCP port.  The
+  operation counts the runtime simulator prices are those of the same
+  records (:mod:`repro.embedded.cost_model`).
 
 Dropout layers vanish at deployment; batch-norm folds into a per-feature
 affine transform.
@@ -34,21 +35,14 @@ affine transform.
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 import numpy as np
 
 from ..exceptions import DeploymentError
 from ..fft import rfft
-from ..nn.layers import seq_matmul, shift_right
 from ..nn.module import Sequential
 from ..runtime.plan import model_records
-from ..runtime.plan import pool_windows as _pool_windows
-from ..runtime.session import iter_batches as _iter_batches
-from ..runtime.session import softmax as _softmax
-from ..structured import block_circulant_forward_batch
-from ..nn.functional import im2col
 
 __all__ = ["DeployedModel", "FORMAT_VERSION", "LEGACY_FORMAT_VERSION"]
 
@@ -86,10 +80,12 @@ def _quantize_weight(values: np.ndarray, total_bits: int):
 
 
 class DeployedModel:
-    """Frozen inference-only model built from layer records.
+    """Deployment artifact: one layer record per inference-time layer.
 
     Each record is a dict with a ``kind`` plus kind-specific arrays and
-    scalars; construct via :meth:`from_model` or :meth:`load`.
+    scalars; construct via :meth:`from_model` or :meth:`load`, and run
+    it through :meth:`InferenceSession.from_deployed
+    <repro.runtime.session.InferenceSession.from_deployed>`.
     Quantized records additionally carry ``weight_q`` / ``bias_q``
     integer code points with their ``qformat`` — the float arrays the
     runtime executes (``spectra`` / ``weight`` / ``bias``) are derived
@@ -194,189 +190,6 @@ class DeployedModel:
                 record["shift"] = record["shift"].astype(np.float32)
             records.append(record)
         return cls(records)
-
-    # ------------------------------------------------------------------
-    # Inference
-    # ------------------------------------------------------------------
-    def _run_layer(self, record: dict, x: np.ndarray) -> np.ndarray:
-        kind = record["kind"]
-        if kind == "bc_linear":
-            spectra = record["spectra"].astype(np.complex128)
-            b = record["block_size"]
-            batch = x.shape[0]
-            q = spectra.shape[1]
-            padded = np.zeros((batch, q * b))
-            padded[:, : record["in_features"]] = x
-            blocks = padded.reshape(batch, q, b)
-            out = block_circulant_forward_batch(spectra, blocks)
-            out = out.reshape(batch, -1)[:, : record["out_features"]]
-            if record["bias"] is not None:
-                out = out + record["bias"]
-            return out
-        if kind == "linear":
-            out = x @ record["weight"].astype(np.float64).T
-            if record["bias"] is not None:
-                out = out + record["bias"]
-            return out
-        if kind == "fft1d":
-            weight = record["weight"].astype(np.float64)
-            in_c, out_c = record["in_channels"], record["out_channels"]
-            dilation = record["dilation"]
-            batch, steps, _ = x.shape
-            xl = shift_right(x, dilation)
-            out = seq_matmul(
-                x.reshape(-1, in_c), np.ascontiguousarray(weight[1].T)
-            )
-            out += seq_matmul(
-                xl.reshape(-1, in_c), np.ascontiguousarray(weight[0].T)
-            )
-            if record["bias"] is not None:
-                out += record["bias"].astype(np.float64)
-            return out.reshape(batch, steps, out_c)
-        if kind == "pointwise1d":
-            weight = record["weight"].astype(np.float64)
-            in_c, out_c = record["in_channels"], record["out_channels"]
-            batch, steps, _ = x.shape
-            out = seq_matmul(
-                x.reshape(-1, in_c), np.ascontiguousarray(weight.T)
-            )
-            if record["bias"] is not None:
-                out += record["bias"].astype(np.float64)
-            return out.reshape(batch, steps, out_c)
-        if kind == "conv":
-            weight = record["weight"].astype(np.float64)
-            out_c, in_c, k, _ = weight.shape
-            stride, padding = record["stride"], record["padding"]
-            batch, _, height, width = x.shape
-            out_h = (height + 2 * padding - k) // stride + 1
-            out_w = (width + 2 * padding - k) // stride + 1
-            cols = im2col(x, k, stride, padding)
-            out = cols @ weight.reshape(out_c, -1).T
-            out = out.transpose(0, 2, 1).reshape(batch, out_c, out_h, out_w)
-            if record["bias"] is not None:
-                out = out + record["bias"].astype(np.float64)[None, :, None, None]
-            return out
-        if kind == "bc_conv":
-            spectra = record["spectra"].astype(np.complex128)
-            b = record["block_size"]
-            k = record["kernel_size"]
-            stride, padding = record["stride"], record["padding"]
-            in_c, out_c = record["in_channels"], record["out_channels"]
-            channel_blocks = record["channel_blocks"]
-            batch, _, height, width = x.shape
-            out_h = (height + 2 * padding - k) // stride + 1
-            out_w = (width + 2 * padding - k) // stride + 1
-            positions = out_h * out_w
-            cols = im2col(x, k, stride, padding)
-            by_pos = cols.reshape(batch, positions, in_c, k * k).transpose(0, 1, 3, 2)
-            padded_c = channel_blocks * b
-            if padded_c != in_c:
-                padded = np.zeros((batch, positions, k * k, padded_c))
-                padded[..., :in_c] = by_pos
-                by_pos = padded
-            blocks = by_pos.reshape(batch * positions, -1, b)
-            out = block_circulant_forward_batch(spectra, blocks)
-            out = out.reshape(batch * positions, -1)[:, :out_c]
-            out = out.reshape(batch, positions, out_c).transpose(0, 2, 1)
-            out = out.reshape(batch, out_c, out_h, out_w)
-            if record["bias"] is not None:
-                out = out + record["bias"].astype(np.float64)[None, :, None, None]
-            return out
-        if kind == "relu":
-            return np.maximum(x, 0.0)
-        if kind == "leaky_relu":
-            return np.where(x > 0.0, x, record["slope"] * x)
-        if kind == "sigmoid":
-            return 1.0 / (1.0 + np.exp(-x))
-        if kind == "tanh":
-            return np.tanh(x)
-        if kind == "softmax":
-            return _softmax(x)
-        if kind == "flatten":
-            return x.reshape(x.shape[0], -1)
-        if kind == "maxpool":
-            windows, out_h, out_w = _pool_windows(
-                x, record["kernel"], record["stride"]
-            )
-            return windows.max(axis=-1).reshape(
-                x.shape[0], x.shape[1], out_h, out_w
-            )
-        if kind == "avgpool":
-            windows, out_h, out_w = _pool_windows(
-                x, record["kernel"], record["stride"]
-            )
-            return windows.mean(axis=-1).reshape(
-                x.shape[0], x.shape[1], out_h, out_w
-            )
-        if kind == "affine":
-            scale = record["scale"].astype(np.float64)
-            shift = record["shift"].astype(np.float64)
-            if record["per_channel"]:
-                return x * scale[None, :, None, None] + shift[None, :, None, None]
-            return x * scale + shift
-        raise DeploymentError(f"unknown layer kind {kind!r}")
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Raw engine output (logits, or probabilities after a softmax
-        record) for a batch of inputs."""
-        x = np.asarray(inputs, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None]
-        for record in self.records:
-            x = self._run_layer(record, x)
-        return x
-
-    def predict_proba(
-        self, inputs: np.ndarray, batch_size: int | None = None
-    ) -> np.ndarray:
-        """Class probabilities; applies softmax if the record list does not
-        end with one (training-time models output logits).
-
-        ``batch_size`` follows the
-        :meth:`~repro.runtime.session.InferenceSession.predict_proba`
-        contract exactly: ``None`` (default) runs the whole input as one
-        batch; a positive value streams ``batch_size``-row chunks,
-        bounding peak activation memory; zero or negative raises
-        :class:`ValueError` (it is *not* "no batching" — that is
-        ``None``).
-        """
-        x = np.asarray(inputs, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None]
-        outputs = []
-        for chunk in _iter_batches(x, batch_size):
-            out = self.forward(chunk)
-            if self.records[-1]["kind"] != "softmax":
-                out = _softmax(out)
-            outputs.append(out)
-        return outputs[0] if len(outputs) == 1 else np.concatenate(outputs)
-
-    def predict(
-        self, inputs: np.ndarray, batch_size: int | None = None
-    ) -> np.ndarray:
-        """Predicted integer labels (``batch_size`` as in
-        :meth:`predict_proba`)."""
-        return self.predict_proba(inputs, batch_size=batch_size).argmax(axis=-1)
-
-    def time_inference(
-        self, inputs: np.ndarray, repeats: int = 3
-    ) -> float:
-        """Host wall-clock microseconds per image (best of ``repeats``).
-
-        This measures *this machine*, complementing the Table I platform
-        predictions from :class:`~repro.embedded.profiler.InferenceProfiler`.
-        """
-        if repeats <= 0:
-            raise ValueError(f"repeats must be positive, got {repeats}")
-        inputs = np.asarray(inputs)
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            self.forward(inputs)
-            elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
-        count = 1 if inputs.ndim == 1 else inputs.shape[0]
-        return best / count * 1e6
 
     # ------------------------------------------------------------------
     # Storage

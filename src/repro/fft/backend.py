@@ -9,7 +9,7 @@ matrices, layers, deployment) only calls the four transforms exposed by
 * ``"numpy"``  — ``numpy.fft`` (a fast path for training-scale runs).
 
 Both produce identical results to floating-point accuracy; the parity is
-checked by tests and by ``benchmarks/bench_fft_backends.py`` (E12).
+checked by tests and by ``benchmarks/test_fft_backends.py`` (E12).
 The default is ``"numpy"`` so model training stays fast, while kernels and
 algorithm benchmarks explicitly request ``"pure"``.
 """

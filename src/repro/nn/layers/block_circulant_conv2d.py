@@ -18,10 +18,9 @@ import numpy as np
 
 from ...structured import (
     SpectrumCache,
-    block_circulant_backward_batch,
-    block_circulant_forward_batch,
     block_circulant_to_dense,
 )
+from ...structured.ops import spectral_gradients, spectral_product
 from ..functional import col2im, im2col
 from ..init import circulant_spectral
 from ..module import Module, Parameter
@@ -156,10 +155,8 @@ class BlockCirculantConv2d(Module):
 
         cols = im2col(x.data, k, stride, padding)  # (batch, L, C*k*k)
         x_blocks = self._fold_patches(cols)  # (batch*L, q, b)
-        weight_spectra, spectra_fm = self._spectrum_cache.get_pair(weight)
-        y_blocks = block_circulant_forward_batch(
-            weight_spectra, x_blocks, weight_fm=spectra_fm
-        )
+        _, spectra_fm = self._spectrum_cache.get_pair(weight)
+        y_blocks, xs_fm = spectral_product(spectra_fm, x_blocks)
         y_flat = y_blocks.reshape(batch * positions, -1)[:, : self.out_channels]
         out_data = (
             y_flat.reshape(batch, positions, self.out_channels)
@@ -175,8 +172,8 @@ class BlockCirculantConv2d(Module):
             grad_blocks.reshape(batch * positions, -1)[
                 :, : self.out_channels
             ] = grad_flat.reshape(batch * positions, self.out_channels)
-            grad_w, grad_x_blocks = block_circulant_backward_batch(
-                weight_spectra, x_blocks, grad_blocks
+            grad_w, grad_x_blocks = spectral_gradients(
+                spectra_fm, xs_fm, grad_blocks
             )
             if weight.requires_grad:
                 weight.accumulate_grad(grad_w)

@@ -24,10 +24,9 @@ import numpy as np
 from ...structured import (
     BlockCirculantMatrix,
     SpectrumCache,
-    block_circulant_backward_batch,
-    block_circulant_forward_batch,
     blockify,
 )
+from ...structured.ops import spectral_gradients, spectral_product
 from ..init import circulant_spectral
 from ..module import Module, Parameter
 from ..tensor import Tensor
@@ -101,17 +100,16 @@ class BlockCirculantLinear(Module):
 
         # --- paper Algorithm 1, batched over blocks and samples ---
         x_blocks = blockify(x.data, b)  # (batch, q, b)
-        weight_spectra, spectra_fm = self._spectrum_cache.get_pair(weight)
-        y_blocks = block_circulant_forward_batch(
-            weight_spectra, x_blocks, weight_fm=spectra_fm
-        )
+        _, spectra_fm = self._spectrum_cache.get_pair(weight)
+        y_blocks, xs_fm = spectral_product(spectra_fm, x_blocks)
         out_data = y_blocks.reshape(batch, -1)[:, : self.out_features]
 
         def backward(grad: np.ndarray) -> None:
-            # --- paper Algorithm 2: correlations in the frequency domain ---
+            # --- paper Algorithm 2: correlations in the frequency domain,
+            # against the input spectrum the forward already built ---
             grad_blocks = blockify(grad, b)  # zero-pads the ragged tail
-            grad_w, grad_x_blocks = block_circulant_backward_batch(
-                weight_spectra, x_blocks, grad_blocks
+            grad_w, grad_x_blocks = spectral_gradients(
+                spectra_fm, xs_fm, grad_blocks
             )
             if weight.requires_grad:
                 weight.accumulate_grad(grad_w)

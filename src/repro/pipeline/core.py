@@ -370,7 +370,8 @@ class Pipeline:
         Builds the quantized deployment records
         (:meth:`DeployedModel.from_model` with the config's bit width —
         the live model is *not* mutated) and measures test accuracy of
-        the quantized artifact against the float model's, which is
+        the quantized artifact, through the frozen session a server
+        would run, against the float model's, which is
         exactly what a serving consumer of the packaged artifact will
         see.
         """
@@ -389,15 +390,17 @@ class Pipeline:
             self._results["quantize"] = result
             return result
         from ..embedded.deploy import DeployedModel
+        from ..runtime.session import InferenceSession
 
         start = time.perf_counter()
         _, _, test_x, test_y = self._prepare_data()
         deployed = DeployedModel.from_model(
             self.model, quantize_bits=config.quantize_bits
         )
-        quantized_accuracy = float(
-            np.mean(deployed.predict(test_x) == test_y)
-        )
+        with InferenceSession.from_deployed(deployed) as session:
+            quantized_accuracy = float(
+                np.mean(session.predict(test_x) == test_y)
+            )
         result = QuantizeResult(
             total_bits=config.quantize_bits,
             layers=deployed.quantization_summary(),

@@ -37,12 +37,17 @@ channel-last ``(batch, positions, k*k, C)`` layout its consumer
 contracts over (:func:`~repro.nn.functional.unfold_patches`); dense
 conv weights are permuted to that row order once at freeze.
 
-**What "equal" means across kernels.**  A plan equals the training-time
-layer and the :class:`~repro.embedded.deploy.DeployedModel` record
-interpreter to 1e-10 (fp64) whichever kernel an op froze to — the two
-kernels sum the same products in different orders.  *Bitwise* equality
-holds only between paths running the same kernel: arena vs a direct
-``op(x)`` call, threaded vs serial at the same ``batch_size``.
+**What "equal" means across kernels.**  ``bc_linear`` and the FFT
+kernel of ``bc_conv`` call the training layers' own spectral kernel,
+:func:`~repro.structured.ops.spectral_product` (paper Algorithm 1), so at
+a given precision they equal the training-time layer *bitwise*; a
+``bc_conv`` frozen to the dense kernel sums the same products in a
+different order and equals it to 1e-10 (fp64).  *Bitwise* equality
+holds between any two paths running the same kernel: training vs plan,
+arena vs a direct ``op(x)`` call, threaded vs serial at the same
+``batch_size``.  The tests' oracle,
+:func:`~repro.testing.reference.reference_forward`, computes through
+dense matrices and agrees with every kernel to 1e-10.
 
 **Fusion** is one rule, :func:`fuse_plan`, run on every plan a session
 builds: it folds every ``foldable`` op (affine, flatten, non-softmax
@@ -75,8 +80,6 @@ import numpy as np
 
 from ..analysis.complexity import bc_fc_ops, dense_fc_ops
 from ..exceptions import DeploymentError
-from ..fft import irfft, rfft
-from ..fft.backend import get_backend
 from ..nn.functional import conv_output_size, unfold_patches
 from ..nn.layers import (
     AvgPool2d,
@@ -102,6 +105,7 @@ from ..nn.layers import (
 from ..nn.module import Sequential
 from ..precision import FP64, PrecisionPolicy
 from ..structured import block_circulant_to_dense
+from ..structured.ops import FreshBuffers, spectral_product, spectral_slots
 from ..structured.spectral import freq_major
 
 __all__ = [
@@ -154,49 +158,6 @@ def bc_conv_kernel(p: int, q: int, b: int, real_dtype=np.float64) -> str:
     if GEMM_FLOP_ADVANTAGE * bc_fc_ops(rows, cols, b) > dense_fc_ops(rows, cols):
         return "dense"
     return "fft"
-
-
-def _fft_writes_out() -> bool:
-    """Whether the active FFT backend writes results into ``out=`` buffers.
-
-    The pure backend's packed real paths target the caller's buffer
-    directly, so arena kernels hand them workspace slots; ``numpy.fft``
-    owns its result allocation, and routing it through ``out=`` would
-    *add* a copy — arena kernels skip it there and let the transform
-    result be the one short-lived temporary.
-    """
-    return get_backend() != "numpy"
-
-
-def _fast_rfft(
-    xb: np.ndarray, single: bool, out: np.ndarray | None = None
-) -> np.ndarray:
-    """numpy-backend rfft without the dispatch wrapper.
-
-    The arena kernels transform small fixed-shape operands on every
-    call, where :func:`repro.fft.rfft`'s size/axis/backend handling
-    costs as much as the transform itself.  The plan knows the operand
-    is real, the axis is last, and no padding applies, so this calls
-    ``numpy.fft`` directly — the exact same call the wrapper would
-    make, bitwise.
-
-    At double precision the transform writes straight into the arena
-    slot passed as ``out``; single precision computes in double (as
-    ``numpy.fft`` always does) and casts, so the double-width
-    intermediate stays a short-lived temporary.
-    """
-    if single:
-        return np.fft.rfft(xb, axis=-1).astype(np.complex64)
-    return np.fft.rfft(xb, axis=-1, out=out)
-
-
-def _fast_irfft(
-    y_spec: np.ndarray, n: int, single: bool, out: np.ndarray | None = None
-) -> np.ndarray:
-    """numpy-backend irfft counterpart of :func:`_fast_rfft`."""
-    if single:
-        return np.fft.irfft(y_spec, n=n, axis=-1).astype(np.float32)
-    return np.fft.irfft(y_spec, n=n, axis=-1, out=out)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -354,28 +315,14 @@ _ACTIVATIONS_INPLACE: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-class _FreshBuffers:
+class _FreshBuffers(FreshBuffers):
     """Workspace stand-in behind ``op(x)``: every slot is a new array.
 
-    Op bodies are written once against the
-    :class:`~repro.runtime.workspace.Workspace` slot interface; run with
-    this stand-in they allocate everything fresh — the same
-    floating-point operations in the same order, only into new memory.
-    Like a workspace, it answers ``left_taps`` with the causal zero
-    history of a whole sequence.
+    The kernel's fresh-allocating stand-in
+    (:class:`~repro.structured.ops.FreshBuffers`) plus what a workspace
+    also answers: ``left_taps``, the causal zero history of a whole
+    sequence.
     """
-
-    @staticmethod
-    def bucket(n: int) -> int:
-        return n
-
-    @staticmethod
-    def get(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        return np.empty(shape, dtype=dtype)
-
-    @staticmethod
-    def zeros(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
 
     @staticmethod
     def left_taps(x: np.ndarray, dilation: int) -> np.ndarray:
@@ -388,63 +335,6 @@ _FRESH = _FreshBuffers()
 # ----------------------------------------------------------------------
 # Op builders
 # ----------------------------------------------------------------------
-def _spectral_gemm(
-    spectra: np.ndarray, b: int, tag: str, policy: PrecisionPolicy
-) -> Callable[[np.ndarray, object, int], np.ndarray]:
-    """The block-circulant contraction: rfft -> frequency-major GEMM -> irfft.
-
-    Returns ``gemm(blocks, ws, m)`` mapping real ``(rows, q, b)`` input
-    blocks to ``(rows, p, b)`` output blocks, staged through workspace
-    slots sized for ``m >= rows`` rows.  The explicit copy into the
-    contiguous frequency-major operand replaces the re-buffering matmul
-    would do internally per call, and matmul writes straight into its
-    slot.  ``bc_linear`` runs it on one block row per sample, the FFT
-    kernel of ``bc_conv`` on one per output position.
-    """
-    cdtype = policy.complex_dtype
-    rdtype = policy.real_dtype
-    spectra_fm = freq_major(spectra)
-    nb, p, q = spectra_fm.shape
-    k_spec, k_xsfm, k_yfm, k_ysp, k_blk = (
-        tag + ".spec", tag + ".xsfm", tag + ".yfm", tag + ".ysp", tag + ".blk",
-    )
-    single = np.dtype(cdtype) == np.complex64
-
-    def gemm(blocks: np.ndarray, ws, m: int) -> np.ndarray:
-        rows = blocks.shape[0]
-        if _fft_writes_out():
-            x_spec = rfft(blocks, out=ws.get(k_spec, (m, q, nb), cdtype)[:rows])
-        elif single:
-            x_spec = _fast_rfft(blocks, True)
-        else:
-            x_spec = _fast_rfft(
-                blocks, False, out=ws.get(k_spec, (m, q, nb), cdtype)[:rows]
-            )
-        xs_fm = ws.get(k_xsfm, (nb, q, m), cdtype)[..., :rows]
-        np.copyto(xs_fm, x_spec.transpose(2, 1, 0))
-        y_fm = np.matmul(
-            spectra_fm,
-            xs_fm,
-            out=ws.get(k_yfm, (nb, p, m), cdtype)[..., :rows],
-        )
-        y_spec = y_fm.transpose(2, 1, 0)
-        if _fft_writes_out():
-            return irfft(y_spec, n=b, out=ws.get(k_blk, (m, p, b), rdtype)[:rows])
-        if single:
-            return _fast_irfft(y_spec, b, True)
-        # numpy's irfft hits a slow path when both ``out=`` and a
-        # strided input are given; stage the transposed spectrum
-        # contiguously first (a plain copy) so the transform runs on its
-        # fast path and still writes into the arena.
-        y_stage = ws.get(k_ysp, (m, p, nb), cdtype)[:rows]
-        np.copyto(y_stage, y_spec)
-        return _fast_irfft(
-            y_stage, b, False, out=ws.get(k_blk, (m, p, b), rdtype)[:rows]
-        )
-
-    return gemm
-
-
 def _bc_linear_op(
     spectra: np.ndarray,
     bias: np.ndarray | None,
@@ -454,12 +344,12 @@ def _bc_linear_op(
     policy: PrecisionPolicy = FP64,
 ) -> PlanOp:
     rdtype = policy.real_dtype
-    spectra = np.asarray(spectra, dtype=policy.complex_dtype)
-    q = spectra.shape[1]
+    spectra_fm = freq_major(np.asarray(spectra, dtype=policy.complex_dtype))
+    q = spectra_fm.shape[2]
     b = block_size
     bias = None if bias is None else np.asarray(bias, dtype=rdtype)
     tag = f"op{next(_OP_IDS)}.bcl"
-    gemm = _spectral_gemm(spectra, b, tag, policy)
+    slots = spectral_slots(tag)
 
     def run(x: np.ndarray, ws) -> np.ndarray:
         batch = x.shape[0]
@@ -476,7 +366,8 @@ def _bc_linear_op(
             padded = ws.zeros(tag + ".pad", (m, q * b), rdtype)[:batch]
             padded[:, :in_features] = x
             xb = padded.reshape(batch, q, b)
-        out = gemm(xb, ws, m).reshape(batch, -1)[:, :out_features]
+        out_blocks, _ = spectral_product(spectra_fm, xb, ws, slots, m)
+        out = out_blocks.reshape(batch, -1)[:, :out_features]
         if bias is not None:
             out += bias
         return out
@@ -745,7 +636,8 @@ def _bc_conv_op(
         return op
 
     tag = f"op{next(_OP_IDS)}.bcc"
-    gemm = _spectral_gemm(spectra, b, tag, policy)
+    slots = spectral_slots(tag)
+    spectra_fm = freq_major(spectra)
 
     def run(x: np.ndarray, ws) -> np.ndarray:
         cols, out_h, out_w = _unfold(
@@ -754,7 +646,9 @@ def _bc_conv_op(
         batch = x.shape[0]
         positions = out_h * out_w
         blocks = cols.reshape(batch * positions, q, b)
-        out_blocks = gemm(blocks, ws, ws.bucket(batch) * positions)
+        out_blocks, _ = spectral_product(
+            spectra_fm, blocks, ws, slots, ws.bucket(batch) * positions
+        )
         out = out_blocks.reshape(batch, positions, -1)[..., :out_channels]
         out = out.transpose(0, 2, 1).reshape(batch, out_channels, out_h, out_w)
         if bias is not None:
@@ -1035,8 +929,7 @@ def compile_records_plan(
     :class:`~repro.embedded.deploy.DeployedModel` format — walked from a
     live model by :func:`model_records` or loaded from an artifact.
     Every array is cast once here to the policy's dtypes (the artifact's
-    complex64 spectra widen under fp64), instead of on every call as the
-    record interpreter does.
+    complex64 spectra widen under fp64), not on every call.
     """
     ops: list[PlanOp] = []
     for record in records:

@@ -274,8 +274,7 @@ class InferenceSession:
         ``deployed`` is anything with a ``records`` list in the
         :class:`~repro.embedded.deploy.DeployedModel` format.  The
         complex64 artifact spectra are widened (fp64) or used as stored
-        (fp32) once here, instead of on every call as the record
-        interpreter does.
+        (fp32) once here, not on every call.
         """
         policy = PrecisionPolicy.resolve(precision)
         ops = compile_records_plan(deployed.records, policy=policy)
@@ -319,9 +318,8 @@ class InferenceSession:
     ) -> np.ndarray:
         """Class probabilities, streamed in ``batch_size`` chunks.
 
-        ``batch_size`` semantics (shared verbatim by
-        :meth:`~repro.embedded.deploy.DeployedModel.predict_proba` and
-        the engine facade): ``None`` (default) runs one shot; a positive
+        ``batch_size`` semantics (shared verbatim by the engine
+        facade): ``None`` (default) runs one shot; a positive
         value streams that many rows per chunk; zero or negative raises
         :class:`ValueError` — "no batching" is spelled ``None``, not
         ``0``.

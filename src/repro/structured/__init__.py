@@ -3,8 +3,10 @@
 * :class:`CirculantMatrix` — ``n`` parameters, O(n log n) products,
 * :class:`BlockCirculantMatrix` — the paper's weight representation,
 * :class:`ToeplitzMatrix` — the related-work baseline [18],
-* functional kernels (:func:`block_circulant_forward_batch`, ...) used by
-  the neural-network layers,
+* the spectral kernel (:func:`spectral_product`, paper Algorithm 1, and
+  :func:`spectral_gradients`, Algorithm 2) that the neural-network
+  layers and the frozen runtime share, plus functional wrappers
+  (:func:`block_circulant_forward_batch`, ...),
 * least-squares projections from dense matrices.
 """
 
@@ -20,7 +22,8 @@ __getattr__, __dir__, __all__ = attach(
             "block_circulant_matvec", "block_circulant_to_dense",
             "block_circulant_transpose_matvec", "blockify",
             "circulant_gradients", "circulant_matvec",
-            "circulant_transpose_matvec", "unblockify",
+            "circulant_transpose_matvec", "spectral_gradients",
+            "spectral_product", "unblockify",
         ],
         ".projection": [
             "nearest_block_circulant", "nearest_circulant", "projection_error",

@@ -18,10 +18,10 @@ from ..exceptions import ShapeError
 from ..fft import rfft
 from .spectral import freq_major
 from .ops import (
-    block_circulant_forward_batch,
     block_circulant_to_dense,
     block_circulant_transpose_matvec,
     blockify,
+    spectral_product,
     unblockify,
 )
 
@@ -168,11 +168,10 @@ class BlockCirculantMatrix:
             raise ShapeError(f"expected x of shape ({self._cols},), got {x.shape}")
         padded = blockify(x, self.block_size)
         p, _, b = self._weights.shape
-        result = block_circulant_forward_batch(
-            self.weight_spectra(),
-            padded.reshape(1, -1, b),
-            weight_fm=self._weight_spectra_fm(),
-        ).reshape(p * b)
+        result, _ = spectral_product(
+            self._weight_spectra_fm(), padded.reshape(1, -1, b)
+        )
+        result = result.reshape(p * b)
         return result[: self._rows]
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:

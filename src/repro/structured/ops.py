@@ -16,25 +16,30 @@ Conventions:
   footnote: "we can apply zero padding such that the definition of
   block-circulant matrices can be applied").
 
-The batched kernels work directly on half-spectra (``rfft`` outputs) so a
-layer can hoist ``FFT(w)`` out of the loop — exactly the deployment trick
-of section IV-A.
+**One kernel.**  :func:`spectral_product` is paper Algorithm 1 and
+:func:`spectral_gradients` paper Algorithm 2; they are the only
+block-circulant forward and gradient bodies in the package.  The
+training layers (:mod:`repro.nn.layers`), :class:`BlockCirculantMatrix`
+and every frozen plan op (:mod:`repro.runtime.plan`) call them, so a
+frozen ``bc_linear`` reproduces the training layer bitwise.  They work
+on half-spectra (``rfft`` outputs) in the frequency-major ``(nb, ., .)``
+layout, so a layer hoists ``FFT(w)`` out of the loop — exactly the
+deployment trick of section IV-A — and each frequency bin's block
+product runs as one complex GEMM of a single batched BLAS call.  The
+direct ``np.einsum`` forms of both contractions live in
+``tests/structured/test_matmul_kernels.py`` as the reference the kernel
+is pinned to; :func:`block_circulant_forward_batch` and
+:func:`block_circulant_backward_batch` are the kernel's public
+``(p, q, nb)``-spectra entry points.
 
-The frequency-domain contractions are executed as frequency-major batched
-``matmul`` — ``(f, p, q) @ (f, q, n)`` — so each frequency bin's block
-product runs as one complex GEMM and the whole contraction hits BLAS.
-The direct ``np.einsum`` forms of both contractions live in
-``tests/structured/test_matmul_kernels.py`` as the reference the fast
-kernels are pinned to.
-
-**Precision.**  Every kernel follows the dtypes it is handed: complex64
-weight spectra plus float32 input blocks keep the whole
-FFT -> GEMM -> IFFT pipeline in single precision (cgemm instead of
-zgemm, half the memory traffic) because the transforms in
-:mod:`repro.fft` are dtype-following.  Mixed inputs promote by numpy's
-ordinary rules, so callers wanting a pure fp32 hot path (the
-``"fp32"`` :class:`~repro.precision.PrecisionPolicy`) must supply both
-operands in single precision — the frozen runtime's plan compiler does.
+**Precision.**  The kernel runs at the precision of the spectra it is
+handed: complex64 spectra with float32 blocks keep the whole
+FFT -> GEMM -> IFFT pipeline in single precision (``numpy.fft`` computes
+float32 natively; cgemm instead of zgemm, half the memory traffic).  The
+two public entry points promote mixed operands by numpy's ordinary
+rules, so callers wanting a pure fp32 hot path (the ``"fp32"``
+:class:`~repro.precision.PrecisionPolicy`) supply both operands in single
+precision — the frozen runtime's plan compiler does.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..fft import circular_convolve, circular_correlate, irfft, rfft
+from ..fft.backend import get_backend
+from .spectral import freq_major
 
 __all__ = [
     "circulant_matvec",
@@ -53,6 +60,8 @@ __all__ = [
     "block_circulant_transpose_matvec",
     "block_circulant_forward_batch",
     "block_circulant_backward_batch",
+    "spectral_product",
+    "spectral_gradients",
     "block_circulant_to_dense",
 ]
 
@@ -171,69 +180,173 @@ def block_circulant_transpose_matvec(
         raise ValueError(f"expected y of length {p * b}, got shape {y.shape}")
     if weight_spectra is None:
         weight_spectra = rfft(weights)
-    y_spec = rfft(y.reshape(1, p, b))
-    x_spec = _contract_grad_x(np.asarray(weight_spectra), y_spec)
-    return irfft(x_spec, n=b).reshape(q * b)
+    spectra_fm, y_blocks = _common_precision(weight_spectra, y.reshape(1, p, b))
+    return spectral_product(_transposed(spectra_fm), y_blocks)[0].reshape(q * b)
 
 
-def _contract_grad_w(x_spec: np.ndarray, g_spec: np.ndarray) -> np.ndarray:
-    """``gw[p, q, f] = sum_n conj(X[n, q, f]) G[n, p, f]`` via batched GEMM."""
-    g_f = g_spec.transpose(2, 1, 0)  # (f, p, n)
-    x_f = np.conj(x_spec).transpose(2, 0, 1)  # (f, n, q)
-    return np.matmul(g_f, x_f).transpose(1, 2, 0)  # (p, q, f)
+class FreshBuffers:
+    """Workspace stand-in that allocates every slot fresh.
+
+    :func:`spectral_product` is written once against the
+    :class:`~repro.runtime.workspace.Workspace` slot interface (``bucket``,
+    ``get``, ``zeros``); run with this stand-in it allocates everything
+    new — the same floating-point operations in the same order, only into
+    new memory.  Training calls the kernel this way, and a frozen plan's
+    direct ``op(x)`` call does too.
+    """
+
+    @staticmethod
+    def bucket(n: int) -> int:
+        return n
+
+    @staticmethod
+    def get(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return np.empty(shape, dtype=dtype)
+
+    @staticmethod
+    def zeros(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return np.zeros(shape, dtype=dtype)
 
 
-def _contract_grad_x(
-    weight_spectra: np.ndarray, g_spec: np.ndarray
-) -> np.ndarray:
-    """``gx[n, q, f] = sum_p conj(W[p, q, f]) G[n, p, f]`` via batched GEMM."""
-    g_f = g_spec.transpose(2, 0, 1)  # (f, n, p)
-    w_f = np.conj(weight_spectra).transpose(2, 0, 1)  # (f, p, q)
-    return np.matmul(g_f, w_f).transpose(1, 2, 0)  # (n, q, f)
+FRESH = FreshBuffers()
+
+
+def spectral_slots(tag: str) -> tuple[str, ...]:
+    """The workspace slot names :func:`spectral_product` stages through,
+    each prefixed with an op-private ``tag``."""
+    suffixes = (".spec", ".xsfm", ".yfm", ".ysp", ".blk")
+    return tuple(tag + suffix for suffix in suffixes)
+
+
+_FRESH_SLOTS = spectral_slots("")
+
+
+def spectral_product(
+    spectra_fm: np.ndarray,
+    blocks: np.ndarray,
+    ws=FRESH,
+    slots: tuple[str, ...] = _FRESH_SLOTS,
+    m: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Paper Algorithm 1: rfft -> frequency-major GEMM -> irfft.
+
+    ``spectra_fm`` is the weight grid's half-spectra in the
+    frequency-major ``(nb, p, q)`` layout
+    (:func:`~repro.structured.spectral.freq_major`); ``blocks`` are real
+    ``(rows, q, b)`` input blocks at the spectra's precision (float64
+    with complex128, float32 with complex64).  Returns ``(out_blocks,
+    xs_fm)``: the real ``(rows, p, b)`` output blocks and the
+    ``(nb, q, rows)`` frequency-major input spectrum the product built,
+    which :func:`spectral_gradients` reuses.
+
+    Every intermediate lives in a slot of ``ws`` (names from
+    :func:`spectral_slots`) sized for ``m >= rows`` rows (default
+    ``rows``): a frozen plan passes its workspace arena, training the
+    fresh-allocating :data:`FRESH`.  On the numpy backend the transforms
+    call ``numpy.fft`` with ``out=`` directly — the exact call
+    :mod:`repro.fft` would make, bitwise, without its size/axis/backend
+    handling, which costs as much as a small transform; the pure
+    backend's packed real paths write into the slots through
+    :mod:`repro.fft`.
+    The contraction ``y[n, p, f] = sum_q W[p, q, f] X[n, q, f]`` runs as
+    ``nb`` independent complex ``(p, q) @ (q, rows)`` GEMMs in one BLAS
+    call; the explicit copy into the contiguous frequency-major operand
+    replaces the re-buffering ``matmul`` would do internally.
+    """
+    cdtype = spectra_fm.dtype
+    nb, p, q = spectra_fm.shape
+    rows, _, b = blocks.shape
+    if m is None:
+        m = rows
+    k_spec, k_xsfm, k_yfm, k_ysp, k_blk = slots
+    direct = get_backend() == "numpy"
+    spec = ws.get(k_spec, (m, q, nb), cdtype)[:rows]
+    if direct:
+        x_spec = np.fft.rfft(blocks, axis=-1, out=spec)
+    else:
+        x_spec = rfft(blocks, out=spec)
+    xs_fm = ws.get(k_xsfm, (nb, q, m), cdtype)[..., :rows]
+    np.copyto(xs_fm, x_spec.transpose(2, 1, 0))
+    y_fm = np.matmul(
+        spectra_fm, xs_fm, out=ws.get(k_yfm, (nb, p, m), cdtype)[..., :rows]
+    )
+    y_spec = y_fm.transpose(2, 1, 0)
+    out = ws.get(k_blk, (m, p, b), blocks.dtype)[:rows]
+    if not direct:
+        return irfft(y_spec, n=b, out=out), xs_fm
+    # numpy's irfft hits a slow path when both ``out=`` and a strided
+    # input are given; stage the transposed spectrum contiguously first
+    # (a plain copy) so the transform runs on its fast path.
+    y_stage = ws.get(k_ysp, (m, p, nb), cdtype)[:rows]
+    np.copyto(y_stage, y_spec)
+    return np.fft.irfft(y_stage, n=b, axis=-1, out=out), xs_fm
+
+
+def _transposed(spectra_fm: np.ndarray) -> np.ndarray:
+    """Frequency-major spectra of the transposed grid: ``C(w).T`` has
+    spectrum ``conj(FFT(w))``, and block ``(p, q)`` moves to ``(q, p)``."""
+    return np.conj(spectra_fm).transpose(0, 2, 1)
+
+
+def spectral_gradients(
+    spectra_fm: np.ndarray, xs_fm: np.ndarray, grad_blocks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Paper Algorithm 2: both gradients of :func:`spectral_product`.
+
+    ``spectra_fm`` and ``xs_fm`` are the weight and input spectra of the
+    forward product (``(nb, p, q)`` and ``(nb, q, rows)``), and
+    ``grad_blocks`` the upstream gradient ``(rows, p, b)``.  Returns
+    ``(grad_weights, grad_x_blocks)`` in the time domain, ``(p, q, b)``
+    and ``(rows, q, b)``.  Both are circular correlations, i.e. conjugate
+    products in the frequency domain (paper Eqn. 4):
+
+    * ``dL/dx[q] = sum_p correlate(w_pq, g_p)`` is ``W.T @ g`` — Algorithm
+      1 itself on the transposed grid, which also yields ``G``, the
+      gradient's frequency-major spectrum;
+    * ``dL/dw[p, q] = sum_n correlate(x_q, g_p)``, one
+      ``(p, rows) @ (rows, q)`` GEMM per frequency bin of ``G`` against
+      ``conj(X)``.
+    """
+    grad_x, gs_fm = spectral_product(_transposed(spectra_fm), grad_blocks)
+    grad_w_fm = np.matmul(gs_fm, np.conj(xs_fm).transpose(0, 2, 1))
+    return irfft(grad_w_fm.transpose(1, 2, 0), n=grad_blocks.shape[-1]), grad_x
+
+
+def _common_precision(
+    weight_spectra: np.ndarray, *blocks: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Frequency-major spectra and real blocks at one common precision.
+
+    Mixed operands promote by numpy's ordinary rules: complex64 spectra
+    with float32 blocks stay single precision, anything else widens.
+    """
+    weight_spectra = np.asarray(weight_spectra)
+    blocks = [np.asarray(b) for b in blocks]
+    cdtype = np.result_type(weight_spectra, *blocks, np.complex64)
+    rdtype = np.finfo(cdtype).dtype
+    return (
+        freq_major(weight_spectra.astype(cdtype, copy=False)),
+        *(b.astype(rdtype, copy=False) for b in blocks),
+    )
 
 
 def block_circulant_forward_batch(
     weight_spectra: np.ndarray,
     x_blocks: np.ndarray,
     weight_fm: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    gemm_out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched forward product in the frequency domain.
+    """Batched forward product in the frequency domain (Algorithm 1).
 
     ``weight_spectra`` is ``rfft`` of the ``(p, q, b)`` grid (shape
-    ``(p, q, nb)``); ``x_blocks`` is ``(batch, q, b)``.  Returns the output
-    blocks ``(batch, p, b)``.  This is the inference kernel: the weight
-    spectra are precomputed once (paper section IV-A), and the contraction
-    ``y[n, p, f] = sum_q W[p, q, f] X[n, q, f]`` runs as frequency-major
-    batched ``matmul`` — ``nb`` independent complex ``(p, q) @ (q, batch)``
-    GEMMs in one BLAS call.
-
-    ``weight_fm`` optionally supplies the weights already transposed to
-    the contiguous frequency-major ``(nb, p, q)`` layout (e.g. from
-    :meth:`SpectrumCache.get_pair`); without it ``matmul`` re-buffers the
-    strided transpose view on every call, which dominates small-batch
-    inference.
-
-    ``out`` (shape ``(batch, p, b)``, the policy's real dtype) receives
-    the final output blocks in place; ``gemm_out`` (shape
-    ``(nb, p, batch)``, complex) is the destination for the
-    frequency-major GEMM.  Both are bitwise-neutral: the same
-    floating-point operations run, only into caller-owned buffers — the
-    workspace-arena runtime passes preallocated slots here so repeated
-    calls stop paying the allocator.
+    ``(p, q, nb)``); ``x_blocks`` is ``(batch, q, b)``.  Returns the
+    output blocks ``(batch, p, b)`` of :func:`spectral_product`.
+    ``weight_fm`` optionally supplies the spectra already in the
+    contiguous frequency-major ``(nb, p, q)`` layout (e.g. from
+    :meth:`SpectrumCache.get_pair`), skipping the transpose copy.
     """
-    weight_spectra = np.asarray(weight_spectra)
-    x_blocks = np.asarray(x_blocks)
-    b = x_blocks.shape[-1]
-    x_spec = rfft(x_blocks)  # (batch, q, nb)
-    w_f = weight_spectra.transpose(2, 0, 1) if weight_fm is None else weight_fm
-    if gemm_out is not None:
-        y_fm = np.matmul(w_f, x_spec.transpose(2, 1, 0), out=gemm_out)
-    else:
-        y_fm = np.matmul(w_f, x_spec.transpose(2, 1, 0))
-    y_spec = y_fm.transpose(2, 1, 0)
-    return irfft(y_spec, n=b, out=out)
+    if weight_fm is None:
+        weight_fm, x_blocks = _common_precision(weight_spectra, x_blocks)
+    return spectral_product(np.asarray(weight_fm), np.asarray(x_blocks))[0]
 
 
 def block_circulant_backward_batch(
@@ -241,26 +354,20 @@ def block_circulant_backward_batch(
     x_blocks: np.ndarray,
     grad_blocks: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched gradients of the block-circulant product (paper Algorithm 2).
+    """Batched gradients of the block-circulant product (Algorithm 2).
 
     Arguments: precomputed ``rfft`` of the ``(p, q, b)`` weight grid, the
     saved input blocks ``(batch, q, b)``, and the upstream gradient blocks
-    ``(batch, p, b)``.  Returns ``(grad_weights, grad_x_blocks)`` in the
-    time domain with shapes ``(p, q, b)`` and ``(batch, q, b)``.  Both are
-    single frequency-domain contractions — O(n log n) per block versus the
-    O(n^2) of dense backprop — executed as frequency-major batched GEMMs.
+    ``(batch, p, b)``.  Returns ``(grad_weights, grad_x_blocks)`` of
+    :func:`spectral_gradients` — O(n log n) per block versus the O(n^2)
+    of dense backprop.  The layers skip this call's input transform by
+    keeping the spectrum their forward :func:`spectral_product` built.
     """
-    weight_spectra = np.asarray(weight_spectra)
-    x_blocks = np.asarray(x_blocks)
-    grad_blocks = np.asarray(grad_blocks)
-    b = x_blocks.shape[-1]
-    x_spec = rfft(x_blocks)  # (batch, q, nb)
-    g_spec = rfft(grad_blocks)  # (batch, p, nb)
-    # dL/dw[p, q] = sum_batch correlate(x_q, g_p): conj(X) * G in frequency.
-    grad_w_spec = _contract_grad_w(x_spec, g_spec)
-    # dL/dx[q] = sum_p correlate(w_pq, g_p): conj(W) * G in frequency.
-    grad_x_spec = _contract_grad_x(weight_spectra, g_spec)
-    return irfft(grad_w_spec, n=b), irfft(grad_x_spec, n=b)
+    spectra_fm, x_blocks, grad_blocks = _common_precision(
+        weight_spectra, x_blocks, grad_blocks
+    )
+    xs_fm = np.ascontiguousarray(rfft(x_blocks).transpose(2, 1, 0))
+    return spectral_gradients(spectra_fm, xs_fm, grad_blocks)
 
 
 def block_circulant_to_dense(weights: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ def freq_major(spectra: np.ndarray) -> np.ndarray:
     """Contiguous frequency-major ``(nb, p, q)`` copy of ``(p, q, nb)`` spectra.
 
     This is the exact layout the batched-GEMM contraction consumes
-    (``weight_fm`` of :func:`~repro.structured.ops.block_circulant_forward_batch`);
+    (``spectra_fm`` of :func:`~repro.structured.ops.spectral_product`);
     every cache that stores it goes through this helper so the rule lives
     in one place.
     """

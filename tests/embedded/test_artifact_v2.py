@@ -41,6 +41,12 @@ def conv_model(rng):
     return model.eval()
 
 
+def proba(deployed, x):
+    """Class probabilities of an artifact through its frozen session."""
+    with InferenceSession.from_deployed(deployed) as session:
+        return session.predict_proba(x)
+
+
 def save_v1_bytes_layout(deployed, path):
     """Write a v1 file exactly as the pre-v2 code did (reference)."""
     header = []
@@ -71,7 +77,7 @@ class TestV1BackCompat:
         assert loaded.source_version == LEGACY_FORMAT_VERSION
         x = rng.normal(size=(5, 16))
         assert np.array_equal(
-            deployed.predict_proba(x), loaded.predict_proba(x)
+            proba(deployed, x), proba(loaded, x)
         )
         for mine, theirs in zip(deployed.records, loaded.records):
             for key, value in mine.items():
@@ -90,7 +96,7 @@ class TestV2RoundTrip:
         assert loaded.metadata == deployed.metadata
         x = rng.normal(size=(6, 16))
         assert np.array_equal(
-            deployed.predict_proba(x), loaded.predict_proba(x)
+            proba(deployed, x), proba(loaded, x)
         )
 
     def test_quantized_round_trip_bitwise(self, tmp_path, rng, fc_model):
@@ -108,7 +114,7 @@ class TestV2RoundTrip:
                     assert np.array_equal(value, theirs[key]), key
         x = rng.normal(size=(4, 16))
         assert np.array_equal(
-            deployed.predict_proba(x), loaded.predict_proba(x)
+            proba(deployed, x), proba(loaded, x)
         )
 
     def test_quantized_conv_round_trip(self, tmp_path, rng, conv_model):
@@ -118,7 +124,7 @@ class TestV2RoundTrip:
         loaded = DeployedModel.load(path)
         x = rng.normal(size=(2, 3, 8, 8))
         assert np.array_equal(
-            deployed.predict_proba(x), loaded.predict_proba(x)
+            proba(deployed, x), proba(loaded, x)
         )
 
     def test_session_parity_vs_live_model(self, tmp_path, rng, fc_model):
@@ -202,7 +208,7 @@ class TestQuantizedParityBound:
         )
         x = rng.normal(size=(32, 16))
         deviation = np.abs(
-            deployed_q.predict_proba(x) - deployed_f.predict_proba(x)
+            proba(deployed_q, x) - proba(deployed_f, x)
         ).max()
         assert deviation <= bound
 
@@ -251,5 +257,5 @@ class TestQuantizedParityBound:
             DeployedModel.load(path)
         ) as local:
             assert np.array_equal(served, local.predict_proba(x))
-        deviation = np.abs(served - deployed_f.predict_proba(x)).max()
+        deviation = np.abs(served - proba(deployed_f, x)).max()
         assert deviation <= bound

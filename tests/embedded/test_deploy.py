@@ -6,6 +6,7 @@ import pytest
 from repro.embedded import DeployedModel
 from repro.exceptions import DeploymentError
 from repro.io import build_model_from_string
+from repro.runtime import InferenceSession
 from repro.nn import (
     BatchNorm1d,
     BatchNorm2d,
@@ -17,6 +18,7 @@ from repro.nn import (
     Softmax,
     Tensor,
 )
+from repro.testing import reference_forward
 from repro.zoo import build_arch1, build_arch2, build_arch3_reduced
 
 
@@ -40,13 +42,17 @@ class TestParityWithTrainingModel:
         expected = fc_model(Tensor(x)).data
         deployed = DeployedModel.from_model(fc_model)
         # float32 storage costs ~1e-6 relative accuracy.
-        assert np.allclose(deployed.forward(x), expected, atol=1e-4)
+        assert np.allclose(
+            reference_forward(deployed.records, x), expected, atol=1e-4
+        )
 
     def test_conv_model_parity(self, rng, conv_model):
         x = rng.normal(size=(2, 3, 8, 8))
         expected = conv_model(Tensor(x)).data
         deployed = DeployedModel.from_model(conv_model)
-        assert np.allclose(deployed.forward(x), expected, atol=1e-4)
+        assert np.allclose(
+            reference_forward(deployed.records, x), expected, atol=1e-4
+        )
 
     @pytest.mark.parametrize(
         "builder,kwargs,sample_shape",
@@ -65,30 +71,41 @@ class TestParityWithTrainingModel:
         x = rng.uniform(size=(2, *sample_shape))
         expected = model(Tensor(x)).data
         deployed = DeployedModel.from_model(model)
-        assert np.allclose(deployed.forward(x), expected, atol=1e-4)
+        assert np.allclose(
+            reference_forward(deployed.records, x), expected, atol=1e-4
+        )
 
     def test_predictions_match(self, rng, fc_model):
         x = rng.normal(size=(20, 16))
         expected = fc_model(Tensor(x)).data.argmax(axis=1)
-        deployed = DeployedModel.from_model(fc_model)
-        assert np.array_equal(deployed.predict(x), expected)
+        session = InferenceSession.from_deployed(
+            DeployedModel.from_model(fc_model)
+        )
+        assert np.array_equal(session.predict(x), expected)
 
     def test_single_sample_promoted(self, rng, fc_model):
-        deployed = DeployedModel.from_model(fc_model)
-        assert deployed.predict_proba(rng.normal(size=16)).shape == (1, 4)
+        session = InferenceSession.from_deployed(
+            DeployedModel.from_model(fc_model)
+        )
+        assert session.predict_proba(rng.normal(size=16)).shape == (1, 4)
 
     def test_probabilities_normalized(self, rng, fc_model):
-        deployed = DeployedModel.from_model(fc_model)
-        probs = deployed.predict_proba(rng.normal(size=(6, 16)))
+        session = InferenceSession.from_deployed(
+            DeployedModel.from_model(fc_model)
+        )
+        probs = session.predict_proba(rng.normal(size=(6, 16)))
         assert np.allclose(probs.sum(axis=1), 1.0)
         assert np.all(probs >= 0)
 
     def test_explicit_softmax_not_doubled(self, rng):
         model = Sequential(Linear(4, 3, rng=rng), Softmax())
         deployed = DeployedModel.from_model(model)
+        session = InferenceSession.from_deployed(deployed)
         x = rng.normal(size=(2, 4))
-        assert np.allclose(deployed.predict_proba(x).sum(axis=1), 1.0)
-        assert np.allclose(deployed.forward(x), deployed.predict_proba(x))
+        assert np.allclose(session.predict_proba(x).sum(axis=1), 1.0)
+        assert np.allclose(
+            reference_forward(deployed.records, x), session.predict_proba(x)
+        )
 
 
 class TestDeploymentTransforms:
@@ -110,7 +127,7 @@ class TestDeploymentTransforms:
         assert deployed.records[0]["kind"] == "affine"
         x = rng.normal(size=(5, 4))
         assert np.allclose(
-            deployed.forward(x), model(Tensor(x)).data, atol=1e-5
+            reference_forward(deployed.records, x), model(Tensor(x)).data, atol=1e-5
         )
 
     def test_batchnorm2d_folded(self, rng):
@@ -121,7 +138,11 @@ class TestDeploymentTransforms:
         model = Sequential(bn)
         deployed = DeployedModel.from_model(model)
         x = rng.normal(size=(2, 3, 4, 4))
-        assert np.allclose(deployed.forward(x), model(Tensor(x)).data, atol=1e-5)
+        assert np.allclose(
+            reference_forward(deployed.records, x),
+            model(Tensor(x)).data,
+            atol=1e-5,
+        )
 
     def test_bc_layers_store_spectra_not_weights(self, rng, fc_model):
         deployed = DeployedModel.from_model(fc_model)
@@ -151,7 +172,10 @@ class TestSaveLoad:
         deployed.save(path)
         loaded = DeployedModel.load(path)
         x = rng.normal(size=(2, 3, 8, 8))
-        assert np.allclose(loaded.forward(x), deployed.forward(x))
+        assert np.allclose(
+            reference_forward(loaded.records, x),
+            reference_forward(deployed.records, x),
+        )
 
     def test_load_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "foreign.npz"
@@ -166,53 +190,3 @@ class TestSaveLoad:
         deployed = DeployedModel.from_model(model)
         dense_bytes = (256 * 128 + 128 + 128 * 128 + 128 + 128 * 10 + 10) * 4
         assert deployed.storage_bytes() < dense_bytes / 3
-
-    def test_time_inference_positive(self, rng, fc_model):
-        deployed = DeployedModel.from_model(fc_model)
-        us = deployed.time_inference(rng.normal(size=(10, 16)), repeats=1)
-        assert us > 0
-
-    def test_time_inference_validation(self, rng, fc_model):
-        deployed = DeployedModel.from_model(fc_model)
-        with pytest.raises(ValueError):
-            deployed.time_inference(rng.normal(size=(2, 16)), repeats=0)
-
-
-class TestBatchSizeContract:
-    """predict/predict_proba share the InferenceSession batch_size
-    semantics exactly: None = one shot, >=1 streams, 0/negative raises
-    (the kwarg-drift fix)."""
-
-    def test_streamed_matches_one_shot(self, rng, fc_model):
-        deployed = DeployedModel.from_model(fc_model)
-        x = rng.normal(size=(10, 16))
-        one_shot = deployed.predict_proba(x)  # batch_size=None
-        # Chunked GEMMs may differ in the last ulp from the one-shot
-        # batch; bitwise identity holds when the chunk covers all rows.
-        assert np.allclose(
-            one_shot, deployed.predict_proba(x, batch_size=3), atol=1e-12
-        )
-        assert np.array_equal(one_shot, deployed.predict_proba(x, batch_size=10))
-        assert np.array_equal(
-            one_shot.argmax(axis=-1), deployed.predict(x, batch_size=4)
-        )
-
-    def test_zero_and_negative_batch_size_raise_like_the_session(
-        self, rng, fc_model
-    ):
-        from repro.runtime import InferenceSession
-
-        deployed = DeployedModel.from_model(fc_model)
-        session = InferenceSession.from_deployed(deployed)
-        x = rng.normal(size=(4, 16))
-        for bad in (0, -2):
-            with pytest.raises(ValueError, match="batch_size"):
-                deployed.predict_proba(x, batch_size=bad)
-            with pytest.raises(ValueError, match="batch_size"):
-                session.predict_proba(x, batch_size=bad)
-        # None is "no batching" on both paths.
-        assert np.array_equal(
-            deployed.predict(x, batch_size=None),
-            session.predict(x, batch_size=None),
-        )
-        session.close()

@@ -19,6 +19,7 @@ from repro.nn import (
     Tensor,
 )
 from repro.nn.functional import im2col
+from repro.runtime import InferenceSession
 from repro.structured import BlockCirculantMatrix, CirculantMatrix
 
 
@@ -33,7 +34,8 @@ class TestFourWayFcEquivalence:
         from_matrix = np.stack(
             [matrix.matvec(row) + layer.bias.data for row in x]
         )
-        from_engine = deployed.forward(x)
+        with InferenceSession.from_deployed(deployed) as session:
+            from_engine = session.forward(x)
 
         assert np.allclose(from_layer, from_matrix, atol=1e-9)
         assert np.allclose(from_layer, from_engine, atol=1e-4)
@@ -131,4 +133,5 @@ class TestStorageClaims:
         before = model(Tensor(x)).data
         quantize_model(model, 12)
         deployed = DeployedModel.from_model(model)
-        assert np.abs(deployed.forward(x) - before).max() < 0.2
+        with InferenceSession.from_deployed(deployed) as session:
+            assert np.abs(session.forward(x) - before).max() < 0.2

@@ -27,6 +27,7 @@ from repro.io import (
     validate_inputs,
 )
 from repro.nn import Tensor
+from repro.runtime import InferenceSession
 
 
 @pytest.fixture
@@ -95,7 +96,8 @@ class TestHostileInputs:
     def test_engine_stays_finite_on_extreme_inputs(self, model):
         deployed = DeployedModel.from_model(model)
         extreme = np.full((1, 16), 1e6)
-        probabilities = deployed.predict_proba(extreme)
+        with InferenceSession.from_deployed(deployed) as session:
+            probabilities = session.predict_proba(extreme)
         assert np.all(np.isfinite(probabilities))
         assert probabilities.sum() == pytest.approx(1.0)
 

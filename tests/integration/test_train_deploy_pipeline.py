@@ -6,6 +6,8 @@ FFT-domain deployment artifact, standalone inference parity, and runtime
 prediction on the Table I platforms.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.io import (
     save_weights,
 )
 from repro.nn import Adam, CrossEntropyLoss, Tensor, Trainer, accuracy
+from repro.runtime import InferenceSession
 from repro.zoo import ARCH1_INPUT_SIDE
 
 
@@ -83,7 +86,8 @@ class TestEndToEnd:
         _, _, x_test, y_test = mnist16
         deployed = DeployedModel.from_model(trained_model)
         train_preds = trained_model(Tensor(x_test)).data.argmax(axis=1)
-        deploy_preds = deployed.predict(x_test)
+        with InferenceSession.from_deployed(deployed) as session:
+            deploy_preds = session.predict(x_test)
         # float32 storage may flip at most a tiny fraction of argmaxes.
         assert (train_preds == deploy_preds).mean() > 0.99
 
@@ -92,8 +96,8 @@ class TestEndToEnd:
         deployed = DeployedModel.from_model(trained_model)
         path = tmp_path / "deployed.npz"
         deployed.save(path)
-        loaded = DeployedModel.load(path)
-        score = (loaded.predict(x_test) == y_test).mean()
+        with InferenceSession.from_deployed(DeployedModel.load(path)) as session:
+            score = (session.predict(x_test) == y_test).mean()
         assert score > 0.85
 
     def test_inputs_file_flow(self, trained_model, mnist16, tmp_path):
@@ -103,7 +107,8 @@ class TestEndToEnd:
         save_inputs(path, x_test[:50], y_test[:50])
         inputs, labels = load_inputs(path)
         deployed = DeployedModel.from_model(trained_model)
-        assert (deployed.predict(inputs) == labels).mean() > 0.8
+        with InferenceSession.from_deployed(deployed) as session:
+            assert (session.predict(inputs) == labels).mean() > 0.8
 
     def test_runtime_prediction_sane(self, trained_model):
         profiler = InferenceProfiler(trained_model, (256,))
@@ -117,5 +122,9 @@ class TestEndToEnd:
     def test_host_inference_fast(self, trained_model, mnist16):
         _, _, x_test, _ = mnist16
         deployed = DeployedModel.from_model(trained_model)
-        us_per_image = deployed.time_inference(x_test[:100], repeats=2)
+        with InferenceSession.from_deployed(deployed) as session:
+            session.forward(x_test[:100])  # first call sizes the arena
+            start = time.perf_counter()
+            session.forward(x_test[:100])
+            us_per_image = (time.perf_counter() - start) / 100 * 1e6
         assert us_per_image < 10_000  # loose: just not pathological

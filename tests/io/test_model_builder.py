@@ -61,6 +61,19 @@ class TestBuildModel:
         with pytest.raises(ConfigurationError):
             build_model_from_string("3x4x4-8Conv3-MP4-10F", rng=rng)
 
+    @pytest.mark.parametrize(
+        "arch,index",
+        [
+            ("16-8CFb64-4F", 0),  # block larger than both FC dimensions
+            ("16-8F-4CFb32", 1),
+            ("3x8x8-4CConv3b16-10F", 0),  # block larger than both channels
+            ("3x8x8-4Conv9-10F", 0),  # kernel does not fit
+        ],
+    )
+    def test_layer_errors_name_the_layer(self, rng, arch, index):
+        with pytest.raises(ConfigurationError, match=f"^layer {index}: "):
+            build_model_from_string(arch, rng=rng)
+
     def test_bc_conv_built_with_block(self, rng):
         model = build_model_from_string("4x8x8-8CConv3b4-10F", rng=rng)
         assert isinstance(model[0], BlockCirculantConv2d)

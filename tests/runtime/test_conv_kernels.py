@@ -3,10 +3,12 @@ kernel choice (dense-expanded GEMM vs rfft -> GEMM -> irfft), reshape
 pooling.
 
 "Equal" here means what ``docs/engine.md`` says it means: a plan equals
-the training-time layer and the record interpreter to 1e-10 (fp64)
-whichever kernel it froze to; *bitwise* equality holds only between
-paths that run the same kernel (an op on an arena vs the same op called
-directly on fresh buffers, threaded vs serial).
+the training-time layer and the record oracle
+(``repro.testing.reference_forward``) to 1e-10 (fp64) whichever kernel
+it froze to; *bitwise* equality holds between paths that run the same
+kernel (an op on an arena vs the same op called directly on fresh
+buffers, threaded vs serial, the FFT kernel vs training —
+``tests/runtime/test_kernel_parity.py``).
 """
 
 from contextlib import contextmanager
@@ -41,6 +43,7 @@ from repro.runtime.plan import (
     bc_conv_kernel,
     pool_windows,
 )
+from repro.testing import reference_forward
 
 KERNELS = ("dense", "fft")
 BUCKETS = (1, 2, 4, 8)
@@ -134,7 +137,7 @@ class TestBcConvKernelParity:
         x = rng.normal(size=(rows, c_in, height, width))
         x_cast = x.astype(PrecisionPolicy.resolve(precision).real_dtype)
         live = model(x).data
-        interpreted = deployed.forward(x)
+        reference = reference_forward(deployed.records, x)
 
         by_kernel = {}
         for forced in KERNELS:
@@ -145,9 +148,9 @@ class TestBcConvKernelParity:
             assert from_layer.name.endswith(f",{forced})")
             assert from_layer.name == from_record.name
             fresh = from_layer(x_cast)
-            # plan == the training-time layer, == the record interpreter
+            # plan == the training-time layer, == the record oracle
             assert close(fresh, live, precision)
-            assert close(from_record(x_cast), interpreted, precision)
+            assert close(from_record(x_cast), reference, precision)
             by_kernel[forced] = fresh
 
             # arena == fresh bitwise, at the full batch and then at a
@@ -223,7 +226,9 @@ class TestConvOpParity:
         fresh = op(x_cast)
         assert close(fresh, model(x).data, precision)
         (from_record,) = compile_records_plan(deployed.records, policy=policy)
-        assert close(from_record(x_cast), deployed.forward(x), precision)
+        assert close(
+            from_record(x_cast), reference_forward(deployed.records, x), precision
+        )
 
         ws = Workspace(BUCKETS)
         assert np.array_equal(op.run(x_cast, ws), fresh)

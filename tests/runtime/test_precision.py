@@ -7,6 +7,7 @@ from repro.embedded import DeployedModel
 from repro.embedded.memory import estimate_memory
 from repro.precision import FP32, FP64, PrecisionPolicy
 from repro.runtime import InferenceSession
+from repro.testing import reference_proba
 from repro.zoo import build_arch1, build_arch3_reduced
 
 
@@ -101,14 +102,16 @@ class TestNoSilentUpcast:
 
 
 class TestFromDeployedPrecision:
-    def test_fp32_session_matches_interpreter(self, mnist_model, rng):
+    def test_fp32_session_matches_record_oracle(self, mnist_model, rng):
         deployed = DeployedModel.from_model(mnist_model)
         session = InferenceSession.from_deployed(deployed, precision="fp32")
         x = rng.normal(size=(5, 256))
         # The artifact itself stores complex64 spectra, so the fp32
-        # session and the (widening) record interpreter agree to ~1e-6.
+        # session and the (widening, fp64) record oracle agree to ~1e-6.
         assert np.allclose(
-            session.predict_proba(x), deployed.predict_proba(x), atol=1e-5
+            session.predict_proba(x),
+            reference_proba(deployed.records, x),
+            atol=1e-5,
         )
 
     def test_fp32_artifact_spectra_not_widened(self, mnist_model, rng):

@@ -185,39 +185,28 @@ class TestBlockCirculantKernels:
             block_circulant_to_dense(rng.normal(size=(2, 3)))
 
 
-class TestForwardBatchDestinations:
-    """out=/gemm_out=: caller-owned buffers, bitwise-identical values."""
 
-    def test_out_and_gemm_out_bitwise(self, rng):
-        weights = rng.normal(size=(3, 2, 8))
-        x = rng.normal(size=(5, 2, 8))
-        spectra = rfft(weights)
-        reference = block_circulant_forward_batch(spectra, x)
-        out = np.empty((5, 3, 8))
-        gemm_out = np.empty((5, 3, 5), dtype=np.complex128)
-        returned = block_circulant_forward_batch(
-            spectra, x, out=out, gemm_out=gemm_out
-        )
-        assert returned is out
-        assert np.array_equal(out, reference)
-
-    def test_out_alone(self, rng):
-        weights = rng.normal(size=(2, 4, 6))
-        x = rng.normal(size=(3, 4, 6))
-        spectra = rfft(weights)
-        reference = block_circulant_forward_batch(spectra, x)
-        out = np.empty((3, 2, 6))
-        block_circulant_forward_batch(spectra, x, out=out)
-        assert np.array_equal(out, reference)
-
-    def test_gemm_out_with_weight_fm(self, rng):
-        weights = rng.normal(size=(3, 2, 8))
+class TestForwardBatchOperands:
+    def test_weight_fm_is_bitwise_neutral(self, rng):
+        spectra = rfft(rng.normal(size=(3, 2, 8)))
         x = rng.normal(size=(4, 2, 8))
-        spectra = rfft(weights)
         w_fm = np.ascontiguousarray(spectra.transpose(2, 0, 1))
-        reference = block_circulant_forward_batch(spectra, x)
-        gemm_out = np.empty((5, 3, 4), dtype=np.complex128)
-        result = block_circulant_forward_batch(
-            spectra, x, weight_fm=w_fm, gemm_out=gemm_out
+        assert np.array_equal(
+            block_circulant_forward_batch(spectra, x, weight_fm=w_fm),
+            block_circulant_forward_batch(spectra, x),
         )
-        assert np.array_equal(result, reference)
+
+    def test_mixed_precision_promotes(self, rng):
+        weights = rng.normal(size=(2, 3, 8))
+        x = rng.normal(size=(5, 3, 8))
+        spectra = rfft(weights)
+        wide = block_circulant_forward_batch(spectra, x.astype(np.float32))
+        assert wide.dtype == np.float64
+        single = block_circulant_forward_batch(
+            spectra.astype(np.complex64), x.astype(np.float32)
+        )
+        assert single.dtype == np.float32
+        grad_w, grad_x = block_circulant_backward_batch(
+            spectra, x.astype(np.float32), rng.normal(size=(5, 2, 8))
+        )
+        assert grad_w.dtype == grad_x.dtype == np.float64

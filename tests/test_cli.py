@@ -208,6 +208,24 @@ class TestProfileInfo:
         assert "total:" in out
         assert "x" in out.splitlines()[-1]
 
+    @pytest.mark.parametrize("command", ("info", "profile"))
+    @pytest.mark.parametrize(
+        "arch,reason",
+        [
+            ("16-8CFb64-4F", "block_size 64 exceeds"),
+            ("3x8x8-4Conv9-10F", "kernel 9 does not fit"),
+        ],
+    )
+    def test_bad_architecture_is_a_usage_error(
+        self, capsys, command, arch, reason
+    ):
+        # One message, one exit code, no traceback — whether the layer
+        # constructor or the builder's geometry check rejects the layer.
+        assert main([command, arch]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 0: ")
+        assert reason in err
+
 
 class TestServeEngineFlags:
     """The engine-era serve surface: --model name=path, --precisions."""
