@@ -105,7 +105,7 @@ from ..nn.layers import (
 from ..nn.module import Sequential
 from ..precision import FP64, PrecisionPolicy
 from ..structured import block_circulant_to_dense
-from ..structured.ops import FreshBuffers, spectral_product, spectral_slots
+from ..structured.ops import FreshBuffers, spectral_product
 from ..structured.spectral import freq_major
 
 __all__ = [
@@ -319,10 +319,18 @@ class _FreshBuffers(FreshBuffers):
     """Workspace stand-in behind ``op(x)``: every slot is a new array.
 
     The kernel's fresh-allocating stand-in
-    (:class:`~repro.structured.ops.FreshBuffers`) plus what a workspace
-    also answers: ``left_taps``, the causal zero history of a whole
-    sequence.
+    (:class:`~repro.structured.ops.FreshBuffers`) plus the rest of what
+    a workspace answers: ``bucket`` (no rounding), ``zeros`` and
+    ``left_taps``, the causal zero history of a whole sequence.
     """
+
+    @staticmethod
+    def bucket(n: int) -> int:
+        return n
+
+    @staticmethod
+    def zeros(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return np.zeros(shape, dtype=dtype)
 
     @staticmethod
     def left_taps(x: np.ndarray, dilation: int) -> np.ndarray:
@@ -349,7 +357,6 @@ def _bc_linear_op(
     b = block_size
     bias = None if bias is None else np.asarray(bias, dtype=rdtype)
     tag = f"op{next(_OP_IDS)}.bcl"
-    slots = spectral_slots(tag)
 
     def run(x: np.ndarray, ws) -> np.ndarray:
         batch = x.shape[0]
@@ -366,7 +373,7 @@ def _bc_linear_op(
             padded = ws.zeros(tag + ".pad", (m, q * b), rdtype)[:batch]
             padded[:, :in_features] = x
             xb = padded.reshape(batch, q, b)
-        out_blocks, _ = spectral_product(spectra_fm, xb, ws, slots, m)
+        out_blocks, _ = spectral_product(spectra_fm, xb, ws, tag, m)
         out = out_blocks.reshape(batch, -1)[:, :out_features]
         if bias is not None:
             out += bias
@@ -636,7 +643,6 @@ def _bc_conv_op(
         return op
 
     tag = f"op{next(_OP_IDS)}.bcc"
-    slots = spectral_slots(tag)
     spectra_fm = freq_major(spectra)
 
     def run(x: np.ndarray, ws) -> np.ndarray:
@@ -647,7 +653,7 @@ def _bc_conv_op(
         positions = out_h * out_w
         blocks = cols.reshape(batch * positions, q, b)
         out_blocks, _ = spectral_product(
-            spectra_fm, blocks, ws, slots, ws.bucket(batch) * positions
+            spectra_fm, blocks, ws, tag, ws.bucket(batch) * positions
         )
         out = out_blocks.reshape(batch, positions, -1)[..., :out_channels]
         out = out.transpose(0, 2, 1).reshape(batch, out_channels, out_h, out_w)

@@ -187,45 +187,26 @@ def block_circulant_transpose_matvec(
 class FreshBuffers:
     """Workspace stand-in that allocates every slot fresh.
 
-    :func:`spectral_product` is written once against the
-    :class:`~repro.runtime.workspace.Workspace` slot interface (``bucket``,
-    ``get``, ``zeros``); run with this stand-in it allocates everything
-    new — the same floating-point operations in the same order, only into
-    new memory.  Training calls the kernel this way, and a frozen plan's
-    direct ``op(x)`` call does too.
+    :func:`spectral_product` stages its intermediates through the
+    :class:`~repro.runtime.workspace.Workspace` slot call ``get``; run
+    with this stand-in it allocates them new — the same floating-point
+    operations in the same order, only into new memory.  Training calls
+    the kernel this way.
     """
-
-    @staticmethod
-    def bucket(n: int) -> int:
-        return n
 
     @staticmethod
     def get(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         return np.empty(shape, dtype=dtype)
 
-    @staticmethod
-    def zeros(slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
-
 
 FRESH = FreshBuffers()
-
-
-def spectral_slots(tag: str) -> tuple[str, ...]:
-    """The workspace slot names :func:`spectral_product` stages through,
-    each prefixed with an op-private ``tag``."""
-    suffixes = (".spec", ".xsfm", ".yfm", ".ysp", ".blk")
-    return tuple(tag + suffix for suffix in suffixes)
-
-
-_FRESH_SLOTS = spectral_slots("")
 
 
 def spectral_product(
     spectra_fm: np.ndarray,
     blocks: np.ndarray,
     ws=FRESH,
-    slots: tuple[str, ...] = _FRESH_SLOTS,
+    tag: str = "",
     m: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Paper Algorithm 1: rfft -> frequency-major GEMM -> irfft.
@@ -239,8 +220,8 @@ def spectral_product(
     ``(nb, q, rows)`` frequency-major input spectrum the product built,
     which :func:`spectral_gradients` reuses.
 
-    Every intermediate lives in a slot of ``ws`` (names from
-    :func:`spectral_slots`) sized for ``m >= rows`` rows (default
+    Every intermediate lives in a slot of ``ws`` named with the
+    op-private prefix ``tag`` and sized for ``m >= rows`` rows (default
     ``rows``): a frozen plan passes its workspace arena, training the
     fresh-allocating :data:`FRESH`.  On the numpy backend the transforms
     call ``numpy.fft`` with ``out=`` directly — the exact call
@@ -258,28 +239,33 @@ def spectral_product(
     rows, _, b = blocks.shape
     if m is None:
         m = rows
-    k_spec, k_xsfm, k_yfm, k_ysp, k_blk = slots
     direct = get_backend() == "numpy"
-    spec = ws.get(k_spec, (m, q, nb), cdtype)[:rows]
+    spec = ws.get(tag + ".spec", (m, q, nb), cdtype)[:rows]
     if direct:
         x_spec = np.fft.rfft(blocks, axis=-1, out=spec)
     else:
         x_spec = rfft(blocks, out=spec)
-    xs_fm = ws.get(k_xsfm, (nb, q, m), cdtype)[..., :rows]
+    xs_fm = ws.get(tag + ".xsfm", (nb, q, m), cdtype)[..., :rows]
     np.copyto(xs_fm, x_spec.transpose(2, 1, 0))
-    y_fm = np.matmul(
-        spectra_fm, xs_fm, out=ws.get(k_yfm, (nb, p, m), cdtype)[..., :rows]
-    )
-    y_spec = y_fm.transpose(2, 1, 0)
-    out = ws.get(k_blk, (m, p, b), blocks.dtype)[:rows]
-    if not direct:
-        return irfft(y_spec, n=b, out=out), xs_fm
-    # numpy's irfft hits a slow path when both ``out=`` and a strided
-    # input are given; stage the transposed spectrum contiguously first
-    # (a plain copy) so the transform runs on its fast path.
-    y_stage = ws.get(k_ysp, (m, p, nb), cdtype)[:rows]
-    np.copyto(y_stage, y_spec)
-    return np.fft.irfft(y_stage, n=b, axis=-1, out=out), xs_fm
+    # Each stage's names are dropped once consumed, so with fresh
+    # buffers (training) an array is freed before the next stage
+    # allocates instead of all of them living until the return.
+    del spec, x_spec
+    y_fm = ws.get(tag + ".yfm", (nb, p, m), cdtype)[..., :rows]
+    np.matmul(spectra_fm, xs_fm, out=y_fm)
+    if direct:
+        # numpy's irfft hits a slow path when both ``out=`` and a strided
+        # input are given; stage the transposed spectrum contiguously
+        # first (a plain copy) so the transform runs on its fast path.
+        y_spec = ws.get(tag + ".ysp", (m, p, nb), cdtype)[:rows]
+        np.copyto(y_spec, y_fm.transpose(2, 1, 0))
+    else:
+        y_spec = y_fm.transpose(2, 1, 0)
+    del y_fm
+    out = ws.get(tag + ".blk", (m, p, b), blocks.dtype)[:rows]
+    if direct:
+        return np.fft.irfft(y_spec, n=b, axis=-1, out=out), xs_fm
+    return irfft(y_spec, n=b, out=out), xs_fm
 
 
 def _transposed(spectra_fm: np.ndarray) -> np.ndarray:
@@ -331,22 +317,18 @@ def _common_precision(
 
 
 def block_circulant_forward_batch(
-    weight_spectra: np.ndarray,
-    x_blocks: np.ndarray,
-    weight_fm: np.ndarray | None = None,
+    weight_spectra: np.ndarray, x_blocks: np.ndarray
 ) -> np.ndarray:
     """Batched forward product in the frequency domain (Algorithm 1).
 
     ``weight_spectra`` is ``rfft`` of the ``(p, q, b)`` grid (shape
     ``(p, q, nb)``); ``x_blocks`` is ``(batch, q, b)``.  Returns the
     output blocks ``(batch, p, b)`` of :func:`spectral_product`.
-    ``weight_fm`` optionally supplies the spectra already in the
-    contiguous frequency-major ``(nb, p, q)`` layout (e.g. from
-    :meth:`SpectrumCache.get_pair`), skipping the transpose copy.
+    Callers that already hold frequency-major spectra call
+    :func:`spectral_product` directly.
     """
-    if weight_fm is None:
-        weight_fm, x_blocks = _common_precision(weight_spectra, x_blocks)
-    return spectral_product(np.asarray(weight_fm), np.asarray(x_blocks))[0]
+    spectra_fm, x_blocks = _common_precision(weight_spectra, x_blocks)
+    return spectral_product(spectra_fm, x_blocks)[0]
 
 
 def block_circulant_backward_batch(

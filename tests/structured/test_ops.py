@@ -187,15 +187,6 @@ class TestBlockCirculantKernels:
 
 
 class TestForwardBatchOperands:
-    def test_weight_fm_is_bitwise_neutral(self, rng):
-        spectra = rfft(rng.normal(size=(3, 2, 8)))
-        x = rng.normal(size=(4, 2, 8))
-        w_fm = np.ascontiguousarray(spectra.transpose(2, 0, 1))
-        assert np.array_equal(
-            block_circulant_forward_batch(spectra, x, weight_fm=w_fm),
-            block_circulant_forward_batch(spectra, x),
-        )
-
     def test_mixed_precision_promotes(self, rng):
         weights = rng.normal(size=(2, 3, 8))
         x = rng.normal(size=(5, 3, 8))
