@@ -18,10 +18,11 @@ empty fleet fails before any socket is opened.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, require_count
 from ..serving.protocol import DEFAULT_MAX_PAYLOAD
 
 __all__ = ["RouterConfig", "parse_address"]
@@ -172,28 +173,34 @@ class RouterConfig:
                 raise ConfigurationError(
                     f"spawn_args entries must be strings, got {arg!r}"
                 )
-        for name, value, low in (
-            ("probe_interval_s", self.probe_interval_s, 0.0),
-            ("probe_timeout_s", self.probe_timeout_s, 0.0),
-            ("connect_timeout_s", self.connect_timeout_s, 0.0),
-            ("request_timeout_s", self.request_timeout_s, 0.0),
+        if (
+            isinstance(self.port, bool)
+            or not isinstance(self.port, int)
+            or not 0 <= self.port <= 65535
         ):
-            if not isinstance(value, (int, float)) or value <= low:
+            raise ConfigurationError(
+                f"port must be an int in 0..65535, got {self.port!r}"
+            )
+        for name in (
+            "probe_interval_s",
+            "probe_timeout_s",
+            "connect_timeout_s",
+            "request_timeout_s",
+        ):
+            value = getattr(self, name)
+            # The range test also refuses NaN, which compares false.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not 0 < value < math.inf
+            ):
                 raise ConfigurationError(
-                    f"{name} must be a positive number, got {value!r}"
+                    f"{name} must be a finite positive number, got {value!r}"
                 )
-        if not isinstance(self.pool_size, int) or self.pool_size < 1:
-            raise ConfigurationError(
-                f"pool_size must be >= 1, got {self.pool_size!r}"
-            )
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1 or None, got {self.max_attempts}"
-            )
-        if self.max_payload < 1:
-            raise ConfigurationError(
-                f"max_payload must be >= 1, got {self.max_payload}"
-            )
+        require_count("pool_size", self.pool_size)
+        if self.max_attempts is not None:
+            require_count("max_attempts", self.max_attempts)
+        require_count("max_payload", self.max_payload)
 
     def describe(self) -> dict:
         """JSON-able snapshot (the router's ``info`` op embeds this)."""

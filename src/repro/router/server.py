@@ -5,10 +5,11 @@
 :class:`~repro.serving.ServeClient` / :class:`~repro.serving.AsyncServeClient`
 work against it unchanged — and multiplexes predict traffic over a
 fleet of backend ``repro serve`` processes (static addresses, spawned
-children, or both).  It is an op table on the same
-:class:`~repro.serving.connection.FrameServer` connection loop as
-:class:`~repro.serving.InferenceServer` — its own refusals are *raised*
-and answered through the one error-code table — and it talks to
+children, or both).  It registers its op handlers on the same
+:class:`~repro.serving.connection.FrameServer` dispatch and connection
+loop as :class:`~repro.serving.InferenceServer` — the refusals every op
+shares are FrameServer's, its own are *raised* and answered through the
+one error-code table — and it talks to
 backends through the same :func:`~repro.serving.protocol.roundtrip` the
 async client uses.  Per request it:
 
@@ -99,9 +100,15 @@ class RouterServer(FrameServer):
             )
         self.config = config if config is not None else RouterConfig(**fields)
         self.policy = policy if policy is not None else PlacementPolicy()
-        super().__init__(
-            self.config.host, self.config.port, self.config.max_payload
-        )
+        config = self.config
+        super().__init__(config.host, config.port, config.max_payload, {
+            "info": self._op_info,
+            "predict": self._op_predict,
+            "predict_proba": self._op_predict,
+            "stream_open": self._op_stream_open,
+            "stream_push": self._op_stream_relay,
+            "stream_close": self._op_stream_relay,
+        })
         self.backends: list[BackendHandle] = []
         self.spawned: list[SpawnedBackend] = []
         self._probe_tasks: list[asyncio.Task] = []
@@ -174,9 +181,7 @@ class RouterServer(FrameServer):
             except Exception as exc:  # defensive: a probe bug must not
                 backend.mark_down(f"probe crashed: {exc}")  # kill the loop
 
-    async def _drain(self) -> None:
-        while self._inflight > 0:
-            await asyncio.sleep(0.005)
+    async def _drain_owned(self) -> None:
         # In-flight forwards are answered; now drain the fleet we own.
         # Static backends are someone else's lifecycle — never drained.
         for backend in self.backends:
@@ -196,8 +201,6 @@ class RouterServer(FrameServer):
                 )
             except asyncio.TimeoutError:
                 child.terminate()
-        if self._server is not None:
-            self._server.close()
 
     async def stop(self) -> None:
         """Tear everything down: listener, probes, pools, children."""
@@ -241,99 +244,78 @@ class RouterServer(FrameServer):
             conn[1].close()
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Op handlers (FrameServer dispatches and refuses what all ops share)
     # ------------------------------------------------------------------
-    async def _dispatch(self, header: dict, payload: bytes, ctx: dict):
-        op = header.get("op")
-        if op == "ping":
-            return {"status": "ok", "op": "ping", "router": True}, b""
-        if op == "drain":
-            self.begin_drain()
-            return {"status": "ok", "op": "drain", "draining": True}, b""
-        if op == "info":
-            return self._info(), b""
-        if op == "stream_open":
-            if self._draining:
-                raise ServerUnavailable(
-                    "router is draining and accepts no new streams"
-                )
-            # Retrying other candidates is safe here and only here:
-            # until the open succeeds the stream has no state anywhere.
-            backend, response, out = await self._place(
-                header, lambda backend: self._relay(ctx, backend, header)
-            )
-            if backend is not None:
-                # The backend's stream id is rewritten to a router-issued
-                # one so ids stay unique per client connection regardless
-                # of which backend minted them.
-                ctx["seq"] += 1
-                rid = f"r{ctx['seq']}"
-                ctx["pins"][rid] = {
-                    "backend": backend,
-                    "sid": response.get("stream"),
-                }
-                self._pins_open += 1
-                self.stats["stream_opens"] += 1
-                response["stream"] = rid
-            return response, out
-        if op in ("stream_push", "stream_close"):
-            push = op == "stream_push"
-            if push and self._draining:
-                # The router is going away; pinned backend connections
-                # close with it.  Typed so the client breaks the stream
-                # instead of retrying in place.
-                raise ServerUnavailable(
-                    "router is draining; open streams are broken"
-                )
-            rid = string_field(header, "stream")
-            pin = ctx["pins"].get(rid)
-            if pin is None:
-                raise ServingError(
-                    f"unknown stream {rid!r} on this connection"
-                )
-            if push:
-                self._maybe_kill_backend()
-            else:
-                del ctx["pins"][rid]
-                self._pins_open -= 1
-            forwarded = dict(header)
-            forwarded["stream"] = pin["sid"]
-            # A ServerUnavailable from here means the pinned backend
-            # died with the frame in flight.  A push may or may not have
-            # been applied, so replaying it elsewhere is forbidden — and
-            # the stream's state died with the backend connection anyway
-            # (_relay already dropped every pin on that backend); for a
-            # close, the backend's registry freed the state when the
-            # relay connection died, so the close is moot.
-            response, out = await self._relay(
-                ctx, pin["backend"], forwarded, payload
-            )
-            if push and response.get("status") == "ok":
-                self.stats["stream_pushes"] += 1
-                pin["backend"].stats["forwards"] += 1
-            if "stream" in response:
-                response["stream"] = rid
-            return response, out
-        if op in ("predict", "predict_proba"):
-            if self._draining:
-                raise ServerUnavailable(
-                    "router is draining and accepts no new requests"
-                )
-            if not payload:
-                raise ServingError(f"{op} requires an array payload")
-            self.stats["requests"] += 1
+    async def _op_ping(self, header, payload, ctx):
+        return {"status": "ok", "op": "ping", "router": True}, b""
+
+    async def _op_stream_open(self, header, payload, ctx):
+        # Retrying other candidates is safe here and only here: until
+        # the open succeeds the stream has no state anywhere.
+        backend, response, out = await self._place(
+            header, lambda backend: self._relay(ctx, backend, header)
+        )
+        if backend is not None:
+            # The backend's stream id is rewritten to a router-issued one
+            # so ids stay unique per client connection regardless of
+            # which backend minted them.
+            ctx["seq"] += 1
+            rid = f"r{ctx['seq']}"
+            ctx["pins"][rid] = {
+                "backend": backend,
+                "sid": response.get("stream"),
+            }
+            self._pins_open += 1
+            self.stats["stream_opens"] += 1
+            response["stream"] = rid
+        return response, out
+
+    async def _op_stream_relay(self, header, payload, ctx):
+        """``stream_push`` and ``stream_close``: down the pinned relay."""
+        push = header["op"] == "stream_push"
+        rid = string_field(header, "stream")
+        pin = ctx["pins"].get(rid)
+        if pin is None:
+            raise ServingError(f"unknown stream {rid!r} on this connection")
+        if push:
             self._maybe_kill_backend()
-            # Predicts are idempotent (pure functions of their rows), so
-            # replaying on a survivor after a transport failure is safe
-            # and bitwise-equivalent; the client's stable ``request_id``
-            # rides along unchanged on every attempt.
-            backend, response, out = await self._place(
-                header, lambda backend: backend.request(header, payload)
-            )
-            if backend is not None:
-                self.stats["forwards"] += 1
-            return response, out
-        raise ServingError(f"unknown op {op!r}")
+        else:
+            del ctx["pins"][rid]
+            self._pins_open -= 1
+        forwarded = dict(header)
+        forwarded["stream"] = pin["sid"]
+        # A ServerUnavailable from here means the pinned backend died
+        # with the frame in flight.  A push may or may not have been
+        # applied, so replaying it elsewhere is forbidden — and the
+        # stream's state died with the backend connection anyway
+        # (_relay already dropped every pin on that backend); for a
+        # close, the backend's registry freed the state when the relay
+        # connection died, so the close is moot.
+        response, out = await self._relay(
+            ctx, pin["backend"], forwarded, payload
+        )
+        if push and response.get("status") == "ok":
+            self.stats["stream_pushes"] += 1
+            pin["backend"].stats["forwards"] += 1
+        if "stream" in response:
+            response["stream"] = rid
+        return response, out
+
+    async def _op_predict(self, header, payload, ctx):
+        if not payload:
+            raise ServingError(f"{header['op']} requires an array payload")
+        self.stats["requests"] += 1
+        self._maybe_kill_backend()
+        # Predicts are idempotent (pure functions of their rows), so
+        # replaying on a survivor after a transport failure is safe and
+        # bitwise-equivalent; the client's stable ``request_id`` rides
+        # along unchanged on every attempt.
+        backend, response, out = await self._place(
+            header, lambda backend: backend.request(header, payload)
+        )
+        if backend is not None:
+            self.stats["forwards"] += 1
+        return response, out
 
     def _maybe_kill_backend(self) -> None:
         """The ``router.backend_down`` fault point: drop one child."""
@@ -485,7 +467,7 @@ class RouterServer(FrameServer):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _info(self) -> dict:
+    async def _op_info(self, header, payload, ctx):
         backends = {b.address: b.describe() for b in self.backends}
         states = [b.state for b in self.backends]
         return {
@@ -536,7 +518,7 @@ class RouterServer(FrameServer):
             "precisions": sorted(
                 {prec for b in self.backends for prec in b.precisions}
             ),
-        }
+        }, b""
 
     def __repr__(self) -> str:
         return (

@@ -2,13 +2,18 @@
 
 :class:`FrameServer` is what :class:`~repro.serving.InferenceServer` and
 :class:`~repro.router.RouterServer` do identically because they speak
-the same wire: read a frame, dispatch, answer, clean up; count what is
-in flight; drain on request or signal; block until drained.  A subclass
-supplies ``start``/``stop``, the op table ``_dispatch`` (it reports
-failure by *raising*; the loop answers through
-:func:`~repro.serving.protocol.error_header`), what a connection owns
-(``_open_context``/``_close_context``), what draining waits for
-(``_drain``), and ``stats`` with ``connections``/``errors``/``disconnects``.
+the same wire: read a frame, dispatch it through one ``{op: handler}``
+table, answer, clean up; count what is in flight; drain on request or
+signal; block until drained.  The rules every op shares live here once:
+the unknown-op error, the ``priority`` refusal, and the draining refusal
+of the ops that start work (``_WORK_OPS``).  A subclass passes
+``__init__`` its handlers, ``handler(header, payload, ctx) -> (response,
+out)``, which report failure by *raising* (the loop answers through
+:func:`~repro.serving.protocol.error_header`).  It also supplies
+``start``/``stop``, what a connection owns
+(``_open_context``/``_close_context``), what a drain waits for once no
+request is in flight (``_drain_owned``), and ``stats`` with
+``connections``/``errors``/``disconnects``.
 """
 
 from __future__ import annotations
@@ -17,20 +22,30 @@ import asyncio
 import signal
 from contextlib import suppress
 
-from ..exceptions import ServingError
+from ..exceptions import ConfigurationError, ServerUnavailable, ServingError
 from ..testing import faults
 from .protocol import error_header, format_banner, read_frame, send_frame
 
 __all__ = ["FrameServer"]
 
+# The ops that start work: once draining, a server refuses these (and
+# only these) as ``server_unavailable``, so a client reconnects
+# elsewhere and an open stream breaks instead of retrying in place.
+_WORK_OPS = {"predict", "predict_proba", "stream_open", "stream_push"}
+
 
 class FrameServer:
-    """Connection loop, in-flight accounting, drain and blocking run."""
+    """Op dispatch, connection loop, in-flight accounting, drain and run."""
 
-    def __init__(self, host: str, port: int, max_payload: int):
+    def __init__(self, host: str, port: int, max_payload: int, handlers):
         self.host = host
         self.port = port
         self.max_payload = max_payload
+        self._handlers = {
+            "ping": self._op_ping,
+            "drain": self._op_drain,
+            **handlers,
+        }
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._draining = False
@@ -59,14 +74,27 @@ class FrameServer:
     def begin_drain(self) -> None:
         """Start a graceful drain; safe from a signal handler, idempotent.
 
-        From here ``_dispatch`` refuses new work (``server_unavailable``)
-        while ``_drain`` waits for every in-flight request to be
-        answered, then closes the listener so :meth:`serve_forever` ends.
+        From here :meth:`_dispatch` refuses the ops that start work
+        (``server_unavailable``) while :meth:`_drain` waits for every
+        in-flight request to be answered, then closes the listener so
+        :meth:`serve_forever` ends.
         """
         if self._draining or self._loop is None:
             return
         self._draining = True
         self._drain_task = self._loop.create_task(self._drain())
+
+    async def _drain(self) -> None:
+        # Work in flight strictly empties: every batcher works until its
+        # queue is empty, and no op that starts work is admitted.
+        while self._inflight > 0:
+            await asyncio.sleep(0.005)
+        await self._drain_owned()
+        if self._server is not None:
+            self._server.close()
+
+    async def _drain_owned(self) -> None:
+        """What a drain also waits for once no request is in flight."""
 
     async def serve_forever(self) -> None:
         """Block serving connections until cancelled, drained or stopped."""
@@ -102,6 +130,30 @@ class FrameServer:
 
         with suppress(KeyboardInterrupt):
             asyncio.run(main())
+
+    def _dispatch(self, header: dict, payload: bytes, ctx):
+        """The handler's awaitable for one frame; a refusal is raised."""
+        if "priority" in header:
+            raise ConfigurationError(
+                "the priority field is not supported; requests are "
+                "served in arrival order"
+            )
+        op = header.get("op")
+        handler = self._handlers.get(op) if isinstance(op, str) else None
+        if handler is None:
+            raise ServingError(f"unknown op {op!r}")
+        if self._draining and op in _WORK_OPS:
+            raise ServerUnavailable(f"{op} refused: the server is draining")
+        return handler(header, payload, ctx)
+
+    async def _op_ping(self, header, payload, ctx):
+        return {"status": "ok", "op": "ping"}, b""
+
+    async def _op_drain(self, header, payload, ctx):
+        # Graceful shutdown over the wire: in-flight requests are
+        # answered, then the listener closes and the process exits.
+        self.begin_drain()
+        return {"status": "ok", "op": "drain", "draining": True}, b""
 
     def _count_error(self, exc: Exception) -> None:
         self.stats["errors"] += 1

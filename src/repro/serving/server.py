@@ -22,9 +22,10 @@ Responses stream zero-copy: the result array's buffer goes to the
 socket writer as a :func:`~repro.serving.protocol.pack_array_views`
 chunk list, never re-serialized to intermediate bytes.
 
-The connection loop, drain and lifecycle are
-:class:`~repro.serving.connection.FrameServer`'s (shared with the
-router); this module is the op table on top of it.
+The op dispatch, the refusals every op shares, the connection loop,
+drain and lifecycle are :class:`~repro.serving.connection.FrameServer`'s
+(shared with the router); this module registers the op handlers on top
+of it.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ..exceptions import (
-    ConfigurationError,
     DeadlineExpired,
     DeploymentError,
     Overloaded,
-    ServerUnavailable,
     ServingError,
 )
 from ..runtime.executors import ThreadedExecutor
@@ -110,7 +109,14 @@ class InferenceServer(FrameServer):
             )
         self.engine = engine
         config = engine.config
-        super().__init__(host, port, config.max_payload)
+        super().__init__(host, port, config.max_payload, {
+            "info": self._op_info,
+            "predict": self._op_predict,
+            "predict_proba": self._op_predict,
+            "stream_open": self._op_stream_open,
+            "stream_push": self._op_stream_push,
+            "stream_close": self._op_stream_close,
+        })
         self._batchers: dict[tuple[str, str], MicroBatcher] = {}
         self._route_sessions: dict[tuple[str, str], object] = {}
         self._infer_thread: ThreadPoolExecutor | None = None
@@ -121,7 +127,6 @@ class InferenceServer(FrameServer):
         self._stream_seq = 0
         self._streams_open = 0
         self._stream_state_bytes = 0
-        self._stream_pushes = 0  # monotonic; feeds the pushes/s rate
         self._push_mark: tuple[float, int] = (time.monotonic(), 0)
         self._push_rate = 0.0
         self.stats = {
@@ -196,14 +201,6 @@ class InferenceServer(FrameServer):
         )
         await self._listen()
         return self
-
-    async def _drain(self) -> None:
-        # Every batcher works until its queue is empty and draining
-        # mode blocks new admissions, so the loop strictly empties.
-        while self._inflight > 0:
-            await asyncio.sleep(0.005)
-        if self._server is not None:
-            self._server.close()
 
     async def stop(self) -> None:
         """Stop accepting, drain in-flight batches, join the thread."""
@@ -292,8 +289,9 @@ class InferenceServer(FrameServer):
         mark_t, mark_n = self._push_mark
         dt = now - mark_t
         if dt >= 0.05:
-            self._push_rate = (self._stream_pushes - mark_n) / dt
-            self._push_mark = (now, self._stream_pushes)
+            pushes = self.stats["stream_pushes"]
+            self._push_rate = (pushes - mark_n) / dt
+            self._push_mark = (now, pushes)
         return self._push_rate
 
     def _admit(self) -> None:
@@ -324,263 +322,216 @@ class InferenceServer(FrameServer):
             )
         return deadline_ms
 
-    async def _dispatch(
-        self, header: dict, payload: bytes, streams: dict
-    ) -> tuple[dict, object]:
-        op = header.get("op")
-        if "priority" in header:
-            raise ConfigurationError(
-                "the priority field is not supported; requests are "
-                "served in arrival order"
-            )
+    def _rows(self, payload: bytes) -> np.ndarray:
+        """Decode a request's array payload (``server.corrupt_payload``
+        flips its leading bytes first, while armed)."""
         if (
             faults.enabled
-            and payload
             and faults.take("server.corrupt_payload") is not None
         ):
             payload = bytes(b ^ 0xFF for b in payload[:8]) + payload[8:]
-        if op == "ping":
-            return {"status": "ok", "op": "ping"}, b""
-        if op == "drain":
-            # Graceful shutdown over the wire: in-flight requests are
-            # answered, then the listener closes and the process exits.
-            self.begin_drain()
-            return {"status": "ok", "op": "drain", "draining": True}, b""
-        if op == "info":
-            executor = self.engine.executor_info()
-            info = {
-                "status": "ok",
-                "op": "info",
-                "engine": self.engine.describe(),
-                "models": sorted(self.engine.config.models),
-                "precisions": list(self.engine.config.precisions),
-                "precision": self.engine.config.precision,
-                "max_batch": self.engine.config.max_batch,
-                "stats": dict(self.stats),
-                "batchers": {
-                    f"{model}/{precision}": dict(batcher.stats)
-                    for (model, precision), batcher in self._batchers.items()
+        return unpack_array(payload)
+
+    # ------------------------------------------------------------------
+    # Op handlers (FrameServer dispatches and refuses what all ops share)
+    # ------------------------------------------------------------------
+    async def _op_info(self, header, payload, streams):
+        config = self.engine.config
+        executor = self.engine.executor_info()
+        batchers = self._batchers
+        return {
+            "status": "ok",
+            "op": "info",
+            "engine": self.engine.describe(),
+            "models": sorted(config.models),
+            "precisions": list(config.precisions),
+            "precision": config.precision,
+            "max_batch": config.max_batch,
+            "stats": dict(self.stats),
+            "batchers": {
+                f"{model}/{precision}": dict(batcher.stats)
+                for (model, precision), batcher in batchers.items()
+            },
+            "routes": self.engine.describe_routes(),
+            "executor": executor,
+            "health": {
+                "draining": self._draining,
+                "pool": executor["shared_pool"],
+                "inflight_requests": self._inflight,
+                "queues": {
+                    f"{model}/{precision}": batcher.queue_depth()
+                    for (model, precision), batcher in batchers.items()
                 },
-                "routes": self.engine.describe_routes(),
-                "executor": executor,
-                "health": {
-                    "draining": self._draining,
-                    "pool": executor["shared_pool"],
-                    "inflight_requests": self._inflight,
-                    "queues": {
-                        f"{model}/{precision}": batcher.queue_depth()
-                        for (model, precision), batcher
-                        in self._batchers.items()
-                    },
-                    # Aggregates a router can read without walking the
-                    # per-route queue map: total admitted-but-unresolved
-                    # rows and the slowest route's fused-batch latency.
-                    "queued_rows": sum(
-                        b.queue_depth()["inflight_rows"]
-                        for b in self._batchers.values()
-                    ),
-                    "batch_ms_ema": max(
-                        (b.batch_ms_ema for b in self._batchers.values()),
-                        default=0.0,
-                    ),
-                    "max_queue_rows": self.engine.config.max_queue_rows,
-                    "shed": self.stats["shed"],
-                    # The streaming posture: how many conversations are
-                    # resident, how much history they hold, and how hot
-                    # the push path is.  A router aggregates this block
-                    # across its fleet.
-                    "streams": {
-                        "open": self._streams_open,
-                        "state_bytes": self._stream_state_bytes,
-                        "max_streams": self.engine.config.max_streams,
-                        "max_state_bytes": (
-                            self.engine.config.max_stream_state_bytes
-                        ),
-                        "opened": self.stats["stream_opens"],
-                        "closed": self.stats["stream_closes"],
-                        "pushes": self.stats["stream_pushes"],
-                        "pushed_rows": self.stats["stream_rows"],
-                        "pushes_per_s": self._stream_push_rate(),
-                    },
+                # Aggregates a router can read without walking the
+                # per-route queue map: total admitted-but-unresolved
+                # rows and the slowest route's fused-batch latency.
+                "queued_rows": sum(
+                    b.queue_depth()["inflight_rows"] for b in batchers.values()
+                ),
+                "batch_ms_ema": max(
+                    (b.batch_ms_ema for b in batchers.values()), default=0.0
+                ),
+                "max_queue_rows": config.max_queue_rows,
+                "shed": self.stats["shed"],
+                # The streaming posture: how many conversations are
+                # resident, how much history they hold, and how hot the
+                # push path is.  A router aggregates this block across
+                # its fleet.
+                "streams": {
+                    "open": self._streams_open,
+                    "state_bytes": self._stream_state_bytes,
+                    "max_streams": config.max_streams,
+                    "max_state_bytes": config.max_stream_state_bytes,
+                    "opened": self.stats["stream_opens"],
+                    "closed": self.stats["stream_closes"],
+                    "pushes": self.stats["stream_pushes"],
+                    "pushed_rows": self.stats["stream_rows"],
+                    "pushes_per_s": self._stream_push_rate(),
                 },
-            }
-            return info, b""
-        if op == "stream_open":
-            if self._draining:
-                raise ServerUnavailable(
-                    "server is draining and accepts no new streams"
-                )
-            model, precision = self._resolve_route(header)
-            session = await self._session(model, precision)
-            # A non-streamable model answers with a typed error frame;
-            # the connection stays up.
-            try:
-                session.require_streamable()
-            except DeploymentError as exc:
-                raise ServingError(str(exc)) from exc
-            config = self.engine.config
-            budget = config.max_stream_state_bytes
-            if budget is not None and session.state_bytes > budget:
-                # Not a shed: no amount of waiting admits it.
-                raise ServingError(
-                    f"a stream on {model}/{precision} holds "
-                    f"{session.state_bytes} bytes of state, over the "
-                    f"server's budget of {budget} bytes"
-                )
-            if self._streams_open >= config.max_streams or (
-                budget is not None
-                and self._stream_state_bytes + session.state_bytes > budget
-            ):
-                raise Overloaded(
-                    f"stream budget exhausted: {self._streams_open} "
-                    f"streams, {self._stream_state_bytes} bytes resident "
-                    f"(limits {config.max_streams} streams, {budget} bytes)"
-                )
-            self._stream_seq += 1
-            handle = f"s{self._stream_seq}"
-            streams[handle] = {
-                "state": session.open(),
-                "model": model,
-                "precision": precision,
-                "busy": False,
-            }
-            self._streams_open += 1
-            self._stream_state_bytes += session.state_bytes
-            self.stats["stream_opens"] += 1
-            return (
-                {
-                    "status": "ok",
-                    "op": "stream_open",
-                    "stream": handle,
-                    "model": model,
-                    "precision": precision,
-                    "in_channels": session.in_channels,
-                    "classes": session.out_channels,
-                    "receptive_field": session.receptive_field,
-                    "state_bytes": session.state_bytes,
-                },
-                b"",
+            },
+        }, b""
+
+    async def _op_stream_open(self, header, payload, streams):
+        model, precision = self._resolve_route(header)
+        session = await self._session(model, precision)
+        # A non-streamable model answers with a typed error frame; the
+        # connection stays up.
+        try:
+            session.require_streamable()
+        except DeploymentError as exc:
+            raise ServingError(str(exc)) from exc
+        config = self.engine.config
+        budget = config.max_stream_state_bytes
+        if budget is not None and session.state_bytes > budget:
+            # Not a shed: no amount of waiting admits it.
+            raise ServingError(
+                f"a stream on {model}/{precision} holds "
+                f"{session.state_bytes} bytes of state, over the "
+                f"server's budget of {budget} bytes"
             )
-        if op == "stream_push":
-            if self._draining:
-                # Typed as unavailable, NOT retryable-in-place: the
-                # client surfaces this as a broken stream (the server
-                # is going away; its state goes with it).
-                raise ServerUnavailable(
-                    "server is draining; open streams are broken"
-                )
-            handle = string_field(header, "stream")
-            entry = streams.get(handle)
-            if entry is None:
-                raise ServingError(
-                    f"unknown stream {handle!r} on this connection"
-                )
-            if not payload:
-                raise ServingError("stream_push requires an array payload")
-            if entry["busy"]:
-                # Per-connection sequencing makes this unreachable for
-                # well-behaved clients; defend anyway so a pipelining
-                # client cannot corrupt its own stream's ordering.
-                raise ServingError(
-                    f"stream {handle!r} already has a push in flight"
-                )
-            self._admit()
-            deadline_ms = self._deadline_ms(header)
-            session = entry["state"].session
-            chunk = unpack_array(payload)
-            if chunk.ndim == 1 and session.in_channels == 1:
-                chunk = chunk[:, None]
-            if chunk.ndim != 2 or chunk.shape[1] != session.in_channels:
-                raise ServingError(
-                    f"stream chunk must be (samples, {session.in_channels}), "
-                    f"got shape {chunk.shape}"
-                )
-            if chunk.shape[0] < 1:
-                raise ServingError("stream_push needs at least one sample")
-            chunk = _real_rows(session, chunk)
-            start = time.perf_counter()
-            entry["busy"] = True
-            try:
-                out = await self._batcher_for(
-                    entry["model"], entry["precision"], session
-                ).submit_stream(
-                    entry["state"],
-                    chunk,
-                    deadline_ms=deadline_ms,
-                )
-            finally:
-                entry["busy"] = False
-            latency_ms = (time.perf_counter() - start) * 1e3
-            self._stream_pushes += 1
-            self.stats["stream_pushes"] += 1
-            self.stats["stream_rows"] += int(chunk.shape[0])
-            return (
-                {
-                    "status": "ok",
-                    "op": "stream_push",
-                    "stream": handle,
-                    "rows": int(chunk.shape[0]),
-                    "samples": int(entry["state"].samples),
-                    "latency_ms": latency_ms,
-                },
-                pack_array_views(out),
+        if self._streams_open >= config.max_streams or (
+            budget is not None
+            and self._stream_state_bytes + session.state_bytes > budget
+        ):
+            raise Overloaded(
+                f"stream budget exhausted: {self._streams_open} "
+                f"streams, {self._stream_state_bytes} bytes resident "
+                f"(limits {config.max_streams} streams, {budget} bytes)"
             )
-        if op == "stream_close":
-            handle = string_field(header, "stream")
-            entry = streams.pop(handle, None)
-            if entry is None:
-                raise ServingError(
-                    f"unknown stream {handle!r} on this connection"
-                )
-            self._free_stream(entry)
-            self.stats["stream_closes"] += 1
-            return (
-                {
-                    "status": "ok",
-                    "op": "stream_close",
-                    "stream": handle,
-                    "samples": int(entry["state"].samples),
-                    "pushes": int(entry["state"].pushes),
-                },
-                b"",
+        self._stream_seq += 1
+        handle = f"s{self._stream_seq}"
+        streams[handle] = {
+            "state": session.open(),
+            "model": model,
+            "precision": precision,
+            "busy": False,
+        }
+        self._streams_open += 1
+        self._stream_state_bytes += session.state_bytes
+        self.stats["stream_opens"] += 1
+        return {
+            "status": "ok",
+            "op": "stream_open",
+            "stream": handle,
+            "model": model,
+            "precision": precision,
+            "in_channels": session.in_channels,
+            "classes": session.out_channels,
+            "receptive_field": session.receptive_field,
+            "state_bytes": session.state_bytes,
+        }, b""
+
+    async def _op_stream_push(self, header, payload, streams):
+        handle = string_field(header, "stream")
+        entry = streams.get(handle)
+        if entry is None:
+            raise ServingError(f"unknown stream {handle!r} on this connection")
+        if not payload:
+            raise ServingError("stream_push requires an array payload")
+        if entry["busy"]:
+            # Per-connection sequencing makes this unreachable for
+            # well-behaved clients; defend anyway so a pipelining client
+            # cannot corrupt its own stream's ordering.
+            raise ServingError(
+                f"stream {handle!r} already has a push in flight"
             )
-        if op in ("predict", "predict_proba"):
-            if self._draining:
-                raise ServerUnavailable(
-                    "server is draining and accepts no new requests"
-                )
-            if not payload:
-                raise ServingError(f"{op} requires an array payload")
-            self._admit()
-            model, precision = self._resolve_route(header)
-            deadline_ms = self._deadline_ms(header)
-            rows = unpack_array(payload)
-            if rows.ndim == 1:
-                rows = rows[None]
-            session = await self._session(model, precision)
-            # Cast once at the front door, with the session's own rule.
-            rows = _real_rows(session, rows)
-            self.stats["requests"] += 1
-            start = time.perf_counter()
-            proba = await self._batcher_for(model, precision, session).submit(
-                rows, deadline_ms=deadline_ms
+        self._admit()
+        deadline_ms = self._deadline_ms(header)
+        session = entry["state"].session
+        chunk = self._rows(payload)
+        if chunk.ndim == 1 and session.in_channels == 1:
+            chunk = chunk[:, None]
+        if chunk.ndim != 2 or chunk.shape[1] != session.in_channels:
+            raise ServingError(
+                f"stream chunk must be (samples, {session.in_channels}), "
+                f"got shape {chunk.shape}"
             )
-            latency_ms = (time.perf_counter() - start) * 1e3
-            out = proba.argmax(axis=-1) if op == "predict" else proba
-            return (
-                {
-                    "status": "ok",
-                    "op": op,
-                    "model": model,
-                    "precision": precision,
-                    "rows": int(rows.shape[0]),
-                    "latency_ms": latency_ms,
-                },
-                # Zero-copy: the result buffer streams into the socket
-                # writer as-is (npy header + memoryview of `out`).
-                pack_array_views(out),
-            )
-        raise ServingError(f"unknown op {op!r}")
+        if chunk.shape[0] < 1:
+            raise ServingError("stream_push needs at least one sample")
+        chunk = _real_rows(session, chunk)
+        start = time.perf_counter()
+        entry["busy"] = True
+        try:
+            out = await self._batcher_for(
+                entry["model"], entry["precision"], session
+            ).submit_stream(entry["state"], chunk, deadline_ms=deadline_ms)
+        finally:
+            entry["busy"] = False
+        latency_ms = (time.perf_counter() - start) * 1e3
+        self.stats["stream_pushes"] += 1
+        self.stats["stream_rows"] += int(chunk.shape[0])
+        return {
+            "status": "ok",
+            "op": "stream_push",
+            "stream": handle,
+            "rows": int(chunk.shape[0]),
+            "samples": int(entry["state"].samples),
+            "latency_ms": latency_ms,
+        }, pack_array_views(out)
+
+    async def _op_stream_close(self, header, payload, streams):
+        handle = string_field(header, "stream")
+        entry = streams.pop(handle, None)
+        if entry is None:
+            raise ServingError(f"unknown stream {handle!r} on this connection")
+        self._free_stream(entry)
+        self.stats["stream_closes"] += 1
+        return {
+            "status": "ok",
+            "op": "stream_close",
+            "stream": handle,
+            "samples": int(entry["state"].samples),
+            "pushes": int(entry["state"].pushes),
+        }, b""
+
+    async def _op_predict(self, header, payload, streams):
+        op = header["op"]  # predict or predict_proba
+        if not payload:
+            raise ServingError(f"{op} requires an array payload")
+        self._admit()
+        model, precision = self._resolve_route(header)
+        deadline_ms = self._deadline_ms(header)
+        rows = self._rows(payload)
+        if rows.ndim == 1:
+            rows = rows[None]
+        session = await self._session(model, precision)
+        # Cast once at the front door, with the session's own rule.
+        rows = _real_rows(session, rows)
+        self.stats["requests"] += 1
+        start = time.perf_counter()
+        proba = await self._batcher_for(model, precision, session).submit(
+            rows, deadline_ms=deadline_ms
+        )
+        latency_ms = (time.perf_counter() - start) * 1e3
+        out = proba.argmax(axis=-1) if op == "predict" else proba
+        return {
+            "status": "ok",
+            "op": op,
+            "model": model,
+            "precision": precision,
+            "rows": int(rows.shape[0]),
+            "latency_ms": latency_ms,
+        }, pack_array_views(out)  # zero-copy: npy header + memoryview
 
     def __repr__(self) -> str:
         return (

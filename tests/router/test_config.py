@@ -116,3 +116,28 @@ class TestBuildServeCommand:
         assert "default=m.npz" in command and "alt=n.npz" in command
         assert command[command.index("--precisions") + 1] == "fp64,fp32"
         assert command[-2:] == ["--max-batch", "64"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pool_size", True),
+        ("max_attempts", True),
+        ("max_attempts", 2.5),
+        ("port", True),
+        ("port", -5),
+        ("port", 70000),
+        ("port", 7341.0),
+        ("max_payload", float("nan")),
+        ("max_payload", 1e9),
+        ("max_payload", True),
+        ("probe_interval_s", float("nan")),
+        ("request_timeout_s", float("inf")),
+        ("connect_timeout_s", float("inf")),
+        ("probe_timeout_s", True),
+    ],
+    ids=repr,
+)
+def test_hostile_numbers_rejected(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        RouterConfig(backends=("a:1",), **{field: value})

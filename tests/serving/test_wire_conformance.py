@@ -54,12 +54,14 @@ def nothing_escapes_the_loop(caplog):
 def endpoint(request):
     """``run(scenario, **server_kw)``: drive ``scenario(port)`` against
     the parametrised endpoint; ``max_payload`` applies to whichever
-    endpoint the client is talking to."""
+    endpoint the client is talking to, and ``model`` (default
+    :func:`small_model`) is what the backend serves."""
 
-    def run(scenario, max_payload=None):
+    def run(scenario, max_payload=None, model=None):
         async def main():
             bound = {} if max_payload is None else {"max_payload": max_payload}
-            with Engine(model=small_model(), **bound) as engine:
+            served = small_model() if model is None else model
+            with Engine(model=served, **bound) as engine:
                 async with InferenceServer(engine, port=0) as server:
                     if request.param == "server":
                         return await scenario(server.port)
@@ -296,3 +298,200 @@ class TestDisconnectAndDrain:
             assert refused["status"] == "error"
             assert refused["code"] == "server_unavailable"
         assert alive
+
+
+def stream_model():
+    from repro.zoo import build_fftnet
+
+    return build_fftnet(
+        channels=8, depth=3, classes=6, rng=np.random.default_rng(7)
+    )
+
+
+class TestSharedRefusals:
+    """The refusals every op goes through, answered alike by both."""
+
+    def test_priority_field_is_refused_on_every_op(self, endpoint, rng):
+        payload = pack_array(rng.normal(size=(2, 96)))
+        frames = [
+            ({"op": "ping", "priority": 1}, b""),
+            ({"op": "info", "priority": 1}, b""),
+            ({"op": "predict", "priority": 1}, payload),
+            ({"op": "stream_open", "priority": "batch"}, b""),
+        ]
+
+        async def scenario(port):
+            async with Raw(port) as raw:
+                replies = [(await raw.ask(*frame))[0] for frame in frames]
+                info, _ = await raw.ask({"op": "info"})
+                return replies, info["stats"]
+
+        replies, stats = endpoint(scenario)
+        for reply in replies:
+            assert is_clean_error(reply)
+            assert "code" not in reply  # ConfigurationError, not a shed
+            assert "priority" in reply["message"]
+        # Refused before any handler ran: no request was counted, so a
+        # router answered without a backend round trip.
+        assert stats["requests"] == 0
+
+    def test_draining_refuses_work_and_serves_the_rest(self, endpoint):
+        clip = pack_array(np.zeros((1, 16, 1)))
+        chunk = pack_array(np.zeros((4, 1)))
+
+        async def scenario(port):
+            async with Raw(port) as raw:
+                opened, _ = await raw.ask({"op": "stream_open"})
+                handle = opened["stream"]
+                drain, _ = await raw.ask({"op": "drain"})
+                work = {
+                    "predict": ({"op": "predict"}, clip),
+                    "predict_proba": ({"op": "predict_proba"}, clip),
+                    "stream_open": ({"op": "stream_open"}, b""),
+                    "stream_push": (
+                        {"op": "stream_push", "stream": handle},
+                        chunk,
+                    ),
+                }
+                rest = {
+                    "ping": ({"op": "ping"}, b""),
+                    "info": ({"op": "info"}, b""),
+                    "stream_close": (
+                        {"op": "stream_close", "stream": handle},
+                        b"",
+                    ),
+                }
+                refused = {
+                    op: (await raw.ask(*frame))[0]
+                    for op, frame in work.items()
+                }
+                served = {
+                    op: (await raw.ask(*frame))[0]
+                    for op, frame in rest.items()
+                }
+                return opened, drain, refused, served
+
+        opened, drain, refused, served = endpoint(
+            scenario, model=stream_model()
+        )
+        assert opened["status"] == "ok"
+        assert drain["status"] == "ok" and drain["draining"] is True
+        for op, reply in refused.items():
+            assert reply["status"] == "error", op
+            assert reply["code"] == "server_unavailable", op
+        for op, reply in served.items():
+            assert reply["status"] == "ok", (op, reply)
+        assert served["info"]["health"]["draining"] is True
+
+
+# Subtrees keyed by a name (a route, a backend address, a backend
+# state), not by a field: their keys are wildcarded as "*".
+NAMED = {"batchers", "health/queues", "backends", "health/states"}
+# Subtrees another module describes (the engine, its executor, shared
+# pool and routes, the router's config): pinned as present, not key by
+# key.  ``health/pool`` is ``None`` on a serial engine, a dict on a
+# threaded one.
+OPAQUE = {"engine", "executor", "health/pool", "routes", "config"}
+
+
+def key_paths(obj, prefix=""):
+    """Every nested key of an ``info`` reply as a ``/``-joined path."""
+    paths = set()
+    for key, value in obj.items():
+        path = (f"{prefix}/" if prefix else "") + (
+            "*" if prefix in NAMED else key
+        )
+        paths.add(path)
+        if isinstance(value, dict) and path not in OPAQUE:
+            paths |= key_paths(value, path)
+    return paths
+
+
+SERVER_INFO_KEYS = {
+    "status", "op", "engine", "models", "precisions", "precision",
+    "max_batch", "routes", "executor",
+    "stats", "stats/connections", "stats/requests", "stats/errors",
+    "stats/expired", "stats/shed", "stats/rate_limited",
+    "stats/disconnects", "stats/stream_opens", "stats/stream_pushes",
+    "stats/stream_rows", "stats/stream_closes",
+    "batchers", "batchers/*", "batchers/*/requests", "batchers/*/rows",
+    "batchers/*/batches", "batchers/*/max_batch_rows", "batchers/*/shed",
+    "batchers/*/expired", "batchers/*/stream_batches",
+    "batchers/*/stream_rows", "batchers/*/fused_streams_max",
+    "health", "health/draining", "health/pool", "health/inflight_requests",
+    "health/queues", "health/queues/*", "health/queues/*/pending_rows",
+    "health/queues/*/inflight_rows", "health/queues/*/batch_ms_ema",
+    "health/queues/*/retry_after_ms", "health/queued_rows",
+    "health/batch_ms_ema", "health/max_queue_rows", "health/shed",
+    "health/streams", "health/streams/open", "health/streams/state_bytes",
+    "health/streams/max_streams", "health/streams/max_state_bytes",
+    "health/streams/opened", "health/streams/closed",
+    "health/streams/pushes", "health/streams/pushed_rows",
+    "health/streams/pushes_per_s",
+}
+
+ROUTER_INFO_KEYS = {
+    "status", "op", "router", "config", "models", "precisions",
+    "stats", "stats/connections", "stats/requests", "stats/forwards",
+    "stats/replays", "stats/shed_all", "stats/no_backend", "stats/errors",
+    "stats/disconnects", "stats/backends_killed", "stats/stream_opens",
+    "stats/stream_pushes", "stats/streams_broken",
+    "health", "health/draining", "health/inflight_requests",
+    "health/backends_total", "health/backends_routable", "health/states",
+    "health/states/*", "health/streams", "health/streams/pinned",
+    "health/streams/open", "health/streams/state_bytes",
+    "health/streams/pushes_per_s", "health/streams/opened",
+    "health/streams/pushes", "health/streams/broken",
+    "backends", "backends/*", "backends/*/address", "backends/*/state",
+    "backends/*/models", "backends/*/precisions", "backends/*/queued_rows",
+    "backends/*/inflight_rows", "backends/*/batch_ms_ema",
+    "backends/*/shed", "backends/*/load", "backends/*/probes",
+    "backends/*/last_error", "backends/*/spawned",
+    "backends/*/stats", "backends/*/stats/forwards",
+    "backends/*/stats/failures", "backends/*/stats/probes_failed",
+    "backends/*/streams", "backends/*/streams/open",
+    "backends/*/streams/state_bytes", "backends/*/streams/max_streams",
+    "backends/*/streams/max_state_bytes", "backends/*/streams/opened",
+    "backends/*/streams/closed", "backends/*/streams/pushes",
+    "backends/*/streams/pushed_rows", "backends/*/streams/pushes_per_s",
+}
+
+# What readers outside the servers take from ``info``: the router's
+# health probe (router/backend.py), the benchmark ladder
+# (benchmarks/e2e/ladder.py) and the example clients.  A spawned
+# backend's entry also carries ``pid`` and ``exited``
+# (examples/router_client.py reads ``pid``); this fixture's backend is
+# static.
+SERVER_READ = {
+    "models", "precisions", "health/queued_rows", "health/batch_ms_ema",
+    "health/shed", "health/streams", "health/streams/open",
+    "health/streams/state_bytes", "health/streams/opened",
+    "health/streams/pushes_per_s", "health/draining", "routes",
+    "batchers/*/rows", "batchers/*/batches", "stats/shed",
+    "stats/rate_limited",
+}
+ROUTER_READ = {
+    "router", "backends/*", "backends/*/state", "backends/*/spawned",
+    "stats/forwards", "stats/replays", "health/backends_routable",
+}
+
+
+def test_info_key_paths_are_pinned(endpoint, rng):
+    async def scenario(port):
+        async with Raw(port) as raw:
+            x = rng.normal(size=(2, 96))
+            await raw.ask({"op": "predict"}, pack_array(x))
+            info, _ = await raw.ask({"op": "info"})
+            return info
+
+    info = endpoint(scenario)
+    paths = key_paths(info)
+    expected, read = (
+        (ROUTER_INFO_KEYS, ROUTER_READ)
+        if info.get("router")
+        else (SERVER_INFO_KEYS, SERVER_READ)
+    )
+    assert read <= expected
+    assert paths == expected, (
+        f"missing {sorted(expected - paths)}, extra {sorted(paths - expected)}"
+    )
